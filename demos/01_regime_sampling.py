@@ -15,8 +15,9 @@ from scipy import stats
 
 from smjd.rng import stream
 from smjd.semi_markov import (RegimeModel, RegimeState, WeibullHolding,
-                              apply_generator_L, hazard_rate,
-                              intensity_matrix, simulate_regime_direct,
+                              dynkin_statistics, hazard_rate,
+                              intensity_matrix, sample_regime_paths,
+                              simulate_regime_direct,
                               simulate_regime_thinning)
 
 # ---------------------------------------------------------------------------
@@ -75,23 +76,12 @@ phi = lambda i, y: (i + 1.0) * np.exp(-y)
 dphi = lambda i, y: -(i + 1.0) * np.exp(-y)
 
 T, n_paths = 2.0, 3000
-gaps = np.empty(n_paths)
-for k in range(n_paths):
-    p = simulate_regime_direct(model, RegimeState(0, 0.0), T,
-                               stream(11, "dynkin", k))
-    seg_t = [0.0] + [t for t, _ in p.events] + [T]
-    seg_s = [p.origin.theta] + [s for _, s in p.events]
-    # within each sojourn the age runs at unit rate from its entry value
-    # (the origin age for the first segment, 0 after every switch)
-    integral = 0.0
-    entry_ages = [p.origin.y] + [0.0] * len(p.events)
-    for a, b, s, y0 in zip(seg_t[:-1], seg_t[1:], seg_s, entry_ages):
-        ys = y0 + np.linspace(0.0, b - a, 201)
-        vals = apply_generator_L(model, phi, s, ys, dphi_dy=dphi)
-        integral += np.trapezoid(vals, dx=(b - a) / 200)
-    th, y_end = p.state_at(T, side="right")
-    gaps[k] = phi(th, y_end) - phi(0, 0.0) - integral
-
+# within each sojourn the age runs at unit rate from its entry value (the
+# origin age for the first segment, 0 after every switch); the generator is
+# integrated along it by the trapezoid rule with step at most 0.01
+paths = sample_regime_paths(model, RegimeState(0, 0.0), T, n_paths, 11,
+                            tag="dynkin")
+gaps = dynkin_statistics(model, paths, phi, dphi, dt=0.01)
 gap, se = gaps.mean(), gaps.std(ddof=1) / np.sqrt(n_paths)
 print(f"\nDynkin gap: {gap:+.4f} +/- {se:.4f} "
       f"({'consistent with 0' if abs(gap) < 3 * se else 'INCONSISTENT'})")

@@ -15,9 +15,8 @@ import numpy as np
 from smjd.jump_diffusion import (ControlPolicy, ControlledDynamics,
                                  MarkMeasure, ObjectiveSpec, objective_paths,
                                  simulate_ensemble)
-from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
-                              simulate_regime_direct)
+                              sample_regime_paths)
 
 # ---------------------------------------------------------------------------
 # 1. A two-regime market with downward jumps in the stressed regime
@@ -45,9 +44,7 @@ policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
 # 2. Simulate an ensemble on shared regime paths
 # ---------------------------------------------------------------------------
 T, n_paths = 1.0, 4000
-paths = [simulate_regime_direct(regimes, RegimeState(0, 0.0), T,
-                                stream(21, "regime", k))
-         for k in range(n_paths)]
+paths = sample_regime_paths(regimes, RegimeState(0, 0.0), T, n_paths, 21)
 ens = simulate_ensemble(dyn, policy, paths, x0=1.0, dt=0.005, seed=21)
 
 print(f"Simulated {n_paths} paths on grids of ~{ens.t.shape[1]} nodes")

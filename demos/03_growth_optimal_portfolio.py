@@ -22,9 +22,8 @@ from smjd.portfolio_examples import (RiskSensitiveModel, rs_adjoint,
                                      rs_optimal_control, rs_phi,
                                      rs_phi_markov, rs_policy,
                                      rs_u_coefficient)
-from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
-                              simulate_regime_direct)
+                              sample_regime_paths)
 from smjd.verification import (default_perturbation_family,
                                sufficiency_experiment)
 
@@ -58,8 +57,7 @@ print(f"\nPhi(0, regime 0): matrix exponential {val_ex:.5f}, "
 # ---------------------------------------------------------------------------
 # 2. First-order condition along simulated candidate paths
 # ---------------------------------------------------------------------------
-paths = [simulate_regime_direct(regimes, RegimeState(0, 0.0), 1.0,
-                                stream(31, "regime", k)) for k in range(200)]
+paths = sample_regime_paths(regimes, RegimeState(0, 0.0), 1.0, 200, 31)
 dyn, pol, obj = rs_dynamics(model), rs_policy(model), rs_objective(model)
 ens = simulate_ensemble(dyn, pol, paths, x0=1.0, dt=5e-3, seed=31)
 adj = rs_adjoint(model, ens, phi_exact, regimes, variant="literal")

@@ -24,9 +24,8 @@ from smjd.portfolio_examples import (QuadraticLossModel, ql_adjoint,
                                      ql_optimal_control, ql_phi_psi,
                                      ql_phi_psi_markov, ql_policy,
                                      ql_u_coefficient)
-from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
-                              simulate_regime_direct)
+                              sample_regime_paths)
 from smjd.verification import dp_connection_experiment
 
 regimes = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -66,8 +65,7 @@ for x in (0.5, 0.95, 1.2):
 # ---------------------------------------------------------------------------
 # 2. Optimality certificate along simulated paths
 # ---------------------------------------------------------------------------
-paths = [simulate_regime_direct(regimes, RegimeState(0, 0.0), 1.0,
-                                stream(41, "regime", k)) for k in range(200)]
+paths = sample_regime_paths(regimes, RegimeState(0, 0.0), 1.0, 200, 41)
 fns = (ql_phi_psi_markov(model, regimes, np.linspace(0.0, 1.0, 2001)))
 dyn, pol = ql_dynamics(model), ql_policy(model, fns)
 ens = simulate_ensemble(dyn, pol, paths, x0=0.5, dt=5e-3, seed=41)

@@ -23,9 +23,11 @@ from .errors import (AdmissibilityFailure, AgeBeyondSupport, BoundViolation,
 from .rng import stream
 from .semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                           RegimePath, RegimeState, WeibullHolding,
-                          apply_generator_L, hazard_rate, intensity_matrix,
-                          sample_holding_time, simulate_ctmc,
-                          simulate_regime_direct, simulate_regime_thinning)
+                          apply_generator_L, dynkin_statistics, hazard_rate,
+                          intensity_matrix, regime_switch_sum,
+                          sample_holding_time, sample_regime_paths,
+                          simulate_ctmc, simulate_regime_direct,
+                          simulate_regime_thinning)
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, ObjectiveSpec, SamplePath,
                              coefficient_regularity_probe, estimate_objective,

@@ -48,10 +48,9 @@ from .portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
                                  rs_objective, rs_optimal_control,
                                  rs_phi_functional, rs_policy,
                                  rs_source_rate, rs_u_coefficient)
-from .rng import stream
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
-                          WeibullHolding, apply_generator_L,
-                          simulate_regime_direct)
+                          WeibullHolding, dynkin_statistics,
+                          sample_regime_paths)
 from .verification import (default_perturbation_family,
                            markov_reduction_experiment, sufficiency_experiment)
 
@@ -197,6 +196,7 @@ def validate_config(cfg: dict, command: str) -> dict:
     if errors:
         e = errors[0]
         raise ConfigError(f"config invalid at {e.json_path}: {e.message}")
+    _check_cross_fields(cfg)
     resolved = copy.deepcopy(cfg)
     numerics = dict(_NUMERICS_DEFAULTS)
     numerics.update(resolved.get("numerics", {}))
@@ -215,6 +215,37 @@ def validate_config(cfg: dict, command: str) -> dict:
         model.setdefault("n_x", 10)
         model.setdefault("negative_control_shift", 0.1)
     return resolved
+
+
+def _check_cross_fields(cfg: dict) -> None:
+    """Checks between fields that the schema cannot express: per-regime
+    arrays and regime indices must match the kernel's state count, and jump
+    atoms and weights must pair up."""
+    if "regime" not in cfg or cfg["model"]["kind"] == "hjb-deterministic":
+        return
+    M = len(cfg["regime"]["kernel"])
+    m = cfg["model"]
+
+    def bad(path, msg):
+        raise ConfigError(f"config invalid at {path}: {msg}")
+
+    if not 0 <= m["i0"] < M:
+        bad("$.model.i0", f"regime index {m['i0']} outside [0, {M})")
+    per_regime = {f"$.model.{k}": m[k] for k in ("r", "mu", "mbar", "sigma")
+                  if k in m}
+    jumps = m.get("jumps")
+    if jumps is not None:
+        per_regime["$.model.jumps.coeff_scale"] = jumps["coeff_scale"]
+        if len(jumps["weights"]) != len(jumps["atoms"]):
+            bad("$.model.jumps.weights", f"{len(jumps['weights'])} weights "
+                f"for {len(jumps['atoms'])} atoms")
+    for path, values in per_regime.items():
+        if len(values) != M:
+            bad(path, f"{len(values)} entries for {M} regimes")
+    for k, (_, _, i, _) in enumerate(cfg.get("queries", ())):
+        if not (0 <= i < M and i == int(i)):
+            bad(f"$.queries[{k}][2]",
+                f"regime index {i} is not an integer in [0, {M})")
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +369,8 @@ def _run_simulate(cfg, seed):
         dyn, policy, objective = (ql_dynamics(model),
                                   ql_policy(model, functionals),
                                   ql_objective(model))
-    origin = RegimeState(m["i0"], m["y0"])
-    paths = [simulate_regime_direct(regime_model, origin, m["horizon"],
-                                    stream(seed, "regime", p))
-             for p in range(num["n_paths"])]
+    paths = sample_regime_paths(regime_model, RegimeState(m["i0"], m["y0"]),
+                                m["horizon"], num["n_paths"], seed)
     ens = simulate_ensemble(dyn, policy, paths, m["x0"], num["dt"], seed)
     J = objective_paths(ens, objective)
     rows = [(p, ens.x[p, -1], int(ens.theta[p, -1]), ens.y[p, -1], J[p])
@@ -423,26 +452,11 @@ def _run_dynkin(cfg, seed):
     regime_model = build_regime_model(cfg["regime"])
     m = cfg["model"]
     num = cfg["numerics"]
-    i0, y0, T = m["i0"], m["y0"], m["horizon"]
-    paths = [simulate_regime_direct(regime_model, RegimeState(i0, y0), T,
-                                    stream(seed, "regime", p))
-             for p in range(num["n_paths"])]
+    paths = sample_regime_paths(regime_model, RegimeState(m["i0"], m["y0"]),
+                                m["horizon"], num["n_paths"], seed)
     rows, lines, all_pass = [], [], True
     for fid, (name, phi, dphi) in enumerate(_DYNKIN_FUNCS):
-        stats = np.empty(len(paths))
-        for p, rp in enumerate(paths):
-            seg_t = [0.0] + [t for t, _ in rp.events] + [T]
-            seg_s = [rp.origin.theta] + [s for _, s in rp.events]
-            seg_y0 = [rp.origin.y] + [0.0] * len(rp.events)
-            integral = 0.0
-            for s0, s1, st, ya in zip(seg_t[:-1], seg_t[1:], seg_s, seg_y0):
-                n_sub = max(int(np.ceil((s1 - s0) / num["dt"])), 1)
-                ys = ya + np.linspace(0.0, s1 - s0, n_sub + 1)
-                vals = apply_generator_L(regime_model, phi, st, ys,
-                                         dphi_dy=dphi)
-                integral += np.trapezoid(vals, dx=(s1 - s0) / n_sub)
-            th_T, y_T = rp.state_at(T, side="right")
-            stats[p] = phi(th_T, y_T) - phi(i0, y0) - integral
+        stats = dynkin_statistics(regime_model, paths, phi, dphi, num["dt"])
         gap = float(np.mean(stats))
         se = float(np.std(stats, ddof=1) / np.sqrt(len(stats)))
         ok = abs(gap) <= 3.0 * max(se, 1e-15)

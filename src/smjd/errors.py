@@ -26,12 +26,11 @@ class BoundViolation(SmjdError):
 class NonFinitePath(SmjdError):
     """A simulated state coordinate became non-finite.
 
-    Carries the truncated path and the ensemble index (if any) so the
-    offending configuration can be reproduced.
+    Carries the index of the first offending path in its ensemble, so the
+    path can be reproduced from its noise stream.
     """
 
-    def __init__(self, message: str, path=None, path_index: int | None = None):
-        self.path = path
+    def __init__(self, message: str, path_index: int | None = None):
         self.path_index = path_index
         super().__init__(message)
 

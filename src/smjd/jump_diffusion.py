@@ -10,20 +10,22 @@ g(t, X(t-), u(t-), theta(t-), mark).
 Coefficient call convention: callables receive a time array ``t`` of shape
 (n,), states ``x`` of shape (n,) for scalar models or (n, r) otherwise,
 controls and regime indices of shape (n,), and must broadcast over the
-leading sample axis.  The per-path simulator and the vectorized ensemble
-draw from identical per-path streams and produce bit-identical paths.
+leading sample axis.  The per-path simulator runs the ensemble's stepping
+code on one path, so with the generator of stream (seed, tag, p) it
+reproduces row p of the ensemble bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFinitePath
 from .rng import stream
-from .semi_markov import RegimeModel, RegimePath, RegimeState, simulate_regime_direct
+from .semi_markov import (RegimeModel, RegimePath, RegimeState,
+                          sample_regime_paths)
 
 __all__ = [
     "MarkMeasure", "ControlledDynamics", "ControlPolicy", "ObjectiveSpec",
@@ -42,7 +44,7 @@ class MarkMeasure:
 
     Discrete marks are given by (atoms, weights) and integrate exactly;
     continuous marks by a density on a bounded interval, integrated with
-    Gauss-Legendre quadrature (>= 64 nodes).
+    64-node Gauss-Legendre quadrature.
     """
 
     rate: float
@@ -50,7 +52,6 @@ class MarkMeasure:
     weights: np.ndarray | None = None
     density: Callable[[np.ndarray], np.ndarray] | None = None
     support: tuple[float, float] | None = None
-    quad_nodes: int = 64
 
     def __post_init__(self):
         if not self.rate > 0:
@@ -74,15 +75,21 @@ class MarkMeasure:
     def discrete(self) -> bool:
         return self.atoms is not None
 
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature points and weights of pi: the atoms and their weights,
+        or the Gauss-Legendre(64) points of the support with weights
+        0.5 (hi - lo) w density."""
+        if self.discrete:
+            return self.atoms, self.weights
+        lo, hi = self.support
+        x, w = np.polynomial.legendre.leggauss(64)
+        g = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        return g, 0.5 * (hi - lo) * w * np.asarray(self.density(g), dtype=float)
+
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """Moment oracle: integral of f against the mark distribution pi."""
-        if self.discrete:
-            return float(np.sum(np.asarray(f(self.atoms), dtype=float) * self.weights))
-        lo, hi = self.support
-        nodes, w = np.polynomial.legendre.leggauss(max(self.quad_nodes, 64))
-        g = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        vals = np.asarray(f(g), dtype=float) * np.asarray(self.density(g), dtype=float)
-        return float(0.5 * (hi - lo) * np.sum(w * vals))
+        g, w = self.nodes()
+        return float(np.sum(np.asarray(f(g), dtype=float) * w))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.discrete:
@@ -177,11 +184,6 @@ class SamplePath:
     jumps: list[tuple[int, float]]
     regime: RegimePath
 
-    def to_csv_rows(self):
-        for k in range(len(self.t)):
-            yield (self.t[k], *np.atleast_1d(self.x[k]), self.theta[k],
-                   self.y[k], *np.atleast_1d(self.u[k]))
-
 
 @dataclass
 class Ensemble:
@@ -211,7 +213,7 @@ class Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# Per-path draw protocol (shared by scalar and ensemble simulators)
+# Per-path draw protocol
 # ---------------------------------------------------------------------------
 
 def _draw_jumps(dyn: ControlledDynamics, horizon: float,
@@ -232,81 +234,6 @@ def _build_grid(horizon: float, dt: float, regime: RegimePath,
     return grid[(grid >= 0.0) & (grid <= horizon)]
 
 
-def _check_finite(x: np.ndarray, where: str, path_index=None, path=None):
-    if not np.all(np.isfinite(x)):
-        raise NonFinitePath(f"non-finite state during {where}",
-                            path=path, path_index=path_index)
-
-
-# ---------------------------------------------------------------------------
-# Scalar (per-path) simulator
-# ---------------------------------------------------------------------------
-
-def simulate_controlled_path(dyn: ControlledDynamics, policy: ControlPolicy,
-                             regime: RegimePath, x0, dt: float,
-                             rng: np.random.Generator) -> SamplePath:
-    """Euler-Maruyama path on the union of the base grid and all event times.
-
-    Draw order from ``rng``: Poisson jump count, jump times, jump marks,
-    then one standard-normal vector per step in grid order (this matches the
-    ensemble simulator draw-for-draw).
-    """
-    horizon = regime.horizon
-    jump_times, jump_marks = _draw_jumps(dyn, horizon, rng)
-    grid = _build_grid(horizon, dt, regime, jump_times)
-    N = len(grid) - 1
-    scalar = dyn.dim == 1
-    Z = rng.standard_normal(N) if scalar else rng.standard_normal((N, dyn.dim))
-
-    jump_at = {float(tj): m for tj, m in zip(jump_times, jump_marks)}
-    x0 = float(x0) if scalar else np.asarray(x0, dtype=float)
-
-    xs = np.empty(N + 1) if scalar else np.empty((N + 1, dyn.dim))
-    thetas = np.empty(N + 1, dtype=int)
-    ys = np.empty(N + 1)
-    us = np.empty(N + 1)
-    jumps: list[tuple[int, float]] = []
-
-    x = x0
-    u_prev = None
-    for k in range(N + 1):
-        tk = grid[k]
-        if tk in jump_at and u_prev is not None:
-            th_l, y_l = regime.state_at(tk, side="left")
-            mark = jump_at[tk]
-            gval = _eval_jump(dyn, np.array([tk]), _wrap(x, scalar),
-                              np.array([u_prev]), np.array([th_l]),
-                              np.array([mark]))
-            x = x + (gval[0] if scalar else gval[0])
-            jumps.append((k, float(mark)))
-        th, yy = regime.state_at(tk, side="right")
-        uk = float(np.asarray(policy.rule(np.array([tk]), _wrap(x, scalar),
-                                          np.array([th]), np.array([yy])))[0])
-        xs[k], thetas[k], ys[k], us[k] = x, th, yy, uk
-        if k == N:
-            break
-        delta = grid[k + 1] - tk
-        b = _eval_drift(dyn, np.array([tk]), _wrap(x, scalar),
-                        np.array([uk]), np.array([th]))[0]
-        s = _eval_vol(dyn, np.array([tk]), _wrap(x, scalar),
-                      np.array([uk]), np.array([th]))[0]
-        if scalar:
-            x = x + b * delta + s * np.sqrt(delta) * Z[k]
-        else:
-            x = x + b * delta + np.sqrt(delta) * (s @ Z[k])
-        if not np.all(np.isfinite(np.atleast_1d(x))):
-            trunc = SamplePath(grid[: k + 2], xs[: k + 2], thetas[: k + 2],
-                               ys[: k + 2], us[: k + 2], jumps, regime)
-            raise NonFinitePath(f"non-finite state at t={grid[k + 1]:.6g}",
-                                path=trunc)
-        u_prev = uk
-    return SamplePath(grid, xs, thetas, ys, us, jumps, regime)
-
-
-def _wrap(x, scalar: bool):
-    return np.array([x]) if scalar else np.asarray(x, dtype=float)[None, :]
-
-
 def _eval_drift(dyn, t, x, u, i):
     return np.asarray(dyn.drift(t, x, u, i), dtype=float)
 
@@ -320,25 +247,49 @@ def _eval_jump(dyn, t, x, u, i, gamma):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized ensemble simulator
+# Simulators
 # ---------------------------------------------------------------------------
+
+def simulate_controlled_path(dyn: ControlledDynamics, policy: ControlPolicy,
+                             regime: RegimePath, x0, dt: float,
+                             rng: np.random.Generator) -> SamplePath:
+    """Euler-Maruyama path on the union of the base grid and all event times.
+
+    Runs the ensemble's stepping code on one path with ``rng``, so
+    ``rng = stream(seed, tag, p)`` reproduces row p of
+    ``simulate_ensemble(..., seed, stream_tag=tag)`` bit for bit.
+    """
+    ens = _simulate(dyn, policy, [regime], x0, dt, [rng])
+    cols = np.nonzero(ens.jump_mask[0, 1:])[0] + 1
+    return SamplePath(ens.t[0], ens.x[0], ens.theta[0], ens.y[0], ens.u[0],
+                      [(int(k), float(ens.jump_marks[0, k])) for k in cols],
+                      regime)
+
 
 def simulate_ensemble(dyn: ControlledDynamics, policy: ControlPolicy,
                       regime_paths: Sequence[RegimePath], x0, dt: float,
                       seed: int, stream_tag: str = "paths") -> Ensemble:
     """Simulate one path per regime path, vectorized across the ensemble.
 
-    Path p draws from stream (seed, stream_tag, p) with the same protocol as
-    :func:`simulate_controlled_path`, so results are independent of how the
-    ensemble is scheduled, and two policies evaluated with the same seed see
-    identical noise (shared-noise coupling).
+    Path p draws from stream (seed, stream_tag, p): Poisson jump count, jump
+    times, jump marks, then one standard-normal vector per step in grid
+    order.  Results are independent of how the ensemble is scheduled, and
+    two policies evaluated with the same seed see identical noise
+    (shared-noise coupling).
     """
+    return _simulate(dyn, policy, regime_paths, x0, dt,
+                     [stream(seed, stream_tag, p)
+                      for p in range(len(regime_paths))])
+
+
+def _simulate(dyn, policy, regime_paths, x0, dt, rngs) -> Ensemble:
+    """Draw each path's noise from its generator in ``rngs``, then step all
+    paths together on padded grids."""
     n = len(regime_paths)
     horizon = regime_paths[0].horizon
     scalar = dyn.dim == 1
     grids, Zs, jump_infos = [], [], []
-    for p, rp in enumerate(regime_paths):
-        rng = stream(seed, stream_tag, p)
+    for rp, rng in zip(regime_paths, rngs):
         jt, jm = _draw_jumps(dyn, horizon, rng)
         grid = _build_grid(horizon, dt, rp, jt)
         Nk = len(grid) - 1
@@ -376,8 +327,9 @@ def simulate_ensemble(dyn: ControlledDynamics, policy: ControlPolicy,
         tk = t[:, k]
         jm_k = jump_mask[:, k]
         if k > 0 and jm_k.any():
-            th_l, y_l = _left_limits(regime_paths, tk, jm_k)
             idx = np.nonzero(jm_k)[0]
+            th_l = np.array([regime_paths[p].state_at(float(tk[p]), "left")[0]
+                             for p in idx], dtype=int)
             gval = _eval_jump(dyn, tk[idx], x[idx], u_prev[idx], th_l,
                               jump_marks[idx, k])
             x = x.copy()
@@ -404,15 +356,6 @@ def simulate_ensemble(dyn: ControlledDynamics, policy: ControlPolicy,
     return Ensemble(t=t, x=xs, theta=theta, y=y, u=us, dW=dW,
                     jump_mask=jump_mask, jump_marks=jump_marks,
                     horizon=horizon, regime_paths=list(regime_paths))
-
-
-def _left_limits(regime_paths, tk, mask):
-    idx = np.nonzero(mask)[0]
-    th = np.empty(len(idx), dtype=int)
-    yy = np.empty(len(idx))
-    for j, p in enumerate(idx):
-        th[j], yy[j] = regime_paths[p].state_at(float(tk[p]), side="left")
-    return th, yy
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +394,8 @@ def estimate_objective(dyn: ControlledDynamics, policy: ControlPolicy,
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    origin = RegimeState(i0, y0)
-    regime_paths = [simulate_regime_direct(model, origin, horizon,
-                                           stream(seed, "regime", p))
-                    for p in range(n_paths)]
+    regime_paths = sample_regime_paths(model, RegimeState(i0, y0), horizon,
+                                       n_paths, seed)
     ens = simulate_ensemble(dyn, policy, regime_paths, x0, dt, seed)
     J = objective_paths(ens, objective)
     return float(np.mean(J)), float(np.std(J, ddof=1) / np.sqrt(n_paths))
@@ -494,36 +435,21 @@ def coefficient_regularity_probe(dyn: ControlledDynamics, x_box, n_samples: int,
     us = rng.uniform(*u_box, n_samples)
     ii = rng.choice(states, n_samples)
 
-    def bulk(xv):
-        b = _eval_drift(dyn, ts, xv, us, ii)
-        s = _eval_vol(dyn, ts, xv, us, ii)
-        out = np.asarray(b, dtype=float) ** 2 + np.asarray(s, dtype=float) ** 2
-        if dyn.jump is not None:
-            jm = np.empty(n_samples)
-            for k in range(n_samples):
-                jm[k] = dyn.marks.integrate(
-                    lambda g: np.asarray(dyn.jump(ts[k:k + 1], xv[k:k + 1],
-                                                  us[k:k + 1], ii[k:k + 1],
-                                                  g), dtype=float).ravel() ** 2)
-            out = out + dyn.marks.rate * jm
-        return out
-
-    num = bulk(xs)
+    b, s = _eval_drift(dyn, ts, xs, us, ii), _eval_vol(dyn, ts, xs, us, ii)
+    num = b ** 2 + s ** 2
+    d2 = ((b - _eval_drift(dyn, ts, ys_, us, ii)) ** 2
+          + (s - _eval_vol(dyn, ts, ys_, us, ii)) ** 2)
+    if dyn.jump is not None:
+        # jump sizes at every (sample, mark node) pair, integrated against pi
+        gam, w = dyn.marks.nodes()
+        rep = lambda a: np.repeat(a, len(gam))
+        g_at = lambda xv: _eval_jump(dyn, rep(ts), rep(xv), rep(us), rep(ii),
+                                     np.tile(gam, n_samples)).reshape(-1, len(gam))
+        gx = g_at(xs)
+        num = num + dyn.marks.rate * np.sum(gx ** 2 * w, axis=1)
+        d2 = d2 + dyn.marks.rate * np.sum((gx - g_at(ys_)) ** 2 * w, axis=1)
     ratio1 = num / (1.0 + xs ** 2)
     c1 = float(ratio1.max())
-
-    bx = _eval_drift(dyn, ts, xs, us, ii)
-    by = _eval_drift(dyn, ts, ys_, us, ii)
-    sx = _eval_vol(dyn, ts, xs, us, ii)
-    sy = _eval_vol(dyn, ts, ys_, us, ii)
-    d2 = (np.asarray(bx) - np.asarray(by)) ** 2 + (np.asarray(sx) - np.asarray(sy)) ** 2
-    if dyn.jump is not None:
-        jm = np.empty(n_samples)
-        for k in range(n_samples):
-            jm[k] = dyn.marks.integrate(
-                lambda g: (np.asarray(dyn.jump(ts[k:k + 1], xs[k:k + 1], us[k:k + 1], ii[k:k + 1], g), dtype=float).ravel()
-                           - np.asarray(dyn.jump(ts[k:k + 1], ys_[k:k + 1], us[k:k + 1], ii[k:k + 1], g), dtype=float).ravel()) ** 2)
-        d2 = d2 + dyn.marks.rate * jm
     dx2 = (xs - ys_) ** 2
     keep = dx2 > 1e-16
     c2 = float(np.max(d2[keep] / dx2[keep])) if keep.any() else 0.0

@@ -30,8 +30,8 @@ from scipy.optimize import minimize_scalar
 from .errors import UnboundedHamiltonian
 from .jump_diffusion import (ControlledDynamics, Ensemble, ObjectiveSpec,
                              simulate_ensemble)
-from .semi_markov import RegimeModel, RegimeState, hazard_rate, simulate_regime_direct
-from .rng import stream
+from .semi_markov import (RegimeModel, RegimeState, regime_switch_sum,
+                          sample_regime_paths)
 
 __all__ = [
     "AdjointState", "AdjointPath", "ValueFunctionStub", "hamiltonian",
@@ -420,31 +420,6 @@ class ValueFunctionStub:
         return self.dy(t, x, i, y) if self.dy else self._fd("y", t, x, i, y)
 
 
-def _hazard_by_state(model: RegimeModel, i_arr: np.ndarray, y_arr: np.ndarray):
-    out = np.empty_like(y_arr, dtype=float)
-    for s in range(model.n_states):
-        mask = i_arr == s
-        if mask.any():
-            out[mask] = hazard_rate(model, s, y_arr[mask])
-    return out
-
-
-def _switch_term(model: RegimeModel, value_at, i_arr, y_arr, here):
-    """hazard(i,y) * sum_{j!=i} kernel[i,j] (value_at(j) - here), vectorized."""
-    haz = _hazard_by_state(model, i_arr, y_arr)
-    acc = np.zeros_like(here, dtype=float)
-    for s in range(model.n_states):
-        mask = i_arr == s
-        if not mask.any():
-            continue
-        for j in range(model.n_states):
-            w = model.kernel[s, j]
-            if j == s or w == 0.0:
-                continue
-            acc[mask] += w * (value_at(j, mask) - here[mask])
-    return haz * acc
-
-
 def generator_G(V: ValueFunctionStub, t, x, i, y, u, dyn: ControlledDynamics,
                 model: RegimeModel):
     """Extended generator of (t, X, theta, Y) applied to V (scalar state).
@@ -465,27 +440,20 @@ def generator_G(V: ValueFunctionStub, t, x, i, y, u, dyn: ControlledDynamics,
            + b * np.asarray(V.v_x(ta, xa, ia, ya), dtype=float)
            + np.asarray(V.v_y(ta, xa, ia, ya), dtype=float))
     here = np.asarray(V.v(ta, xa, ia, ya), dtype=float)
-    val = val + _switch_term(
-        model,
+    val = val + regime_switch_sum(
+        model, ia, ya,
         lambda j, mask: np.asarray(
             V.v(ta[mask], xa[mask], np.full(mask.sum(), j, dtype=int),
-                np.zeros(mask.sum())), dtype=float),
-        ia, ya, here)
+                np.zeros(mask.sum())), dtype=float) - here[mask])
     if dyn.jump is not None:
-        lam = dyn.marks.rate
-        jump_int = np.empty_like(here)
-        for k in range(len(here)):
-            def shifted(gam, k=k):
-                xk = xa[k] + np.asarray(
-                    dyn.jump(np.full_like(gam, ta[k]), np.full_like(gam, xa[k]),
-                             np.full_like(gam, ua[k]),
-                             np.full(gam.shape, ia[k], dtype=int), gam), dtype=float)
-                return np.asarray(
-                    V.v(np.full_like(gam, ta[k]), xk,
-                        np.full(gam.shape, ia[k], dtype=int),
-                        np.full_like(gam, ya[k])), dtype=float) - here[k]
-            jump_int[k] = dyn.marks.integrate(shifted)
-        val = val + lam * jump_int
+        # every point paired with every quadrature node of the marks
+        gam, w = dyn.marks.nodes()
+        tn, xn, un, iN, yn = (np.repeat(a, len(gam)) for a in (ta, xa, ua, ia, ya))
+        x_jump = xn + np.asarray(dyn.jump(tn, xn, un, iN, np.tile(gam, len(ta))),
+                                 dtype=float)
+        shifted = (np.asarray(V.v(tn, x_jump, iN, yn), dtype=float)
+                   .reshape(len(ta), len(gam)) - here[:, None])
+        val = val + dyn.marks.rate * np.sum(shifted * w, axis=1)
     return float(val[0]) if scalar_in else val
 
 
@@ -497,9 +465,8 @@ def dynkin_check(V: ValueFunctionStub, dyn: ControlledDynamics, policy,
     Returns (lhs, rhs, gap, se) where se combines the per-path variance of
     the full Dynkin statistic.
     """
-    origin = RegimeState(i0, y0)
-    paths = [simulate_regime_direct(model, origin, horizon, stream(seed, "regime", p))
-             for p in range(n_paths)]
+    paths = sample_regime_paths(model, RegimeState(i0, y0), horizon, n_paths,
+                                seed)
     ens = simulate_ensemble(dyn, policy, paths, x0, dt, seed)
     K = ens.t.shape[1]
     gv = np.empty_like(ens.t)
@@ -564,15 +531,13 @@ def hjb_terminal_mismatch(V: ValueFunctionStub, objective: ObjectiveSpec,
 
 def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
                        dyn: ControlledDynamics, model: RegimeModel,
-                       objective: ObjectiveSpec | None = None,
-                       eta_mode: str = "state-shift") -> AdjointPath:
+                       objective: ObjectiveSpec | None = None) -> AdjointPath:
     """Build the adjoint induced by a value function along an ensemble.
 
     p = V_x, q = sigma V_xx; the regime-jump slot is the V_x difference
-    across the (state, age) event map; the asset-jump slot uses the V_x
-    difference across the state shift x -> x + g (eta_mode="state-shift",
-    the form consistent with the generalized Ito formula) or the cross-regime
-    gradient difference (eta_mode="regime-difference").
+    across the (state, age) event map; the asset-jump slot is the V_x
+    difference across the state shift x -> x + g, the form consistent with
+    the generalized Ito formula.
     """
     t, x, th, y, u = ens.t, ens.x, ens.theta, ens.y, ens.u
     n, K = t.shape
@@ -581,89 +546,41 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
     q = svals * np.asarray(V.v_xx(t, x, th, y), dtype=float)
 
     tl, xl, thl, yl, ul = (a[:, :-1] for a in (t, x, th, y, u))
+    vx_here = p[:, :-1]
     # regime-jump slot
-    M = model.n_states
+    vx_to = np.stack([np.asarray(V.v_x(tl, xl, np.full_like(thl, j),
+                                       np.zeros_like(yl)), dtype=float)
+                      for j in range(model.n_states)])
+    jump_to = lambda j, mask: vx_to[j][mask] - vx_here[mask]
+    etat_comp = regime_switch_sum(model, thl, yl, jump_to)
+    etat_sq = regime_switch_sum(model, thl, yl,
+                                lambda j, mask: jump_to(j, mask) ** 2)
     etat_jump = np.zeros((n, K - 1))
-    etat_comp = np.zeros((n, K - 1))
-    etat_sq = np.zeros((n, K - 1))
-    if M > 1:
-        vx_to = np.empty((M, n, K - 1))
-        for j in range(M):
-            vx_to[j] = np.asarray(
-                V.v_x(tl, xl, np.full_like(thl, j), np.zeros_like(yl)), dtype=float)
-        vx_here = np.asarray(V.v_x(tl, xl, thl, yl), dtype=float)
-        haz = np.empty_like(yl)
-        for s in range(M):
-            mask = thl == s
-            if mask.any():
-                haz[mask] = hazard_rate(model, s, yl[mask])
-        for s in range(M):
-            mask = thl == s
-            if not mask.any():
-                continue
-            for j in range(M):
-                w = model.kernel[s, j]
-                if j == s or w == 0.0:
-                    continue
-                diff = vx_to[j][mask] - vx_here[mask]
-                etat_comp[mask] += haz[mask] * w * diff
-                etat_sq[mask] += haz[mask] * w * diff ** 2
-        switched = th[:, 1:] != thl
-        rows, cols = np.nonzero(switched)
-        etat_jump[rows, cols] = (vx_to[th[rows, cols + 1], rows, cols]
-                                 - vx_here[rows, cols])
+    rows, cols = np.nonzero(th[:, 1:] != thl)
+    etat_jump[rows, cols] = (vx_to[th[rows, cols + 1], rows, cols]
+                             - vx_here[rows, cols])
 
     # asset-jump slot
     eta_jump = eta_comp = eta_sq = None
-    eta_node_of = None
     if dyn.jump is not None:
-        lam = dyn.marks.rate
-        if eta_mode not in ("state-shift", "regime-difference"):
-            raise ValueError(f"unknown eta_mode {eta_mode!r}")
-
-        def eta_vals(gam_scalar):
-            g = np.asarray(dyn.jump(tl, xl, ul, thl,
-                                    np.full_like(tl, gam_scalar)), dtype=float)
-            return (np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float)
-                    - np.asarray(V.v_x(tl, xl, thl, yl), dtype=float))
-
-        if eta_mode == "regime-difference":
-            raise NotImplementedError(
-                "regime-difference eta requires an explicit mark-to-regime map; "
-                "see AdjointState.eta for the pointwise form")
         eta_jump = np.zeros((n, K - 1))
-        jm = ens.jump_mask[:, 1:]
-        rows, cols = np.nonzero(jm)
-        for rr, cc in zip(rows, cols):
-            g = float(np.asarray(dyn.jump(
-                t[rr:rr + 1, cc], x[rr:rr + 1, cc], u[rr:rr + 1, cc],
-                th[rr:rr + 1, cc], ens.jump_marks[rr:rr + 1, cc + 1]), dtype=float)[0])
-            eta_jump[rr, cc] = (float(np.asarray(V.v_x(t[rr:rr + 1, cc], x[rr:rr + 1, cc] + g,
-                                                       th[rr:rr + 1, cc], y[rr:rr + 1, cc]))[0])
-                                - float(np.asarray(V.v_x(t[rr:rr + 1, cc], x[rr:rr + 1, cc],
-                                                         th[rr:rr + 1, cc], y[rr:rr + 1, cc]))[0]))
-        if dyn.marks.discrete:
-            eta_comp = np.zeros((n, K - 1))
-            eta_sq = np.zeros((n, K - 1))
-            for atom, w in zip(dyn.marks.atoms, dyn.marks.weights):
-                ev = eta_vals(float(atom))
-                eta_comp += w * ev
-                eta_sq += w * ev ** 2
-            eta_comp *= lam
-            eta_sq *= lam
-        else:
-            nodes, wts = np.polynomial.legendre.leggauss(64)
-            lo_, hi_ = dyn.marks.support
-            gg = 0.5 * (hi_ - lo_) * nodes + 0.5 * (hi_ + lo_)
-            dens = np.asarray(dyn.marks.density(gg), dtype=float)
-            eta_comp = np.zeros((n, K - 1))
-            eta_sq = np.zeros((n, K - 1))
-            for gk, wk, dk in zip(gg, wts, dens):
-                ev = eta_vals(float(gk))
-                eta_comp += 0.5 * (hi_ - lo_) * wk * dk * ev
-                eta_sq += 0.5 * (hi_ - lo_) * wk * dk * ev ** 2
-            eta_comp *= lam
-            eta_sq *= lam
+        rows, cols = np.nonzero(ens.jump_mask[:, 1:])
+        te, xe, ie, ye = (a[rows, cols] for a in (t, x, th, y))
+        g = np.asarray(dyn.jump(te, xe, u[rows, cols], ie,
+                                ens.jump_marks[rows, cols + 1]), dtype=float)
+        eta_jump[rows, cols] = (
+            np.asarray(V.v_x(te, xe + g, ie, ye), dtype=float)
+            - np.asarray(V.v_x(te, xe, ie, ye), dtype=float))
+        eta_comp = np.zeros((n, K - 1))
+        eta_sq = np.zeros((n, K - 1))
+        for gk, wk in zip(*dyn.marks.nodes()):
+            g = np.asarray(dyn.jump(tl, xl, ul, thl, np.full_like(tl, gk)),
+                           dtype=float)
+            ev = np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float) - vx_here
+            eta_comp += wk * ev
+            eta_sq += wk * ev ** 2
+        eta_comp *= dyn.marks.rate
+        eta_sq *= dyn.marks.rate
 
     grad_H = _grad_H_from_value(V, ens, dyn, objective, p, q)
     return AdjointPath(p=p, q=q, eta_jump=eta_jump, eta_comp=eta_comp,
@@ -686,26 +603,14 @@ def _grad_H_from_value(V, ens, dyn, objective, p, q):
         val += np.asarray(dyn.drift(tl, xv, ul, thl), dtype=float) * p[:, :-1]
         val += np.asarray(dyn.vol(tl, xv, ul, thl), dtype=float) * q[:, :-1]
         if dyn.jump is not None:
-            lam = dyn.marks.rate
-            def for_mark(gam_scalar):
-                g = np.asarray(dyn.jump(tl, xv, ul, thl,
-                                        np.full_like(tl, gam_scalar)), dtype=float)
+            acc = np.zeros_like(xv)
+            for gk, wk in zip(*dyn.marks.nodes()):
+                g = np.asarray(dyn.jump(tl, xv, ul, thl, np.full_like(tl, gk)),
+                               dtype=float)
                 eta = (np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float)
                        - np.asarray(V.v_x(tl, xl, thl, yl), dtype=float))
-                return g * (eta - p[:, :-1])
-            if dyn.marks.discrete:
-                acc = np.zeros_like(xv)
-                for atom, w in zip(dyn.marks.atoms, dyn.marks.weights):
-                    acc += w * for_mark(float(atom))
-            else:
-                nodes, wts = np.polynomial.legendre.leggauss(64)
-                lo_, hi_ = dyn.marks.support
-                gg = 0.5 * (hi_ - lo_) * nodes + 0.5 * (hi_ + lo_)
-                dens = np.asarray(dyn.marks.density(gg), dtype=float)
-                acc = np.zeros_like(xv)
-                for gk, wk, dk in zip(gg, wts, dens):
-                    acc += 0.5 * (hi_ - lo_) * wk * dk * for_mark(float(gk))
-            val += lam * acc
+                acc += wk * (g * (eta - p[:, :-1]))
+            val += dyn.marks.rate * acc
         return val
 
     return (H_at(xl + h) - H_at(xl - h)) / (2 * h)

@@ -24,6 +24,7 @@ events and their compensator rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,9 +35,8 @@ from .errors import (DegenerateVol, FixedPointDiverged, SingularDenominator,
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, ObjectiveSpec)
 from .maximum_principle import AdjointPath
-from .rng import stream
-from .semi_markov import ExponentialHolding, RegimeModel, RegimePath, \
-    RegimeState, hazard_rate, simulate_regime_direct
+from .semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
+                          RegimeState, regime_switch_sum, sample_regime_paths)
 
 __all__ = [
     "RiskSensitiveModel", "QuadraticLossModel", "RegimeFunctional",
@@ -156,12 +156,15 @@ class QuadraticLossModel:
     def n_regimes(self) -> int:
         return len(self.r)
 
-    def g_moment(self, i: int, power: int = 1) -> float:
-        """pi-moment of g(i, .)^power; zero without jumps."""
+    @cached_property
+    def jump_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-regime pi-moments (int g(i, .) dpi, int g(i, .)^2 dpi), built
+        once per model; zero without jumps."""
         if self.marks is None:
-            return 0.0
-        return self.marks.integrate(
-            lambda gam: np.asarray(self.jump_coeff(i, gam), dtype=float) ** power)
+            return np.zeros(self.n_regimes), np.zeros(self.n_regimes)
+        return tuple(np.array([self.marks.integrate(
+            lambda gam: np.asarray(self.jump_coeff(i, gam), dtype=float) ** k)
+            for i in range(self.n_regimes)]) for k in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +207,6 @@ class RegimeFunctional:
     def at(self, t: float, i: int, y: float) -> float:
         return float(self(np.array([t]), np.array([i]), np.array([y]))[0])
 
-    def to_csv_rows(self, other: "RegimeFunctional | None" = None):
-        """Rows (t, i, y, value[, other value], se[, other se])."""
-        for a, t in enumerate(self.t_nodes):
-            for i in range(self.values.shape[1]):
-                for b, y in enumerate(self.y_nodes):
-                    row = [t, i, y, self.values[a, i, b]]
-                    if other is not None:
-                        row.append(other.values[a, i, b])
-                    row.append(self.se[a, i, b])
-                    if other is not None:
-                        row.append(other.se[a, i, b])
-                    yield tuple(row)
-
 
 def _clamped_weights(nodes: np.ndarray, x: np.ndarray):
     """Lower index and fractional weight for linear interpolation, clamped."""
@@ -231,13 +221,6 @@ def _clamped_weights(nodes: np.ndarray, x: np.ndarray):
 # ---------------------------------------------------------------------------
 # Shared Feynman-Kac estimation machinery
 # ---------------------------------------------------------------------------
-
-def _node_paths(model: RegimeModel, i: int, y0: float, horizon: float,
-                n_paths: int, seed: int, tag: str) -> list[RegimePath]:
-    return [simulate_regime_direct(model, RegimeState(i, y0), horizon,
-                                   stream(seed, tag, p))
-            for p in range(n_paths)]
-
 
 def _sojourn_cumulative(paths: Sequence[RegimePath], c_states: np.ndarray,
                         taus: np.ndarray) -> np.ndarray:
@@ -366,8 +349,8 @@ def rs_phi(model: RiskSensitiveModel, regime_model: RegimeModel, t, i: int,
     if tau == 0.0:
         return (0.0, 0.0) if variant == "integral" else (1.0, 0.0)
     a = rs_source_rate(model, rate_variant)
-    paths = _node_paths(regime_model, int(i), float(y), tau, n_paths, seed,
-                        f"rsphi/{int(i)}/{float(y)}")
+    paths = sample_regime_paths(regime_model, RegimeState(int(i), float(y)),
+                                tau, n_paths, seed, f"rsphi/{int(i)}/{float(y)}")
     cum = _sojourn_cumulative(paths, a, np.array([tau]))[:, 0]
     vals = cum if variant == "integral" else np.exp(cum)
     se = float(np.std(vals, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -395,8 +378,9 @@ def rs_phi_functional(model: RiskSensitiveModel, regime_model: RegimeModel,
     se = np.empty_like(values)
     for i in range(M):
         for b, y0 in enumerate(y_nodes):
-            paths = _node_paths(regime_model, i, float(y0), float(taus[0]),
-                                n_paths, seed, f"rsphi/{i}/{b}")
+            paths = sample_regime_paths(regime_model, RegimeState(i, float(y0)),
+                                        float(taus[0]), n_paths, seed,
+                                        f"rsphi/{i}/{b}")
             cum = _sojourn_cumulative(paths, a, taus)
             vals = cum if variant == "integral" else np.exp(cum)
             values[:, i, b] = vals.mean(axis=0)
@@ -493,12 +477,10 @@ def ql_phi_psi_markov(model: QuadraticLossModel, regime_model: RegimeModel,
                          "only the Monte Carlo fixed point applies")
     if y_nodes is None:
         y_nodes = np.array([0.0])
-    M = regime_model.n_states
     rate = model.marks.rate if model.marks is not None else 0.0
-    m1 = np.array([model.g_moment(i, 1) for i in range(M)])
-    k = np.array([np.divide(*ql_lambda_factors(model, 0.0, i, 0.0, -2.0))
-                  for i in range(M)])
-    kterm = k * (model.sigma * model.mbar + rate * m1)
+    k = np.divide(*ql_lambda_factors(model, 0.0, np.arange(model.n_regimes),
+                                     0.0, -2.0))
+    kterm = k * (model.sigma * model.mbar + rate * model.jump_moments[0])
     phi = _markov_functional(regime_model, 2.0 * model.r + kterm, t_nodes,
                              model.horizon, "exponential", -2.0, y_nodes)
     psi = _markov_functional(regime_model, model.r + kterm, t_nodes,
@@ -547,31 +529,22 @@ def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of):
     t, x, th, y = ens.t, ens.x, ens.theta, ens.y
     n, K = t.shape
     etj = np.zeros((n, K - 1))
-    etc = np.zeros((n, K - 1))
-    ets = np.zeros((n, K - 1))
     if regime_model is None or regime_model.n_states == 1:
-        return etj, etc, ets
-    M = regime_model.n_states
+        return etj, np.zeros((n, K - 1)), np.zeros((n, K - 1))
     tl, xl, thl, yl = t[:, :-1], x[:, :-1], th[:, :-1], y[:, :-1]
     dts = np.diff(t, axis=1)
     p_here = p_of(tl, xl, thl, yl)
-    haz = np.zeros_like(yl)
-    for s in range(M):
-        mask = thl == s
-        if mask.any():
-            haz[mask] = hazard_rate(regime_model, s, yl[mask])
-    for s in range(M):
-        mask = thl == s
-        if not mask.any():
-            continue
-        for j in range(M):
-            w = regime_model.kernel[s, j]
-            if j == s or w == 0.0:
-                continue
-            diff = (p_of(tl[mask], xl[mask], np.full(mask.sum(), j, dtype=int),
-                         np.zeros(mask.sum())) - p_here[mask])
-            etc[mask] += haz[mask] * w * diff
-            ets[mask] += haz[mask] * w * diff ** 2
+    diffs = {}  # change of p on a switch to j; both sums use the same masks
+
+    def jump_to(j, mask):
+        if j not in diffs:
+            diffs[j] = p_of(tl[mask], xl[mask], np.full(mask.sum(), j, dtype=int),
+                            np.zeros(mask.sum())) - p_here[mask]
+        return diffs[j]
+
+    etc = regime_switch_sum(regime_model, thl, yl, jump_to)
+    ets = regime_switch_sum(regime_model, thl, yl,
+                            lambda j, mask: jump_to(j, mask) ** 2)
     switched = th[:, 1:] != thl
     rows, cols = np.nonzero(switched)
     if rows.size:
@@ -600,8 +573,8 @@ def rs_u_coefficient(model: RiskSensitiveModel, ens: Ensemble,
 # Quadratic-loss problem
 # ---------------------------------------------------------------------------
 
-def ql_lambda_factors(model: QuadraticLossModel, t, i: int, y,
-                      phi_value: float) -> tuple[float, float]:
+def ql_lambda_factors(model: QuadraticLossModel, t, i, y,
+                      phi_value) -> tuple:
     """Numerator and denominator factors of the linear hedging rule.
 
     Literal variant: Lam_t = -mbar sigma + int g dpi and Lam = sigma^2
@@ -610,23 +583,28 @@ def ql_lambda_factors(model: QuadraticLossModel, t, i: int, y,
     first-order condition of the control problem itself -- uncompensated
     jumps contribute rate * int g dpi of extra drift per unit of control,
     so the jump moments enter with the rate factor and the same sign as
-    the diffusion excess return.  Raises SingularDenominator when
-    |Lam| < 1e-12.
+    the diffusion excess return.  Vectorizes over the regime ``i`` and
+    ``phi_value`` (the factors do not depend on t or y given phi); scalar
+    arguments give floats.  Raises SingularDenominator when |Lam| < 1e-12.
     """
-    i = int(i)
-    m1, m2 = model.g_moment(i, 1), model.g_moment(i, 2)
+    m1, m2 = model.jump_moments
+    i = np.asarray(i, dtype=int)
     ms = model.mbar[i] * model.sigma[i]
     s2 = model.sigma[i] ** 2
     if model.lambda_variant == "literal":
-        lam_t = -ms + m1
-        lam = s2 + phi_value * m2
+        lam_t = -ms + m1[i]
+        lam = s2 + phi_value * m2[i]
     else:
         rate = model.marks.rate if model.marks is not None else 0.0
-        lam_t = -(ms + rate * m1)
-        lam = s2 + rate * m2
-    if abs(lam) < _SINGULAR_TOL:
-        raise SingularDenominator(f"|Lam| = {abs(lam):.3g} below 1e-12")
-    return float(lam_t), float(lam)
+        lam_t = -(ms + rate * m1[i])
+        lam = s2 + rate * m2[i]
+    if np.any(np.abs(lam) < _SINGULAR_TOL):
+        raise SingularDenominator(
+            f"|Lam| = {np.min(np.abs(lam)):.3g} below 1e-12")
+    shape = np.broadcast_shapes(i.shape, np.shape(phi_value))
+    if not shape:
+        return float(lam_t), float(lam)
+    return np.broadcast_to(lam_t, shape), np.broadcast_to(lam, shape)
 
 
 def ql_dynamics(model: QuadraticLossModel) -> ControlledDynamics:
@@ -689,12 +667,13 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
     M = regime_model.n_states
     n_t, n_y = len(t_nodes), len(y_nodes)
     rate = model.marks.rate if model.marks is not None else 0.0
-    m1 = np.array([model.g_moment(i, 1) for i in range(M)])
-    kterm = model.sigma * model.mbar + rate * m1  # u-drift sensitivity
+    # u-drift sensitivity
+    kterm = model.sigma * model.mbar + rate * model.jump_moments[0]
 
     taus = model.horizon - t_nodes
-    paths = [[_node_paths(regime_model, i, float(y0), float(taus[0]), n_paths,
-                          seed, f"qlfk/{i}/{b}")
+    paths = [[sample_regime_paths(regime_model, RegimeState(i, float(y0)),
+                                  float(taus[0]), n_paths, seed,
+                                  f"qlfk/{i}/{b}")
               for b, y0 in enumerate(y_nodes)] for i in range(M)]
     k_varies = model.lambda_variant == "literal" and model.marks is not None
     sampled = None
@@ -715,12 +694,22 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
     # without phi feedback the raw estimate is already the fixed point
     damp = damping if k_varies else 1.0
     for _ in range(max_iter):
-        k_grid = _ql_k_grid(model, phi_vals, shape)
+        k_grid = np.divide(*ql_lambda_factors(
+            model, 0.0, np.arange(M)[None, :, None], 0.0, phi_vals))
         if prev_k is None or not np.allclose(k_grid, prev_k, rtol=0, atol=1e-15):
             raw_phi = np.empty(shape)
             raw_psi = np.empty(shape)
             c_phi_states = 2.0 * model.r + k_grid[0, :, 0] * kterm
             c_psi_states = model.r + k_grid[0, :, 0] * kterm
+            phi_now = RegimeFunctional(t_nodes, y_nodes, phi_vals,
+                                       np.zeros(shape), 0)
+
+            def slope(tv, iv, yv):  # Lam_t / Lam at the current phi iterate
+                tv, iv, yv = np.broadcast_arrays(tv, iv, yv)
+                pv = phi_now(tv.ravel(), iv.ravel(), yv.ravel())
+                return np.divide(*ql_lambda_factors(model, tv, iv, yv,
+                                                    pv.reshape(tv.shape)))
+
             for i in range(M):
                 for b in range(n_y):
                     if not k_varies:
@@ -728,15 +717,14 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
                         cum_psi = _sojourn_cumulative(paths[i][b], c_psi_states, taus)
                     else:
                         th, yy = sampled[i][b]
-                        fn = _ql_k_interp(model, t_nodes, y_nodes, phi_vals)
                         cum_phi = _grid_cumulative(
                             th, yy, t_nodes,
                             lambda tv, iv, yv: 2.0 * model.r[iv]
-                            + fn(tv, iv, yv) * kterm[iv])
+                            + slope(tv, iv, yv) * kterm[iv])
                         cum_psi = _grid_cumulative(
                             th, yy, t_nodes,
                             lambda tv, iv, yv: model.r[iv]
-                            + fn(tv, iv, yv) * kterm[iv])
+                            + slope(tv, iv, yv) * kterm[iv])
                     e_phi = np.exp(cum_phi)
                     e_psi = np.exp(cum_psi)
                     raw_phi[:, i, b] = -2.0 * e_phi.mean(axis=0)
@@ -762,41 +750,6 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
     return phi, psi, {"iterations": len(trace), "trace": trace}
 
 
-def _ql_k_grid(model: QuadraticLossModel, phi_vals: np.ndarray, shape):
-    k = np.empty(shape)
-    for i in range(shape[1]):
-        if model.lambda_variant == "literal" and model.marks is not None:
-            m1, m2 = model.g_moment(i, 1), model.g_moment(i, 2)
-            lam_t = -model.mbar[i] * model.sigma[i] + m1
-            lam = model.sigma[i] ** 2 + phi_vals[:, i, :] * m2
-            if np.any(np.abs(lam) < _SINGULAR_TOL):
-                raise SingularDenominator("|Lam| below 1e-12 on the grid")
-            k[:, i, :] = lam_t / lam
-        else:
-            lam_t, lam = ql_lambda_factors(model, 0.0, i, 0.0, -2.0)
-            k[:, i, :] = lam_t / lam
-    return k
-
-
-def _ql_k_interp(model: QuadraticLossModel, t_nodes, y_nodes, phi_vals):
-    fnl = RegimeFunctional(t_nodes, y_nodes, phi_vals,
-                           np.zeros_like(phi_vals), 0)
-
-    def k_of(tv, iv, yv):
-        tb, ib, yb = np.broadcast_arrays(tv, iv, yv)
-        pv = fnl(tb.ravel(), ib.ravel(), yb.ravel()).reshape(tb.shape)
-        out = np.empty_like(pv)
-        for st in np.unique(ib):
-            mask = ib == st
-            m1, m2 = model.g_moment(int(st), 1), model.g_moment(int(st), 2)
-            lam_t = -model.mbar[st] * model.sigma[st] + m1
-            lam = model.sigma[st] ** 2 + pv[mask] * m2
-            out[mask] = lam_t / lam
-        return out
-
-    return k_of
-
-
 def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):
     """Linear hedging rule u = (Lam_t / Lam) (x + psi / phi), vectorized.
 
@@ -809,26 +762,13 @@ def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):
     i = np.atleast_1d(np.asarray(i, dtype=int))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     n = max(a.shape[0] for a in (t, x, i, y))
-    t, x, i, y = (np.broadcast_to(a, (n,)).copy() for a in (t, x, i, y))
+    t, x, i, y = (np.broadcast_to(a, (n,)) for a in (t, x, i, y))
     pv = phi(t, i, y)
     sv = psi(t, i, y)
     if np.any(np.abs(pv) < _SINGULAR_TOL):
         raise SingularPhi("phi is numerically zero at a queried node")
-    out = np.empty(n)
-    for st in np.unique(i):
-        mask = i == st
-        lam_t, lam = ql_lambda_factors(model, 0.0, int(st), 0.0,
-                                       float(np.mean(pv[mask])))
-        if model.lambda_variant == "literal" and model.marks is not None:
-            m1, m2 = model.g_moment(int(st), 1), model.g_moment(int(st), 2)
-            lam_t = -model.mbar[st] * model.sigma[st] + m1
-            lam_arr = model.sigma[st] ** 2 + pv[mask] * m2
-            if np.any(np.abs(lam_arr) < _SINGULAR_TOL):
-                raise SingularDenominator("|Lam| below 1e-12 along the rule")
-            out[mask] = (lam_t / lam_arr) * (x[mask] + sv[mask] / pv[mask])
-        else:
-            out[mask] = (lam_t / lam) * (x[mask] + sv[mask] / pv[mask])
-    return out
+    lam_t, lam = ql_lambda_factors(model, t, i, y, pv)
+    return (lam_t / lam) * (x + sv / pv)
 
 
 def ql_policy(model: QuadraticLossModel, functionals) -> ControlPolicy:
@@ -864,8 +804,7 @@ def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
         n, K = t.shape
         rate = model.marks.rate
         ul, phil, thl = u[:, :-1], phiv[:, :-1], th[:, :-1]
-        m1 = np.array([model.g_moment(i, 1) for i in range(model.n_regimes)])
-        m2 = np.array([model.g_moment(i, 2) for i in range(model.n_regimes)])
+        m1, m2 = model.jump_moments
         eta_comp = rate * ul * phil * m1[thl]
         eta_sq = rate * (ul * phil) ** 2 * m2[thl]
         eta_jump = np.zeros((n, K - 1))
@@ -898,8 +837,7 @@ def ql_u_coefficient(model: QuadraticLossModel, ens: Ensemble,
     """
     th = ens.theta
     rate = model.marks.rate if model.marks is not None else 0.0
-    m1 = np.array([model.g_moment(i, 1) for i in range(model.n_regimes)])
-    m2 = np.array([model.g_moment(i, 2) for i in range(model.n_regimes)])
+    m1, m2 = model.jump_moments
     phiv = np.where(ens.u != 0.0, np.divide(adj.q, ens.u * model.sigma[th],
                                             out=np.zeros_like(adj.q),
                                             where=ens.u != 0.0), 0.0)

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AgeBeyondSupport, BoundViolation
+from .rng import stream
 
 _CDF_ONE = 1.0 - 1e-15
 _INV_TOL = 1e-10  # absolute tolerance on the time axis for numeric inversion
@@ -300,9 +301,6 @@ class RegimePath:
             return int(theta), float(age)
         return theta.astype(int), age
 
-    def to_csv_rows(self) -> list[tuple[float, int]]:
-        return [(t, s) for t, s in self.events]
-
 
 # ---------------------------------------------------------------------------
 # Hazard, intensity, holding-time sampling
@@ -327,6 +325,32 @@ def hazard_rate(model: RegimeModel, i: int, y):
     if np.any(~np.isfinite(h)) or np.any(h < 0):
         raise AgeBeyondSupport(i, float(np.max(y_arr)))
     return float(h) if np.ndim(y) == 0 else h
+
+
+def regime_switch_sum(model: RegimeModel, i, y, change):
+    """Hazard-weighted regime-switch term, elementwise over states and ages:
+
+        hazard(i, y) * sum_{j != i} kernel[i, j] * change(j, mask)
+
+    ``change(j, mask)`` is the change of a quantity on a switch to state j,
+    such as phi(j, 0) - phi(i, y), at the points selected by the boolean
+    array ``mask`` (those with kernel[i, j] > 0).  The term appears in the
+    (state, age) generator, in the generator of (t, X, theta, Y) and in the
+    regime-jump compensators of the adjoints.
+    """
+    i, y = np.broadcast_arrays(np.asarray(i, dtype=int),
+                               np.asarray(y, dtype=float))
+    acc = np.zeros(i.shape)
+    for j in range(model.n_states):
+        w = model.kernel[i, j]
+        mask = w != 0.0
+        if mask.any():
+            acc[mask] += w[mask] * change(j, mask)
+    haz = np.empty(i.shape)
+    for s in np.unique(i):
+        mask = i == s
+        haz[mask] = hazard_rate(model, int(s), y[mask])
+    return haz * acc
 
 
 def intensity_matrix(model: RegimeModel, y: float) -> np.ndarray:
@@ -391,6 +415,14 @@ def simulate_regime_direct(model: RegimeModel, origin: RegimeState,
         events.append((t, i))
         age = 0.0
     return RegimePath(events, origin, horizon)
+
+
+def sample_regime_paths(model: RegimeModel, origin: RegimeState,
+                        horizon: float, n: int, seed: int,
+                        tag: str = "regime") -> list[RegimePath]:
+    """``n`` direct-sampler paths; path p draws from stream (seed, tag, p)."""
+    return [simulate_regime_direct(model, origin, horizon, stream(seed, tag, p))
+            for p in range(n)]
 
 
 def _majorant_step(dist: HoldingDistribution) -> float:
@@ -511,12 +543,35 @@ def apply_generator_L(model: RegimeModel, phi: Callable[[int, float], float],
         lo = np.asarray(phi(i, y_arr - step), dtype=float)
         hi = np.asarray(phi(i, y_arr + fd_step), dtype=float)
         dval = (hi - lo) / (fd_step + step)
-    h = hazard_rate(model, i, y_arr)
-    jump = 0.0
-    phi_here = np.asarray(phi(i, y_arr), dtype=float)
-    for j in range(model.n_states):
-        if j == i or model.kernel[i, j] == 0.0:
-            continue
-        jump = jump + model.kernel[i, j] * (phi(j, 0.0) - phi_here)
-    out = np.asarray(dval, dtype=float) + h * jump
+    here = np.broadcast_to(np.asarray(phi(i, y_arr), dtype=float), y_arr.shape)
+    out = np.asarray(dval, dtype=float) + regime_switch_sum(
+        model, i, y_arr, lambda j, mask: phi(j, 0.0) - here[mask])
     return float(out) if np.ndim(y) == 0 else out
+
+
+def dynkin_statistics(model: RegimeModel, paths: Sequence[RegimePath],
+                      phi: Callable[[int, float], float],
+                      dphi_dy: Callable[[int, float], float] | None,
+                      dt: float) -> np.ndarray:
+    """Per-path Dynkin statistic phi(end) - phi(start) - int_0^T L phi ds.
+
+    Along each sojourn the age runs at unit rate from its entry value (the
+    origin age, then 0 after every switch), and L phi is integrated by the
+    trapezoid rule on ceil(length / dt) equal steps.  The statistic has mean
+    zero up to that quadrature error.
+    """
+    stats = np.empty(len(paths))
+    for p, rp in enumerate(paths):
+        seg_t = [0.0] + [t for t, _ in rp.events] + [rp.horizon]
+        seg_s = [rp.origin.theta] + [s for _, s in rp.events]
+        seg_y0 = [rp.origin.y] + [0.0] * len(rp.events)
+        integral = 0.0
+        for s0, s1, st, ya in zip(seg_t[:-1], seg_t[1:], seg_s, seg_y0):
+            n_sub = max(int(np.ceil((s1 - s0) / dt)), 1)
+            ys = ya + np.linspace(0.0, s1 - s0, n_sub + 1)
+            vals = apply_generator_L(model, phi, st, ys, dphi_dy=dphi_dy)
+            integral += np.trapezoid(vals, dx=(s1 - s0) / n_sub)
+        th_T, y_T = rp.state_at(rp.horizon, side="right")
+        stats[p] = (phi(th_T, y_T) - phi(rp.origin.theta, rp.origin.y)
+                    - integral)
+    return stats

@@ -36,7 +36,7 @@ from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
 from .portfolio_examples import _sojourn_cumulative
 from .rng import stream
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
-                          simulate_ctmc, simulate_regime_direct)
+                          sample_regime_paths, simulate_ctmc)
 
 __all__ = [
     "PerturbationFamily", "PerturbationResult", "SufficiencyReport",
@@ -206,10 +206,8 @@ def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
     raises AdmissibilityFailure naming the perturbation.
     """
     base = families[0].base
-    origin = RegimeState(i0, y0)
-    regime_paths = [simulate_regime_direct(regime_model, origin, horizon,
-                                           stream(seed, "regime", p))
-                    for p in range(n_paths)]
+    regime_paths = sample_regime_paths(regime_model, RegimeState(i0, y0),
+                                       horizon, n_paths, seed)
     ens_hat = simulate_ensemble(dyn, base, regime_paths, x0, dt, seed)
     J_hat = objective_paths(ens_hat, objective)
     if not np.all(np.isfinite(J_hat)):
@@ -307,9 +305,8 @@ def markov_reduction_experiment(dyn: ControlledDynamics, policy: ControlPolicy,
     rates = [h.rate for h in regime_model.holding]
     origin = RegimeState(i0, 0.0)
 
-    semi_paths = [simulate_regime_direct(regime_model, origin, horizon,
-                                         stream(seed, "regime", p))
-                  for p in range(n_paths)]
+    semi_paths = sample_regime_paths(regime_model, origin, horizon, n_paths,
+                                     seed)
     chain_paths = [simulate_ctmc(rates, regime_model.kernel, origin, horizon,
                                  stream(seed, "chain", p))
                    for p in range(n_paths)]
@@ -376,22 +373,21 @@ def dp_connection_experiment(V: ValueFunctionStub, dyn: ControlledDynamics,
                              regime_model: RegimeModel, x0, i0: int, y0: float,
                              horizon: float, n_paths: int,
                              dts: Sequence[float], seed: int,
-                             eta_mode: str = "state-shift",
                              v_approximate: bool = False) -> DpConnectionReport:
     """Adjoints from V along simulated paths: residual vs step size.
 
-    For each step size the same regime paths and noise streams are reused,
-    so the reported ratios isolate the discretization effect.
+    Every step size reuses the same regime paths and the same per-path
+    stream keys (seed, "paths", p).  The Brownian paths are not nested
+    across step sizes: each step size draws fresh normals scaled by its own
+    steps, so the ratios mix discretization error with sampling noise.
+    Coupling the levels by summing fine increments is ROADMAP item 5.
     """
-    origin = RegimeState(i0, y0)
-    regime_paths = [simulate_regime_direct(regime_model, origin, horizon,
-                                           stream(seed, "regime", p))
-                    for p in range(n_paths)]
+    regime_paths = sample_regime_paths(regime_model, RegimeState(i0, y0),
+                                       horizon, n_paths, seed)
     residuals, terminal = [], 0.0
     for dt in dts:
         ens = simulate_ensemble(dyn, policy, regime_paths, x0, dt, seed)
-        adj = adjoint_from_value(V, ens, dyn, regime_model, objective,
-                                 eta_mode=eta_mode)
+        adj = adjoint_from_value(V, ens, dyn, regime_model, objective)
         res = adjoint_residual(ens, adj, dyn, objective)
         residuals.append(res.mean_path_total)
         terminal = res.terminal_mismatch

@@ -25,6 +25,7 @@ from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                               WeibullHolding, apply_generator_L,
+                              dynkin_statistics, sample_regime_paths,
                               simulate_regime_direct,
                               simulate_regime_thinning)
 from smjd.verification import (default_perturbation_family,
@@ -46,9 +47,7 @@ def _two_regime():
 
 
 def _paths(rm, n, horizon, seed, i0=0, y0=0.0):
-    return [simulate_regime_direct(rm, RegimeState(i0, y0), horizon,
-                                   stream(seed, "regime", p))
-            for p in range(n)]
+    return sample_regime_paths(rm, RegimeState(i0, y0), horizon, n, seed)
 
 
 def _rs_model():
@@ -119,19 +118,7 @@ def test_criterion_2_generator_dynkin(capsys):
     paths = _paths(rm, n, T, 302)
     gaps, ok = [], True
     for phi, dphi in funcs:
-        st = np.empty(n)
-        for p, rp in enumerate(paths):
-            seg_t = [0.0] + [t for t, _ in rp.events] + [T]
-            seg_s = [rp.origin.theta] + [s for _, s in rp.events]
-            seg_y0 = [rp.origin.y] + [0.0] * len(rp.events)
-            integral = 0.0
-            for s0, s1, si, ya in zip(seg_t[:-1], seg_t[1:], seg_s, seg_y0):
-                nsub = max(int(np.ceil((s1 - s0) / dt)), 1)
-                ys = ya + np.linspace(0.0, s1 - s0, nsub + 1)
-                vals = apply_generator_L(rm, phi, si, ys, dphi_dy=dphi)
-                integral += np.trapezoid(vals, dx=(s1 - s0) / nsub)
-            th_T, y_T = rp.state_at(T, side="right")
-            st[p] = phi(th_T, y_T) - phi(0, 0.0) - integral
+        st = dynkin_statistics(rm, paths, phi, dphi, dt)
         gap = float(np.mean(st))
         se = float(np.std(st, ddof=1) / np.sqrt(n))
         gaps.append(f"{gap:+.1e}|3SE={3 * se:.1e}")

@@ -27,6 +27,17 @@ def _rs_config(**overrides):
     return cfg
 
 
+def _ql_jumps(**overrides):
+    return {"rate": 2.0, "atoms": [-0.05, 0.08], "weights": [0.4, 0.6],
+            "coeff_scale": [1.0, 1.5], **overrides}
+
+
+def _ql_model(**overrides):
+    return {"kind": "ql", "r": [0.05, 0.03], "mbar": [0.4, 0.3],
+            "sigma": [0.2, 0.25], "d": 1.0, "horizon": 1.0, "x0": 0.5,
+            "i0": 0, "jumps": _ql_jumps(), **overrides}
+
+
 def _write(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -76,6 +87,31 @@ class TestConfigValidation:
         rc = _run("dynkin", _write(tmp_path, _rs_config()), tmp_path / "o")
         assert rc == 2
         assert "experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, edit", [
+        ("$.model.i0", lambda c: c["model"].update(i0=5)),
+        ("$.model.r", lambda c: c["model"].update(
+            r=[0.05, 0.02, 0.01], mu=[0.1, 0.1, 0.1], sigma=[0.2, 0.3, 0.2])),
+        ("$.model.mu", lambda c: c["model"].update(mu=[0.1, 0.1, 0.1])),
+        ("$.model.sigma", lambda c: c["model"].update(sigma=[0.2])),
+        ("$.model.mbar", lambda c: c.update(model=_ql_model(
+            mbar=[0.4, 0.3, 0.2]))),
+        ("$.model.jumps.coeff_scale", lambda c: c.update(model=_ql_model(
+            jumps=_ql_jumps(coeff_scale=[1.0])))),
+        ("$.model.jumps.weights", lambda c: c.update(model=_ql_model(
+            jumps=_ql_jumps(weights=[0.4, 0.3, 0.3])))),
+        ("$.queries[1][2]", lambda c: c.update(
+            experiment="policy-eval", queries=[[0.0, 1.0, 0, 0.0],
+                                               [0.0, 1.0, 2, 0.0]])),
+    ])
+    def test_cross_field_mismatch_exits_2_naming_field(self, tmp_path, capsys,
+                                                       field, edit):
+        cfg = _rs_config()
+        edit(cfg)
+        rc = _run(cfg["experiment"], _write(tmp_path, cfg), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
 
     def test_bad_kernel_exits_2(self, tmp_path, capsys):
         cfg = _rs_config()

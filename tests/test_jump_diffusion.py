@@ -119,6 +119,31 @@ class TestSimulatePath:
         for t_ev, _ in regime.events:
             assert np.any(path.t == t_ev)  # bit-exact membership
 
+    def test_path_equals_ensemble_row_bit_for_bit(self, exp2_model):
+        # the per-path simulator steps one path with the ensemble's code, so
+        # with the ensemble's stream for path p it reproduces row p exactly
+        mm = MarkMeasure(rate=3.0, atoms=np.array([-0.1, 0.05, 0.2]),
+                         weights=np.array([0.3, 0.4, 0.3]))
+        dyn = ControlledDynamics(
+            dim=1,
+            drift=lambda t, x, u, i: 0.05 * x + 0.1 * u * (i + 1),
+            vol=lambda t, x, u, i: (0.2 + 0.1 * i) * np.sqrt(1.0 + x ** 2),
+            jump=lambda t, x, u, i, gam: (x + u) * gam, marks=mm)
+        policy = ControlPolicy(rule=lambda t, x, i, y: 0.5 - 0.3 * x + 0.1 * y)
+        regimes = _paths(exp2_model, 200, 1.0, 5)
+        ens = simulate_ensemble(dyn, policy, regimes, x0=1.0, dt=0.01, seed=5)
+        for p, rp in enumerate(regimes):
+            path = simulate_controlled_path(dyn, policy, rp, 1.0, 0.01,
+                                            rng=stream(5, "paths", p))
+            K = len(path.t)
+            for name in ("t", "x", "u", "theta", "y"):
+                assert np.array_equal(getattr(path, name),
+                                      getattr(ens, name)[p, :K]), (p, name)
+            assert np.all(ens.t[p, K:] == 1.0)
+            cols = np.nonzero(ens.jump_mask[p])[0]
+            assert path.jumps == [(k, ens.jump_marks[p, k]) for k in cols]
+        assert ens.jump_mask.sum() > 0
+
     def test_jump_uses_pre_jump_state(self, single_regime):
         # policy u = x and jump increment u: with b = vol = 0 the state
         # exactly doubles at every jump iff u is evaluated at the left limit
