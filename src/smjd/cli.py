@@ -44,8 +44,7 @@ from .jump_diffusion import ControlledDynamics, ControlPolicy, ObjectiveSpec
 from .portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
                                  ql_adjoint, ql_phi_psi, ql_policy,
                                  ql_dynamics, ql_objective, ql_u_coefficient,
-                                 ql_optimal_control, rs_adjoint, rs_dynamics,
-                                 rs_objective, rs_optimal_control,
+                                 rs_adjoint, rs_dynamics, rs_objective,
                                  rs_phi_functional, rs_policy,
                                  rs_source_rate, rs_u_coefficient)
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
@@ -297,25 +296,37 @@ def _grids(cfg: dict):
     return t_nodes, y_nodes
 
 
-def _ql_setup(cfg, regime_model, seed):
+def _problem(cfg, regime_model, seed):
+    """(model, dynamics, candidate policy, objective, u-coefficient function)
+    of the configured problem; the last maps an ensemble to max |dH/du|.
+
+    The QL rule reads its functionals phi and psi, which are solved here.
+    The RS regime functional only enters the u-coefficient, so it is solved
+    when that function is called.
+    """
     model = build_model(cfg)
     t_nodes, y_nodes = _grids(cfg)
     num = cfg["numerics"]
-    phi, psi, info = ql_phi_psi(model, regime_model, t_nodes, y_nodes,
-                                num["functional_paths"], seed,
-                                tol=num["fixed_point_tol"],
-                                max_iter=num["fixed_point_max_iter"])
-    return model, (phi, psi), info
+    if cfg["model"]["kind"] == "rs":
+        variant = cfg["model"]["phi_variant"]
 
+        def u_fn(ens):
+            phi = rs_phi_functional(model, regime_model, t_nodes, y_nodes,
+                                    num["functional_paths"], seed,
+                                    variant=variant)
+            return rs_u_coefficient(model, ens, rs_adjoint(
+                model, ens, phi, regime_model, variant=variant))
 
-def _rs_setup(cfg, regime_model, seed):
-    model = build_model(cfg)
-    t_nodes, y_nodes = _grids(cfg)
-    num = cfg["numerics"]
-    phi = rs_phi_functional(model, regime_model, t_nodes, y_nodes,
-                            num["functional_paths"], seed,
-                            variant=cfg["model"]["phi_variant"])
-    return model, phi
+        return (model, rs_dynamics(model), rs_policy(model),
+                rs_objective(model), u_fn)
+    functionals = ql_phi_psi(model, regime_model, t_nodes, y_nodes,
+                             num["functional_paths"], seed,
+                             tol=num["fixed_point_tol"],
+                             max_iter=num["fixed_point_max_iter"])[:2]
+    return (model, ql_dynamics(model), ql_policy(model, functionals),
+            ql_objective(model),
+            lambda ens: ql_u_coefficient(
+                model, ens, ql_adjoint(model, ens, functionals, regime_model)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +371,7 @@ def _run_simulate(cfg, seed):
     regime_model = build_regime_model(cfg["regime"])
     m = cfg["model"]
     num = cfg["numerics"]
-    if m["kind"] == "rs":
-        model = build_model(cfg)
-        dyn, policy, objective = (rs_dynamics(model), rs_policy(model),
-                                  rs_objective(model))
-    else:
-        model, functionals, _ = _ql_setup(cfg, regime_model, seed)
-        dyn, policy, objective = (ql_dynamics(model),
-                                  ql_policy(model, functionals),
-                                  ql_objective(model))
+    _, dyn, policy, objective, _ = _problem(cfg, regime_model, seed)
     paths = sample_regime_paths(regime_model, RegimeState(m["i0"], m["y0"]),
                                 m["horizon"], num["n_paths"], seed)
     ens = simulate_ensemble(dyn, policy, paths, m["x0"], num["dt"], seed)
@@ -389,22 +392,8 @@ def _verify_common(cfg, seed, kind):
     regime_model = build_regime_model(cfg["regime"])
     m = cfg["model"]
     num = cfg["numerics"]
-    if kind == "rs":
-        model, phi = _rs_setup(cfg, regime_model, seed)
-        dyn, objective = rs_dynamics(model), rs_objective(model)
-        base = rs_policy(model)
-        relative = True
-        u_fn = lambda ens: rs_u_coefficient(
-            model, ens, rs_adjoint(model, ens, phi, regime_model,
-                                   variant=m["phi_variant"]))
-    else:
-        model, functionals, _ = _ql_setup(cfg, regime_model, seed)
-        dyn, objective = ql_dynamics(model), ql_objective(model)
-        base = ql_policy(model, functionals)
-        relative = False
-        u_fn = lambda ens: ql_u_coefficient(
-            model, ens, ql_adjoint(model, ens, functionals, regime_model))
-
+    _, dyn, base, objective, u_fn = _problem(cfg, regime_model, seed)
+    relative = kind == "rs"  # RS perturbations scale with wealth
     families = default_perturbation_family(base, relative, m["horizon"])
     report = sufficiency_experiment(
         dyn, objective, families, regime_model, m["x0"], m["i0"], m["y0"],
@@ -527,16 +516,8 @@ def _run_reduce_markov(cfg, seed):
     regime_model = build_regime_model(cfg["regime"])
     m = cfg["model"]
     num = cfg["numerics"]
-    if m["kind"] == "rs":
-        model = build_model(cfg)
-        dyn, objective = rs_dynamics(model), rs_objective(model)
-        policy = rs_policy(model)
-        phi_rates = rs_source_rate(model)
-    else:
-        model, functionals, _ = _ql_setup(cfg, regime_model, seed)
-        dyn, objective = ql_dynamics(model), ql_objective(model)
-        policy = ql_policy(model, functionals)
-        phi_rates = None
+    model, dyn, policy, objective, _ = _problem(cfg, regime_model, seed)
+    phi_rates = rs_source_rate(model) if m["kind"] == "rs" else None
     rep = markov_reduction_experiment(dyn, policy, objective, regime_model,
                                       m["x0"], m["i0"], m["horizon"],
                                       num["n_paths"], num["dt"], seed,
@@ -564,15 +545,9 @@ def _run_reduce_markov(cfg, seed):
 def _run_policy_eval(cfg, seed):
     regime_model = build_regime_model(cfg["regime"])
     m = cfg["model"]
-    if m["kind"] == "rs":
-        model = build_model(cfg)
-        evaluate = lambda t, x, i, y: float(
-            np.atleast_1d(rs_optimal_control(model, t, x, i))[0])
-    else:
-        model, functionals, _ = _ql_setup(cfg, regime_model, seed)
-        evaluate = lambda t, x, i, y: float(
-            ql_optimal_control(model, t, x, i, y, functionals)[0])
-    rows = [(t, x, int(i), y, evaluate(t, x, int(i), y))
+    policy = _problem(cfg, regime_model, seed)[2]
+    rows = [(t, x, int(i), y,
+             float(np.atleast_1d(policy.rule(t, x, int(i), y))[0]))
             for t, x, i, y in cfg["queries"]]
     report = {"experiment": "policy-eval", "kind": m["kind"],
               "queries": [{"t": r[0], "x": r[1], "i": r[2], "y": r[3],

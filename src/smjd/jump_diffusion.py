@@ -208,9 +208,6 @@ class Ensemble:
     def n_paths(self) -> int:
         return self.t.shape[0]
 
-    def terminal_state(self):
-        return self.x[:, -1]
-
 
 # ---------------------------------------------------------------------------
 # Per-path draw protocol
@@ -328,10 +325,10 @@ def _simulate(dyn, policy, regime_paths, x0, dt, rngs) -> Ensemble:
         jm_k = jump_mask[:, k]
         if k > 0 and jm_k.any():
             idx = np.nonzero(jm_k)[0]
-            th_l = np.array([regime_paths[p].state_at(float(tk[p]), "left")[0]
-                             for p in idx], dtype=int)
-            gval = _eval_jump(dyn, tk[idx], x[idx], u_prev[idx], th_l,
-                              jump_marks[idx, k])
+            # left-limit regime: every regime event is a grid node, so none
+            # lies strictly between nodes k - 1 and k
+            gval = _eval_jump(dyn, tk[idx], x[idx], u_prev[idx],
+                              theta[idx, k - 1], jump_marks[idx, k])
             x = x.copy()
             x[idx] = x[idx] + gval
         uk = np.asarray(policy.rule(tk, x, theta[:, k], y[:, k]), dtype=float)

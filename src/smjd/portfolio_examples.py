@@ -13,8 +13,9 @@ Two worked problems drive the verification experiments:
 * Quadratic hedging: minimize E[(X(T) - d)^2] for wealth with the same
   diffusion part plus multiplicative asset jumps u * g(i, mark).  The
   optimal rule is linear, u = (Lam_t / Lam) (x + psi/phi), with phi, psi
-  exponential Feynman-Kac functionals of the regime path obtained by a
-  damped fixed-point iteration (the factor Lam may depend on phi).
+  exponential Feynman-Kac functionals of the regime path.  They take one
+  Monte Carlo pass when the slope Lam_t / Lam is free of phi, and a damped
+  fixed-point iteration when phi enters Lam.
 
 Both adjoints are emitted in the step-indexed layout consumed by
 ``adjoint_residual``, including jump integrands evaluated at realized
@@ -204,9 +205,6 @@ class RegimeFunctional:
                 + (1 - wt) * wy * v[it, i, iy2]
                 + wt * wy * v[it2, i, iy2])
 
-    def at(self, t: float, i: int, y: float) -> float:
-        return float(self(np.array([t]), np.array([i]), np.array([y]))[0])
-
 
 def _clamped_weights(nodes: np.ndarray, x: np.ndarray):
     """Lower index and fractional weight for linear interpolation, clamped."""
@@ -224,18 +222,20 @@ def _clamped_weights(nodes: np.ndarray, x: np.ndarray):
 
 def _sojourn_cumulative(paths: Sequence[RegimePath], c_states: np.ndarray,
                         taus: np.ndarray) -> np.ndarray:
-    """cum[p, a] = integral of c(theta_s) over s in [0, tau_a], exactly.
+    """cum[..., p, a] = integral of c(theta_s) over s in [0, tau_a], exactly.
 
+    ``c_states`` is indexed by regime along its last axis; leading axes
+    stack several rates, integrated in the same pass over the sojourns.
     The integrand is piecewise constant in the regime, so the integral is a
     sum of sojourn overlaps; no time-discretization error.
     """
-    n = len(paths)
-    cum = np.zeros((n, len(taus)))
+    cum = np.zeros(np.shape(c_states)[:-1] + (len(paths), len(taus)))
     for p, rp in enumerate(paths):
         seg_t = [0.0] + [t for t, _ in rp.events] + [rp.horizon]
         seg_s = [rp.origin.theta] + [s for _, s in rp.events]
         for s0, s1, st in zip(seg_t[:-1], seg_t[1:], seg_s):
-            cum[p] += c_states[st] * np.clip(taus - s0, 0.0, s1 - s0)
+            cum[..., p, :] += (c_states[..., st, None]
+                               * np.clip(taus - s0, 0.0, s1 - s0))
     return cum
 
 
@@ -250,21 +250,34 @@ def _sampled_states(paths: Sequence[RegimePath], v_nodes: np.ndarray):
 
 
 def _grid_cumulative(th: np.ndarray, yy: np.ndarray, t_nodes: np.ndarray,
-                     c_fn) -> np.ndarray:
-    """cum[p, a] = trapezoid of c(t_a + v, state at v) over v in [0, T - t_a].
+                     rates) -> np.ndarray:
+    """cum[r, p, a] = trapezoid of c_r(t_a + v, state at v) over v in
+    [0, T - t_a], for the rates (c_0, c_1, ...) = ``rates(t, theta, y)``.
 
-    Requires a uniform t-grid; ``c_fn(t, theta, y)`` broadcasts.  Exploits
-    time homogeneity of the regime paths: one path set serves every start
-    node.
+    Requires a uniform t-grid; ``rates`` broadcasts and is called once per
+    start node for all of its rates.  Exploits time homogeneity of the
+    regime paths: one path set serves every start node.
     """
-    n, n_t = th.shape
+    n_t = th.shape[1]
     h = t_nodes[1] - t_nodes[0]
-    cum = np.zeros((n, n_t))
+    cols = []
     for a in range(n_t - 1):
         m = n_t - a
-        vals = c_fn(t_nodes[a:a + m][None, :], th[:, :m], yy[:, :m])
-        cum[:, a] = np.sum(0.5 * (vals[:, 1:] + vals[:, :-1]) * h, axis=1)
-    return cum
+        vals = np.stack(rates(t_nodes[a:a + m][None, :], th[:, :m],
+                              yy[:, :m]))
+        cols.append(np.sum(0.5 * (vals[..., 1:] + vals[..., :-1]) * h,
+                           axis=-1))
+    cols.append(np.zeros_like(cols[0]))  # empty integral at the horizon
+    return np.stack(cols, axis=-1)
+
+
+def _check_regime_count(model, regime_model: RegimeModel):
+    """Refuse a portfolio model whose regime count differs from the regime
+    model's state count."""
+    if model.n_regimes != regime_model.n_states:
+        raise ValueError(
+            f"model regime count {model.n_regimes} != regime model state "
+            f"count {regime_model.n_states}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +356,7 @@ def rs_phi(model: RiskSensitiveModel, regime_model: RegimeModel, t, i: int,
     rate formula (see :func:`rs_source_rate`).  Returns (value, SE).
     """
     _check_variant(variant)
+    _check_regime_count(model, regime_model)
     tau = model.horizon - float(t)
     if tau < 0:
         raise ValueError("t beyond the horizon")
@@ -367,6 +381,7 @@ def rs_phi_functional(model: RiskSensitiveModel, regime_model: RegimeModel,
     integral variant, 1 for the literal variant.
     """
     _check_variant(variant)
+    _check_regime_count(model, regime_model)
     t_nodes = np.asarray(t_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
     if abs(t_nodes[-1] - model.horizon) > 1e-12:
@@ -455,6 +470,7 @@ def rs_phi_markov(model: RiskSensitiveModel, regime_model: RegimeModel,
     oracle for the Monte Carlo estimator.
     """
     _check_variant(variant)
+    _check_regime_count(model, regime_model)
     if y_nodes is None:
         y_nodes = np.array([0.0])
     a = rs_source_rate(model, rate_variant)
@@ -472,20 +488,17 @@ def ql_phi_psi_markov(model: QuadraticLossModel, regime_model: RegimeModel,
     consistent variant, or any model without jumps); the phi-dependent
     literal denominator has no matrix-exponential form and is rejected.
     """
-    if model.lambda_variant == "literal" and model.marks is not None:
+    _check_regime_count(model, regime_model)
+    if _ql_phi_feeds_back(model):
         raise ValueError("phi enters the literal denominator with jumps; "
                          "only the Monte Carlo fixed point applies")
     if y_nodes is None:
         y_nodes = np.array([0.0])
-    rate = model.marks.rate if model.marks is not None else 0.0
-    k = np.divide(*ql_lambda_factors(model, 0.0, np.arange(model.n_regimes),
-                                     0.0, -2.0))
-    kterm = k * (model.sigma * model.mbar + rate * model.jump_moments[0])
-    phi = _markov_functional(regime_model, 2.0 * model.r + kterm, t_nodes,
-                             model.horizon, "exponential", -2.0, y_nodes)
-    psi = _markov_functional(regime_model, model.r + kterm, t_nodes,
-                             model.horizon, "exponential", 2.0 * model.d,
-                             y_nodes)
+    c_phi, c_psi = _ql_rates(model, np.arange(model.n_regimes), -2.0)
+    phi = _markov_functional(regime_model, c_phi, t_nodes, model.horizon,
+                             "exponential", -2.0, y_nodes)
+    psi = _markov_functional(regime_model, c_psi, t_nodes, model.horizon,
+                             "exponential", 2.0 * model.d, y_nodes)
     return phi, psi
 
 
@@ -607,6 +620,23 @@ def ql_lambda_factors(model: QuadraticLossModel, t, i, y,
     return np.broadcast_to(lam_t, shape), np.broadcast_to(lam, shape)
 
 
+def _ql_phi_feeds_back(model: QuadraticLossModel) -> bool:
+    """Whether the slope Lam_t / Lam depends on phi: only in the literal
+    variant with jumps."""
+    return model.lambda_variant == "literal" and model.marks is not None
+
+
+def _ql_rates(model: QuadraticLossModel, i, phi_value) -> tuple:
+    """Feynman-Kac rates (c_phi, c_psi) = (2r, r) + k (sigma mbar + rate
+    int g dpi) in regime ``i`` with k = Lam_t / Lam at ``phi_value``;
+    vectorizes like :func:`ql_lambda_factors`, with one call to it."""
+    rate = model.marks.rate if model.marks is not None else 0.0
+    gain = model.sigma * model.mbar + rate * model.jump_moments[0]
+    k = np.divide(*ql_lambda_factors(model, 0.0, i, 0.0, phi_value))
+    kterm = k * gain[i]
+    return 2.0 * model.r[i] + kterm, model.r[i] + kterm
+
+
 def ql_dynamics(model: QuadraticLossModel) -> ControlledDynamics:
     r, s, m = model.r, model.sigma, model.mbar
     jump = None
@@ -644,109 +674,98 @@ def ql_objective(model: QuadraticLossModel) -> ObjectiveSpec:
     )
 
 
+_QL_DAMPING = 0.5  # weight of the fresh estimate in a fixed-point step
+
+
 def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
                t_nodes: np.ndarray, y_nodes: np.ndarray, n_paths: int,
-               seed: int, tol: float = 1e-4, max_iter: int = 50,
-               damping: float = 0.5):
-    """Damped fixed point for the hedging functionals phi and psi.
+               seed: int, tol: float = 1e-4, max_iter: int = 50):
+    """Monte Carlo hedging functionals phi and psi on a (t, regime, age) grid.
 
     phi(t,i,y) = -2 E[exp(int_t^T c_phi ds)] and psi = 2d E[exp(int c_psi)]
     with multiplicative rates c_phi = 2r + k (sigma mbar + rate int g dpi)
-    and c_psi = r + the same k-term, where k = Lam_t / Lam is recomputed
-    from the current phi iterate.  Iterates phi_{n+1} = (1 - damping) phi_n
-    + damping * (fresh estimate) until the sup-norm change is below ``tol``.
-    Regime paths are drawn once and reused across iterations, so a phi-free
-    k converges geometrically without re-simulation.
+    and c_psi = r + the same k-term, where k = Lam_t / Lam.  One set of
+    regime paths per start node (i, y) serves every t node.
 
-    Returns (phi, psi, info) with info = {"iterations", "trace"}.
+    When k is free of phi (the consistent variant, or no jumps), the rates
+    are per-regime constants: one exact pass over the sojourns gives both
+    functionals, and info reports 1 iteration.  When phi enters Lam (the
+    literal variant with jumps), the rates are integrated by the trapezoid
+    rule on the t grid, which must be uniform, and a damped fixed point
+    runs on the same paths: each step moves (phi, psi) halfway to a fresh
+    estimate at the current phi (the damping 0.5 is a constant) until the
+    sup-norm change is below ``tol``.  After ``max_iter`` steps without
+    that it raises FixedPointDiverged carrying the trace.
+
+    Returns (phi, psi, info) with info = {"iterations", "trace"}; the trace
+    holds the sup-norm change of each step, the first measured from the
+    initial guess phi = -2, psi = 2d.
     """
+    _check_regime_count(model, regime_model)
     t_nodes = np.asarray(t_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
     if abs(t_nodes[-1] - model.horizon) > 1e-12:
         raise ValueError("t grid must end at the horizon")
-    M = regime_model.n_states
-    n_t, n_y = len(t_nodes), len(y_nodes)
-    rate = model.marks.rate if model.marks is not None else 0.0
-    # u-drift sensitivity
-    kterm = model.sigma * model.mbar + rate * model.jump_moments[0]
-
+    feedback = _ql_phi_feeds_back(model)
+    if (feedback and len(t_nodes) > 1 and np.ptp(np.diff(t_nodes))
+            > 1e-9 * (t_nodes[-1] - t_nodes[0])):
+        raise ValueError("phi-dependent denominator needs a uniform t grid")
+    M, n_y = regime_model.n_states, len(y_nodes)
     taus = model.horizon - t_nodes
     paths = [[sample_regime_paths(regime_model, RegimeState(i, float(y0)),
                                   float(taus[0]), n_paths, seed,
                                   f"qlfk/{i}/{b}")
               for b, y0 in enumerate(y_nodes)] for i in range(M)]
-    k_varies = model.lambda_variant == "literal" and model.marks is not None
-    sampled = None
-    if k_varies:
-        if n_t > 1 and np.ptp(np.diff(t_nodes)) > 1e-9 * (t_nodes[-1] - t_nodes[0]):
-            raise ValueError("phi-dependent denominator needs a uniform t grid")
+
+    # phi and psi are stacked along a leading axis of length 2
+    scale = np.array([-2.0, 2.0 * model.d])
+    shape = (2, len(t_nodes), M, n_y)
+    guess = np.broadcast_to(scale[:, None, None, None], shape)
+    se = np.zeros(shape)
+
+    def estimate(cumulative):
+        """Monte Carlo (phi, psi) from ``cumulative(i, b)``, the integrals of
+        (c_phi, c_psi) per path and t node; writes the SEs into ``se``."""
+        vals = np.empty(shape)
+        for i in range(M):
+            for b in range(n_y):
+                e = np.exp(cumulative(i, b))
+                vals[:, :, i, b] = scale[:, None] * e.mean(axis=1)
+                if n_paths > 1:
+                    se[:, :, i, b] = (np.abs(scale)[:, None] * e.std(
+                        axis=1, ddof=1) / np.sqrt(n_paths))
+        return vals
+
+    if not feedback:
+        rates = np.stack(_ql_rates(model, np.arange(M), -2.0))
+        vals = estimate(lambda i, b: _sojourn_cumulative(paths[i][b], rates,
+                                                         taus))
+        trace = [float(np.max(np.abs(vals - guess)))]
+    else:
         sampled = [[_sampled_states(paths[i][b], t_nodes) for b in range(n_y)]
                    for i in range(M)]
+        vals, trace = guess, []
+        for _ in range(max_iter):
+            phi_now = RegimeFunctional(t_nodes, y_nodes, vals[0],
+                                       np.zeros(shape[1:]), 0)
 
-    shape = (n_t, M, n_y)
-    phi_vals = np.full(shape, -2.0)
-    psi_vals = np.full(shape, 2.0 * model.d)
-    se_phi = np.zeros(shape)
-    se_psi = np.zeros(shape)
-    trace: list[float] = []
-    prev_k = None
-    raw_phi = raw_psi = None
-    # without phi feedback the raw estimate is already the fixed point
-    damp = damping if k_varies else 1.0
-    for _ in range(max_iter):
-        k_grid = np.divide(*ql_lambda_factors(
-            model, 0.0, np.arange(M)[None, :, None], 0.0, phi_vals))
-        if prev_k is None or not np.allclose(k_grid, prev_k, rtol=0, atol=1e-15):
-            raw_phi = np.empty(shape)
-            raw_psi = np.empty(shape)
-            c_phi_states = 2.0 * model.r + k_grid[0, :, 0] * kterm
-            c_psi_states = model.r + k_grid[0, :, 0] * kterm
-            phi_now = RegimeFunctional(t_nodes, y_nodes, phi_vals,
-                                       np.zeros(shape), 0)
-
-            def slope(tv, iv, yv):  # Lam_t / Lam at the current phi iterate
+            def rates(tv, iv, yv):  # (c_phi, c_psi) at the current phi iterate
                 tv, iv, yv = np.broadcast_arrays(tv, iv, yv)
                 pv = phi_now(tv.ravel(), iv.ravel(), yv.ravel())
-                return np.divide(*ql_lambda_factors(model, tv, iv, yv,
-                                                    pv.reshape(tv.shape)))
+                return _ql_rates(model, iv, pv.reshape(iv.shape))
 
-            for i in range(M):
-                for b in range(n_y):
-                    if not k_varies:
-                        cum_phi = _sojourn_cumulative(paths[i][b], c_phi_states, taus)
-                        cum_psi = _sojourn_cumulative(paths[i][b], c_psi_states, taus)
-                    else:
-                        th, yy = sampled[i][b]
-                        cum_phi = _grid_cumulative(
-                            th, yy, t_nodes,
-                            lambda tv, iv, yv: 2.0 * model.r[iv]
-                            + slope(tv, iv, yv) * kterm[iv])
-                        cum_psi = _grid_cumulative(
-                            th, yy, t_nodes,
-                            lambda tv, iv, yv: model.r[iv]
-                            + slope(tv, iv, yv) * kterm[iv])
-                    e_phi = np.exp(cum_phi)
-                    e_psi = np.exp(cum_psi)
-                    raw_phi[:, i, b] = -2.0 * e_phi.mean(axis=0)
-                    raw_psi[:, i, b] = 2.0 * model.d * e_psi.mean(axis=0)
-                    if n_paths > 1:
-                        se_phi[:, i, b] = 2.0 * e_phi.std(axis=0, ddof=1) / np.sqrt(n_paths)
-                        se_psi[:, i, b] = abs(2.0 * model.d) * e_psi.std(axis=0, ddof=1) / np.sqrt(n_paths)
-            prev_k = k_grid
-        new_phi = (1 - damp) * phi_vals + damp * raw_phi
-        new_psi = (1 - damp) * psi_vals + damp * raw_psi
-        change = max(float(np.max(np.abs(new_phi - phi_vals))),
-                     float(np.max(np.abs(new_psi - psi_vals))))
-        phi_vals, psi_vals = new_phi, new_psi
-        trace.append(change)
-        if change < tol:
-            break
-    else:
-        raise FixedPointDiverged(
-            f"no convergence after {max_iter} iterations "
-            f"(last change {trace[-1]:.3g})", trace=trace)
-    phi = RegimeFunctional(t_nodes, y_nodes, phi_vals, se_phi, n_paths)
-    psi = RegimeFunctional(t_nodes, y_nodes, psi_vals, se_psi, n_paths)
+            new = (1 - _QL_DAMPING) * vals + _QL_DAMPING * estimate(
+                lambda i, b: _grid_cumulative(*sampled[i][b], t_nodes, rates))
+            trace.append(float(np.max(np.abs(new - vals))))
+            vals = new
+            if trace[-1] < tol:
+                break
+        else:
+            raise FixedPointDiverged(
+                f"no convergence after {max_iter} iterations "
+                f"(last change {trace[-1]:.3g})", trace=trace)
+    phi = RegimeFunctional(t_nodes, y_nodes, vals[0], se[0], n_paths)
+    psi = RegimeFunctional(t_nodes, y_nodes, vals[1], se[1], n_paths)
     return phi, psi, {"iterations": len(trace), "trace": trace}
 
 

@@ -286,16 +286,16 @@ def markov_reduction_experiment(dyn: ControlledDynamics, policy: ControlPolicy,
                                 regime_model: RegimeModel, x0, i0: int,
                                 horizon: float, n_paths: int, dt: float,
                                 seed: int,
-                                phi_rates: np.ndarray | None = None,
-                                phi_form: str = "integral") -> MarkovReductionReport:
+                                phi_rates: np.ndarray | None = None
+                                ) -> MarkovReductionReport:
     """Compare the semi-Markov pipeline against a plain chain sampler.
 
     Applicable only when every holding distribution is exponential (the
     (state, age) process then reduces to a Markov chain with rates
     lambda_i p_ij).  The two runs use independent noise, so agreement is
     judged at 3 combined standard errors.  When ``phi_rates`` is given, the
-    per-regime functional E[int c dt] (or E[exp int c dt] for
-    ``phi_form="literal"``) from the start state is compared as well.
+    per-regime functional E[int c dt] from the start state is compared as
+    well.
     """
     if not all(isinstance(h, ExponentialHolding) for h in regime_model.holding):
         kinds = sorted({type(h).__name__ for h in regime_model.holding})
@@ -326,10 +326,8 @@ def markov_reduction_experiment(dyn: ControlledDynamics, policy: ControlPolicy,
     if phi_rates is not None:
         c = np.asarray(phi_rates, dtype=float)
         taus = np.array([horizon])
-        cum_a = _sojourn_cumulative(semi_paths, c, taus)[:, 0]
-        cum_b = _sojourn_cumulative(chain_paths, c, taus)[:, 0]
-        va = cum_a if phi_form == "integral" else np.exp(cum_a)
-        vb = cum_b if phi_form == "integral" else np.exp(cum_b)
+        va = _sojourn_cumulative(semi_paths, c, taus)[:, 0]
+        vb = _sojourn_cumulative(chain_paths, c, taus)[:, 0]
         pa, sa = float(np.mean(va)), float(np.std(va, ddof=1) / np.sqrt(n_paths))
         pb, sb = float(np.mean(vb)), float(np.std(vb, ddof=1) / np.sqrt(n_paths))
         phi_fields = {"phi_semi": pa, "phi_se_semi": sa, "phi_chain": pb,

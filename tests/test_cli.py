@@ -169,6 +169,15 @@ class TestOutputs:
         # regime 0: (mu - r)/((1-gamma) sigma^2) * x = 0.08/0.02 * 2 = 8
         assert rep["queries"][0]["u"] == pytest.approx(8.0, rel=1e-12)
 
+    def test_policy_eval_phi_free_fixed_point_needs_one_iteration(
+            self, tmp_path):
+        cfg = _rs_config(experiment="policy-eval",
+                         model=_ql_model(lambda_variant="consistent"),
+                         queries=[[0.0, 0.5, 0, 0.0]])
+        cfg["numerics"]["fixed_point_max_iter"] = 1
+        rc = _run("policy-eval", _write(tmp_path, cfg), tmp_path / "out")
+        assert rc == 0
+
     def test_reduce_markov_weibull_not_applicable(self, tmp_path):
         cfg = _rs_config(experiment="reduce-markov")
         cfg["regime"]["holding"][0] = {"kind": "weibull", "shape": 1.5,

@@ -4,7 +4,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from smjd.errors import DegenerateVol, SingularDenominator, SingularPhi
+from smjd.errors import (DegenerateVol, FixedPointDiverged,
+                         SingularDenominator, SingularPhi)
 from smjd.jump_diffusion import MarkMeasure, simulate_ensemble
 from smjd.maximum_principle import adjoint_residual
 from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
@@ -14,7 +15,8 @@ from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
                                      ql_phi_psi_markov, ql_policy,
                                      ql_u_coefficient, rs_adjoint, rs_dynamics,
                                      rs_objective, rs_optimal_control, rs_phi,
-                                     rs_phi_markov, rs_policy, rs_source_rate,
+                                     rs_phi_functional, rs_phi_markov,
+                                     rs_policy, rs_source_rate,
                                      rs_u_coefficient)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
@@ -314,6 +316,29 @@ class TestQlPhiPsi:
         se_p = max(float(psi_mc.se.max()), 1e-6)
         assert abs(psi_mc(z, zi, z)[0] - psi_ex(z, zi, z)[0]) < 3 * se_p
 
+    @pytest.mark.parametrize("model", [
+        _ql_jump_model("consistent"),
+        QuadraticLossModel(r=[0.05, 0.03], mbar=[0.4, 0.3], sigma=[0.2, 0.25],
+                           d=1.0, horizon=1.0, lambda_variant="literal"),
+    ], ids=["consistent-with-jumps", "literal-without-jumps"])
+    def test_phi_free_slope_takes_one_pass(self, exp_two, model):
+        args = (model, exp_two, np.linspace(0.0, 1.0, 11),
+                np.array([0.0, 0.5]), 32, 3)
+        phi, psi, info = ql_phi_psi(*args)
+        phi1, psi1, info1 = ql_phi_psi(*args, max_iter=1)
+        assert info["iterations"] == info1["iterations"] == 1
+        assert len(info1["trace"]) == 1
+        for a, b in ((phi, phi1), (psi, psi1)):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.se, b.se)
+
+    def test_phi_feedback_stops_at_max_iter(self, exp_two):
+        with pytest.raises(FixedPointDiverged) as err:
+            ql_phi_psi(_ql_jump_model("literal"), exp_two,
+                       np.linspace(0.0, 1.0, 11), np.array([0.0]), 32, 3,
+                       max_iter=1)
+        assert len(err.value.trace) == 1
+
 
 class TestQlControl:
     def test_vertex_gives_zero(self, ql_nojump_single, single_regime):
@@ -410,3 +435,27 @@ class TestQlAdjoint:
             totals.append(stats.mean_path_total)
             assert stats.terminal_mismatch < 1e-12
         assert 0.35 < totals[1] / totals[0] < 0.65
+
+
+_T3 = np.linspace(0.0, 1.0, 3)
+_Y1 = np.array([0.0])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind, build", [
+    ("rs", lambda m, rm: rs_phi(m, rm, 0.0, 0, 0.0, 4, 0)),
+    ("rs", lambda m, rm: rs_phi_functional(m, rm, _T3, _Y1, 4, 0)),
+    ("rs", lambda m, rm: rs_phi_markov(m, rm, _T3)),
+    ("ql", lambda m, rm: ql_phi_psi(m, rm, _T3, _Y1, 4, 0)),
+    ("ql", lambda m, rm: ql_phi_psi_markov(m, rm, _T3)),
+], ids=["rs_phi", "rs_phi_functional", "rs_phi_markov", "ql_phi_psi",
+        "ql_phi_psi_markov"])
+def test_regime_count_mismatch_is_refused(exp_two, kind, build, n):
+    r, sigma = np.full(n, 0.05), np.full(n, 0.2)
+    model = (RiskSensitiveModel(r=r, mu=r + 0.08, sigma=sigma, gamma=0.5,
+                                horizon=1.0) if kind == "rs" else
+             QuadraticLossModel(r=r, mbar=np.full(n, 0.4), sigma=sigma, d=1.0,
+                                horizon=1.0))
+    with pytest.raises(ValueError, match=f"model regime count {n} != regime "
+                                         "model state count 2"):
+        build(model, exp_two)
