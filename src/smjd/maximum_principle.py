@@ -3,11 +3,18 @@
 The Hamiltonian pairs running cost, drift, diffusion, and jump coefficients
 with adjoint variables (p, q, eta):
 
-    H = f1 + (b' - lam * int g' dpi) p + tr(sigma' q) + lam * int g' eta dpi
+    H = f1 + b p + sigma q + lam int g (eta - p) dpi,
 
-with all mark integrals taken by the mark measure's moment oracle (``lam``
-is the jump rate; the integrals reduce to the plain pi-moments at unit
-rate).  The adjoint backward equation reads
+with the mark integral taken on the mark measure's quadrature nodes
+(``lam`` is the jump rate).  :func:`hamiltonian` is the one place this
+formula is written.  It takes scalar-state points ``(t, x, u, i, y)`` that
+broadcast against each other and against the adjoint's ``p`` and ``q``,
+and returns an array of their broadcast shape, or a float when every
+argument is a scalar; ``adj.eta(gamma)`` gives eta at mark gamma for every
+point.  :func:`grad_x_hamiltonian` takes the same arguments and returns
+the x-gradient with the adjoints frozen: the Hamiltonian of the ``*_dx``
+coefficients (mode "analytic") or a central difference of the Hamiltonian
+(mode "fd").  The adjoint backward equation reads
 
     dp = -grad_x H dt + q' dW + compensated asset-jump terms (eta)
                             + compensated regime-jump terms (eta-tilde),
@@ -21,7 +28,7 @@ both fed through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,17 +55,16 @@ __all__ = [
 
 @dataclass
 class AdjointState:
-    """Pointwise adjoint variables (scalar state shown; vectors broadcast).
+    """Pointwise adjoint variables of a scalar state.
 
-    ``eta`` maps a mark array to adjoint jump values (asset-jump slot);
-    ``eta_tilde`` maps a target regime index to the regime-jump value.
-    Either may be None when the corresponding jumps are absent.
+    ``p`` and ``q`` broadcast against the evaluation points.  ``eta`` maps
+    a mark gamma to the asset-jump adjoint at every point (a scalar or an
+    array that broadcasts against them); None means eta = 0.
     """
 
     p: float | np.ndarray
     q: float | np.ndarray
-    eta: Callable[[np.ndarray], np.ndarray] | None = None
-    eta_tilde: Callable[[int], float] | None = None
+    eta: Callable[[float], float | np.ndarray] | None = None
 
 
 @dataclass
@@ -104,80 +110,70 @@ def _as_arrays(t, x, u, i, y):
 
 
 def hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
-                objective: ObjectiveSpec | None = None) -> float:
-    """Evaluate the Hamiltonian at a point (scalar state dimension).
+                objective: ObjectiveSpec | None = None):
+    """H = f1 + b p + sigma q + lam sum_k w_k g_k (eta_k - p) over the mark
+    nodes (gamma_k, w_k), at broadcast points of a scalar state.
 
-    With zero jump coefficient this reduces to f1 + b p + sigma q.
+    Returns an array of the points' broadcast shape, or a float when every
+    argument is a scalar.  With zero jump coefficient this reduces to
+    f1 + b p + sigma q.
     """
     if dyn.dim != 1:
-        raise NotImplementedError("pointwise Hamiltonian implemented for scalar state")
-    ta, xa, ua, ia, ya = _as_arrays(t, x, u, i, y)
-    f1 = 0.0
+        raise NotImplementedError("Hamiltonian implemented for scalar state")
+    scalar = all(np.ndim(a) == 0 for a in (t, x, u, i, y, adj.p, adj.q))
+    f = lambda a: np.atleast_1d(np.asarray(a, dtype=float))
+    t, x, u, i, y, p, q = np.broadcast_arrays(
+        f(t), f(x), f(u), np.atleast_1d(np.asarray(i, dtype=int)), f(y),
+        f(adj.p), f(adj.q))
+    val = np.zeros(x.shape)
     if objective is not None and objective.running is not None:
-        f1 = float(np.asarray(objective.running(ta, xa, ua, ia, ya))[0])
-    b = float(np.asarray(dyn.drift(ta, xa, ua, ia))[0])
-    s = float(np.asarray(dyn.vol(ta, xa, ua, ia))[0])
-    val = f1 + b * _scal(adj.p) + s * _scal(adj.q)
+        val += np.asarray(objective.running(t, x, u, i, y), dtype=float)
+    val += np.asarray(dyn.drift(t, x, u, i), dtype=float) * p
+    val += np.asarray(dyn.vol(t, x, u, i), dtype=float) * q
     if dyn.jump is not None:
-        lam = dyn.marks.rate
-        g_of = lambda gam: np.asarray(
-            dyn.jump(np.full_like(gam, ta[0]), np.full_like(gam, xa[0]),
-                     np.full_like(gam, ua[0]), np.full(gam.shape, ia[0], dtype=int),
-                     gam), dtype=float)
-        m_g = dyn.marks.integrate(lambda gam: g_of(gam))
-        val -= lam * m_g * _scal(adj.p)
-        if adj.eta is not None:
-            val += lam * dyn.marks.integrate(
-                lambda gam: g_of(gam) * np.asarray(adj.eta(gam), dtype=float))
-    return val
-
-
-def _scal(v) -> float:
-    return float(np.asarray(v, dtype=float).reshape(-1)[0])
+        acc = np.zeros_like(val)
+        for gk, wk in zip(*dyn.marks.nodes()):
+            g = np.asarray(dyn.jump(t, x, u, i, np.full_like(x, gk)), dtype=float)
+            eta = 0.0 if adj.eta is None else np.asarray(adj.eta(gk), dtype=float)
+            acc += wk * (g * (eta - p))
+        val += dyn.marks.rate * acc
+    return float(val[0]) if scalar else val
 
 
 def grad_x_hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
                        objective: ObjectiveSpec | None = None,
-                       mode: str = "auto") -> float:
-    """x-gradient of the Hamiltonian.
+                       mode: str = "auto"):
+    """x-gradient of the Hamiltonian with (p, q, eta) frozen; same call
+    convention as :func:`hamiltonian`.
 
-    mode="analytic" uses coefficient derivative callables attached to the
-    dynamics/objective (``drift_dx``, ``vol_dx``, ``jump_dx``,
-    ``running_dx`` attributes); mode="fd" central differences with step
+    mode="analytic" is the Hamiltonian of the derivative coefficients
+    attached to the dynamics/objective (``drift_dx``, ``vol_dx``,
+    ``jump_dx``, ``running_dx``); mode="fd" central differences with step
     1e-5 * (1 + |x|); "auto" prefers analytic when available.
     """
-    have_analytic = all(
-        getattr(dyn, name, None) is not None or coeff is None
-        for name, coeff in (("drift_dx", dyn.drift), ("vol_dx", dyn.vol),
-                            ("jump_dx", dyn.jump)))
-    if objective is not None and objective.running is not None:
-        have_analytic = have_analytic and getattr(objective, "running_dx", None) is not None
+    have_analytic = (dyn.drift_dx is not None and dyn.vol_dx is not None
+                     and (dyn.jump is None or dyn.jump_dx is not None)
+                     and (objective is None or objective.running is None
+                          or objective.running_dx is not None))
     if mode == "analytic" or (mode == "auto" and have_analytic):
-        return _grad_analytic(t, x, u, i, y, adj, dyn, objective)
-    h = 1e-5 * (1.0 + abs(float(x)))
-    up = hamiltonian(t, float(x) + h, u, i, y, adj, dyn, objective)
-    dn = hamiltonian(t, float(x) - h, u, i, y, adj, dyn, objective)
-    return (up - dn) / (2 * h)
+        d_dyn = replace(dyn, drift=dyn.drift_dx, vol=dyn.vol_dx, jump=dyn.jump_dx)
+        d_obj = (None if objective is None or objective.running is None
+                 else replace(objective, running=objective.running_dx))
+        return hamiltonian(t, x, u, i, y, adj, d_dyn, d_obj)
+    h = 1e-5 * (1.0 + np.abs(x))
+    return (hamiltonian(t, x + h, u, i, y, adj, dyn, objective)
+            - hamiltonian(t, x - h, u, i, y, adj, dyn, objective)) / (2 * h)
 
 
-def _grad_analytic(t, x, u, i, y, adj, dyn, objective) -> float:
-    ta, xa, ua, ia, ya = _as_arrays(t, x, u, i, y)
-    val = 0.0
-    if objective is not None and objective.running is not None:
-        val += float(np.asarray(objective.running_dx(ta, xa, ua, ia, ya))[0])
-    val += float(np.asarray(dyn.drift_dx(ta, xa, ua, ia))[0]) * _scal(adj.p)
-    val += float(np.asarray(dyn.vol_dx(ta, xa, ua, ia))[0]) * _scal(adj.q)
-    if dyn.jump is not None:
-        lam = dyn.marks.rate
-        gx_of = lambda gam: np.asarray(
-            dyn.jump_dx(np.full_like(gam, ta[0]), np.full_like(gam, xa[0]),
-                        np.full_like(gam, ua[0]),
-                        np.full(gam.shape, ia[0], dtype=int), gam), dtype=float)
-        val -= lam * dyn.marks.integrate(gx_of) * _scal(adj.p)
-        if adj.eta is not None:
-            val += lam * dyn.marks.integrate(
-                lambda gam: gx_of(gam) * np.asarray(adj.eta(gam), dtype=float))
-    return val
+def _box_argmax(fun, lo: float, hi: float) -> tuple[float, float]:
+    """(argmax, max) of ``fun`` on [lo, hi]: the best of 33 grid points (one
+    vectorized call), polished by bounded Brent on its neighbouring cells."""
+    grid = np.linspace(lo, hi, 33)
+    k = int(np.argmax(fun(grid)))
+    res = minimize_scalar(lambda uu: -fun(uu), method="bounded",
+                          bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 32)]),
+                          options={"xatol": 1e-12})
+    return float(res.x), float(-res.fun)
 
 
 @dataclass
@@ -210,15 +206,14 @@ def argmax_hamiltonian(t, x, i, y, adj: AdjointState, dyn: ControlledDynamics,
     fun = lambda uu: hamiltonian(t, x, uu, i, y, adj, dyn, objective)
     # probe curvature on a symmetric stencil
     scale = 1.0 + abs(float(x))
-    h0, hp, hm = fun(0.0), fun(scale), fun(-scale)
+    h0, hp, hm, h2p, h2m = fun(scale * np.array([0.0, 1.0, -1.0, 2.0, -2.0]))
     slope = (hp - hm) / (2 * scale)
     curv = (hp - 2 * h0 + hm) / scale ** 2
-    h2p, h2m = fun(2 * scale), fun(-2 * scale)
     cubic_dev = abs(h2p - 2 * hp + 2 * hm - h2m)
     linear = abs(curv) * scale ** 2 <= 1e-10 * (1 + abs(h0)) and cubic_dev <= 1e-8 * (1 + abs(h0))
     if linear:
         if abs(slope) <= 1e-10 * (1 + abs(h0) / scale):
-            return ArgmaxResult(None, h0, "stationary-line", float(slope))
+            return ArgmaxResult(None, float(h0), "stationary-line", float(slope))
         if control_set is None:
             raise UnboundedHamiltonian(
                 f"Hamiltonian is linear in u with slope {slope:.3g} on an "
@@ -233,14 +228,8 @@ def argmax_hamiltonian(t, x, i, y, adj: AdjointState, dyn: ControlledDynamics,
                                   bracket=(u0 - scale, u0, u0 + scale))
             return ArgmaxResult(float(res.x), float(-res.fun), "interior", float(slope))
         raise UnboundedHamiltonian("Hamiltonian not concave on an unbounded control set")
-    lo, hi = control_set
-    grid = np.linspace(lo, hi, 33)
-    vals = np.array([fun(g) for g in grid])
-    k = int(np.argmax(vals))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda uu: -fun(uu), bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-10})
-    return ArgmaxResult(float(res.x), float(-res.fun), "interior", float(slope))
+    u_star, h_star = _box_argmax(fun, *control_set)
+    return ArgmaxResult(u_star, h_star, "interior", float(slope))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +365,15 @@ def _vol_nodes(dyn: ControlledDynamics, ens: Ensemble) -> np.ndarray:
 # Value-function stub, generator G, HJB
 # ---------------------------------------------------------------------------
 
+_V_FD_STEP = 1e-5  # relative finite-difference step of ValueFunctionStub
+
+
 @dataclass
 class ValueFunctionStub:
     """V(t, x, i, y) with derivatives, analytic or by central differences.
 
     All callables broadcast over arrays; ``i`` is an integer array.
-    Finite-difference steps are relative (scaled by 1 + |argument|).
+    Finite-difference steps are ``_V_FD_STEP`` scaled by 1 + |argument|.
     """
 
     v: Callable
@@ -389,10 +381,9 @@ class ValueFunctionStub:
     dx: Callable | None = None
     dxx: Callable | None = None
     dy: Callable | None = None
-    fd_step: float = 1e-5
 
     def _fd(self, which: str, t, x, i, y):
-        h = self.fd_step
+        h = _V_FD_STEP
         if which == "t":
             step = h * (1.0 + np.abs(t))
             return (self.v(t + step, x, i, y) - self.v(t - step, x, i, y)) / (2 * step)
@@ -431,7 +422,7 @@ def generator_G(V: ValueFunctionStub, t, x, i, y, u, dyn: ControlledDynamics,
     Vectorizes over equally-shaped arrays; with exponential holding times
     and y-free V this reduces to the Markov-chain generator.
     """
-    scalar_in = np.ndim(x) == 0 and np.ndim(t) == 0
+    scalar_in = all(np.ndim(a) == 0 for a in (t, x, u, i, y))
     ta, xa, ua, ia, ya = _as_arrays(t, x, u, i, y)
     b = np.asarray(dyn.drift(ta, xa, ua, ia), dtype=float)
     s = np.asarray(dyn.vol(ta, xa, ua, ia), dtype=float)
@@ -494,26 +485,19 @@ def hjb_residual(V: ValueFunctionStub, objective: ObjectiveSpec,
     ``forced_u`` pins the control (useful for deterministic test cases);
     otherwise the supremum is taken over the control box by scalar search.
     """
-    def total(u):
-        f1 = 0.0
-        if objective.running is not None:
-            ta, xa, ua, ia, ya = _as_arrays(t, x, u, i, y)
-            f1 = float(np.asarray(objective.running(ta, xa, ua, ia, ya))[0])
-        return f1 + generator_G(V, t, x, i, y, u, dyn, model)
+    def total(u):  # vectorized over u
+        val = generator_G(V, t, x, i, y, u, dyn, model)
+        if objective.running is None:
+            return val
+        f1 = np.asarray(objective.running(*_as_arrays(t, x, u, i, y)), dtype=float)
+        return (float(f1[0]) if np.ndim(val) == 0 else f1) + val
 
     if forced_u is not None:
         return total(forced_u)
     if control_set is None:
         raise UnboundedHamiltonian("supremum over an unbounded control set; "
                                    "provide a box or forced_u")
-    lo, hi = control_set
-    grid = np.linspace(lo, hi, 33)
-    vals = [total(g) for g in grid]
-    k = int(np.argmax(vals))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda uu: -total(uu), bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(-res.fun)
+    return _box_argmax(total, *control_set)[1]
 
 
 def hjb_terminal_mismatch(V: ValueFunctionStub, objective: ObjectiveSpec,
@@ -537,7 +521,8 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
     p = V_x, q = sigma V_xx; the regime-jump slot is the V_x difference
     across the (state, age) event map; the asset-jump slot is the V_x
     difference across the state shift x -> x + g, the form consistent with
-    the generalized Ito formula.
+    the generalized Ito formula.  ``grad_H`` is the central-difference
+    x-gradient of the Hamiltonian with (p, q, eta) frozen at the left nodes.
     """
     t, x, th, y, u = ens.t, ens.x, ens.theta, ens.y, ens.u
     n, K = t.shape
@@ -560,9 +545,15 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
     etat_jump[rows, cols] = (vx_to[th[rows, cols + 1], rows, cols]
                              - vx_here[rows, cols])
 
-    # asset-jump slot
-    eta_jump = eta_comp = eta_sq = None
+    # asset-jump slot, eta(gamma) = V_x(x + g(x, gamma)) - V_x(x) frozen at
+    # the left nodes
+    eta = eta_jump = eta_comp = eta_sq = None
     if dyn.jump is not None:
+        def eta(gam):
+            g = np.asarray(dyn.jump(tl, xl, ul, thl, np.full_like(tl, gam)),
+                           dtype=float)
+            return np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float) - vx_here
+
         eta_jump = np.zeros((n, K - 1))
         rows, cols = np.nonzero(ens.jump_mask[:, 1:])
         te, xe, ie, ye = (a[rows, cols] for a in (t, x, th, y))
@@ -574,43 +565,16 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
         eta_comp = np.zeros((n, K - 1))
         eta_sq = np.zeros((n, K - 1))
         for gk, wk in zip(*dyn.marks.nodes()):
-            g = np.asarray(dyn.jump(tl, xl, ul, thl, np.full_like(tl, gk)),
-                           dtype=float)
-            ev = np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float) - vx_here
+            ev = eta(gk)
             eta_comp += wk * ev
             eta_sq += wk * ev ** 2
         eta_comp *= dyn.marks.rate
         eta_sq *= dyn.marks.rate
 
-    grad_H = _grad_H_from_value(V, ens, dyn, objective, p, q)
+    grad_H = grad_x_hamiltonian(tl, xl, ul, thl, yl,
+                                AdjointState(p[:, :-1], q[:, :-1], eta),
+                                dyn, objective, mode="fd")
     return AdjointPath(p=p, q=q, eta_jump=eta_jump, eta_comp=eta_comp,
                        etatilde_jump=etat_jump, etatilde_comp=etat_comp,
                        grad_H=grad_H, eta_sq_comp=eta_sq,
                        etatilde_sq_comp=etat_sq)
-
-
-def _grad_H_from_value(V, ens, dyn, objective, p, q):
-    """Vectorized central-difference x-gradient of H at left nodes, with
-    (p, q, eta) frozen at their node values."""
-    tl, xl, thl, yl, ul = (a[:, :-1] for a in (ens.t, ens.x, ens.theta,
-                                               ens.y, ens.u))
-    h = 1e-5 * (1.0 + np.abs(xl))
-
-    def H_at(xv):
-        val = np.zeros_like(xv)
-        if objective is not None and objective.running is not None:
-            val += np.asarray(objective.running(tl, xv, ul, thl, yl), dtype=float)
-        val += np.asarray(dyn.drift(tl, xv, ul, thl), dtype=float) * p[:, :-1]
-        val += np.asarray(dyn.vol(tl, xv, ul, thl), dtype=float) * q[:, :-1]
-        if dyn.jump is not None:
-            acc = np.zeros_like(xv)
-            for gk, wk in zip(*dyn.marks.nodes()):
-                g = np.asarray(dyn.jump(tl, xv, ul, thl, np.full_like(tl, gk)),
-                               dtype=float)
-                eta = (np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float)
-                       - np.asarray(V.v_x(tl, xl, thl, yl), dtype=float))
-                acc += wk * (g * (eta - p[:, :-1]))
-            val += dyn.marks.rate * acc
-        return val
-
-    return (H_at(xl + h) - H_at(xl - h)) / (2 * h)

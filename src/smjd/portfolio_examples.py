@@ -167,6 +167,13 @@ class QuadraticLossModel:
             lambda gam: np.asarray(self.jump_coeff(i, gam), dtype=float) ** k)
             for i in range(self.n_regimes)]) for k in (1, 2))
 
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """Per-regime drift gain per unit of control, sigma mbar + rate
+        int g dpi (rate 0 without jumps)."""
+        rate = self.marks.rate if self.marks is not None else 0.0
+        return self.sigma * self.mbar + rate * self.jump_moments[0]
+
 
 # ---------------------------------------------------------------------------
 # Regime functional on a (t, regime, age) grid
@@ -576,7 +583,12 @@ def rs_u_coefficient(model: RiskSensitiveModel, ens: Ensemble,
 
     Vanishes identically when q carries the closed-form control.
     """
-    coef = model.mbar[ens.theta] * adj.p + adj.q
+    return _max_on_real_nodes(model.mbar[ens.theta] * adj.p + adj.q, ens)
+
+
+def _max_on_real_nodes(coef: np.ndarray, ens: Ensemble) -> float:
+    """Max |coef| over the first node and every node after a step of
+    positive length (the padding of shorter paths is skipped)."""
     real = np.ones_like(coef, dtype=bool)
     real[:, 1:] = np.diff(ens.t, axis=1) > 0
     return float(np.max(np.abs(coef[real])))
@@ -602,14 +614,13 @@ def ql_lambda_factors(model: QuadraticLossModel, t, i, y,
     """
     m1, m2 = model.jump_moments
     i = np.asarray(i, dtype=int)
-    ms = model.mbar[i] * model.sigma[i]
     s2 = model.sigma[i] ** 2
     if model.lambda_variant == "literal":
-        lam_t = -ms + m1[i]
+        lam_t = -(model.mbar[i] * model.sigma[i]) + m1[i]
         lam = s2 + phi_value * m2[i]
     else:
         rate = model.marks.rate if model.marks is not None else 0.0
-        lam_t = -(ms + rate * m1[i])
+        lam_t = -model.gain[i]
         lam = s2 + rate * m2[i]
     if np.any(np.abs(lam) < _SINGULAR_TOL):
         raise SingularDenominator(
@@ -630,10 +641,8 @@ def _ql_rates(model: QuadraticLossModel, i, phi_value) -> tuple:
     """Feynman-Kac rates (c_phi, c_psi) = (2r, r) + k (sigma mbar + rate
     int g dpi) in regime ``i`` with k = Lam_t / Lam at ``phi_value``;
     vectorizes like :func:`ql_lambda_factors`, with one call to it."""
-    rate = model.marks.rate if model.marks is not None else 0.0
-    gain = model.sigma * model.mbar + rate * model.jump_moments[0]
     k = np.divide(*ql_lambda_factors(model, 0.0, i, 0.0, phi_value))
-    kterm = k * gain[i]
+    kterm = k * model.gain[i]
     return 2.0 * model.r[i] + kterm, model.r[i] + kterm
 
 
@@ -856,13 +865,9 @@ def ql_u_coefficient(model: QuadraticLossModel, ens: Ensemble,
     """
     th = ens.theta
     rate = model.marks.rate if model.marks is not None else 0.0
-    m1, m2 = model.jump_moments
     phiv = np.where(ens.u != 0.0, np.divide(adj.q, ens.u * model.sigma[th],
                                             out=np.zeros_like(adj.q),
                                             where=ens.u != 0.0), 0.0)
-    coef = ((model.sigma[th] * model.mbar[th] + rate * m1[th]) * adj.p
-            + model.sigma[th] * adj.q
-            + rate * ens.u * phiv * m2[th])
-    real = np.ones_like(coef, dtype=bool)
-    real[:, 1:] = np.diff(ens.t, axis=1) > 0
-    return float(np.max(np.abs(coef[real])))
+    coef = (model.gain[th] * adj.p + model.sigma[th] * adj.q
+            + rate * ens.u * phiv * model.jump_moments[1][th])
+    return _max_on_real_nodes(coef, ens)

@@ -523,26 +523,29 @@ def simulate_ctmc(rates: Sequence[float], kernel: np.ndarray, origin: RegimeStat
 # Generator
 # ---------------------------------------------------------------------------
 
+_L_FD_STEP = 1e-6  # age step of apply_generator_L's central difference
+
+
 def apply_generator_L(model: RegimeModel, phi: Callable[[int, float], float],
                       i: int, y,
-                      dphi_dy: Callable[[int, float], float] | None = None,
-                      fd_step: float = 1e-6):
+                      dphi_dy: Callable[[int, float], float] | None = None):
     """Generator of the joint (state, age) process applied to phi at (i, y).
 
     L phi = d phi/dy + hazard(i,y) * sum_{j != i} kernel[i,j] (phi(j,0) - phi(i,y))
 
     The age derivative is taken from ``dphi_dy`` when supplied, else by a
-    central difference with step ``fd_step``.  Vectorizes over y when phi
+    central difference with step ``_L_FD_STEP``.  Vectorizes over y when phi
     broadcasts.
     """
     y_arr = np.asarray(y, dtype=float)
     if dphi_dy is not None:
         dval = dphi_dy(i, y_arr)
     else:
-        step = np.where(y_arr >= fd_step, fd_step, y_arr)  # stay inside y >= 0
+        h = _L_FD_STEP
+        step = np.where(y_arr >= h, h, y_arr)  # stay inside y >= 0
         lo = np.asarray(phi(i, y_arr - step), dtype=float)
-        hi = np.asarray(phi(i, y_arr + fd_step), dtype=float)
-        dval = (hi - lo) / (fd_step + step)
+        hi = np.asarray(phi(i, y_arr + h), dtype=float)
+        dval = (hi - lo) / (h + step)
     here = np.broadcast_to(np.asarray(phi(i, y_arr), dtype=float), y_arr.shape)
     out = np.asarray(dval, dtype=float) + regime_switch_sum(
         model, i, y_arr, lambda j, mask: phi(j, 0.0) - here[mask])

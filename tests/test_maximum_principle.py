@@ -13,7 +13,8 @@ from smjd.maximum_principle import (AdjointPath, AdjointState,
                                     hjb_residual, hjb_terminal_mismatch,
                                     integrability_report)
 from smjd.rng import stream
-from smjd.semi_markov import RegimeState, simulate_regime_direct
+from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
+                              sample_regime_paths, simulate_regime_direct)
 
 
 def _paths(model, n, horizon, seed):
@@ -70,6 +71,28 @@ class TestHamiltonian:
         val = hamiltonian(0.0, 0.0, 0.0, 0, 0.0, adj, dyn)
         assert val == pytest.approx(-0.6 + 0.1)
 
+    def test_array_points_match_scalar_calls(self):
+        mm = MarkMeasure(rate=2.0, atoms=np.array([-0.05, 0.08]),
+                         weights=np.array([0.4, 0.6]))
+        dyn = ControlledDynamics(dim=1,
+                                 drift=lambda t, x, u, i: 0.05 * x + 0.1 * u,
+                                 vol=lambda t, x, u, i: 0.2 * u + 0.1 * i,
+                                 jump=lambda t, x, u, i, gam: x * gam + u * gam,
+                                 marks=mm)
+        obj = ObjectiveSpec(running=lambda t, x, u, i, y: -(u ** 2) + t * y,
+                            terminal=None)
+        adj = AdjointState(p=1.3, q=-0.4, eta=lambda gam: 5.0 * gam)
+        pts = (np.array([0.0, 0.2, 0.7]), np.array([0.9, 1.1, 1.4]),
+               np.array([0.3, -0.5, 1.0]), np.array([0, 1, 0]),
+               np.array([0.0, 0.4, 1.2]))
+        vals = hamiltonian(*pts, adj, dyn, obj)
+        assert vals.shape == (3,)
+        for k in range(3):
+            point = [float(a[k]) for a in pts[:3]] + [int(pts[3][k]),
+                                                      float(pts[4][k])]
+            assert vals[k] == pytest.approx(
+                hamiltonian(*point, adj, dyn, obj), rel=1e-14, abs=1e-15)
+
 
 # ---------------------------------------------------------------------------
 # grad_x_hamiltonian
@@ -90,21 +113,32 @@ class TestGradX:
         g = grad_x_hamiltonian(0.0, 2.0, 0.0, 0, 0.0, adj, dyn)
         assert g == pytest.approx(0.21, rel=1e-7)
 
-    @pytest.mark.parametrize("x", [-1.3, 0.2, 2.7])
-    def test_fd_matches_analytic_on_smooth_model(self, x):
+    @pytest.mark.parametrize("x, jumps", [
+        pytest.param(x, jumps, id=f"{x}-jumps" if jumps else str(x))
+        for jumps in (False, True) for x in (-1.3, 0.2, 2.7)])
+    def test_fd_matches_analytic_on_smooth_model(self, x, jumps):
+        jump_kw = {}
+        eta = None
+        if jumps:
+            jump_kw = dict(
+                jump=lambda t, x_, u, i, gam: x_ * gam + u * gam,
+                jump_dx=lambda t, x_, u, i, gam: gam + np.zeros_like(x_),
+                marks=MarkMeasure(rate=2.0, atoms=np.array([-0.05, 0.08]),
+                                  weights=np.array([0.4, 0.6])))
+            eta = lambda gam: 5.0 * gam
         dyn = ControlledDynamics(
             dim=1,
             drift=lambda t, x_, u, i: np.sin(x_),
             vol=lambda t, x_, u, i: np.cos(x_) + 2.0,
             drift_dx=lambda t, x_, u, i: np.cos(x_),
-            vol_dx=lambda t, x_, u, i: -np.sin(x_))
+            vol_dx=lambda t, x_, u, i: -np.sin(x_), **jump_kw)
         obj = ObjectiveSpec(running=lambda t, x_, u, i, y: x_ ** 2,
                             terminal=None,
                             running_dx=lambda t, x_, u, i, y: 2.0 * x_)
-        adj = AdjointState(p=1.3, q=-0.4)
-        ga = grad_x_hamiltonian(0.1, x, 0.0, 0, 0.0, adj, dyn, obj,
+        adj = AdjointState(p=1.3, q=-0.4, eta=eta)
+        ga = grad_x_hamiltonian(0.1, x, 0.3, 0, 0.0, adj, dyn, obj,
                                 mode="analytic")
-        gf = grad_x_hamiltonian(0.1, x, 0.0, 0, 0.0, adj, dyn, obj,
+        gf = grad_x_hamiltonian(0.1, x, 0.3, 0, 0.0, adj, dyn, obj,
                                 mode="fd")
         assert gf == pytest.approx(ga, rel=1e-6, abs=1e-9)
 
@@ -381,3 +415,44 @@ class TestAdjointFromValue:
             totals.append(stats.mean_path_total)
             assert stats.terminal_mismatch < 1e-10
         assert 0.35 < totals[1] / totals[0] < 0.65
+
+    def test_asset_jump_slot_freezes_eta_at_left_nodes(self):
+        # wealth-proportional jumps g = x * gamma: eta depends on x, so the
+        # gradient must hold eta at its left-node value
+        r, rate = 0.05, 2.0
+        atoms, weights = np.array([-0.05, 0.08]), np.array([0.4, 0.6])
+        model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            holding=(ExponentialHolding(1.0),
+                                     ExponentialHolding(1.5)))
+        paths = sample_regime_paths(model, RegimeState(0, 0.0), 1.0, 50, 3)
+        dyn = ControlledDynamics(
+            dim=1, drift=lambda t, x, u, i: r * x,
+            vol=lambda t, x, u, i: 0.2 * x,
+            jump=lambda t, x, u, i, gam: x * gam,
+            marks=MarkMeasure(rate=rate, atoms=atoms, weights=weights))
+        grow = lambda t: np.exp(r * (1.0 - t))
+        V = ValueFunctionStub(
+            v=lambda t, x, i, y: -(x * grow(t) - 1.0) ** 2 * (1 + 0.1 * i))
+        policy = ControlPolicy(rule=lambda t, x, i, y: np.full_like(x, 0.3))
+        ens = simulate_ensemble(dyn, policy, paths, x0=0.9, dt=0.05, seed=3)
+        adj = adjoint_from_value(V, ens, dyn, model)
+
+        tl, xl, ul, thl, yl = (a[:, :-1] for a in (ens.t, ens.x, ens.u,
+                                                   ens.theta, ens.y))
+        vx = lambda xv: V.v_x(tl, xv, thl, yl)
+        eta = lambda gam: vx(xl + xl * gam) - vx(xl)
+        frozen = grad_x_hamiltonian(
+            tl, xl, ul, thl, yl,
+            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn, mode="fd")
+        np.testing.assert_allclose(adj.grad_H, frozen, rtol=1e-12, atol=1e-14)
+        # one node by a pointwise call
+        k = 3
+        pt = (tl[0, k], xl[0, k], ul[0, k], thl[0, k], yl[0, k])
+        eta_pt = lambda gam: float(vx(xl + xl * gam)[0, k] - vx(xl)[0, k])
+        g_pt = grad_x_hamiltonian(
+            *pt, AdjointState(adj.p[0, k], adj.q[0, k], eta_pt), dyn,
+            mode="fd")
+        assert adj.grad_H[0, k] == pytest.approx(g_pt, rel=1e-9)
+        comp = rate * sum(w * eta(gam) for gam, w in zip(atoms, weights))
+        np.testing.assert_allclose(adj.eta_comp, comp, rtol=1e-12,
+                                   atol=1e-14)
