@@ -29,7 +29,8 @@ from .semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                           simulate_ctmc, simulate_regime_direct,
                           simulate_regime_thinning)
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
-                             MarkMeasure, ObjectiveSpec, SamplePath,
+                             MarkMeasure, NoisePlan, ObjectiveSpec,
+                             SamplePath, build_plan,
                              coefficient_regularity_probe, estimate_objective,
                              objective_paths, simulate_controlled_path,
                              simulate_ensemble)

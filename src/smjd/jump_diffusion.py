@@ -10,9 +10,16 @@ g(t, X(t-), u(t-), theta(t-), mark).
 Coefficient call convention: callables receive a time array ``t`` of shape
 (n,), states ``x`` of shape (n,) for scalar models or (n, r) otherwise,
 controls and regime indices of shape (n,), and must broadcast over the
-leading sample axis.  The per-path simulator runs the ensemble's stepping
-code on one path, so with the generator of stream (seed, tag, p) it
-reproduces row p of the ensemble bit for bit.
+leading sample axis.
+
+Simulation has two parts.  :func:`build_plan` draws every path's noise --
+jump times and marks, the event grid, the Brownian increments and the
+regime values on the grid -- into a read-only :class:`NoisePlan`; a
+stepping kernel then runs a policy on it.  Every policy stepped on one plan
+sees the same draws, so shared-noise coupling holds by construction.  The
+per-path simulator steps a one-path plan drawn from its generator, so with
+the generator of stream (seed, tag, p) it reproduces row p of the ensemble
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from .semi_markov import (RegimeModel, RegimePath, RegimeState,
 
 __all__ = [
     "MarkMeasure", "ControlledDynamics", "ControlPolicy", "ObjectiveSpec",
-    "SamplePath", "Ensemble", "simulate_controlled_path", "simulate_ensemble",
+    "SamplePath", "Ensemble", "NoisePlan", "build_plan",
+    "simulate_controlled_path", "simulate_ensemble",
     "estimate_objective", "coefficient_regularity_probe", "RegularityReport",
 ]
 
@@ -190,7 +198,10 @@ class Ensemble:
     """Vectorized ensemble of paths on padded per-path grids.
 
     Columns beyond a path's own grid repeat the final node with zero-length
-    steps, so reductions over columns are safe without masking.
+    steps, so reductions over columns are safe without masking.  ``t``,
+    ``theta``, ``y``, ``dW`` and the jump fields are the read-only arrays of
+    the :class:`NoisePlan` the ensemble was stepped on; ``x`` and ``u`` are
+    its own.
     """
 
     t: np.ndarray           # (n, K)
@@ -207,6 +218,39 @@ class Ensemble:
     @property
     def n_paths(self) -> int:
         return self.t.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class NoisePlan:
+    """Every random draw of an ensemble, fixed before any policy runs.
+
+    Row p holds path p's event grid ``t`` (padded like :class:`Ensemble`),
+    its Brownian increments ``dW``, its asset jumps (``jump_mask``,
+    ``jump_marks``) and its cadlag regime values ``theta`` and ``y``.  None
+    of them depends on the control, so any number of policies can be
+    stepped on one plan; the arrays are read-only and shared by every
+    ensemble stepped on it.  ``dt``, ``seed``, ``stream_tag`` and ``marks``
+    record what the plan was drawn for (a plan drawn from a caller's
+    generator has no seed or tag).
+    """
+
+    t: np.ndarray
+    dW: np.ndarray
+    jump_mask: np.ndarray
+    jump_marks: np.ndarray
+    theta: np.ndarray
+    y: np.ndarray
+    horizon: float
+    regime_paths: tuple[RegimePath, ...]
+    dt: float
+    seed: int | None
+    stream_tag: str | None
+    marks: MarkMeasure | None
+
+    @property
+    def dim(self) -> int:
+        """State dimension the Brownian increments were drawn for."""
+        return 1 if self.dW.ndim == 2 else self.dW.shape[2]
 
 
 # ---------------------------------------------------------------------------
@@ -244,44 +288,26 @@ def _eval_jump(dyn, t, x, u, i, gamma):
 
 
 # ---------------------------------------------------------------------------
-# Simulators
+# Noise plan and stepping kernel
 # ---------------------------------------------------------------------------
 
-def simulate_controlled_path(dyn: ControlledDynamics, policy: ControlPolicy,
-                             regime: RegimePath, x0, dt: float,
-                             rng: np.random.Generator) -> SamplePath:
-    """Euler-Maruyama path on the union of the base grid and all event times.
-
-    Runs the ensemble's stepping code on one path with ``rng``, so
-    ``rng = stream(seed, tag, p)`` reproduces row p of
-    ``simulate_ensemble(..., seed, stream_tag=tag)`` bit for bit.
-    """
-    ens = _simulate(dyn, policy, [regime], x0, dt, [rng])
-    cols = np.nonzero(ens.jump_mask[0, 1:])[0] + 1
-    return SamplePath(ens.t[0], ens.x[0], ens.theta[0], ens.y[0], ens.u[0],
-                      [(int(k), float(ens.jump_marks[0, k])) for k in cols],
-                      regime)
-
-
-def simulate_ensemble(dyn: ControlledDynamics, policy: ControlPolicy,
-                      regime_paths: Sequence[RegimePath], x0, dt: float,
-                      seed: int, stream_tag: str = "paths") -> Ensemble:
-    """Simulate one path per regime path, vectorized across the ensemble.
+def build_plan(dyn: ControlledDynamics, regime_paths: Sequence[RegimePath],
+               dt: float, seed: int, stream_tag: str = "paths") -> NoisePlan:
+    """Draw the noise of one path per regime path.
 
     Path p draws from stream (seed, stream_tag, p): Poisson jump count, jump
-    times, jump marks, then one standard-normal vector per step in grid
-    order.  Results are independent of how the ensemble is scheduled, and
-    two policies evaluated with the same seed see identical noise
-    (shared-noise coupling).
+    times, jump marks, then one standard-normal vector per step of its grid
+    in grid order.
     """
-    return _simulate(dyn, policy, regime_paths, x0, dt,
-                     [stream(seed, stream_tag, p)
-                      for p in range(len(regime_paths))])
+    return _draw_plan(dyn, regime_paths, dt,
+                      (stream(seed, stream_tag, p)
+                       for p in range(len(regime_paths))), seed, stream_tag)
 
 
-def _simulate(dyn, policy, regime_paths, x0, dt, rngs) -> Ensemble:
-    """Draw each path's noise from its generator in ``rngs``, then step all
-    paths together on padded grids."""
+def _draw_plan(dyn, regime_paths, dt, rngs, seed=None,
+               stream_tag=None) -> NoisePlan:
+    """Draw each path's noise from its generator in ``rngs`` and lay the
+    paths out on padded grids."""
     n = len(regime_paths)
     horizon = regime_paths[0].horizon
     scalar = dyn.dim == 1
@@ -311,8 +337,40 @@ def _simulate(dyn, policy, regime_paths, x0, dt, rngs) -> Ensemble:
             cols = np.searchsorted(grid, jt)
             jump_mask[p, cols] = True
             jump_marks[p, cols] = jm
-        th, age = regime_paths[p].state_at(t[p], side="right")
-        theta[p], y[p] = th, age
+        theta[p], y[p] = regime_paths[p].state_at(t[p], side="right")
+    for a in (t, dW, jump_mask, jump_marks, theta, y):
+        a.flags.writeable = False
+    return NoisePlan(t=t, dW=dW, jump_mask=jump_mask, jump_marks=jump_marks,
+                     theta=theta, y=y, horizon=horizon,
+                     regime_paths=tuple(regime_paths), dt=dt, seed=seed,
+                     stream_tag=stream_tag, marks=dyn.marks)
+
+
+def _check_plan(plan: NoisePlan, dyn, regime_paths, dt, seed, stream_tag):
+    """Refuse a plan drawn for anything other than this simulation."""
+    if (len(plan.regime_paths) != len(regime_paths)
+            or any(a is not b for a, b in zip(plan.regime_paths,
+                                              regime_paths))):
+        raise ValueError("plan was built for other regime_paths")
+    for field, want, same in (("dt", dt, plan.dt == dt),
+                              ("seed", seed, plan.seed == seed),
+                              ("stream_tag", stream_tag,
+                               plan.stream_tag == stream_tag),
+                              ("dim", dyn.dim, plan.dim == dyn.dim),
+                              ("marks", dyn.marks, plan.marks is dyn.marks)):
+        if not same:
+            raise ValueError(f"plan was built for another {field}: "
+                             f"{getattr(plan, field)!r}, not {want!r}")
+
+
+def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
+          x0) -> Ensemble:
+    """Step every path of ``plan`` under ``policy``; the ensemble shares the
+    plan's arrays."""
+    t, dW, theta, y = plan.t, plan.dW, plan.theta, plan.y
+    jump_mask, jump_marks = plan.jump_mask, plan.jump_marks
+    n, K = t.shape
+    scalar = dyn.dim == 1
     dts = np.diff(t, axis=1)
 
     x = (np.full(n, float(x0)) if scalar
@@ -343,7 +401,7 @@ def _simulate(dyn, policy, regime_paths, x0, dt, rngs) -> Ensemble:
             x = x + b * delta + s * dW[:, k]
         else:
             x = x + b * delta[:, None] + np.einsum("nij,nj->ni", s, dW[:, k])
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             finite = np.isfinite(x.reshape(n, -1)).all(axis=1)
             bad = int(np.nonzero(~finite)[0][0])
             raise NonFinitePath(
@@ -352,7 +410,44 @@ def _simulate(dyn, policy, regime_paths, x0, dt, rngs) -> Ensemble:
         u_prev = uk
     return Ensemble(t=t, x=xs, theta=theta, y=y, u=us, dW=dW,
                     jump_mask=jump_mask, jump_marks=jump_marks,
-                    horizon=horizon, regime_paths=list(regime_paths))
+                    horizon=plan.horizon,
+                    regime_paths=list(plan.regime_paths))
+
+
+def simulate_controlled_path(dyn: ControlledDynamics, policy: ControlPolicy,
+                             regime: RegimePath, x0, dt: float,
+                             rng: np.random.Generator) -> SamplePath:
+    """Euler-Maruyama path on the union of the base grid and all event times.
+
+    Draws a one-path plan from ``rng`` and steps it with the ensemble's
+    kernel, so ``rng = stream(seed, tag, p)`` reproduces row p of
+    ``simulate_ensemble(..., seed, stream_tag=tag)`` bit for bit.
+    """
+    ens = _step(dyn, policy, _draw_plan(dyn, [regime], dt, [rng]), x0)
+    cols = np.nonzero(ens.jump_mask[0, 1:])[0] + 1
+    return SamplePath(ens.t[0], ens.x[0], ens.theta[0], ens.y[0], ens.u[0],
+                      [(int(k), float(ens.jump_marks[0, k])) for k in cols],
+                      regime)
+
+
+def simulate_ensemble(dyn: ControlledDynamics, policy: ControlPolicy,
+                      regime_paths: Sequence[RegimePath], x0, dt: float,
+                      seed: int, stream_tag: str = "paths", *,
+                      plan: NoisePlan | None = None) -> Ensemble:
+    """Simulate one path per regime path, vectorized across the ensemble.
+
+    The noise comes from ``build_plan(dyn, regime_paths, dt, seed,
+    stream_tag)``, or from ``plan`` when given, which must have been built
+    with exactly those arguments (ValueError naming the first that
+    differs).  Policies stepped on one plan see identical regime, Brownian
+    and jump draws by construction (shared-noise coupling), and results do
+    not depend on how the ensemble is scheduled.
+    """
+    if plan is None:
+        plan = build_plan(dyn, regime_paths, dt, seed, stream_tag)
+    else:
+        _check_plan(plan, dyn, regime_paths, dt, seed, stream_tag)
+    return _step(dyn, policy, plan, x0)
 
 
 # ---------------------------------------------------------------------------

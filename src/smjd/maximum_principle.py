@@ -149,13 +149,19 @@ def grad_x_hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics
     mode="analytic" is the Hamiltonian of the derivative coefficients
     attached to the dynamics/objective (``drift_dx``, ``vol_dx``,
     ``jump_dx``, ``running_dx``); mode="fd" central differences with step
-    1e-5 * (1 + |x|); "auto" prefers analytic when available.
+    1e-5 * (1 + |x|); "auto" prefers analytic when available.  Forcing
+    "analytic" without one of the derivatives it needs raises ValueError
+    naming it.
     """
-    have_analytic = (dyn.drift_dx is not None and dyn.vol_dx is not None
-                     and (dyn.jump is None or dyn.jump_dx is not None)
-                     and (objective is None or objective.running is None
-                          or objective.running_dx is not None))
-    if mode == "analytic" or (mode == "auto" and have_analytic):
+    needed = {"drift_dx": dyn.drift_dx, "vol_dx": dyn.vol_dx}
+    if dyn.jump is not None:
+        needed["jump_dx"] = dyn.jump_dx
+    if objective is not None and objective.running is not None:
+        needed["running_dx"] = objective.running_dx
+    missing = [name for name, dx in needed.items() if dx is None]
+    if mode == "analytic" and missing:
+        raise ValueError("analytic x-gradient needs " + ", ".join(missing))
+    if mode == "analytic" or (mode == "auto" and not missing):
         d_dyn = replace(dyn, drift=dyn.drift_dx, vol=dyn.vol_dx, jump=dyn.jump_dx)
         d_obj = (None if objective is None or objective.running is None
                  else replace(objective, running=objective.running_dx))
@@ -546,14 +552,12 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
                              - vx_here[rows, cols])
 
     # asset-jump slot, eta(gamma) = V_x(x + g(x, gamma)) - V_x(x) frozen at
-    # the left nodes
+    # the left nodes; computed once per mark node, where the Hamiltonian
+    # asks for it
     eta = eta_jump = eta_comp = eta_sq = None
     if dyn.jump is not None:
-        def eta(gam):
-            g = np.asarray(dyn.jump(tl, xl, ul, thl, np.full_like(tl, gam)),
-                           dtype=float)
-            return np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float) - vx_here
-
+        eta_at = {}
+        eta = eta_at.__getitem__
         eta_jump = np.zeros((n, K - 1))
         rows, cols = np.nonzero(ens.jump_mask[:, 1:])
         te, xe, ie, ye = (a[rows, cols] for a in (t, x, th, y))
@@ -565,7 +569,10 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
         eta_comp = np.zeros((n, K - 1))
         eta_sq = np.zeros((n, K - 1))
         for gk, wk in zip(*dyn.marks.nodes()):
-            ev = eta(gk)
+            g = np.asarray(dyn.jump(tl, xl, ul, thl, np.full_like(tl, gk)),
+                           dtype=float)
+            ev = eta_at[gk] = (np.asarray(V.v_x(tl, xl + g, thl, yl),
+                                          dtype=float) - vx_here)
             eta_comp += wk * ev
             eta_sq += wk * ev ** 2
         eta_comp *= dyn.marks.rate

@@ -195,30 +195,46 @@ class RegimeFunctional:
     n_paths: int
 
     def __call__(self, t, i, y):
+        return self.gather(self.weights(t, y), i)
+
+    def weights(self, t, y) -> tuple:
+        """Bilinear weights of the query points (t, y): the flat positions
+        in ``values`` of the four corners at regime 0, and the four corner
+        coefficients.  They serve every functional whose ``values`` has
+        this one's shape and whose grid is this one's."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        i = np.atleast_1d(np.asarray(i, dtype=int))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        n = max(t.shape[0], i.shape[0], y.shape[0])
-        t = np.broadcast_to(t, (n,))
-        i = np.broadcast_to(i, (n,))
-        y = np.broadcast_to(y, (n,))
         it, wt = _clamped_weights(self.t_nodes, t)
         iy, wy = _clamped_weights(self.y_nodes, y)
-        v = self.values
         it2 = np.minimum(it + 1, len(self.t_nodes) - 1)
         iy2 = np.minimum(iy + 1, len(self.y_nodes) - 1)
-        return ((1 - wt) * (1 - wy) * v[it, i, iy]
-                + wt * (1 - wy) * v[it2, i, iy]
-                + (1 - wt) * wy * v[it, i, iy2]
-                + wt * wy * v[it2, i, iy2])
+        stride = self.values.shape[1] * self.values.shape[2]
+        row, row2 = it * stride, it2 * stride
+        return ((row + iy, row2 + iy, row + iy2, row2 + iy2),
+                ((1 - wt) * (1 - wy), wt * (1 - wy), (1 - wt) * wy, wt * wy))
+
+    def gather(self, weights: tuple, i):
+        """Values at regime ``i`` of the points whose :meth:`weights` are
+        given."""
+        (k00, k10, k01, k11), (c00, c10, c01, c11) = weights
+        i = np.atleast_1d(np.asarray(i, dtype=int))
+        n_t, M, n_y = self.values.shape
+        if i.size and (i.min() < 0 or i.max() >= M):
+            raise IndexError(f"regime index outside 0..{M - 1}")
+        v, off = self.values.ravel(), i * n_y
+        return (c00 * v[k00 + off] + c10 * v[k10 + off]
+                + c01 * v[k01 + off] + c11 * v[k11 + off])
 
 
 def _clamped_weights(nodes: np.ndarray, x: np.ndarray):
     """Lower index and fractional weight for linear interpolation, clamped."""
     if len(nodes) == 1:
         return np.zeros(len(x), dtype=int), np.zeros(len(x))
-    xc = np.clip(x, nodes[0], nodes[-1])
-    idx = np.clip(np.searchsorted(nodes, xc, side="right") - 1, 0, len(nodes) - 2)
+    # np.clip without its Python-level dispatch; this argument order gives
+    # np.clip's result bit for bit, signed zeros and NaN included
+    xc = np.minimum(nodes[-1], np.maximum(nodes[0], x))
+    idx = np.minimum(len(nodes) - 2, np.maximum(
+        0, np.searchsorted(nodes, xc, side="right") - 1))
     w = (xc - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
     return idx, w
 
@@ -628,7 +644,8 @@ def ql_lambda_factors(model: QuadraticLossModel, t, i, y,
     shape = np.broadcast_shapes(i.shape, np.shape(phi_value))
     if not shape:
         return float(lam_t), float(lam)
-    return np.broadcast_to(lam_t, shape), np.broadcast_to(lam, shape)
+    return tuple(a if a.shape == shape else np.broadcast_to(a, shape)
+                 for a in (lam_t, lam))
 
 
 def _ql_phi_feeds_back(model: QuadraticLossModel) -> bool:
@@ -781,25 +798,35 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
 def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):
     """Linear hedging rule u = (Lam_t / Lam) (x + psi / phi), vectorized.
 
-    ``functionals`` is the (phi, psi) pair; raises SingularPhi when the
+    ``functionals`` is the (phi, psi) pair, which must share one
+    (t, regime, y) grid (ValueError otherwise): the interpolation weights
+    are computed once and serve both.  Raises SingularPhi when the
     interpolated phi is numerically zero.
     """
     phi, psi = functionals[0], functionals[1]
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    _check_shared_grid(phi, psi)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     i = np.atleast_1d(np.asarray(i, dtype=int))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = max(a.shape[0] for a in (t, x, i, y))
-    t, x, i, y = (np.broadcast_to(a, (n,)) for a in (t, x, i, y))
-    pv = phi(t, i, y)
-    sv = psi(t, i, y)
+    w = phi.weights(t, y)
+    pv = phi.gather(w, i)
+    sv = psi.gather(w, i)
     if np.any(np.abs(pv) < _SINGULAR_TOL):
         raise SingularPhi("phi is numerically zero at a queried node")
     lam_t, lam = ql_lambda_factors(model, t, i, y, pv)
     return (lam_t / lam) * (x + sv / pv)
 
 
+def _check_shared_grid(phi: RegimeFunctional, psi: RegimeFunctional):
+    if phi.values.shape != psi.values.shape or any(
+            a is not b and not np.array_equal(a, b)
+            for a, b in ((phi.t_nodes, psi.t_nodes),
+                         (phi.y_nodes, psi.y_nodes))):
+        raise ValueError("phi and psi must sit on one (t, regime, y) grid")
+
+
 def ql_policy(model: QuadraticLossModel, functionals) -> ControlPolicy:
+    """The hedging rule as a policy; refuses (phi, psi) on different grids."""
+    _check_shared_grid(functionals[0], functionals[1])
     return ControlPolicy(
         rule=lambda t, x, i, y: ql_optimal_control(model, t, x, i, y, functionals))
 

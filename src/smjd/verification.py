@@ -4,9 +4,10 @@ Three experiments:
 
 * ``sufficiency_experiment`` checks the candidate-optimality inequality
   J(u_hat) >= J(u) against a family of perturbed policies with shared-noise
-  coupling (identical regime, Brownian, and jump draws for both policies),
-  so the zero perturbation gives a bit-identical zero gap and small true
-  gaps are resolvable.  The pass rule is one-sided: dJ >= -2 SE.
+  coupling: every policy is stepped on one noise plan (identical regime,
+  Brownian, and jump draws), so the zero perturbation gives a bit-identical
+  zero gap and small true gaps are resolvable.  The pass rule is one-sided:
+  dJ >= -2 SE.
 
 * ``markov_reduction_experiment`` reruns an exponential-holding pipeline
   with an independent plain Markov-chain sampler and checks agreement of
@@ -30,7 +31,8 @@ import numpy as np
 
 from .errors import AdmissibilityFailure, NonFinitePath
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
-                             ObjectiveSpec, objective_paths, simulate_ensemble)
+                             ObjectiveSpec, build_plan, objective_paths,
+                             simulate_ensemble)
 from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
     adjoint_residual
 from .portfolio_examples import _sojourn_cumulative
@@ -60,8 +62,10 @@ class PerturbationFamily:
       * "scale": u * (1 + delta);
       * "window": shift applied only for t in [window[0], window[1]];
       * "random": an independent constant per path, uniform on
-        [-delta, delta], drawn from a dedicated stream (ensemble use only:
-        the rule keys off the full path axis).
+        [-delta, delta], drawn from a dedicated stream.  Constant p belongs
+        to path p of an ``n_paths``-path ensemble, so the rule raises
+        ValueError when called on any other number of paths (the per-path
+        simulator included).
     """
 
     base: ControlPolicy
@@ -105,8 +109,12 @@ class PerturbationFamily:
             rel = self.relative
 
             def rule(t, x, i, y):
-                c = consts[: np.shape(np.atleast_1d(t))[0]]
-                return base_rule(t, x, i, y) + c * (x if rel else 1.0)
+                m = np.shape(np.atleast_1d(t))[0]
+                if m != n_paths:
+                    raise ValueError(
+                        f"perturbation {self.kind}[{idx}] holds one constant "
+                        f"per path of {n_paths} paths; called on {m}")
+                return base_rule(t, x, i, y) + consts * (x if rel else 1.0)
 
         return ControlPolicy(rule=rule, control_set=self.base.control_set)
 
@@ -199,16 +207,19 @@ def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
                            foc_tol: float = 1e-8) -> SufficiencyReport:
     """Estimate dJ = J(base) - J(perturbed) for every family member.
 
-    All ensembles share regime paths and per-path noise streams keyed by
-    (seed, "paths", path index), so the comparison is a common-random-number
-    estimate and dJ for the zero perturbation is exactly 0.  A perturbed
-    policy whose simulation blows up or produces a non-finite objective
-    raises AdmissibilityFailure naming the perturbation.
+    The noise plan is built once, from the regime paths and the per-path
+    streams (seed, "paths", path index), and the base policy and every
+    perturbation are stepped on it: the comparison is a common-random-number
+    estimate by construction and dJ for the zero perturbation is exactly 0.
+    A perturbed policy whose simulation blows up or produces a non-finite
+    objective raises AdmissibilityFailure naming the perturbation.
     """
     base = families[0].base
     regime_paths = sample_regime_paths(regime_model, RegimeState(i0, y0),
                                        horizon, n_paths, seed)
-    ens_hat = simulate_ensemble(dyn, base, regime_paths, x0, dt, seed)
+    plan = build_plan(dyn, regime_paths, dt, seed)
+    ens_hat = simulate_ensemble(dyn, base, regime_paths, x0, dt, seed,
+                                plan=plan)
     J_hat = objective_paths(ens_hat, objective)
     if not np.all(np.isfinite(J_hat)):
         raise AdmissibilityFailure("base policy objective is non-finite")
@@ -222,7 +233,8 @@ def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
     for fam in families:
         for label, delta, policy in fam.policies(seed, n_paths):
             try:
-                ens_u = simulate_ensemble(dyn, policy, regime_paths, x0, dt, seed)
+                ens_u = simulate_ensemble(dyn, policy, regime_paths, x0, dt,
+                                          seed, plan=plan)
             except NonFinitePath as exc:
                 raise AdmissibilityFailure(
                     f"perturbation {label} (delta={delta}) produced a "

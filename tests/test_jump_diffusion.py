@@ -1,10 +1,13 @@
 """Controlled paths: Euler stepping, event-grid exactness, objectives."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from smjd.errors import NonFinitePath
 from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, MarkMeasure,
-                                 ObjectiveSpec, coefficient_regularity_probe,
+                                 ObjectiveSpec, build_plan,
+                                 coefficient_regularity_probe,
                                  estimate_objective, objective_paths,
                                  simulate_controlled_path, simulate_ensemble)
 from smjd.rng import stream
@@ -188,6 +191,69 @@ class TestSimulatePath:
             simulate_ensemble(dyn, _zero_policy(),
                               _paths(single_regime, 2, 1.0, 47),
                               x0=50.0, dt=0.1, seed=47)
+
+
+# ---------------------------------------------------------------------------
+# noise plan
+# ---------------------------------------------------------------------------
+
+def _jump_dyn(marks=None):
+    marks = marks or MarkMeasure(rate=3.0, atoms=np.array([-0.1, 0.05, 0.2]),
+                                 weights=np.array([0.3, 0.4, 0.3]))
+    return ControlledDynamics(
+        dim=1,
+        drift=lambda t, x, u, i: 0.05 * x + 0.1 * u * (i + 1),
+        vol=lambda t, x, u, i: (0.2 + 0.1 * i) * np.sqrt(1.0 + x ** 2),
+        jump=lambda t, x, u, i, gam: (x + u) * gam, marks=marks)
+
+
+class TestNoisePlan:
+    FIELDS = ("t", "x", "u", "theta", "y", "dW", "jump_mask", "jump_marks")
+
+    def test_policies_on_one_plan_equal_plain_ensembles(self, exp2_model):
+        dyn = _jump_dyn()
+        regimes = _paths(exp2_model, 60, 1.0, 13)
+        plan = build_plan(dyn, regimes, 0.02, 13)
+        policies = [ControlPolicy(rule=lambda t, x, i, y: 0.5 - 0.3 * x
+                                  + 0.1 * y),
+                    ControlPolicy(rule=lambda t, x, i, y: 0.2 * x * (i + 1))]
+        for policy in policies:
+            planned = simulate_ensemble(dyn, policy, regimes, 1.0, 0.02, 13,
+                                        plan=plan)
+            plain = simulate_ensemble(dyn, policy, regimes, 1.0, 0.02, 13)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(planned, name),
+                                      getattr(plain, name)), name
+            assert planned.t is plan.t and planned.dW is plan.dW
+        assert plan.jump_mask.sum() > 0
+        assert len(np.unique(plan.theta)) == 2
+
+    @pytest.mark.parametrize("field", ["regime_paths", "dt", "seed",
+                                       "stream_tag", "dim", "marks"])
+    def test_mismatched_plan_raises(self, exp2_model, field):
+        dyn = _jump_dyn()
+        regimes = _paths(exp2_model, 5, 1.0, 17)
+        args = {"regime_paths": regimes, "dt": 0.05, "seed": 17,
+                "stream_tag": "paths"}
+        plan = build_plan(dyn, **args)
+        if field == "regime_paths":
+            args[field] = _paths(exp2_model, 5, 1.0, 17)  # equal, not same
+        elif field == "dim":
+            dyn = replace(dyn, dim=2)
+        elif field == "marks":
+            dyn = _jump_dyn(MarkMeasure(rate=3.0, atoms=np.array([0.1]),
+                                        weights=np.array([1.0])))
+        else:
+            args[field] = {"dt": 0.1, "seed": 18, "stream_tag": "other"}[field]
+        with pytest.raises(ValueError, match=field):
+            simulate_ensemble(dyn, _zero_policy(), x0=1.0, plan=plan, **args)
+
+    def test_plan_arrays_are_read_only(self, exp2_model):
+        plan = build_plan(_jump_dyn(), _paths(exp2_model, 3, 1.0, 19), 0.1,
+                          19)
+        for name in ("t", "dW", "jump_mask", "jump_marks", "theta", "y"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(plan, name)[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,29 @@ class TestGradX:
                                 mode="fd")
         assert gf == pytest.approx(ga, rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("missing", ["drift_dx", "vol_dx", "jump_dx",
+                                         "running_dx"])
+    def test_forced_analytic_names_missing_derivative(self, missing):
+        coeffs = dict(
+            drift=lambda t, x, u, i: 0.05 * x, vol=lambda t, x, u, i: 0.2 * x,
+            jump=lambda t, x, u, i, gam: x * gam,
+            marks=MarkMeasure(rate=1.0, atoms=np.array([0.1]),
+                              weights=np.array([1.0])),
+            drift_dx=lambda t, x, u, i: np.full_like(x, 0.05),
+            vol_dx=lambda t, x, u, i: np.full_like(x, 0.2),
+            jump_dx=lambda t, x, u, i, gam: np.full_like(x, gam))
+        costs = dict(running=lambda t, x, u, i, y: x ** 2, terminal=None,
+                     running_dx=lambda t, x, u, i, y: 2.0 * x)
+        (costs if missing == "running_dx" else coeffs)[missing] = None
+        dyn, obj = ControlledDynamics(dim=1, **coeffs), ObjectiveSpec(**costs)
+        adj = AdjointState(p=1.0, q=0.5, eta=lambda gam: 0.0)
+        with pytest.raises(ValueError, match=f"needs {missing}$"):
+            grad_x_hamiltonian(0.1, 0.9, 0.3, 0, 0.0, adj, dyn, obj,
+                               mode="analytic")
+        # "auto" falls back to finite differences
+        assert np.isfinite(grad_x_hamiltonian(0.1, 0.9, 0.3, 0, 0.0, adj,
+                                              dyn, obj))
+
 
 # ---------------------------------------------------------------------------
 # argmax_hamiltonian
@@ -416,9 +439,10 @@ class TestAdjointFromValue:
             assert stats.terminal_mismatch < 1e-10
         assert 0.35 < totals[1] / totals[0] < 0.65
 
-    def test_asset_jump_slot_freezes_eta_at_left_nodes(self):
-        # wealth-proportional jumps g = x * gamma: eta depends on x, so the
-        # gradient must hold eta at its left-node value
+    @staticmethod
+    def _wealth_jump_setup(jump=lambda t, x, u, i, gam: x * gam):
+        """Wealth-proportional jumps g = x * gamma on two atoms, 2 regimes,
+        50 paths: (V, ens, dyn, model)."""
         r, rate = 0.05, 2.0
         atoms, weights = np.array([-0.05, 0.08]), np.array([0.4, 0.6])
         model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -427,14 +451,20 @@ class TestAdjointFromValue:
         paths = sample_regime_paths(model, RegimeState(0, 0.0), 1.0, 50, 3)
         dyn = ControlledDynamics(
             dim=1, drift=lambda t, x, u, i: r * x,
-            vol=lambda t, x, u, i: 0.2 * x,
-            jump=lambda t, x, u, i, gam: x * gam,
+            vol=lambda t, x, u, i: 0.2 * x, jump=jump,
             marks=MarkMeasure(rate=rate, atoms=atoms, weights=weights))
         grow = lambda t: np.exp(r * (1.0 - t))
         V = ValueFunctionStub(
             v=lambda t, x, i, y: -(x * grow(t) - 1.0) ** 2 * (1 + 0.1 * i))
         policy = ControlPolicy(rule=lambda t, x, i, y: np.full_like(x, 0.3))
         ens = simulate_ensemble(dyn, policy, paths, x0=0.9, dt=0.05, seed=3)
+        return V, ens, dyn, model
+
+    def test_asset_jump_slot_freezes_eta_at_left_nodes(self):
+        # g = x * gamma: eta depends on x, so the gradient must hold eta at
+        # its left-node value
+        V, ens, dyn, model = self._wealth_jump_setup()
+        rate, (atoms, weights) = dyn.marks.rate, dyn.marks.nodes()
         adj = adjoint_from_value(V, ens, dyn, model)
 
         tl, xl, ul, thl, yl = (a[:, :-1] for a in (ens.t, ens.x, ens.u,
@@ -456,3 +486,37 @@ class TestAdjointFromValue:
         comp = rate * sum(w * eta(gam) for gam, w in zip(atoms, weights))
         np.testing.assert_allclose(adj.eta_comp, comp, rtol=1e-12,
                                    atol=1e-14)
+
+    def test_eta_is_computed_once_per_mark_node(self):
+        # the compensator and both shifted Hamiltonians of the fd gradient
+        # share one eta per atom: 2 grid-wide jump calls for eta, plus the
+        # jump term of each shifted Hamiltonian (2 x 2)
+        shapes = []
+
+        def jump(t, x, u, i, gam):
+            shapes.append(np.shape(x))
+            return x * gam
+
+        V, ens, dyn, model = self._wealth_jump_setup(jump)
+        adj = adjoint_from_value(V, ens, dyn, model)
+        grid = (ens.n_paths, ens.t.shape[1] - 1)
+        assert shapes.count(grid) == 6
+        # the values are those of an eta recomputed at every request
+        tl, xl, ul, thl, yl = (a[:, :-1] for a in (ens.t, ens.x, ens.u,
+                                                   ens.theta, ens.y))
+        vx_here = adj.p[:, :-1]
+
+        def eta(gam):
+            g = dyn.jump(tl, xl, ul, thl, np.full_like(tl, gam))
+            return V.v_x(tl, xl + g, thl, yl) - vx_here
+
+        fresh = grad_x_hamiltonian(
+            tl, xl, ul, thl, yl,
+            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn, mode="fd")
+        assert np.array_equal(adj.grad_H, fresh)
+        comp, sq = np.zeros(grid), np.zeros(grid)
+        for gam, w in zip(*dyn.marks.nodes()):
+            comp += w * eta(gam)
+            sq += w * eta(gam) ** 2
+        assert np.array_equal(adj.eta_comp, dyn.marks.rate * comp)
+        assert np.array_equal(adj.eta_sq_comp, dyn.marks.rate * sq)

@@ -8,8 +8,8 @@ from smjd.errors import (DegenerateVol, FixedPointDiverged,
                          SingularDenominator, SingularPhi)
 from smjd.jump_diffusion import MarkMeasure, simulate_ensemble
 from smjd.maximum_principle import adjoint_residual
-from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
-                                     ql_adjoint, ql_dynamics,
+from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
+                                     RiskSensitiveModel, ql_adjoint, ql_dynamics,
                                      ql_lambda_factors, ql_objective,
                                      ql_optimal_control, ql_phi_psi,
                                      ql_phi_psi_markov, ql_policy,
@@ -340,7 +340,68 @@ class TestQlPhiPsi:
         assert len(err.value.trace) == 1
 
 
+def _bilinear_reference(f, t, i, y):
+    """Clamped bilinear interpolation with np.clip and explicit broadcasts."""
+    t, i, y = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                                  np.atleast_1d(np.asarray(i, dtype=int)),
+                                  np.atleast_1d(np.asarray(y, dtype=float)))
+
+    def weights(nodes, q):
+        if len(nodes) == 1:
+            return np.zeros(len(q), dtype=int), np.zeros(len(q))
+        qc = np.clip(q, nodes[0], nodes[-1])
+        k = np.clip(np.searchsorted(nodes, qc, side="right") - 1, 0,
+                    len(nodes) - 2)
+        return k, (qc - nodes[k]) / (nodes[k + 1] - nodes[k])
+
+    it, wt = weights(f.t_nodes, t)
+    iy, wy = weights(f.y_nodes, y)
+    it2 = np.minimum(it + 1, len(f.t_nodes) - 1)
+    iy2 = np.minimum(iy + 1, len(f.y_nodes) - 1)
+    v = f.values
+    return ((1 - wt) * (1 - wy) * v[it, i, iy] + wt * (1 - wy) * v[it2, i, iy]
+            + (1 - wt) * wy * v[it, i, iy2] + wt * wy * v[it2, i, iy2])
+
+
+class TestRegimeFunctional:
+    @pytest.mark.parametrize("n_y", [1, 4])
+    def test_weights_and_gather_equal_call_bit_for_bit(self, n_y):
+        rng = np.random.default_rng(3)
+        t_nodes = np.linspace(0.0, 1.0, 11)
+        y_nodes = np.linspace(0.0, 1.5, n_y)
+        values = rng.normal(size=(11, 2, n_y))
+        values[0, 0, 0] = -0.0
+        f = RegimeFunctional(t_nodes, y_nodes, values, np.zeros_like(values), 0)
+        t = np.concatenate(([-0.0, 0.0, -0.5, 1.0, 1.7, 0.3],
+                            rng.uniform(-0.2, 1.2, 40)))
+        y = np.concatenate(([-0.0, 0.0, 0.75, -1.0, 2.0, 1.5],
+                            rng.uniform(-0.2, 1.7, 40)))
+        i = rng.integers(0, 2, t.size)
+        i[:2] = 0
+        queries = [(t, i, y), (0.3, i, y), (t, 1, 0.0), (-0.0, 0, -0.0)]
+        for tq, iq, yq in queries:
+            ref = _bilinear_reference(f, tq, iq, yq)
+            split = f.gather(f.weights(tq, yq), iq)
+            for got in (split, f(tq, iq, yq)):
+                assert got.shape == ref.shape
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        for regime in (2, -1):
+            with pytest.raises(IndexError, match="regime"):
+                f(0.5, regime, 0.0)
+
+
 class TestQlControl:
+    def test_policy_refuses_functionals_on_different_grids(
+            self, ql_nojump_single, single_regime):
+        phi, _ = ql_phi_psi_markov(ql_nojump_single, single_regime,
+                                   np.linspace(0.0, 1.0, 101))
+        _, psi = ql_phi_psi_markov(ql_nojump_single, single_regime,
+                                   np.linspace(0.0, 1.0, 51))
+        with pytest.raises(ValueError, match="grid"):
+            ql_policy(ql_nojump_single, (phi, psi))
+        with pytest.raises(ValueError, match="grid"):
+            ql_optimal_control(ql_nojump_single, 0.0, 0.9, 0, 0.0, (phi, psi))
+
     def test_vertex_gives_zero(self, ql_nojump_single, single_regime):
         phi, psi = ql_phi_psi_markov(ql_nojump_single, single_regime,
                                      np.linspace(0.0, 1.0, 101))

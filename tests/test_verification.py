@@ -4,12 +4,15 @@ import pytest
 
 from smjd.errors import AdmissibilityFailure
 from smjd.jump_diffusion import (ControlPolicy, ControlledDynamics,
-                                 ObjectiveSpec, simulate_ensemble)
+                                 ObjectiveSpec, simulate_controlled_path,
+                                 simulate_ensemble)
 from smjd.maximum_principle import ValueFunctionStub
 from smjd.portfolio_examples import (QuadraticLossModel, ql_dynamics,
                                      ql_objective, ql_phi_psi_markov,
                                      ql_policy)
-from smjd.semi_markov import ExponentialHolding, RegimeModel, WeibullHolding
+from smjd.rng import stream
+from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
+                              WeibullHolding, sample_regime_paths)
 from smjd.verification import (PerturbationFamily, default_perturbation_family,
                                dp_connection_experiment,
                                markov_reduction_experiment,
@@ -71,6 +74,24 @@ class TestPerturbationFamily:
         t = np.array([0.1, 0.5, 0.9])
         u = pol.rule(t, np.ones(3), np.zeros(3, dtype=int), np.zeros(3))
         assert np.allclose(u, [0.0, 1.0, 0.0])
+
+    def test_random_constants_belong_to_the_full_ensemble(self,
+                                                          single_regime):
+        # constant p is path p's: a one-path call has no row to take
+        base = ControlPolicy(rule=lambda t, x, i, y: 0.1 * x)
+        [(_, _, pol)] = list(PerturbationFamily(base, "random",
+                                                (0.25,)).policies(9, 8))
+        dyn = ControlledDynamics(dim=1, drift=lambda t, x, u, i: 0.05 * x,
+                                 vol=lambda t, x, u, i: 0.2 * x)
+        regimes = sample_regime_paths(single_regime, RegimeState(0, 0.0), 1.0,
+                                      8, 9)
+        with pytest.raises(ValueError, match=r"random\[0\].*8 paths"):
+            simulate_controlled_path(dyn, pol, regimes[3], 1.0, 0.05,
+                                     stream(9, "paths", 3))
+        ens = simulate_ensemble(dyn, pol, regimes, 1.0, 0.05, 9)
+        ens_base = simulate_ensemble(dyn, base, regimes, 1.0, 0.05, 9)
+        consts = stream(9, "perturb", 0).uniform(-0.25, 0.25, 8)
+        assert np.array_equal(ens.u[:, 0], ens_base.u[:, 0] + consts)
 
 
 class TestSufficiency:
