@@ -195,11 +195,8 @@ def validate_config(cfg: dict, command: str) -> dict:
     if errors:
         e = errors[0]
         raise ConfigError(f"config invalid at {e.json_path}: {e.message}")
-    _check_cross_fields(cfg)
     resolved = copy.deepcopy(cfg)
-    numerics = dict(_NUMERICS_DEFAULTS)
-    numerics.update(resolved.get("numerics", {}))
-    resolved["numerics"] = numerics
+    resolved["numerics"] = _NUMERICS_DEFAULTS | resolved.get("numerics", {})
     resolved.setdefault("out", "smjd-out")
     model = resolved["model"]
     model.setdefault("y0", 0.0)
@@ -213,21 +210,25 @@ def validate_config(cfg: dict, command: str) -> dict:
         model.setdefault("n_t", 10)
         model.setdefault("n_x", 10)
         model.setdefault("negative_control_shift", 0.1)
+    _check_cross_fields(resolved)
     return resolved
 
 
 def _check_cross_fields(cfg: dict) -> None:
-    """Checks between fields that the schema cannot express: per-regime
-    arrays and regime indices must match the kernel's state count, and jump
-    atoms and weights must pair up."""
+    """Checks between fields of the resolved config (defaults applied) that
+    the schema cannot express: per-regime arrays and regime indices must
+    match the kernel's state count, jump atoms and weights must pair up,
+    and an age grid of several nodes needs a positive y_max."""
+    def bad(path, msg):
+        raise ConfigError(f"config invalid at {path}: {msg}")
+
+    num = cfg["numerics"]
+    if num["y_nodes"] > 1 and num["y_max"] == 0:
+        bad("$.numerics.y_max", f"{num['y_nodes']} age nodes on [0, 0]")
     if "regime" not in cfg or cfg["model"]["kind"] == "hjb-deterministic":
         return
     M = len(cfg["regime"]["kernel"])
     m = cfg["model"]
-
-    def bad(path, msg):
-        raise ConfigError(f"config invalid at {path}: {msg}")
-
     if not 0 <= m["i0"] < M:
         bad("$.model.i0", f"regime index {m['i0']} outside [0, {M})")
     per_regime = {f"$.model.{k}": m[k] for k in ("r", "mu", "mbar", "sigma")
@@ -291,8 +292,7 @@ def _grids(cfg: dict):
     num = cfg["numerics"]
     T = cfg["model"]["horizon"]
     t_nodes = np.linspace(0.0, T, num["t_nodes"])
-    y_nodes = (np.linspace(0.0, num["y_max"], num["y_nodes"])
-               if num["y_nodes"] > 1 else np.array([0.0]))
+    y_nodes = np.linspace(0.0, num["y_max"], num["y_nodes"])
     return t_nodes, y_nodes
 
 

@@ -7,8 +7,8 @@ Two worked problems drive the verification experiments:
   mbar the per-regime market price of risk.  The optimal rule is the
   fractional Merton allocation u = mbar / ((1 - gamma) sigma) * x, and the
   candidate adjoint is p = X^{gamma-1} * (regime functional), where the
-  regime functional solves a linear evolution equation along the
-  (state, age) process and is estimated by Monte Carlo over regime paths.
+  regime functional E[int_t^T a(theta) ds] or E[exp int_t^T a(theta) ds]
+  is taken along the (state, age) process.
 
 * Quadratic hedging: minimize E[(X(T) - d)^2] for wealth with the same
   diffusion part plus multiplicative asset jumps u * g(i, mark).  The
@@ -16,6 +16,13 @@ Two worked problems drive the verification experiments:
   exponential Feynman-Kac functionals of the regime path.  They take one
   Monte Carlo pass when the slope Lam_t / Lam is free of phi, and a damped
   fixed-point iteration when phi enters Lam.
+
+Every phi/psi builder calls one of two estimators of these functionals:
+Monte Carlo over regime paths (``_fk_moments``), for any holding law, in
+``rs_phi``, ``rs_phi_functional`` and ``ql_phi_psi`` (the CLI's builders);
+and the matrix exponential (``_expm_functional``), exact and age-free but
+for exponential holding times only, in ``rs_phi_markov`` and
+``ql_phi_psi_markov``, the oracles the tests check Monte Carlo against.
 
 Both adjoints are emitted in the step-indexed layout consumed by
 ``adjoint_residual``, including jump integrands evaluated at realized
@@ -240,7 +247,7 @@ def _clamped_weights(nodes: np.ndarray, x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Shared Feynman-Kac estimation machinery
+# Regime functionals: the Monte Carlo and matrix-exponential estimators
 # ---------------------------------------------------------------------------
 
 def _sojourn_cumulative(paths: Sequence[RegimePath], c_states: np.ndarray,
@@ -278,8 +285,7 @@ def _grid_cumulative(th: np.ndarray, yy: np.ndarray, t_nodes: np.ndarray,
     [0, T - t_a], for the rates (c_0, c_1, ...) = ``rates(t, theta, y)``.
 
     Requires a uniform t-grid; ``rates`` broadcasts and is called once per
-    start node for all of its rates.  Exploits time homogeneity of the
-    regime paths: one path set serves every start node.
+    start node for all of its rates.
     """
     n_t = th.shape[1]
     h = t_nodes[1] - t_nodes[0]
@@ -301,6 +307,89 @@ def _check_regime_count(model, regime_model: RegimeModel):
         raise ValueError(
             f"model regime count {model.n_regimes} != regime model state "
             f"count {regime_model.n_states}")
+
+
+def _check_grid(model, regime_model: RegimeModel, t_nodes, y_nodes):
+    """A functional builder's (t, age) grid as float arrays (ages default to
+    [0]).  Refuses a regime count mismatch, a t grid that does not end at
+    the horizon, and t or y nodes that are not strictly increasing."""
+    _check_regime_count(model, regime_model)
+    t_nodes = np.asarray(t_nodes, dtype=float)
+    y_nodes = np.asarray([0.0] if y_nodes is None else y_nodes, dtype=float)
+    if abs(t_nodes[-1] - model.horizon) > 1e-12:
+        raise ValueError("t grid must end at the horizon")
+    for name, nodes in (("t", t_nodes), ("y", y_nodes)):
+        if not np.all(np.diff(nodes) > 0):
+            raise ValueError(f"{name} nodes must be strictly increasing")
+    return t_nodes, y_nodes
+
+
+def _start_node_paths(regime_model: RegimeModel, y_nodes: np.ndarray,
+                      tau: float, n_paths: int, seed: int, prefix: str):
+    """paths[i][b]: ``n_paths`` regime paths of length ``tau`` from the
+    start node (i, y_b), on the streams tagged ``prefix/i/b``.  By time
+    homogeneity one set serves every t node."""
+    return [[sample_regime_paths(regime_model, RegimeState(i, float(y0)),
+                                 float(tau), n_paths, seed, f"{prefix}/{i}/{b}")
+             for b, y0 in enumerate(y_nodes)]
+            for i in range(regime_model.n_states)]
+
+
+def _fk_moments(cum: np.ndarray, scale, variant: str):
+    """Mean and SE over the paths axis of scale * cum (variant "integral")
+    or scale * exp(cum) ("literal"), for ``cum`` laid out (rates..., paths,
+    t nodes) as :func:`_sojourn_cumulative` returns it.  The SE of a single
+    path is zero."""
+    vals = cum if variant == "integral" else np.exp(cum)
+    n = vals.shape[-2]
+    mean = scale * vals.mean(axis=-2)
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    return mean, np.abs(scale) * vals.std(axis=-2, ddof=1) / np.sqrt(n)
+
+
+def _fk_grid(cumulative, shape: tuple, scale, variant: str):
+    """Monte Carlo values and SEs of ``shape`` (rates..., n_t, M, n_y): start
+    node (i, b) holds the :func:`_fk_moments` of ``cumulative(i, b)``, its
+    integrals per path and t node."""
+    values, se = np.empty(shape), np.empty(shape)
+    for i, b in np.ndindex(shape[-2:]):
+        values[..., i, b], se[..., i, b] = _fk_moments(cumulative(i, b), scale,
+                                                       variant)
+    return values, se
+
+
+def _expm_functional(regime_model: RegimeModel, rates: np.ndarray, scale,
+                     variant: str, horizon: float, t_nodes: np.ndarray,
+                     y_nodes: np.ndarray) -> list:
+    """Exact age-independent functionals, one per row c of ``rates`` (R, M),
+    under exponential holding times; their SEs are zero.
+
+    With Q the chain generator lam_i (kernel_ij - delta_ij), variant
+    "literal" gives scale * E_i[exp(int_t^T c ds)], the row sums of
+    exp((Q + diag c) tau), and "integral" E_i[int_t^T c ds], the last column
+    of exp([[Q, c], [0, 0]] tau).  One batched expm call covers every
+    (rate, t node) pair; ``scale`` broadcasts against (R, n_t, M).
+    """
+    if not all(isinstance(h, ExponentialHolding) for h in regime_model.holding):
+        raise ValueError("matrix-exponential functionals require exponential "
+                         "holding times in every state")
+    M = regime_model.n_states
+    Q = (np.array([h.rate for h in regime_model.holding])[:, None]
+         * regime_model.kernel)
+    np.fill_diagonal(Q, 0.0)
+    Q[np.diag_indices(M)] = -Q.sum(axis=1)
+    if variant == "literal":
+        gen, read = Q + rates[:, :, None] * np.eye(M), np.ones(M)
+    else:
+        gen = np.zeros((len(rates), M + 1, M + 1))
+        gen[:, :M, :M], gen[:, :M, M] = Q, rates
+        read = np.eye(M + 1)[M]
+    taus = horizon - t_nodes
+    vals = scale * (expm(gen[:, None] * taus[:, None, None]) @ read)[..., :M]
+    values = np.repeat(vals[..., None], len(y_nodes), axis=-1)
+    return [RegimeFunctional(t_nodes, y_nodes, v, np.zeros_like(v), 0)
+            for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +444,11 @@ def rs_source_rate(model: RiskSensitiveModel,
     O(1) drift mismatch in the backward equation whenever mbar > 0
     (the two coincide when mbar = 0 or sigma = 1).
     """
-    _check_rate_variant(rate_variant)
+    if rate_variant not in ("literal", "consistent"):
+        raise ValueError("rate_variant must be 'literal' or 'consistent'")
     g, m, s = model.gamma, model.mbar, model.sigma
     scale = 2.0 * s ** 2 if rate_variant == "literal" else 2.0
     return g * model.r - m ** 2 + ((2.0 - g) / (1.0 - g)) * m ** 2 / scale
-
-
-def _check_rate_variant(rate_variant: str):
-    if rate_variant not in ("literal", "consistent"):
-        raise ValueError("rate_variant must be 'literal' or 'consistent'")
 
 
 def rs_phi(model: RiskSensitiveModel, regime_model: RegimeModel, t, i: int,
@@ -388,98 +473,30 @@ def rs_phi(model: RiskSensitiveModel, regime_model: RegimeModel, t, i: int,
     a = rs_source_rate(model, rate_variant)
     paths = sample_regime_paths(regime_model, RegimeState(int(i), float(y)),
                                 tau, n_paths, seed, f"rsphi/{int(i)}/{float(y)}")
-    cum = _sojourn_cumulative(paths, a, np.array([tau]))[:, 0]
-    vals = cum if variant == "integral" else np.exp(cum)
-    se = float(np.std(vals, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return float(np.mean(vals)), se
+    mean, se = _fk_moments(_sojourn_cumulative(paths, a, np.array([tau])),
+                           1.0, variant)
+    return float(mean[0]), float(se[0])
 
 
 def rs_phi_functional(model: RiskSensitiveModel, regime_model: RegimeModel,
                       t_nodes: np.ndarray, y_nodes: np.ndarray, n_paths: int,
                       seed: int, variant: str = "integral",
                       rate_variant: str = "literal") -> RegimeFunctional:
-    """Regime functional on a full (t, regime, age) grid.
+    """Monte Carlo regime functional on a full (t, regime, age) grid.
 
     Terminal values are exact on the grid (empty integral): 0 for the
     integral variant, 1 for the literal variant.
     """
     _check_variant(variant)
-    _check_regime_count(model, regime_model)
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    y_nodes = np.asarray(y_nodes, dtype=float)
-    if abs(t_nodes[-1] - model.horizon) > 1e-12:
-        raise ValueError("t grid must end at the horizon")
+    t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
     a = rs_source_rate(model, rate_variant)
     taus = model.horizon - t_nodes
-    M = regime_model.n_states
-    values = np.empty((len(t_nodes), M, len(y_nodes)))
-    se = np.empty_like(values)
-    for i in range(M):
-        for b, y0 in enumerate(y_nodes):
-            paths = sample_regime_paths(regime_model, RegimeState(i, float(y0)),
-                                        float(taus[0]), n_paths, seed,
-                                        f"rsphi/{i}/{b}")
-            cum = _sojourn_cumulative(paths, a, taus)
-            vals = cum if variant == "integral" else np.exp(cum)
-            values[:, i, b] = vals.mean(axis=0)
-            se[:, i, b] = (vals.std(axis=0, ddof=1) / np.sqrt(n_paths)
-                           if n_paths > 1 else 0.0)
+    paths = _start_node_paths(regime_model, y_nodes, taus[0], n_paths, seed,
+                              "rsphi")
+    values, se = _fk_grid(
+        lambda i, b: _sojourn_cumulative(paths[i][b], a, taus),
+        (len(t_nodes), regime_model.n_states, len(y_nodes)), 1.0, variant)
     return RegimeFunctional(t_nodes, y_nodes, values, se, n_paths)
-
-
-def _check_variant(variant: str):
-    if variant not in ("integral", "literal"):
-        raise ValueError("variant must be 'integral' or 'literal'")
-
-
-# ---------------------------------------------------------------------------
-# Matrix-exponential functionals (exponential holding times only)
-# ---------------------------------------------------------------------------
-
-def _chain_generator(regime_model: RegimeModel) -> np.ndarray:
-    """Markov-chain generator lam_i (kernel_ij - delta_ij); requires
-    exponential holding in every state."""
-    if not all(isinstance(h, ExponentialHolding) for h in regime_model.holding):
-        raise ValueError("matrix-exponential functionals require exponential "
-                         "holding times in every state")
-    rates = np.array([h.rate for h in regime_model.holding])
-    M = regime_model.n_states
-    Q = rates[:, None] * regime_model.kernel
-    np.fill_diagonal(Q, 0.0)
-    Q[np.diag_indices(M)] = -Q.sum(axis=1)
-    return Q
-
-
-def _markov_functional(regime_model: RegimeModel, c_states: np.ndarray,
-                       t_nodes: np.ndarray, horizon: float, form: str,
-                       scale: float, y_nodes: np.ndarray) -> RegimeFunctional:
-    """Exact age-independent functional under exponential holding times.
-
-    form="exponential": scale * E_i[exp(int_t^T c(theta) ds)] via
-    exp((Q + diag(c)) tau) 1; form="integral": E_i[int c ds] via an
-    augmented-generator exponential.  Standard errors are zero (no
-    sampling).
-    """
-    Q = _chain_generator(regime_model)
-    M = regime_model.n_states
-    taus = horizon - np.asarray(t_nodes, dtype=float)
-    vals = np.empty((len(taus), M))
-    if form == "exponential":
-        A = Q + np.diag(c_states)
-        for a, tau in enumerate(taus):
-            vals[a] = scale * (expm(A * tau) @ np.ones(M))
-    else:
-        B = np.zeros((M + 1, M + 1))
-        B[:M, :M] = Q
-        B[:M, M] = c_states
-        e = np.zeros(M + 1)
-        e[M] = 1.0
-        for a, tau in enumerate(taus):
-            vals[a] = (expm(B * tau) @ e)[:M]
-    values = np.repeat(vals[:, :, None], len(y_nodes), axis=2)
-    return RegimeFunctional(np.asarray(t_nodes, dtype=float),
-                            np.asarray(y_nodes, dtype=float), values,
-                            np.zeros_like(values), 0)
 
 
 def rs_phi_markov(model: RiskSensitiveModel, regime_model: RegimeModel,
@@ -493,36 +510,15 @@ def rs_phi_markov(model: RiskSensitiveModel, regime_model: RegimeModel,
     oracle for the Monte Carlo estimator.
     """
     _check_variant(variant)
-    _check_regime_count(model, regime_model)
-    if y_nodes is None:
-        y_nodes = np.array([0.0])
-    a = rs_source_rate(model, rate_variant)
-    form = "integral" if variant == "integral" else "exponential"
-    return _markov_functional(regime_model, a, t_nodes, model.horizon, form,
-                              1.0, y_nodes)
+    t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
+    return _expm_functional(regime_model,
+                            rs_source_rate(model, rate_variant)[None], 1.0,
+                            variant, model.horizon, t_nodes, y_nodes)[0]
 
 
-def ql_phi_psi_markov(model: QuadraticLossModel, regime_model: RegimeModel,
-                      t_nodes: np.ndarray,
-                      y_nodes: np.ndarray | None = None):
-    """Exact hedging functionals for exponential holding times.
-
-    Valid whenever the rule slope Lam_t / Lam is free of phi (the
-    consistent variant, or any model without jumps); the phi-dependent
-    literal denominator has no matrix-exponential form and is rejected.
-    """
-    _check_regime_count(model, regime_model)
-    if _ql_phi_feeds_back(model):
-        raise ValueError("phi enters the literal denominator with jumps; "
-                         "only the Monte Carlo fixed point applies")
-    if y_nodes is None:
-        y_nodes = np.array([0.0])
-    c_phi, c_psi = _ql_rates(model, np.arange(model.n_regimes), -2.0)
-    phi = _markov_functional(regime_model, c_phi, t_nodes, model.horizon,
-                             "exponential", -2.0, y_nodes)
-    psi = _markov_functional(regime_model, c_psi, t_nodes, model.horizon,
-                             "exponential", 2.0 * model.d, y_nodes)
-    return phi, psi
+def _check_variant(variant: str):
+    if variant not in ("integral", "literal"):
+        raise ValueError("variant must be 'integral' or 'literal'")
 
 
 def rs_adjoint(model: RiskSensitiveModel, ens: Ensemble,
@@ -727,45 +723,26 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
     holds the sup-norm change of each step, the first measured from the
     initial guess phi = -2, psi = 2d.
     """
-    _check_regime_count(model, regime_model)
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    y_nodes = np.asarray(y_nodes, dtype=float)
-    if abs(t_nodes[-1] - model.horizon) > 1e-12:
-        raise ValueError("t grid must end at the horizon")
+    t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
     feedback = _ql_phi_feeds_back(model)
     if (feedback and len(t_nodes) > 1 and np.ptp(np.diff(t_nodes))
             > 1e-9 * (t_nodes[-1] - t_nodes[0])):
         raise ValueError("phi-dependent denominator needs a uniform t grid")
     M, n_y = regime_model.n_states, len(y_nodes)
     taus = model.horizon - t_nodes
-    paths = [[sample_regime_paths(regime_model, RegimeState(i, float(y0)),
-                                  float(taus[0]), n_paths, seed,
-                                  f"qlfk/{i}/{b}")
-              for b, y0 in enumerate(y_nodes)] for i in range(M)]
+    paths = _start_node_paths(regime_model, y_nodes, taus[0], n_paths, seed,
+                              "qlfk")
 
     # phi and psi are stacked along a leading axis of length 2
-    scale = np.array([-2.0, 2.0 * model.d])
+    scale = np.array([[-2.0], [2.0 * model.d]])
     shape = (2, len(t_nodes), M, n_y)
-    guess = np.broadcast_to(scale[:, None, None, None], shape)
-    se = np.zeros(shape)
-
-    def estimate(cumulative):
-        """Monte Carlo (phi, psi) from ``cumulative(i, b)``, the integrals of
-        (c_phi, c_psi) per path and t node; writes the SEs into ``se``."""
-        vals = np.empty(shape)
-        for i in range(M):
-            for b in range(n_y):
-                e = np.exp(cumulative(i, b))
-                vals[:, :, i, b] = scale[:, None] * e.mean(axis=1)
-                if n_paths > 1:
-                    se[:, :, i, b] = (np.abs(scale)[:, None] * e.std(
-                        axis=1, ddof=1) / np.sqrt(n_paths))
-        return vals
+    guess = np.broadcast_to(scale[..., None, None], shape)
 
     if not feedback:
         rates = np.stack(_ql_rates(model, np.arange(M), -2.0))
-        vals = estimate(lambda i, b: _sojourn_cumulative(paths[i][b], rates,
-                                                         taus))
+        vals, se = _fk_grid(
+            lambda i, b: _sojourn_cumulative(paths[i][b], rates, taus), shape,
+            scale, "literal")
         trace = [float(np.max(np.abs(vals - guess)))]
     else:
         sampled = [[_sampled_states(paths[i][b], t_nodes) for b in range(n_y)]
@@ -780,8 +757,10 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
                 pv = phi_now(tv.ravel(), iv.ravel(), yv.ravel())
                 return _ql_rates(model, iv, pv.reshape(iv.shape))
 
-            new = (1 - _QL_DAMPING) * vals + _QL_DAMPING * estimate(
-                lambda i, b: _grid_cumulative(*sampled[i][b], t_nodes, rates))
+            fresh, se = _fk_grid(
+                lambda i, b: _grid_cumulative(*sampled[i][b], t_nodes, rates),
+                shape, scale, "literal")
+            new = (1 - _QL_DAMPING) * vals + _QL_DAMPING * fresh
             trace.append(float(np.max(np.abs(new - vals))))
             vals = new
             if trace[-1] < tol:
@@ -793,6 +772,25 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
     phi = RegimeFunctional(t_nodes, y_nodes, vals[0], se[0], n_paths)
     psi = RegimeFunctional(t_nodes, y_nodes, vals[1], se[1], n_paths)
     return phi, psi, {"iterations": len(trace), "trace": trace}
+
+
+def ql_phi_psi_markov(model: QuadraticLossModel, regime_model: RegimeModel,
+                      t_nodes: np.ndarray,
+                      y_nodes: np.ndarray | None = None):
+    """Exact hedging functionals for exponential holding times.
+
+    Valid whenever the rule slope Lam_t / Lam is free of phi (the
+    consistent variant, or any model without jumps); the phi-dependent
+    literal denominator has no matrix-exponential form and is rejected.
+    """
+    t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
+    if _ql_phi_feeds_back(model):
+        raise ValueError("phi enters the literal denominator with jumps; "
+                         "only the Monte Carlo fixed point applies")
+    rates = np.stack(_ql_rates(model, np.arange(model.n_regimes), -2.0))
+    return tuple(_expm_functional(
+        regime_model, rates, np.array([-2.0, 2.0 * model.d])[:, None, None],
+        "literal", model.horizon, t_nodes, y_nodes))
 
 
 def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):

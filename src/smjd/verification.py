@@ -35,7 +35,7 @@ from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              simulate_ensemble)
 from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
     adjoint_residual
-from .portfolio_examples import _sojourn_cumulative
+from .portfolio_examples import _fk_moments, _sojourn_cumulative
 from .rng import stream
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                           sample_regime_paths, simulate_ctmc)
@@ -327,25 +327,24 @@ def markov_reduction_experiment(dyn: ControlledDynamics, policy: ControlPolicy,
                               stream_tag="paths")
     ens_b = simulate_ensemble(dyn, policy, chain_paths, x0, dt, seed,
                               stream_tag="paths-chain")
-    Ja = objective_paths(ens_a, objective)
-    Jb = objective_paths(ens_b, objective)
-    j_semi, se_semi = float(np.mean(Ja)), float(np.std(Ja, ddof=1) / np.sqrt(n_paths))
-    j_chain, se_chain = float(np.mean(Jb)), float(np.std(Jb, ddof=1) / np.sqrt(n_paths))
-    se_comb = float(np.hypot(se_semi, se_chain))
-    j_pass = bool(abs(j_semi - j_chain) <= 3.0 * max(se_comb, 1e-15))
+    def compare(per_path):
+        """Semi-Markov mean and SE, chain mean and SE, and their agreement
+        within 3 combined SE, of the two runs' values of shape (n_paths, 1)."""
+        mean, se = _fk_moments(np.stack(per_path), 1.0, "integral")
+        (a, b), (sa, sb) = mean[:, 0].tolist(), se[:, 0].tolist()
+        return a, sa, b, sb, bool(abs(a - b)
+                                  <= 3.0 * max(np.hypot(sa, sb), 1e-15))
 
+    j_semi, se_semi, j_chain, se_chain, j_pass = compare(
+        [objective_paths(e, objective)[:, None] for e in (ens_a, ens_b)])
     phi_fields = {}
     if phi_rates is not None:
         c = np.asarray(phi_rates, dtype=float)
-        taus = np.array([horizon])
-        va = _sojourn_cumulative(semi_paths, c, taus)[:, 0]
-        vb = _sojourn_cumulative(chain_paths, c, taus)[:, 0]
-        pa, sa = float(np.mean(va)), float(np.std(va, ddof=1) / np.sqrt(n_paths))
-        pb, sb = float(np.mean(vb)), float(np.std(vb, ddof=1) / np.sqrt(n_paths))
-        phi_fields = {"phi_semi": pa, "phi_se_semi": sa, "phi_chain": pb,
-                      "phi_se_chain": sb,
-                      "phi_pass": bool(abs(pa - pb)
-                                       <= 3.0 * max(np.hypot(sa, sb), 1e-15))}
+        phi_fields = dict(zip(
+            ("phi_semi", "phi_se_semi", "phi_chain", "phi_se_chain",
+             "phi_pass"),
+            compare([_sojourn_cumulative(p, c, np.array([horizon]))
+                     for p in (semi_paths, chain_paths)])))
     return MarkovReductionReport(status="ok", j_semi=j_semi, se_semi=se_semi,
                                  j_chain=j_chain, se_chain=se_chain,
                                  j_pass=j_pass, **phi_fields)

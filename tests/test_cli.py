@@ -103,6 +103,11 @@ class TestConfigValidation:
         ("$.queries[1][2]", lambda c: c.update(
             experiment="policy-eval", queries=[[0.0, 1.0, 0, 0.0],
                                                [0.0, 1.0, 2, 0.0]])),
+        # the default 3 age nodes on [0, y_max] collapse at y_max = 0
+        ("$.numerics.y_max", lambda c: c.update(
+            experiment="policy-eval", model=_ql_model(),
+            numerics={**c["numerics"], "y_max": 0},
+            queries=[[0.0, 1.0, 0, 0.0]])),
     ])
     def test_cross_field_mismatch_exits_2_naming_field(self, tmp_path, capsys,
                                                        field, edit):

@@ -141,6 +141,41 @@ class TestRsPhi:
         got = fn(np.array([0.0, 0.0]), np.array([0, 1]), np.array([0.0, 0.0]))
         assert np.allclose(got, w, rtol=1e-10)
 
+    def test_integral_markov_functional_matches_ode(self):
+        # additive form: v_i(t) = E[int_t^T a ds | theta_t = i] solves
+        # v' = -a - Q v, v(T) = 0; with three states the augmented
+        # generator's rows and columns must line up with Q's
+        rm = RegimeModel(kernel=np.array([[0.0, 0.3, 0.7], [0.6, 0.0, 0.4],
+                                          [0.5, 0.5, 0.0]]),
+                         holding=(ExponentialHolding(1.0),
+                                  ExponentialHolding(1.5),
+                                  ExponentialHolding(0.7)))
+        model = RiskSensitiveModel(r=np.array([0.05, 0.03, 0.04]),
+                                   mu=np.array([0.13, 0.105, 0.09]),
+                                   sigma=np.array([0.2, 0.25, 0.3]),
+                                   gamma=0.5, horizon=1.0)
+        a = rs_source_rate(model)
+        Q = np.array([[-1.0, 0.3, 0.7], [0.9, -1.5, 0.6], [0.35, 0.35, -0.7]])
+        t_nodes = np.linspace(0.0, 1.0, 11)
+        sol = solve_ivp(lambda t, v: -a - Q @ v, [1.0, 0.0], np.zeros(3),
+                        t_eval=t_nodes[::-1], method="DOP853", rtol=1e-12,
+                        atol=1e-14)
+        fn = rs_phi_markov(model, rm, t_nodes, variant="integral")
+        np.testing.assert_allclose(fn.values[:, :, 0], sol.y.T[::-1],
+                                   rtol=1e-8)
+
+    def test_functional_grid_agrees_with_markov_oracle(self, rs_two, exp_two):
+        # under exponential holding the functional does not depend on age,
+        # so every start node (i, y) at t = 0 must match the exact value
+        t_nodes = np.linspace(0.0, 1.0, 11)
+        mc = rs_phi_functional(rs_two, exp_two, t_nodes, np.array([0.0, 0.5]),
+                               2000, 17, variant="literal")
+        exact = rs_phi_markov(rs_two, exp_two, t_nodes, variant="literal")
+        for i in range(2):
+            for b in range(2):
+                assert (abs(mc.values[0, i, b] - exact.values[0, i, 0])
+                        < 3 * mc.se[0, i, b])
+
 
 class TestRsAdjoint:
     def test_terminal_and_first_order_condition(self, rs_two, exp_two):
@@ -520,3 +555,26 @@ def test_regime_count_mismatch_is_refused(exp_two, kind, build, n):
     with pytest.raises(ValueError, match=f"model regime count {n} != regime "
                                          "model state count 2"):
         build(model, exp_two)
+
+
+@pytest.mark.parametrize("t_nodes, y_nodes, message", [
+    (np.linspace(0.0, 2.0, 5), _Y1, "t grid must end at the horizon"),
+    (np.array([0.0, 0.5, 0.5, 1.0]), _Y1, "t nodes must be strictly"),
+    (_T3, np.zeros(3), "y nodes must be strictly"),
+], ids=["past-horizon", "repeated-t", "degenerate-y"])
+@pytest.mark.parametrize("kind, build", [
+    ("rs", lambda m, rm, t, y: rs_phi_functional(m, rm, t, y, 4, 0)),
+    ("rs", lambda m, rm, t, y: rs_phi_markov(m, rm, t, "literal", y)),
+    ("ql", lambda m, rm, t, y: ql_phi_psi(m, rm, t, y, 4, 0)),
+    ("ql", lambda m, rm, t, y: ql_phi_psi_markov(m, rm, t, y)),
+], ids=["rs_phi_functional", "rs_phi_markov", "ql_phi_psi",
+        "ql_phi_psi_markov"])
+def test_bad_grid_is_refused(exp_two, rs_two, kind, build, t_nodes, y_nodes,
+                             message):
+    # unchecked, a t node past the horizon gives a negative E[exp int a]
+    # and an age grid [0, 0, 0] a NaN policy
+    model = rs_two if kind == "rs" else QuadraticLossModel(
+        r=np.array([0.05, 0.03]), mbar=np.array([0.4, 0.3]),
+        sigma=np.array([0.2, 0.25]), d=1.0, horizon=1.0)
+    with pytest.raises(ValueError, match=message):
+        build(model, exp_two, t_nodes, y_nodes)
