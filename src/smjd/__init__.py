@@ -18,8 +18,8 @@ Layers:
 
 from .errors import (AdmissibilityFailure, AgeBeyondSupport, BoundViolation,
                      ConfigError, DegenerateVol, FixedPointDiverged,
-                     NonFinitePath, SingularDenominator, SingularPhi,
-                     SmjdError, UnboundedHamiltonian)
+                     InfiniteHazard, NonFinitePath, SingularDenominator,
+                     SingularPhi, SmjdError, UnboundedHamiltonian)
 from .rng import stream
 from .semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                           RegimePath, RegimeState, WeibullHolding,

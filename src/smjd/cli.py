@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import jsonschema
 
-from .errors import ConfigError, SmjdError
+from .errors import ConfigError, InfiniteHazard, SmjdError
 from .jump_diffusion import MarkMeasure, objective_paths, simulate_ensemble
 from .maximum_principle import ValueFunctionStub, hjb_residual, \
     hjb_terminal_mismatch
@@ -51,7 +51,8 @@ from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                           WeibullHolding, dynkin_statistics,
                           sample_regime_paths)
 from .verification import (default_perturbation_family,
-                           markov_reduction_experiment, sufficiency_experiment)
+                           markov_reduction_experiment, sufficiency_experiment,
+                           sufficiency_plan)
 
 COMMANDS = ("simulate", "rs-verify", "ql-verify", "dynkin", "hjb",
             "reduce-markov", "policy-eval")
@@ -395,17 +396,18 @@ def _verify_common(cfg, seed, kind):
     _, dyn, base, objective, u_fn = _problem(cfg, regime_model, seed)
     relative = kind == "rs"  # RS perturbations scale with wealth
     families = default_perturbation_family(base, relative, m["horizon"])
+    # the candidate and the negative control step on one noise plan
+    where = (m["i0"], m["y0"], m["horizon"], num["n_paths"], num["dt"], seed)
+    plan = sufficiency_plan(dyn, regime_model, *where)
     report = sufficiency_experiment(
-        dyn, objective, families, regime_model, m["x0"], m["i0"], m["y0"],
-        m["horizon"], num["n_paths"], num["dt"], seed,
-        u_coefficient_fn=u_fn, foc_tol=num["foc_tol"])
+        dyn, objective, families, regime_model, m["x0"], *where,
+        u_coefficient_fn=u_fn, foc_tol=num["foc_tol"], plan=plan)
 
     scaled = ControlPolicy(rule=lambda t, x, i, y: 1.5 * base.rule(t, x, i, y),
                            control_set=base.control_set)
     neg_families = default_perturbation_family(scaled, relative, m["horizon"])
-    neg = sufficiency_experiment(
-        dyn, objective, neg_families, regime_model, m["x0"], m["i0"], m["y0"],
-        m["horizon"], num["n_paths"], num["dt"], seed)
+    neg = sufficiency_experiment(dyn, objective, neg_families, regime_model,
+                                 m["x0"], *where, plan=plan)
     detected = any(not r.passed for r in neg.results)
 
     passed = report.passed and detected
@@ -575,7 +577,11 @@ _RUNNERS = {
 def run_experiment(command: str, cfg: dict, seed: int, seed_source: str,
                    out_dir: Path, threads: int | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    passed, report, header, rows, lines = _RUNNERS[command](cfg, seed)
+    try:
+        passed, report, header, rows, lines = _RUNNERS[command](cfg, seed)
+    except InfiniteHazard as exc:
+        raise ConfigError(f"config invalid at $.regime.holding[{exc.state}]"
+                          f".shape: {exc}") from exc
     resolved = copy.deepcopy(cfg)
     resolved["seed"] = seed
     resolved["seed_source"] = seed_source

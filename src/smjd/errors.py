@@ -19,6 +19,15 @@ class AgeBeyondSupport(SmjdError):
         )
 
 
+class InfiniteHazard(SmjdError):
+    """Hazard rate requested at age 0 of a Weibull state with shape < 1."""
+
+    def __init__(self, state: int, shape: float):
+        self.state = state
+        super().__init__(f"hazard infinite at age 0 in state {state}: "
+                         f"Weibull shape {shape} < 1")
+
+
 class BoundViolation(SmjdError):
     """A realized hazard exceeded the declared majorant during thinning."""
 

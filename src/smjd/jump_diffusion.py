@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonFinitePath
 from .rng import stream
-from .semi_markov import (RegimeModel, RegimePath, RegimeState,
+from .semi_markov import (RegimeModel, RegimePath, RegimeState, _cdf_table,
                           sample_regime_paths)
 
 __all__ = [
@@ -100,8 +100,9 @@ class MarkMeasure:
         return float(np.sum(np.asarray(f(g), dtype=float) * w))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.discrete:
-            return rng.choice(self.atoms, size=n, p=self.weights)
+        if self.discrete:  # equals rng.choice(atoms, size=n, p=weights)
+            return self.atoms[_cdf_table(self.weights).searchsorted(
+                rng.random(n), side="right")]
         # inverse-cdf via dense tabulation of the density
         lo, hi = self.support
         grid = np.linspace(lo, hi, 4097)

@@ -18,17 +18,22 @@ piecewise-constant one, the hazard at the end of each age window of fixed
 length (Lewis & Shedler 1979); for custom distributions the declared global
 bound.  The samplers agree in law; tests compare them with two-sample
 statistics.
+
+Categorical draws (next states, discrete marks) read a cumulative table
+built once, as ``Generator.choice`` builds it, with one uniform per draw:
+they are identical to ``Generator.choice``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AgeBeyondSupport, BoundViolation
+from .errors import AgeBeyondSupport, BoundViolation, InfiniteHazard
 from .rng import stream
 
 _CDF_ONE = 1.0 - 1e-15
@@ -91,12 +96,11 @@ class WeibullHolding:
         return (k / self.scale) * np.power(z, k - 1) * np.exp(-np.power(z, k))
 
     def hazard(self, y):
-        z = np.asarray(y, dtype=float) / self.scale
-        return (self.shape / self.scale) * np.power(z, self.shape - 1)
+        return (self.shape / self.scale) * np.power(y / self.scale,
+                                                    self.shape - 1)
 
     def inverse_cdf(self, u):
-        return self.scale * np.power(-np.log1p(-np.asarray(u, dtype=float)),
-                                     1.0 / self.shape)
+        return self.scale * np.power(-np.log1p(-u), 1.0 / self.shape)
 
     def hazard_bound(self, window: float) -> float:
         """Bound on the hazard over ages [0, window].
@@ -131,8 +135,7 @@ class CustomHolding:
         f = np.asarray(self.pdf(y_arr), dtype=float)
         F = np.asarray(self.cdf(y_arr), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            h = f / (1.0 - F)
-        return h
+            return f / (1.0 - F)
 
     def inverse_cdf(self, u):
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
@@ -145,14 +148,10 @@ class CustomHolding:
         if target <= 0.0:
             return 0.0
         hi = max(self.window, 1.0)
-        for _ in range(200):
-            if float(self.cdf(hi)) >= target:
-                break
+        while not float(self.cdf(hi)) >= target:
             hi *= 2.0
             if hi > 1e18:
                 return np.inf  # defective: mass target never reached
-        else:
-            return np.inf
         return brentq(lambda y: float(self.cdf(y)) - target, 0.0, hi,
                       xtol=_INV_TOL)
 
@@ -182,11 +181,13 @@ class RegimeModel:
     1e-12 with exact zero diagonal, the kernel is irreducible, and custom
     holding distributions respect their declared hazard bound on a spot grid.
     A single-state model (M=1, kernel [[0]]) is allowed as a degenerate case
-    with no transitions.
+    with no transitions.  ``kernel_cdf`` is the kernel's cumulative table.
     """
 
     kernel: np.ndarray
     holding: tuple[HoldingDistribution, ...]
+    kernel_cdf: np.ndarray | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         kernel = np.asarray(self.kernel, dtype=float)
@@ -207,6 +208,7 @@ class RegimeModel:
                 raise ValueError(f"kernel rows must sum to 1, got {rows}")
             if not _irreducible(kernel):
                 raise ValueError("kernel is not irreducible")
+            object.__setattr__(self, "kernel_cdf", _cdf_table(kernel))
         for i, dist in enumerate(self.holding):
             if isinstance(dist, CustomHolding):
                 _spot_check_bound(dist, i)
@@ -309,19 +311,26 @@ class RegimePath:
 def hazard_rate(model: RegimeModel, i: int, y):
     """Instantaneous exit rate f(y|i)/(1 - F(y|i)) from state i at age y.
 
-    Vectorizes over y.  Raises AgeBeyondSupport where F(y|i) >= 1 - 1e-15.
+    Vectorizes over y.  Raises AgeBeyondSupport where F(y|i) >= 1 - 1e-15
+    or the hazard is not finite and nonnegative, and InfiniteHazard at age 0
+    of a Weibull state with shape < 1.
     """
     dist = model.holding[i]
+    if (isinstance(dist, WeibullHolding) and dist.shape < 1.0
+            and np.any(np.equal(y, 0.0))):
+        raise InfiniteHazard(i, dist.shape)
+    if type(y) is float and not isinstance(dist, CustomHolding):  # lean path
+        h = float(dist.hazard(y))
+        if math.isfinite(h) and h >= 0.0:
+            return h
+        raise AgeBeyondSupport(i, y)
     y_arr = np.asarray(y, dtype=float)
-    if isinstance(dist, (ExponentialHolding, WeibullHolding)):
-        h = dist.hazard(y_arr)
-    else:
+    if isinstance(dist, CustomHolding):
         F = np.asarray(dist.cdf(y_arr), dtype=float)
         if np.any(F >= _CDF_ONE):
             bad = y_arr if np.ndim(y) == 0 else y_arr[F >= _CDF_ONE].min()
             raise AgeBeyondSupport(i, float(bad))
-        h = dist.hazard(y_arr)
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(dist.hazard(y_arr), dtype=float)
     if np.any(~np.isfinite(h)) or np.any(h < 0):
         raise AgeBeyondSupport(i, float(np.max(y_arr)))
     return float(h) if np.ndim(y) == 0 else h
@@ -347,9 +356,10 @@ def regime_switch_sum(model: RegimeModel, i, y, change):
         if mask.any():
             acc[mask] += w[mask] * change(j, mask)
     haz = np.empty(i.shape)
-    for s in np.unique(i):
+    for s in range(model.n_states):
         mask = i == s
-        haz[mask] = hazard_rate(model, int(s), y[mask])
+        if mask.any():
+            haz[mask] = hazard_rate(model, s, y[mask])
     return haz * acc
 
 
@@ -385,8 +395,21 @@ def sample_holding_time(model: RegimeModel, i: int, rng: np.random.Generator,
     return float(dist.inverse_cdf(target)) - age
 
 
-def _next_state(model: RegimeModel, i: int, rng: np.random.Generator) -> int:
-    return int(rng.choice(model.n_states, p=model.kernel[i]))
+def _cdf_table(p: np.ndarray) -> np.ndarray:
+    """Cumulative table of the probability rows ``p``, built as
+    ``Generator.choice`` builds it, so ``searchsorted(table, u, "right")``
+    returns what ``choice(len(p), p=p)`` returns for the uniform u."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _next_state(kernel_cdf: np.ndarray, i: int,
+                rng: np.random.Generator) -> int:
+    """Target state of a switch out of i: equals ``rng.choice(M,
+    p=kernel[i])``, since ``uniform()`` returns the double ``random()``
+    would; thinning's one ``random()`` per proposal is its acceptance test."""
+    return int(kernel_cdf[i].searchsorted(rng.uniform(), side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +432,9 @@ def simulate_regime_direct(model: RegimeModel, origin: RegimeState,
     while True:
         tau = sample_holding_time(model, i, rng, age=age)
         t += tau
-        if t >= horizon or not np.isfinite(t):
+        if t >= horizon or not math.isfinite(t):
             break
-        i = _next_state(model, i, rng)
+        i = _next_state(model.kernel_cdf, i, rng)
         events.append((t, i))
         age = 0.0
     return RegimePath(events, origin, horizon)
@@ -471,7 +494,7 @@ def simulate_regime_thinning(model: RegimeModel, origin: RegimeState,
     while True:
         if t >= end:  # open a window at the current age
             end = t + steps[i]
-            bound = (bounds[i] if np.isinf(end)
+            bound = (bounds[i] if math.isinf(end)
                      else model.holding[i].hazard_bound(end - last))
         if bound <= 0.0:
             break
@@ -492,7 +515,7 @@ def simulate_regime_thinning(model: RegimeModel, origin: RegimeState,
                 f"{i} at age {age:.6g}"
             )
         if rng.random() < h / bound:
-            i = _next_state(model, i, rng)
+            i = _next_state(model.kernel_cdf, i, rng)
             events.append((t, i))
             last, end = t, -np.inf
     return RegimePath(events, origin, horizon)
@@ -510,11 +533,12 @@ def simulate_ctmc(rates: Sequence[float], kernel: np.ndarray, origin: RegimeStat
     t, i = 0.0, origin.theta
     if kernel.shape[0] == 1:
         return RegimePath(events, origin, horizon)
+    kernel_cdf = _cdf_table(kernel)
     while True:
         t += rng.exponential(1.0 / rates[i])
         if t >= horizon:
             break
-        i = int(rng.choice(kernel.shape[0], p=kernel[i]))
+        i = _next_state(kernel_cdf, i, rng)
         events.append((t, i))
     return RegimePath(events, origin, horizon)
 
@@ -524,6 +548,7 @@ def simulate_ctmc(rates: Sequence[float], kernel: np.ndarray, origin: RegimeStat
 # ---------------------------------------------------------------------------
 
 _L_FD_STEP = 1e-6  # age step of apply_generator_L's central difference
+_DYNKIN_BLOCK = 1_000_000  # age nodes per block of dynkin_statistics
 
 
 def apply_generator_L(model: RegimeModel, phi: Callable[[int, float], float],
@@ -561,20 +586,51 @@ def dynkin_statistics(model: RegimeModel, paths: Sequence[RegimePath],
     Along each sojourn the age runs at unit rate from its entry value (the
     origin age, then 0 after every switch), and L phi is integrated by the
     trapezoid rule on ceil(length / dt) equal steps.  The statistic has mean
-    zero up to that quadrature error.
+    zero up to that quadrature error.  Blocks of paths with about
+    ``_DYNKIN_BLOCK`` age nodes make one L phi call per state.
     """
-    stats = np.empty(len(paths))
+    stats, start, nodes = np.empty(len(paths)), 0, 0.0
     for p, rp in enumerate(paths):
-        seg_t = [0.0] + [t for t, _ in rp.events] + [rp.horizon]
-        seg_s = [rp.origin.theta] + [s for _, s in rp.events]
-        seg_y0 = [rp.origin.y] + [0.0] * len(rp.events)
-        integral = 0.0
-        for s0, s1, st, ya in zip(seg_t[:-1], seg_t[1:], seg_s, seg_y0):
-            n_sub = max(int(np.ceil((s1 - s0) / dt)), 1)
-            ys = ya + np.linspace(0.0, s1 - s0, n_sub + 1)
-            vals = apply_generator_L(model, phi, st, ys, dphi_dy=dphi_dy)
-            integral += np.trapezoid(vals, dx=(s1 - s0) / n_sub)
-        th_T, y_T = rp.state_at(rp.horizon, side="right")
-        stats[p] = (phi(th_T, y_T) - phi(rp.origin.theta, rp.origin.y)
-                    - integral)
+        nodes += rp.horizon / dt + 2 * len(rp.events) + 2  # >= its age nodes
+        if nodes >= _DYNKIN_BLOCK or p == len(paths) - 1:
+            stats[start:p + 1] = _dynkin_block(model, paths[start:p + 1],
+                                               phi, dphi_dy, dt)
+            start, nodes = p + 1, 0.0
     return stats
+
+
+def _dynkin_block(model, paths, phi, dphi_dy, dt) -> np.ndarray:
+    """Dynkin statistics of a block of paths, node for node and sum for sum
+    as with one np.linspace and one np.trapezoid per sojourn."""
+    states, length, y0 = map(np.array, zip(*(
+        (st, t1 - t0, ya) for rp in paths for st, t0, t1, ya in zip(
+            [rp.origin.theta, *(s for _, s in rp.events)],
+            [0.0, *(t for t, _ in rp.events)],
+            [*(t for t, _ in rp.events), rp.horizon],
+            [rp.origin.y] + [0.0] * len(rp.events)))))
+    n_sub = np.maximum(np.ceil(length / dt).astype(int), 1)
+    counts, step = n_sub + 1, length / n_sub
+    last = np.cumsum(counts) - 1  # last node of each sojourn
+    ages = ((np.arange(last[-1] + 1) - np.repeat(last - n_sub, counts))
+            * np.repeat(step, counts))
+    ages[last] = length
+    ages += np.repeat(y0, counts)
+    node_state = np.repeat(states, counts)
+    L = np.empty_like(ages)
+    for st in np.unique(states):
+        mask = node_state == st
+        L[mask] = apply_generator_L(model, phi, int(st), ages[mask],
+                                    dphi_dy=dphi_dy)
+    # trapezoid terms, without the pairs that straddle two sojourns
+    terms = np.delete(np.repeat(step, counts)[1:] * (L[1:] + L[:-1]) / 2.0,
+                      last[:-1])
+    ends = np.cumsum(n_sub)
+    out, k = np.empty(len(paths)), 0
+    for p, rp in enumerate(paths):
+        integral = 0.0
+        for end, n in zip(ends[k:k + len(rp.events) + 1], n_sub[k:]):
+            integral += terms[end - n:end].sum()
+        k += len(rp.events) + 1
+        out[p] = (phi(int(states[k - 1]), float(ages[last[k - 1]]))
+                  - phi(rp.origin.theta, rp.origin.y) - integral)
+    return out

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import AdmissibilityFailure, NonFinitePath
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
-                             ObjectiveSpec, build_plan, objective_paths,
-                             simulate_ensemble)
+                             NoisePlan, ObjectiveSpec, build_plan,
+                             objective_paths, simulate_ensemble)
 from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
     adjoint_residual
 from .portfolio_examples import _fk_moments, _sojourn_cumulative
@@ -42,7 +42,7 @@ from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
 
 __all__ = [
     "PerturbationFamily", "PerturbationResult", "SufficiencyReport",
-    "sufficiency_experiment", "MarkovReductionReport",
+    "sufficiency_plan", "sufficiency_experiment", "MarkovReductionReport",
     "markov_reduction_experiment", "DpConnectionReport",
     "dp_connection_experiment", "default_perturbation_family",
 ]
@@ -199,25 +199,47 @@ class SufficiencyReport:
             yield (pid, r.kind, r.delta, r.dJ, r.se, int(r.passed))
 
 
+def sufficiency_plan(dyn: ControlledDynamics, regime_model: RegimeModel,
+                     i0: int, y0: float, horizon: float, n_paths: int,
+                     dt: float, seed: int) -> NoisePlan:
+    """The noise plan of :func:`sufficiency_experiment`: regime paths from
+    streams (seed, "regime", p), path noise from (seed, "paths", p).  Build
+    it once to step several experiments on the same noise."""
+    regime_paths = sample_regime_paths(regime_model, RegimeState(i0, y0),
+                                       horizon, n_paths, seed)
+    return build_plan(dyn, regime_paths, dt, seed)
+
+
 def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
                            families: Sequence[PerturbationFamily],
                            regime_model: RegimeModel, x0, i0: int, y0: float,
                            horizon: float, n_paths: int, dt: float, seed: int,
                            u_coefficient_fn: Callable[[Ensemble], float] | None = None,
-                           foc_tol: float = 1e-8) -> SufficiencyReport:
+                           foc_tol: float = 1e-8, *,
+                           plan: NoisePlan | None = None) -> SufficiencyReport:
     """Estimate dJ = J(base) - J(perturbed) for every family member.
 
-    The noise plan is built once, from the regime paths and the per-path
-    streams (seed, "paths", path index), and the base policy and every
+    The noise plan is built once by :func:`sufficiency_plan`, or taken with
+    its regime paths from ``plan``, and the base policy and every
     perturbation are stepped on it: the comparison is a common-random-number
     estimate by construction and dJ for the zero perturbation is exactly 0.
-    A perturbed policy whose simulation blows up or produces a non-finite
-    objective raises AdmissibilityFailure naming the perturbation.
+    A ``plan`` built for another seed, dt, n_paths, horizon or origin
+    (i0, y0) raises ValueError naming it.  A perturbed policy whose
+    simulation blows up or produces a non-finite objective raises
+    AdmissibilityFailure naming the perturbation.
     """
     base = families[0].base
-    regime_paths = sample_regime_paths(regime_model, RegimeState(i0, y0),
-                                       horizon, n_paths, seed)
-    plan = build_plan(dyn, regime_paths, dt, seed)
+    if plan is None:
+        plan = sufficiency_plan(dyn, regime_model, i0, y0, horizon, n_paths,
+                                dt, seed)
+    origins = {(rp.origin.theta, rp.origin.y) for rp in plan.regime_paths}
+    for name, got, want in (("n_paths", len(plan.regime_paths), n_paths),
+                            ("horizon", plan.horizon, horizon),
+                            ("origin (i0, y0)", origins, {(i0, y0)})):
+        if got != want:  # simulate_ensemble checks seed and dt
+            raise ValueError(f"plan was built for another {name}: {got!r}, "
+                             f"not {want!r}")
+    regime_paths = plan.regime_paths
     ens_hat = simulate_ensemble(dyn, base, regime_paths, x0, dt, seed,
                                 plan=plan)
     J_hat = objective_paths(ens_hat, objective)

@@ -125,6 +125,21 @@ class TestConfigValidation:
         assert rc == 2
         assert "regime" in capsys.readouterr().err
 
+    def test_weibull_shape_below_one_exits_2_for_dynkin(self, tmp_path,
+                                                        capsys):
+        # the hazard of shape 0.7 is infinite at age 0, where every switch
+        # into state 1 starts its sojourn
+        cfg = _rs_config(experiment="dynkin")
+        cfg["regime"]["holding"] = [
+            {"kind": "weibull", "shape": 1.5, "scale": 0.5},
+            {"kind": "weibull", "shape": 0.7, "scale": 0.8}]
+        cfg["numerics"] = {"n_paths": 30, "dt": 0.05}
+        rc = _run("dynkin", _write(tmp_path, cfg), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "$.regime.holding[1].shape" in err
+        assert "infinite at age 0" in err
+
 
 class TestOutputs:
     def test_simulate_writes_all_four_files(self, tmp_path):

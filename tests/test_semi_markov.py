@@ -1,16 +1,22 @@
 """Regime process: hazards, intensity matrices, samplers, and the generator."""
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from smjd.errors import AgeBeyondSupport, BoundViolation
+from smjd import semi_markov
+from smjd.errors import AgeBeyondSupport, BoundViolation, InfiniteHazard
+from smjd.jump_diffusion import MarkMeasure
 from smjd.rng import stream
 from smjd.semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                               RegimeState, WeibullHolding, apply_generator_L,
-                              hazard_rate, intensity_matrix,
-                              sample_holding_time, simulate_ctmc,
+                              dynkin_statistics, hazard_rate,
+                              intensity_matrix, sample_holding_time,
+                              sample_regime_paths, simulate_ctmc,
                               simulate_regime_direct, simulate_regime_thinning)
 
 
@@ -54,6 +60,25 @@ class TestHazardRate:
         assert hazard_rate(model, 0, 0.5) == pytest.approx(2.0)  # 1/(1-0.5)
         with pytest.raises(AgeBeyondSupport):
             hazard_rate(model, 0, 1.5)
+
+    def test_weibull_shape_below_one_is_infinite_at_age_zero(self):
+        model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            holding=(WeibullHolding(1.5, 0.5),
+                                     WeibullHolding(0.7, 0.8)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (0.0, np.array([0.3, 0.0])):
+                with pytest.raises(InfiniteHazard, match="shape 0.7 < 1"):
+                    hazard_rate(model, 1, y)
+            assert hazard_rate(model, 1, 0.3) > 0.0
+            assert hazard_rate(model, 0, 0.0) == 0.0
+
+    def test_scalar_path_matches_vector_path(self, weibull3_model):
+        ys = stream(3, "ages").random(500) * 4.0
+        for i in range(3):
+            vec = hazard_rate(weibull3_model, i, ys)
+            assert [hazard_rate(weibull3_model, i, y) for y in ys.tolist()] \
+                == vec.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +356,122 @@ class TestSamplers:
 
 
 # ---------------------------------------------------------------------------
+# draw protocol
+# ---------------------------------------------------------------------------
+
+class _CountingRng:
+    """Generator proxy counting ``random()`` calls; delegates every draw."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.randoms = 0
+
+    def random(self, *args, **kwargs):
+        self.randoms += 1
+        return self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _exp3_model():
+    return RegimeModel(kernel=np.array([[0.0, 0.25, 0.75],
+                                        [0.6, 0.0, 0.4],
+                                        [0.1, 0.9, 0.0]]),
+                       holding=(ExponentialHolding(0.7),
+                                ExponentialHolding(1.3),
+                                ExponentialHolding(2.0)))
+
+
+def _paths_digest(sample):
+    h = hashlib.sha256()
+    for p in range(300):
+        path = sample(stream(41, "protocol", p))
+        h.update(np.array([t for t, _ in path.events]).tobytes())
+        h.update(np.array([s for _, s in path.events],
+                          dtype=np.int64).tobytes())
+        h.update(b";")
+    return h.hexdigest()
+
+
+class TestDrawProtocol:
+    """Every draw is pinned: refactors of the samplers keep the bits."""
+
+    @pytest.mark.parametrize("kernel", [
+        [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],  # criterion 1
+        [[0.0, 1.0], [1.0, 0.0]],
+    ])
+    def test_table_draw_equals_generator_choice(self, kernel):
+        model = RegimeModel(kernel=np.array(kernel),
+                            holding=(ExponentialHolding(1.0),) * len(kernel))
+        M = model.n_states
+        for i in range(M):
+            a, b = stream(43, "table", i), stream(43, "table", i)
+            table = [semi_markov._next_state(model.kernel_cdf, i, a)
+                     for _ in range(2000)]
+            ref = [int(b.choice(M, p=model.kernel[i])) for _ in range(2000)]
+            assert table == ref
+            assert a.random() == b.random()  # generators still in lockstep
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_mark_sample_equals_generator_choice(self, n):
+        marks = MarkMeasure(rate=2.0, atoms=np.array([-0.05, 0.08, 0.02]),
+                            weights=np.array([0.4, 0.35, 0.25]))
+        a, b = stream(47, "marks", n), stream(47, "marks", n)
+        got = marks.sample(a, n)
+        want = b.choice(marks.atoms, size=n, p=marks.weights)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert a.random() == b.random()
+
+    # SHA-256 of 300 paths (event times and states), origin (1, 0.3),
+    # horizon 10, streams (41, "protocol", p); recorded before the samplers
+    # drew from cumulative tables, with Generator.choice
+    @pytest.mark.parametrize("model,sampler,digest", [
+        ("weibull3", "direct",
+         "21495f357211acfa59b58af19bb91321f341dd0ad0e620b402070c3f00852454"),
+        ("weibull3", "thinning",
+         "14bfc5536d9576652999787056f807e1eb1b377e796d2912a22cad246efb98e4"),
+        ("exp3", "direct",
+         "ec18096ec2d51a715a3a4435ab71829c4741b73072c1e3e6626f1f2ad94d0255"),
+        ("exp3", "thinning",
+         "6d94ba797b474f5719e161d028469800fe12285a4256d52579f3cb0edb622b8f"),
+        ("exp3", "ctmc",
+         "38f4c16e1808de3f2cdddf2a2299db7bcd8ebf9d8f1537da91578148f4344802"),
+    ])
+    def test_sampler_paths_are_pinned(self, weibull3_model, model, sampler,
+                                      digest):
+        rm = weibull3_model if model == "weibull3" else _exp3_model()
+        origin = RegimeState(1, 0.3)
+        if sampler == "ctmc":
+            def sample(rng):
+                return simulate_ctmc([0.7, 1.3, 2.0], rm.kernel, origin,
+                                     10.0, rng)
+        else:
+            simulate = {"direct": simulate_regime_direct,
+                        "thinning": simulate_regime_thinning}[sampler]
+
+            def sample(rng):
+                return simulate(rm, origin, 10.0, rng)
+        assert _paths_digest(sample) == digest
+
+    def test_thinning_draws_one_random_per_hazard_call(self, weibull3_model,
+                                                       monkeypatch):
+        calls = []
+        inner = semi_markov.hazard_rate
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(semi_markov, "hazard_rate", counted)
+        rng = _CountingRng(stream(53, "proposals"))
+        events = sum(len(simulate_regime_thinning(
+            weibull3_model, RegimeState(0, 0.0), 30.0, rng).events)
+            for _ in range(5))
+        assert events > 0 and rng.randoms == len(calls) > events
+
+
+# ---------------------------------------------------------------------------
 # path structure / age dynamics
 # ---------------------------------------------------------------------------
 
@@ -416,3 +557,49 @@ class TestGeneratorL:
                                   dphi_dy=lambda i, y: 0.0)
                 for y in np.linspace(0.0, 3.0, 40)]
         assert np.ptp(vals) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# dynkin_statistics
+# ---------------------------------------------------------------------------
+
+def _dynkin_reference(model, paths, phi, dphi_dy, dt):
+    """One generator call and one trapezoid sum per sojourn."""
+    stats = np.empty(len(paths))
+    for p, rp in enumerate(paths):
+        seg_t = [0.0] + [t for t, _ in rp.events] + [rp.horizon]
+        seg_s = [rp.origin.theta] + [s for _, s in rp.events]
+        seg_y0 = [rp.origin.y] + [0.0] * len(rp.events)
+        integral = 0.0
+        for s0, s1, st_, ya in zip(seg_t[:-1], seg_t[1:], seg_s, seg_y0):
+            n_sub = max(int(np.ceil((s1 - s0) / dt)), 1)
+            ys = ya + np.linspace(0.0, s1 - s0, n_sub + 1)
+            vals = apply_generator_L(model, phi, st_, ys, dphi_dy=dphi_dy)
+            integral += np.trapezoid(vals, dx=(s1 - s0) / n_sub)
+        th_T, y_T = rp.state_at(rp.horizon, side="right")
+        stats[p] = (phi(th_T, y_T) - phi(rp.origin.theta, rp.origin.y)
+                    - integral)
+    return stats
+
+
+class TestDynkinStatistics:
+    @pytest.mark.parametrize("block", [1_000_000, 500])
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_blocks_match_per_sojourn_loop(self, monkeypatch, block,
+                                           analytic):
+        monkeypatch.setattr(semi_markov, "_DYNKIN_BLOCK", block)
+        model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            holding=(WeibullHolding(1.5, 0.5),
+                                     ExponentialHolding(1.0)))
+        paths = sample_regime_paths(model, RegimeState(1, 0.4), 2.0, 150, 59)
+
+        def phi(i, y):
+            return np.cos(y) + i
+
+        def dphi(i, y):
+            return -np.sin(y)
+
+        dphi_dy = dphi if analytic else None
+        got = dynkin_statistics(model, paths, phi, dphi_dy, 1e-2)
+        want = _dynkin_reference(model, paths, phi, dphi_dy, 1e-2)
+        assert got.tobytes() == want.tobytes()

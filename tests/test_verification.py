@@ -16,7 +16,7 @@ from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
 from smjd.verification import (PerturbationFamily, default_perturbation_family,
                                dp_connection_experiment,
                                markov_reduction_experiment,
-                               sufficiency_experiment)
+                               sufficiency_experiment, sufficiency_plan)
 
 
 @pytest.fixture
@@ -166,6 +166,32 @@ class TestSufficiency:
             sufficiency_experiment(dyn, obj, fams, single_regime, x0=2.0,
                                    i0=0, y0=0.0, horizon=1.0, n_paths=4,
                                    dt=0.01, seed=3)
+
+    def test_shared_plan_gives_the_same_report(self, ql_setup, single_regime):
+        model, dyn, pol, obj = ql_setup
+        fams = default_perturbation_family(pol, relative=False, horizon=1.0)
+        plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 40, 0.05, 11)
+        own = self._run(ql_setup, fams, n_paths=40, dt=0.05, rm=single_regime)
+        shared = self._run(ql_setup, fams, n_paths=40, dt=0.05,
+                           rm=single_regime, plan=plan)
+        assert shared.to_dict() == own.to_dict()
+
+    @pytest.mark.parametrize("field,kw", [
+        ("seed", {"seed": 12}), ("dt", {"dt": 0.025}),
+        ("n_paths", {"n_paths": 39}), ("horizon", {"horizon": 2.0}),
+        (r"origin \(i0, y0\)", {"i0": 1}), (r"origin \(i0, y0\)", {"y0": 0.5}),
+    ])
+    def test_plan_for_other_noise_is_refused(self, ql_setup, single_regime,
+                                             field, kw):
+        model, dyn, pol, obj = ql_setup
+        plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 40, 0.05, 11)
+        args = dict(x0=0.5, i0=0, y0=0.0, horizon=1.0, n_paths=40, dt=0.05,
+                    seed=11) | kw
+        fams = [PerturbationFamily(pol, "shift", (0.0,))]
+        with pytest.raises(ValueError,
+                           match=f"plan was built for another {field}: "):
+            sufficiency_experiment(dyn, obj, fams, single_regime, **args,
+                                   plan=plan)
 
     def test_report_serialization(self, ql_setup, single_regime):
         model, dyn, pol, obj = ql_setup
