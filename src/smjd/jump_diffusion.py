@@ -7,10 +7,12 @@ the time grid exactly, so coefficients switch at the true event times.
 The jump integral is uncompensated: at a jump the state moves by
 g(t, X(t-), u(t-), theta(t-), mark).
 
-Coefficient call convention: callables receive a time array ``t`` of shape
-(n,), states ``x`` of shape (n,) for scalar models or (n, r) otherwise,
-controls and regime indices of shape (n,), and must broadcast over the
-leading sample axis.
+Coefficient call convention: scalar-state callables work element by
+element on arguments of one shape (times, states, controls, regime indices,
+marks) and return that shape.  The stepping kernel passes (n,) columns
+(states (n, r) when dim > 1); the Hamiltonian, the generator G and the
+adjoints pass whole ensemble grids, with a trailing mark axis for jump
+integrals.
 
 Simulation has two parts.  :func:`build_plan` draws every path's noise --
 jump times and marks, the event grid, the Brownian increments and the
@@ -122,9 +124,9 @@ class ControlledDynamics:
 
     ``drift``/``vol``/``jump`` have signatures (t, x, u, i) -> like x,
     with ``jump`` additionally taking the mark array as the last argument.
-    For scalar models (dim == 1) all states are flat arrays and ``vol``
-    returns the single diffusion coefficient; for dim > 1, x is (n, r),
-    drift returns (n, r), vol returns (n, r, r) and jump (n, r).
+    For scalar models (dim == 1) states are shaped like the other arguments
+    and ``vol`` returns the single diffusion coefficient; for dim > 1, x is
+    (n, r), drift returns (n, r), vol returns (n, r, r) and jump (n, r).
 
     The ``*_dx`` fields are optional analytic x-derivatives with the same
     signatures; when present, Hamiltonian gradients use them instead of
@@ -276,18 +278,6 @@ def _build_grid(horizon: float, dt: float, regime: RegimePath,
     return grid[(grid >= 0.0) & (grid <= horizon)]
 
 
-def _eval_drift(dyn, t, x, u, i):
-    return np.asarray(dyn.drift(t, x, u, i), dtype=float)
-
-
-def _eval_vol(dyn, t, x, u, i):
-    return np.asarray(dyn.vol(t, x, u, i), dtype=float)
-
-
-def _eval_jump(dyn, t, x, u, i, gamma):
-    return np.asarray(dyn.jump(t, x, u, i, gamma), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Noise plan and stepping kernel
 # ---------------------------------------------------------------------------
@@ -386,8 +376,8 @@ def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
             idx = np.nonzero(jm_k)[0]
             # left-limit regime: every regime event is a grid node, so none
             # lies strictly between nodes k - 1 and k
-            gval = _eval_jump(dyn, tk[idx], x[idx], u_prev[idx],
-                              theta[idx, k - 1], jump_marks[idx, k])
+            gval = dyn.jump(tk[idx], x[idx], u_prev[idx], theta[idx, k - 1],
+                            jump_marks[idx, k])
             x = x.copy()
             x[idx] = x[idx] + gval
         uk = np.asarray(policy.rule(tk, x, theta[:, k], y[:, k]), dtype=float)
@@ -396,8 +386,8 @@ def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
         if k == K - 1:
             break
         delta = dts[:, k]
-        b = _eval_drift(dyn, tk, x, uk, theta[:, k])
-        s = _eval_vol(dyn, tk, x, uk, theta[:, k])
+        b = dyn.drift(tk, x, uk, theta[:, k])
+        s = dyn.vol(tk, x, uk, theta[:, k])
         if scalar:
             x = x + b * delta + s * dW[:, k]
         else:
@@ -528,16 +518,15 @@ def coefficient_regularity_probe(dyn: ControlledDynamics, x_box, n_samples: int,
     us = rng.uniform(*u_box, n_samples)
     ii = rng.choice(states, n_samples)
 
-    b, s = _eval_drift(dyn, ts, xs, us, ii), _eval_vol(dyn, ts, xs, us, ii)
+    b, s = dyn.drift(ts, xs, us, ii), dyn.vol(ts, xs, us, ii)
     num = b ** 2 + s ** 2
-    d2 = ((b - _eval_drift(dyn, ts, ys_, us, ii)) ** 2
-          + (s - _eval_vol(dyn, ts, ys_, us, ii)) ** 2)
+    d2 = ((b - dyn.drift(ts, ys_, us, ii)) ** 2
+          + (s - dyn.vol(ts, ys_, us, ii)) ** 2)
     if dyn.jump is not None:
         # jump sizes at every (sample, mark node) pair, integrated against pi
         gam, w = dyn.marks.nodes()
-        rep = lambda a: np.repeat(a, len(gam))
-        g_at = lambda xv: _eval_jump(dyn, rep(ts), rep(xv), rep(us), rep(ii),
-                                     np.tile(gam, n_samples)).reshape(-1, len(gam))
+        g_at = lambda xv: dyn.jump(*np.broadcast_arrays(
+            *(a[:, None] for a in (ts, xv, us, ii)), gam))
         gx = g_at(xs)
         num = num + dyn.marks.rate * np.sum(gx ** 2 * w, axis=1)
         d2 = d2 + dyn.marks.rate * np.sum((gx - g_at(ys_)) ** 2 * w, axis=1)

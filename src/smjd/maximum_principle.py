@@ -98,15 +98,13 @@ class AdjointPath:
 # Hamiltonian
 # ---------------------------------------------------------------------------
 
-def _as_arrays(t, x, u, i, y):
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    i = np.atleast_1d(np.asarray(i, dtype=int))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = max(a.shape[0] for a in (t, x, u, i, y))
-    bc = lambda a: np.broadcast_to(a, (n,)).copy()
-    return bc(t), bc(x), bc(u), bc(i), bc(y)
+def _points(*args):
+    """Whether every argument (t, x, u, i, y, ...) is a scalar, and the
+    arguments as at least 1-D arrays of their broadcast shape: floats, with
+    the regime ``i`` (the fourth) as integers."""
+    return all(np.ndim(a) == 0 for a in args), np.broadcast_arrays(*(
+        np.atleast_1d(np.asarray(a, dtype=int if k == 3 else float))
+        for k, a in enumerate(args)))
 
 
 def hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
@@ -120,11 +118,7 @@ def hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
     """
     if dyn.dim != 1:
         raise NotImplementedError("Hamiltonian implemented for scalar state")
-    scalar = all(np.ndim(a) == 0 for a in (t, x, u, i, y, adj.p, adj.q))
-    f = lambda a: np.atleast_1d(np.asarray(a, dtype=float))
-    t, x, u, i, y, p, q = np.broadcast_arrays(
-        f(t), f(x), f(u), np.atleast_1d(np.asarray(i, dtype=int)), f(y),
-        f(adj.p), f(adj.q))
+    scalar, (t, x, u, i, y, p, q) = _points(t, x, u, i, y, adj.p, adj.q)
     val = np.zeros(x.shape)
     if objective is not None and objective.running is not None:
         val += np.asarray(objective.running(t, x, u, i, y), dtype=float)
@@ -263,17 +257,15 @@ class ResidualStats:
 
 
 def adjoint_residual(ens: Ensemble, adj: AdjointPath, dyn: ControlledDynamics,
-                     objective: ObjectiveSpec | None = None,
-                     terminal_grad: Callable | None = None) -> ResidualStats:
+                     objective: ObjectiveSpec | None = None) -> ResidualStats:
     """Per-step residuals of the discrete adjoint equation along an ensemble.
 
     R_k = p_{k+1} - p_k - [ -grad_H_k dt_k + q_k dW_k
                             + eta-jump terms against compensated asset jumps
                             + eta-tilde terms against compensated regime jumps ].
 
-    ``terminal_grad(x, i, y)`` evaluates grad_x f2 for the terminal check;
-    when omitted it is taken from ``objective.terminal`` by central
-    difference.
+    The terminal check takes grad_x f2 from ``objective.terminal_dx``, or
+    by central difference from ``objective.terminal``.
     """
     dts = np.diff(ens.t, axis=1)
     grad_H = adj.grad_H
@@ -291,10 +283,7 @@ def adjoint_residual(ens: Ensemble, adj: AdjointPath, dyn: ControlledDynamics,
     mean_step = float(np.mean(np.abs(R[real]))) if real.any() else 0.0
     max_step = float(np.max(np.abs(R[real]))) if real.any() else 0.0
     total = np.sum(np.where(real | (np.abs(R) > 0), R, 0.0), axis=1)
-    if terminal_grad is not None:
-        pT_target = np.asarray(terminal_grad(ens.x[:, -1], ens.theta[:, -1],
-                                             ens.y[:, -1]), dtype=float)
-    elif objective is not None and objective.terminal_dx is not None:
+    if objective is not None and objective.terminal_dx is not None:
         pT_target = np.asarray(objective.terminal_dx(ens.x[:, -1], ens.theta[:, -1],
                                                      ens.y[:, -1]), dtype=float)
     elif objective is not None and objective.terminal is not None:
@@ -361,10 +350,9 @@ def integrability_report(ens_hat: Ensemble, ens_alt: Ensemble,
 
 
 def _vol_nodes(dyn: ControlledDynamics, ens: Ensemble) -> np.ndarray:
-    out = np.empty_like(ens.t)
-    for k in range(ens.t.shape[1]):
-        out[:, k] = dyn.vol(ens.t[:, k], ens.x[:, k], ens.u[:, k], ens.theta[:, k])
-    return out
+    """The diffusion coefficient at every node of a scalar-state ensemble."""
+    return np.broadcast_to(np.asarray(
+        dyn.vol(ens.t, ens.x, ens.u, ens.theta), dtype=float), ens.t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +413,12 @@ def generator_G(V: ValueFunctionStub, t, x, i, y, u, dyn: ControlledDynamics,
           + hazard(i,y) sum_j kernel[i,j] (V(t,x,j,0) - V(t,x,i,y))
           + lam int [V(t, x+g, i, y) - V(t, x, i, y)] dpi.
 
-    Vectorizes over equally-shaped arrays; with exponential holding times
-    and y-free V this reduces to the Markov-chain generator.
+    Points broadcast against each other as in :func:`hamiltonian`; returns
+    an array of their broadcast shape, or a float when every argument is a
+    scalar.  With exponential holding times and y-free V this reduces to
+    the Markov-chain generator.
     """
-    scalar_in = all(np.ndim(a) == 0 for a in (t, x, u, i, y))
-    ta, xa, ua, ia, ya = _as_arrays(t, x, u, i, y)
+    scalar_in, (ta, xa, ua, ia, ya) = _points(t, x, u, i, y)
     b = np.asarray(dyn.drift(ta, xa, ua, ia), dtype=float)
     s = np.asarray(dyn.vol(ta, xa, ua, ia), dtype=float)
     val = (np.asarray(V.v_t(ta, xa, ia, ya), dtype=float)
@@ -439,18 +428,19 @@ def generator_G(V: ValueFunctionStub, t, x, i, y, u, dyn: ControlledDynamics,
     here = np.asarray(V.v(ta, xa, ia, ya), dtype=float)
     val = val + regime_switch_sum(
         model, ia, ya,
-        lambda j, mask: np.asarray(
-            V.v(ta[mask], xa[mask], np.full(mask.sum(), j, dtype=int),
-                np.zeros(mask.sum())), dtype=float) - here[mask])
+        lambda j, sel: np.asarray(
+            V.v(ta[sel], xa[sel], np.full_like(ia[sel], j),
+                np.zeros_like(ya[sel])), dtype=float) - here[sel])
     if dyn.jump is not None:
-        # every point paired with every quadrature node of the marks
+        # every point paired with every quadrature node of the marks, along
+        # a trailing axis
         gam, w = dyn.marks.nodes()
-        tn, xn, un, iN, yn = (np.repeat(a, len(gam)) for a in (ta, xa, ua, ia, ya))
-        x_jump = xn + np.asarray(dyn.jump(tn, xn, un, iN, np.tile(gam, len(ta))),
-                                 dtype=float)
+        tn, xn, un, iN, yn, gn = np.broadcast_arrays(
+            *(a[..., None] for a in (ta, xa, ua, ia, ya)), gam)
+        x_jump = xn + np.asarray(dyn.jump(tn, xn, un, iN, gn), dtype=float)
         shifted = (np.asarray(V.v(tn, x_jump, iN, yn), dtype=float)
-                   .reshape(len(ta), len(gam)) - here[:, None])
-        val = val + dyn.marks.rate * np.sum(shifted * w, axis=1)
+                   - here[..., None])
+        val = val + dyn.marks.rate * np.sum(shifted * w, axis=-1)
     return float(val[0]) if scalar_in else val
 
 
@@ -465,11 +455,7 @@ def dynkin_check(V: ValueFunctionStub, dyn: ControlledDynamics, policy,
     paths = sample_regime_paths(model, RegimeState(i0, y0), horizon, n_paths,
                                 seed)
     ens = simulate_ensemble(dyn, policy, paths, x0, dt, seed)
-    K = ens.t.shape[1]
-    gv = np.empty_like(ens.t)
-    for k in range(K):
-        gv[:, k] = generator_G(V, ens.t[:, k], ens.x[:, k], ens.theta[:, k],
-                               ens.y[:, k], ens.u[:, k], dyn, model)
+    gv = generator_G(V, ens.t, ens.x, ens.theta, ens.y, ens.u, dyn, model)
     dts = np.diff(ens.t, axis=1)
     integral = np.sum(0.5 * (gv[:, 1:] + gv[:, :-1]) * dts, axis=1)
     v_end = np.asarray(V.v(ens.t[:, -1], ens.x[:, -1], ens.theta[:, -1],
@@ -495,8 +481,9 @@ def hjb_residual(V: ValueFunctionStub, objective: ObjectiveSpec,
         val = generator_G(V, t, x, i, y, u, dyn, model)
         if objective.running is None:
             return val
-        f1 = np.asarray(objective.running(*_as_arrays(t, x, u, i, y)), dtype=float)
-        return (float(f1[0]) if np.ndim(val) == 0 else f1) + val
+        scalar, points = _points(t, x, u, i, y)
+        f1 = np.asarray(objective.running(*points), dtype=float)
+        return (float(f1[0]) if scalar else f1) + val
 
     if forced_u is not None:
         return total(forced_u)
@@ -509,7 +496,7 @@ def hjb_residual(V: ValueFunctionStub, objective: ObjectiveSpec,
 def hjb_terminal_mismatch(V: ValueFunctionStub, objective: ObjectiveSpec,
                           horizon: float, x, i, y) -> float:
     """|V(T, x, i, y) - f2(x, i, y)| at the terminal time."""
-    ta, xa, ua, ia, ya = _as_arrays(horizon, x, 0.0, i, y)
+    _, (ta, xa, _, ia, ya) = _points(horizon, x, 0.0, i, y)
     vT = np.asarray(V.v(ta, xa, ia, ya), dtype=float)
     f2 = np.asarray(objective.terminal(xa, ia, ya), dtype=float)
     return float(np.max(np.abs(vT - f2)))

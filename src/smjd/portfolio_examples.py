@@ -44,7 +44,8 @@ from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, ObjectiveSpec)
 from .maximum_principle import AdjointPath
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
-                          RegimeState, regime_switch_sum, sample_regime_paths)
+                          RegimeState, _per_state, intensity_matrix,
+                          regime_switch_sum, sample_regime_paths)
 
 __all__ = [
     "RiskSensitiveModel", "QuadraticLossModel", "RegimeFunctional",
@@ -78,20 +79,9 @@ class RiskSensitiveModel:
     horizon: float
 
     def __post_init__(self):
-        for name in ("r", "mu", "sigma"):
-            object.__setattr__(self, name,
-                               np.atleast_1d(np.asarray(getattr(self, name),
-                                                        dtype=float)))
-        if not (len(self.r) == len(self.mu) == len(self.sigma)):
-            raise ValueError("r, mu, sigma must share one length per regime")
-        if np.any(np.abs(self.sigma) < _SINGULAR_TOL):
-            raise DegenerateVol("sigma must be bounded away from zero")
+        _check_market(self, ("r", "mu", "sigma"))
         if self.gamma == 1.0 or self.gamma <= 0.0:
             raise ValueError("gamma must lie in (0,1) or (1,inf)")
-        if np.any(self.mbar < -1e-12):
-            raise ValueError("market price of risk must be nonnegative")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
 
     @property
     def mbar(self) -> np.ndarray:
@@ -130,16 +120,7 @@ class QuadraticLossModel:
     lambda_variant: str = "literal"
 
     def __post_init__(self):
-        for name in ("r", "mbar", "sigma"):
-            object.__setattr__(self, name,
-                               np.atleast_1d(np.asarray(getattr(self, name),
-                                                        dtype=float)))
-        if not (len(self.r) == len(self.mbar) == len(self.sigma)):
-            raise ValueError("r, mbar, sigma must share one length per regime")
-        if np.any(np.abs(self.sigma) < _SINGULAR_TOL):
-            raise DegenerateVol("sigma must be bounded away from zero")
-        if np.any(self.mbar < -1e-12):
-            raise ValueError("market price of risk must be nonnegative")
+        _check_market(self, ("r", "mbar", "sigma"))
         if (self.marks is None) != (self.jump_coeff is None):
             raise ValueError("marks and jump_coeff go together")
         if self.lambda_variant not in ("literal", "consistent"):
@@ -157,12 +138,18 @@ class QuadraticLossModel:
                     raise ValueError(
                         "jump coefficient must satisfy 1 + g > 0 (wealth "
                         "positivity)")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
 
     @property
     def n_regimes(self) -> int:
         return len(self.r)
+
+    def jump_sizes(self, i, gam) -> np.ndarray:
+        """g(i, gamma) elementwise over broadcast regimes and marks, with
+        one ``jump_coeff`` call per regime present."""
+        i, gam = np.broadcast_arrays(np.asarray(i, dtype=int),
+                                     np.asarray(gam, dtype=float))
+        return _per_state(self.n_regimes, i,
+                          lambda s, mask: self.jump_coeff(s, gam[mask]))
 
     @cached_property
     def jump_moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +169,39 @@ class QuadraticLossModel:
         return self.sigma * self.mbar + rate * self.jump_moments[0]
 
 
+def _check_market(model, names: tuple):
+    """Coerce a market model's per-regime arrays ``names`` and refuse unequal
+    lengths, sigma near 0, mbar < 0 and a nonpositive horizon."""
+    for name in names:
+        object.__setattr__(model, name, np.atleast_1d(
+            np.asarray(getattr(model, name), dtype=float)))
+    if len({len(getattr(model, name)) for name in names}) != 1:
+        raise ValueError(f"{', '.join(names)} must share one length per regime")
+    if np.any(np.abs(model.sigma) < _SINGULAR_TOL):
+        raise DegenerateVol("sigma must be bounded away from zero")
+    if np.any(model.mbar < -1e-12):
+        raise ValueError("market price of risk must be nonnegative")
+    if not model.horizon > 0:
+        raise ValueError("horizon must be positive")
+
+
+def _wealth_dynamics(model, jump=None) -> ControlledDynamics:
+    """dX = (r X + u sigma mbar) dt + u sigma dW (+ the asset jump ``jump``
+    on ``model.marks``), the wealth of both worked problems."""
+    r, s, m = model.r, model.sigma, model.mbar
+    return ControlledDynamics(
+        dim=1,
+        drift=lambda t, x, u, i: r[i] * x + u * s[i] * m[i],
+        vol=lambda t, x, u, i: u * s[i],
+        jump=jump,
+        marks=None if jump is None else model.marks,
+        drift_dx=lambda t, x, u, i: r[i] * np.ones_like(x),
+        vol_dx=lambda t, x, u, i: np.zeros_like(x),
+        jump_dx=(None if jump is None else
+                 lambda t, x, u, i, gam: np.zeros_like(np.asarray(x, dtype=float))),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Regime functional on a (t, regime, age) grid
 # ---------------------------------------------------------------------------
@@ -192,7 +212,8 @@ class RegimeFunctional:
 
     ``values`` has shape (n_t, M, n_y); ``se`` carries the Monte Carlo
     standard error per grid node and ``n_paths`` the sample size used.
-    Queries clamp t and y to the grid range.
+    Queries clamp t and y to the grid range; a call returns the broadcast
+    shape of its (t, i, y) query, at least 1-D.
     """
 
     t_nodes: np.ndarray
@@ -236,7 +257,7 @@ class RegimeFunctional:
 def _clamped_weights(nodes: np.ndarray, x: np.ndarray):
     """Lower index and fractional weight for linear interpolation, clamped."""
     if len(nodes) == 1:
-        return np.zeros(len(x), dtype=int), np.zeros(len(x))
+        return np.zeros(np.shape(x), dtype=int), np.zeros(np.shape(x))
     # np.clip without its Python-level dispatch; this argument order gives
     # np.clip's result bit for bit, signed zeros and NaN included
     xc = np.minimum(nodes[-1], np.maximum(nodes[0], x))
@@ -375,10 +396,7 @@ def _expm_functional(regime_model: RegimeModel, rates: np.ndarray, scale,
         raise ValueError("matrix-exponential functionals require exponential "
                          "holding times in every state")
     M = regime_model.n_states
-    Q = (np.array([h.rate for h in regime_model.holding])[:, None]
-         * regime_model.kernel)
-    np.fill_diagonal(Q, 0.0)
-    Q[np.diag_indices(M)] = -Q.sum(axis=1)
+    Q = intensity_matrix(regime_model, 0.0)
     if variant == "literal":
         gen, read = Q + rates[:, :, None] * np.eye(M), np.ones(M)
     else:
@@ -408,14 +426,7 @@ def rs_policy(model: RiskSensitiveModel) -> ControlPolicy:
 
 
 def rs_dynamics(model: RiskSensitiveModel) -> ControlledDynamics:
-    r, s, m = model.r, model.sigma, model.mbar
-    return ControlledDynamics(
-        dim=1,
-        drift=lambda t, x, u, i: r[i] * x + u * s[i] * m[i],
-        vol=lambda t, x, u, i: u * s[i],
-        drift_dx=lambda t, x, u, i: r[i] * np.ones_like(x),
-        vol_dx=lambda t, x, u, i: np.zeros_like(x),
-    )
+    return _wealth_dynamics(model)
 
 
 def rs_objective(model: RiskSensitiveModel) -> ObjectiveSpec:
@@ -538,9 +549,8 @@ def rs_adjoint(model: RiskSensitiveModel, ens: Ensemble,
     t, x, th, y, u = ens.t, ens.x, ens.theta, ens.y, ens.u
 
     def p_of(tv, xv, iv, yv):
-        F = phi(tv.ravel(), iv.ravel(), yv.ravel()).reshape(tv.shape)
-        base = xv ** (g - 1.0)
-        return base * (np.exp(F) if variant == "integral" else F)
+        F = phi(tv, iv, yv)
+        return xv ** (g - 1.0) * (np.exp(F) if variant == "integral" else F)
 
     p = p_of(t, x, th, y)
     frac = np.divide(u, x, out=np.zeros_like(u), where=x != 0.0)
@@ -556,7 +566,7 @@ def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of):
 
     The realized jump integrand is evaluated at the event time with the
     left-limit age; the compensator at the left node.  ``p_of(t, x, i, y)``
-    evaluates the adjoint ansatz on arrays.
+    evaluates the adjoint ansatz at broadcast points.
     """
     t, x, th, y = ens.t, ens.x, ens.theta, ens.y
     n, K = t.shape
@@ -570,8 +580,7 @@ def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of):
 
     def jump_to(j, mask):
         if j not in diffs:
-            diffs[j] = p_of(tl[mask], xl[mask], np.full(mask.sum(), j, dtype=int),
-                            np.zeros(mask.sum())) - p_here[mask]
+            diffs[j] = p_of(tl[mask], xl[mask], j, 0.0) - p_here[mask]
         return diffs[j]
 
     etc = regime_switch_sum(regime_model, thl, yl, jump_to)
@@ -580,10 +589,9 @@ def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of):
     switched = th[:, 1:] != thl
     rows, cols = np.nonzero(switched)
     if rows.size:
-        te = t[rows, cols + 1]
-        xe = x[rows, cols + 1]
+        te, xe = t[rows, cols + 1], x[rows, cols + 1]
         left_age = yl[rows, cols] + dts[rows, cols]
-        p_new = p_of(te, xe, th[rows, cols + 1], np.zeros_like(te))
+        p_new = p_of(te, xe, th[rows, cols + 1], 0.0)
         p_old = p_of(te, xe, thl[rows, cols], left_age)
         etj[rows, cols] = p_new - p_old
     return etj, etc, ets
@@ -660,31 +668,9 @@ def _ql_rates(model: QuadraticLossModel, i, phi_value) -> tuple:
 
 
 def ql_dynamics(model: QuadraticLossModel) -> ControlledDynamics:
-    r, s, m = model.r, model.sigma, model.mbar
-    jump = None
-    if model.marks is not None:
-        g_fn = model.jump_coeff
-
-        def jump(t, x, u, i, gam):  # noqa: F811 - conditional definition
-            vals = np.empty_like(np.asarray(u, dtype=float))
-            ii = np.asarray(i, dtype=int)
-            for st in np.unique(ii):
-                mask = ii == st
-                vals[mask] = np.asarray(u, dtype=float)[mask] * np.asarray(
-                    g_fn(int(st), np.asarray(gam, dtype=float)[mask]), dtype=float)
-            return vals
-
-    return ControlledDynamics(
-        dim=1,
-        drift=lambda t, x, u, i: r[i] * x + u * s[i] * m[i],
-        vol=lambda t, x, u, i: u * s[i],
-        jump=jump,
-        marks=model.marks,
-        drift_dx=lambda t, x, u, i: r[i] * np.ones_like(x),
-        vol_dx=lambda t, x, u, i: np.zeros_like(x),
-        jump_dx=(None if jump is None else
-                 lambda t, x, u, i, gam: np.zeros_like(np.asarray(x, dtype=float))),
-    )
+    return _wealth_dynamics(model, None if model.marks is None else (
+        lambda t, x, u, i, gam: np.asarray(u, dtype=float)
+        * model.jump_sizes(i, gam)))
 
 
 def ql_objective(model: QuadraticLossModel) -> ObjectiveSpec:
@@ -753,9 +739,7 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
                                        np.zeros(shape[1:]), 0)
 
             def rates(tv, iv, yv):  # (c_phi, c_psi) at the current phi iterate
-                tv, iv, yv = np.broadcast_arrays(tv, iv, yv)
-                pv = phi_now(tv.ravel(), iv.ravel(), yv.ravel())
-                return _ql_rates(model, iv, pv.reshape(iv.shape))
+                return _ql_rates(model, iv, phi_now(tv, iv, yv))
 
             fresh, se = _fk_grid(
                 lambda i, b: _grid_cumulative(*sampled[i][b], t_nodes, rates),
@@ -803,8 +787,6 @@ def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):
     """
     phi, psi = functionals[0], functionals[1]
     _check_shared_grid(phi, psi)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    i = np.atleast_1d(np.asarray(i, dtype=int))
     w = phi.weights(t, y)
     pv = phi.gather(w, i)
     sv = psi.gather(w, i)
@@ -836,21 +818,23 @@ def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
     p = phi X + psi, q = u phi sigma, asset-jump integrand eta = u phi g
     evaluated at realized marks, regime-jump integrand the (X-weighted phi
     difference + psi difference) across the event.  Compensator rates use
-    the path's left-node values.
+    the path's left-node values.  Refuses (phi, psi) on different grids;
+    each evaluation interpolates both with one set of weights.
     """
     phi, psi = functionals[0], functionals[1]
+    _check_shared_grid(phi, psi)
     t, x, th, y, u = ens.t, ens.x, ens.theta, ens.y, ens.u
 
-    def p_of(tv, xv, iv, yv):
-        F = phi(tv.ravel(), iv.ravel(), yv.ravel()).reshape(tv.shape)
-        S = psi(tv.ravel(), iv.ravel(), yv.ravel()).reshape(tv.shape)
-        return F * xv + S
+    def phi_p(tv, xv, iv, yv):  # phi and p = phi x + psi, one set of weights
+        w = phi.weights(tv, yv)
+        F = phi.gather(w, iv)
+        return F, F * xv + psi.gather(w, iv)
 
-    phiv = phi(t.ravel(), th.ravel(), y.ravel()).reshape(t.shape)
-    p = p_of(t, x, th, y)
+    phiv, p = phi_p(t, x, th, y)
     q = u * phiv * model.sigma[th]
     grad_H = model.r[th[:, :-1]] * p[:, :-1]
-    etj, etc, ets = _regime_jump_slots(regime_model, ens, p_of)
+    etj, etc, ets = _regime_jump_slots(regime_model, ens,
+                                       lambda *a: phi_p(*a)[1])
 
     eta_jump = eta_comp = eta_sq = None
     if model.marks is not None:
@@ -864,15 +848,10 @@ def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
         jm = ens.jump_mask[:, 1:]
         rows, cols = np.nonzero(jm)
         if rows.size:
-            phie = phiv[rows, cols + 1]
-            gvals = np.empty(rows.size)
-            for s in np.unique(th[rows, cols]):
-                mask = th[rows, cols] == s
-                gvals[mask] = np.asarray(
-                    model.jump_coeff(int(s),
-                                     ens.jump_marks[rows[mask], cols[mask] + 1]),
-                    dtype=float)
-            eta_jump[rows, cols] = u[rows, cols] * phie * gvals
+            eta_jump[rows, cols] = (u[rows, cols] * phiv[rows, cols + 1]
+                                    * model.jump_sizes(
+                                        th[rows, cols],
+                                        ens.jump_marks[rows, cols + 1]))
     return AdjointPath(p=p, q=q, eta_jump=eta_jump, eta_comp=eta_comp,
                        eta_sq_comp=eta_sq, etatilde_jump=etj,
                        etatilde_comp=etc, etatilde_sq_comp=ets, grad_H=grad_H)

@@ -339,28 +339,39 @@ def hazard_rate(model: RegimeModel, i: int, y):
 def regime_switch_sum(model: RegimeModel, i, y, change):
     """Hazard-weighted regime-switch term, elementwise over states and ages:
 
-        hazard(i, y) * sum_{j != i} kernel[i, j] * change(j, mask)
+        hazard(i, y) * sum_{j != i} kernel[i, j] * change(j, sel)
 
-    ``change(j, mask)`` is the change of a quantity on a switch to state j,
-    such as phi(j, 0) - phi(i, y), at the points selected by the boolean
-    array ``mask`` (those with kernel[i, j] > 0).  The term appears in the
-    (state, age) generator, in the generator of (t, X, theta, Y) and in the
-    regime-jump compensators of the adjoints.
+    ``change(j, sel)`` is the change of a quantity on a switch to state j,
+    such as phi(j, 0) - phi(i, y), at the points that index ``sel`` picks
+    out of arrays shaped like the query: the boolean mask of the points with
+    kernel[i, j] > 0, or ``...`` (every point) when ``i`` is one state.
+    The term appears in the (state, age) generator, in the generator of
+    (t, X, theta, Y) and in the regime-jump compensators of the adjoints.
     """
-    i, y = np.broadcast_arrays(np.asarray(i, dtype=int),
-                               np.asarray(y, dtype=float))
-    acc = np.zeros(i.shape)
+    one = np.ndim(i) == 0  # one kernel entry per j, one hazard call
+    i, y = ((int(i), np.asarray(y, dtype=float)) if one else
+            np.broadcast_arrays(np.asarray(i, dtype=int),
+                                np.asarray(y, dtype=float)))
+    acc = np.zeros(y.shape)
     for j in range(model.n_states):
         w = model.kernel[i, j]
         mask = w != 0.0
         if mask.any():
-            acc[mask] += w[mask] * change(j, mask)
-    haz = np.empty(i.shape)
-    for s in range(model.n_states):
+            sel = ... if one else mask
+            acc[sel] += w[sel] * change(j, sel)
+    return acc * (hazard_rate(model, i, y) if one else _per_state(
+        model.n_states, i, lambda s, mask: hazard_rate(model, s, y[mask])))
+
+
+def _per_state(n_states: int, i: np.ndarray, value) -> np.ndarray:
+    """Array shaped like the regimes ``i`` holding ``value(s, mask)`` at the
+    points ``mask`` where i == s; one call per state present, in order."""
+    out = np.empty(np.shape(i))
+    for s in range(n_states):
         mask = i == s
         if mask.any():
-            haz[mask] = hazard_rate(model, s, y[mask])
-    return haz * acc
+            out[mask] = value(s, mask)
+    return out
 
 
 def intensity_matrix(model: RegimeModel, y: float) -> np.ndarray:
@@ -573,7 +584,7 @@ def apply_generator_L(model: RegimeModel, phi: Callable[[int, float], float],
         dval = (hi - lo) / (h + step)
     here = np.broadcast_to(np.asarray(phi(i, y_arr), dtype=float), y_arr.shape)
     out = np.asarray(dval, dtype=float) + regime_switch_sum(
-        model, i, y_arr, lambda j, mask: phi(j, 0.0) - here[mask])
+        model, i, y_arr, lambda j, sel: phi(j, 0.0) - here[sel])
     return float(out) if np.ndim(y) == 0 else out
 
 
@@ -616,11 +627,8 @@ def _dynkin_block(model, paths, phi, dphi_dy, dt) -> np.ndarray:
     ages[last] = length
     ages += np.repeat(y0, counts)
     node_state = np.repeat(states, counts)
-    L = np.empty_like(ages)
-    for st in np.unique(states):
-        mask = node_state == st
-        L[mask] = apply_generator_L(model, phi, int(st), ages[mask],
-                                    dphi_dy=dphi_dy)
+    L = _per_state(model.n_states, node_state, lambda s, mask: (
+        apply_generator_L(model, phi, s, ages[mask], dphi_dy=dphi_dy)))
     # trapezoid terms, without the pairs that straddle two sojourns
     terms = np.delete(np.repeat(step, counts)[1:] * (L[1:] + L[:-1]) / 2.0,
                       last[:-1])

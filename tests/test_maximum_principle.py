@@ -309,6 +309,27 @@ class TestGeneratorG:
                           exp2_model)
         assert val == pytest.approx(0.09, rel=1e-5)
 
+    def test_grid_call_equals_column_calls_bit_for_bit(self, exp2_model):
+        # a two-regime model with asset jumps: the (n, K) call keeps its
+        # shape and every column equals the column-by-column call
+        marks = MarkMeasure(rate=1.5, atoms=np.array([-0.1, 0.2]),
+                            weights=np.array([0.3, 0.7]))
+        dyn = ControlledDynamics(
+            dim=1, drift=lambda t, x, u, i: (0.1 + 0.2 * i) * x + u,
+            vol=lambda t, x, u, i: 0.3 * x + 0.1 * u * (1 + i),
+            jump=lambda t, x, u, i, g: (1.0 + i) * g * x, marks=marks)
+        V = ValueFunctionStub(v=lambda t, x, i, y: (np.sin(x) * (1 + i)
+                                                    + np.exp(-t) * y ** 2))
+        rng = np.random.default_rng(2)
+        t, x, u, y = (rng.uniform(0.0, 1.0, (6, 4)) for _ in range(4))
+        i = rng.integers(0, 2, (6, 4))
+        grid = generator_G(V, t, x, i, y, u, dyn, exp2_model)
+        assert grid.shape == (6, 4)
+        cols = np.stack([generator_G(V, t[:, k], x[:, k], i[:, k], y[:, k],
+                                     u[:, k], dyn, exp2_model)
+                         for k in range(4)], axis=1)
+        assert np.array_equal(grid.view(np.int64), cols.view(np.int64))
+
     def test_dynkin_gap_for_martingale(self, single_regime):
         dyn = ControlledDynamics(dim=1,
                                  drift=lambda t, x, u, i: 0.3 * x,

@@ -424,6 +424,23 @@ class TestRegimeFunctional:
             with pytest.raises(IndexError, match="regime"):
                 f(0.5, regime, 0.0)
 
+    @pytest.mark.parametrize("n_t, n_y", [(11, 4), (1, 4), (11, 1), (1, 1)])
+    def test_grid_query_keeps_its_shape_bit_for_bit(self, n_t, n_y):
+        # an (n, K) query equals the flattened call, on one-node grids too
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(n_t, 2, n_y))
+        f = RegimeFunctional(np.linspace(0.0, 1.0, n_t),
+                             np.linspace(0.0, 1.5, n_y), values,
+                             np.zeros_like(values), 0)
+        t = rng.uniform(-0.2, 1.2, (7, 5))
+        y = rng.uniform(-0.2, 1.7, (7, 5))
+        i = rng.integers(0, 2, (7, 5))
+        flat = f(t.ravel(), i.ravel(), y.ravel())
+        for got in (f(t, i, y), f(t[:1], i, y), f(t, 1, y[:, :1])):
+            assert got.shape == (7, 5)
+        got = f(t, i, y)
+        assert np.array_equal(got.ravel().view(np.int64), flat.view(np.int64))
+
 
 class TestQlControl:
     def test_policy_refuses_functionals_on_different_grids(
@@ -471,6 +488,21 @@ class TestQlControl:
 
 
 class TestQlAdjoint:
+    def test_refuses_functionals_on_different_grids(
+            self, ql_nojump_single, single_regime):
+        phi, _ = ql_phi_psi_markov(ql_nojump_single, single_regime,
+                                   np.linspace(0.0, 1.0, 101))
+        _, psi = ql_phi_psi_markov(ql_nojump_single, single_regime,
+                                   np.linspace(0.0, 1.0, 51))
+        fns = (phi, phi)
+        ens = simulate_ensemble(ql_dynamics(ql_nojump_single),
+                                ql_policy(ql_nojump_single, fns),
+                                _paths(single_regime, 3, 1.0, 1), x0=0.9,
+                                dt=0.1, seed=1)
+        ql_adjoint(ql_nojump_single, ens, fns, single_regime)
+        with pytest.raises(ValueError, match="grid"):
+            ql_adjoint(ql_nojump_single, ens, (phi, psi), single_regime)
+
     def _setup(self, variant, dt, n_paths, seed):
         model = _ql_jump_model(variant)
         rm = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
