@@ -12,7 +12,10 @@ element on arguments of one shape (times, states, controls, regime indices,
 marks) and return that shape.  The stepping kernel passes (n,) columns
 (states (n, r) when dim > 1); the Hamiltonian, the generator G and the
 adjoints pass whole ensemble grids, with a trailing mark axis for jump
-integrals.
+integrals.  The kernel calls the policy rule once per grid column on the
+(n,) t, regime and age columns and the state; it keeps a returned float64
+(n,) array as it is, never writing into it, and copies anything else that
+broadcasts to (n,) (a Python scalar, a 0-d or integer array) to float.
 
 Simulation has two parts.  :func:`build_plan` draws every path's noise --
 jump times and marks, the event grid, the Brownian increments and the
@@ -380,8 +383,9 @@ def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
                             jump_marks[idx, k])
             x = x.copy()
             x[idx] = x[idx] + gval
-        uk = np.asarray(policy.rule(tk, x, theta[:, k], y[:, k]), dtype=float)
-        uk = np.broadcast_to(uk, (n,)).astype(float)
+        uk = policy.rule(tk, x, theta[:, k], y[:, k])
+        if type(uk) is not np.ndarray or uk.dtype != float or uk.shape != (n,):
+            uk = np.broadcast_to(np.asarray(uk, dtype=float), (n,)).astype(float)
         xs[:, k], us[:, k] = x, uk
         if k == K - 1:
             break

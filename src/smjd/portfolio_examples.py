@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -210,10 +210,12 @@ def _wealth_dynamics(model, jump=None) -> ControlledDynamics:
 class RegimeFunctional:
     """Scalar functional of (t, regime, age) with bilinear interpolation.
 
-    ``values`` has shape (n_t, M, n_y); ``se`` carries the Monte Carlo
-    standard error per grid node and ``n_paths`` the sample size used.
-    Queries clamp t and y to the grid range; a call returns the broadcast
-    shape of its (t, i, y) query, at least 1-D.
+    ``values`` has shape (..., n_t, M, n_y), leading axes stacking
+    functionals one query reads together; ``se`` is the Monte Carlo SE per
+    node and ``n_paths`` the sample size.  Queries clamp t and y to the
+    grid; a call returns the leading axes, then the broadcast (t, i, y)
+    shape, at least 1-D.  Node gaps are built once; a query builds per-axis
+    weights, combines their corners and gathers, each step a method.
     """
 
     t_nodes: np.ndarray
@@ -226,45 +228,54 @@ class RegimeFunctional:
         return self.gather(self.weights(t, y), i)
 
     def weights(self, t, y) -> tuple:
-        """Bilinear weights of the query points (t, y): the flat positions
-        in ``values`` of the four corners at regime 0, and the four corner
-        coefficients.  They serve every functional whose ``values`` has
-        this one's shape and whose grid is this one's."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        it, wt = _clamped_weights(self.t_nodes, t)
-        iy, wy = _clamped_weights(self.y_nodes, y)
-        it2 = np.minimum(it + 1, len(self.t_nodes) - 1)
-        iy2 = np.minimum(iy + 1, len(self.y_nodes) - 1)
-        stride = self.values.shape[1] * self.values.shape[2]
-        row, row2 = it * stride, it2 * stride
-        return ((row + iy, row2 + iy, row + iy2, row2 + iy2),
-                ((1 - wt) * (1 - wy), wt * (1 - wy), (1 - wt) * wy, wt * wy))
+        """Bilinear weights of the points (t, y) on this grid: each lower
+        corner's flat position at regime 0, the steps to the upper t and y
+        neighbours (0 on a one-node axis), the four corner coefficients."""
+        return self.corners(self.axis_weights(0, t), self.axis_weights(1, y))
+
+    def axis_weights(self, axis: int, q) -> tuple:
+        """Lower node index and lower and upper node weights of the queries
+        ``q`` on the t (0) or the y (1) axis, clamped to its nodes."""
+        nodes, inner, gaps = self._axes[axis]
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        if len(nodes) == 1:
+            w = np.zeros(q.shape)
+            return np.zeros(q.shape, dtype=int), 1 - w, w
+        # np.clip without its Python-level dispatch; this argument order gives
+        # np.clip's result bit for bit, signed zeros and NaN included
+        qc = np.minimum(nodes[-1], np.maximum(nodes[0], q))
+        # interior nodes at or below qc: the lower index, in 0..len(nodes) - 2
+        idx = np.searchsorted(inner, qc, side="right")
+        w = (qc - nodes[idx]) / gaps[idx]
+        return idx, 1 - w, w
+
+    def corners(self, t_part, y_part) -> tuple:
+        """:meth:`weights` from broadcasting t and y :meth:`axis_weights`."""
+        (it, wt0, wt1), (iy, wy0, wy1) = t_part, y_part
+        n_t, M, n_y = self.values.shape[-3:]
+        stride = M * n_y
+        return ((it * stride + iy, stride * (n_t > 1), int(n_y > 1)),
+                (wt0 * wy0, wt1 * wy0, wt0 * wy1, wt1 * wy1))
 
     def gather(self, weights: tuple, i):
         """Values at regime ``i`` of the points whose :meth:`weights` are
         given."""
-        (k00, k10, k01, k11), (c00, c10, c01, c11) = weights
+        (k, dt, dy), (c00, c10, c01, c11) = weights
         i = np.atleast_1d(np.asarray(i, dtype=int))
-        n_t, M, n_y = self.values.shape
+        *lead, n_t, M, n_y = self.values.shape
         if i.size and (i.min() < 0 or i.max() >= M):
             raise IndexError(f"regime index outside 0..{M - 1}")
-        v, off = self.values.ravel(), i * n_y
-        return (c00 * v[k00 + off] + c10 * v[k10 + off]
-                + c01 * v[k01 + off] + c11 * v[k11 + off])
+        v = self.values.reshape(*lead, -1)
+        k00 = k + i * n_y
+        k01 = k00 + dy
+        return (c00 * v.take(k00, axis=-1) + c10 * v.take(k00 + dt, axis=-1)
+                + c01 * v.take(k01, axis=-1) + c11 * v.take(k01 + dt, axis=-1))
 
-
-def _clamped_weights(nodes: np.ndarray, x: np.ndarray):
-    """Lower index and fractional weight for linear interpolation, clamped."""
-    if len(nodes) == 1:
-        return np.zeros(np.shape(x), dtype=int), np.zeros(np.shape(x))
-    # np.clip without its Python-level dispatch; this argument order gives
-    # np.clip's result bit for bit, signed zeros and NaN included
-    xc = np.minimum(nodes[-1], np.maximum(nodes[0], x))
-    idx = np.minimum(len(nodes) - 2, np.maximum(
-        0, np.searchsorted(nodes, xc, side="right") - 1))
-    w = (xc - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    return idx, w
+    @cached_property
+    def _axes(self) -> tuple:
+        """(nodes, interior nodes, node gaps) of the t and of the y axis."""
+        return tuple((nodes, nodes[1:-1], np.diff(nodes))
+                     for nodes in (self.t_nodes, self.y_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +309,6 @@ def _sampled_states(paths: Sequence[RegimePath], v_nodes: np.ndarray):
     for p, rp in enumerate(paths):
         th[p], yy[p] = rp.state_at(v_nodes, side="right")
     return th, yy
-
-
-def _grid_cumulative(th: np.ndarray, yy: np.ndarray, t_nodes: np.ndarray,
-                     rates) -> np.ndarray:
-    """cum[r, p, a] = trapezoid of c_r(t_a + v, state at v) over v in
-    [0, T - t_a], for the rates (c_0, c_1, ...) = ``rates(t, theta, y)``.
-
-    Requires a uniform t-grid; ``rates`` broadcasts and is called once per
-    start node for all of its rates.
-    """
-    n_t = th.shape[1]
-    h = t_nodes[1] - t_nodes[0]
-    cols = []
-    for a in range(n_t - 1):
-        m = n_t - a
-        vals = np.stack(rates(t_nodes[a:a + m][None, :], th[:, :m],
-                              yy[:, :m]))
-        cols.append(np.sum(0.5 * (vals[..., 1:] + vals[..., :-1]) * h,
-                           axis=-1))
-    cols.append(np.zeros_like(cols[0]))  # empty integral at the horizon
-    return np.stack(cols, axis=-1)
 
 
 def _check_regime_count(model, regime_model: RegimeModel):
@@ -556,17 +546,17 @@ def rs_adjoint(model: RiskSensitiveModel, ens: Ensemble,
     frac = np.divide(u, x, out=np.zeros_like(u), where=x != 0.0)
     q = (g - 1.0) * frac * model.sigma[th] * p
     grad_H = model.r[th[:, :-1]] * p[:, :-1]
-    etj, etc, ets = _regime_jump_slots(regime_model, ens, p_of)
+    etj, etc, ets = _regime_jump_slots(regime_model, ens, p_of, p)
     return AdjointPath(p=p, q=q, etatilde_jump=etj, etatilde_comp=etc,
                        etatilde_sq_comp=ets, grad_H=grad_H)
 
 
-def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of):
+def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of, p):
     """Regime-event jump integrand, compensator rate, and squared rate.
 
     The realized jump integrand is evaluated at the event time with the
     left-limit age; the compensator at the left node.  ``p_of(t, x, i, y)``
-    evaluates the adjoint ansatz at broadcast points.
+    evaluates the adjoint ansatz at broadcast points, ``p`` on the grid.
     """
     t, x, th, y = ens.t, ens.x, ens.theta, ens.y
     n, K = t.shape
@@ -575,7 +565,7 @@ def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of):
         return etj, np.zeros((n, K - 1)), np.zeros((n, K - 1))
     tl, xl, thl, yl = t[:, :-1], x[:, :-1], th[:, :-1], y[:, :-1]
     dts = np.diff(t, axis=1)
-    p_here = p_of(tl, xl, thl, yl)
+    p_here = p[:, :-1]
     diffs = {}  # change of p on a switch to j; both sums use the same masks
 
     def jump_to(j, mask):
@@ -731,19 +721,37 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
             scale, "literal")
         trace = [float(np.max(np.abs(vals - guess)))]
     else:
+        # phi is queried at t nodes and sampled ages that stay fixed across
+        # iterations: t weights once per grid, age weights per start node
         sampled = [[_sampled_states(paths[i][b], t_nodes) for b in range(n_y)]
                    for i in range(M)]
+        phi_now = RegimeFunctional(t_nodes, y_nodes, guess[0],
+                                   np.zeros(shape[1:]), 0)
+        t_part = phi_now.axis_weights(0, t_nodes)
+        y_parts = [[phi_now.axis_weights(1, yy) for _, yy in row]
+                   for row in sampled]
+        n_t, h = len(t_nodes), t_nodes[1] - t_nodes[0]
+
+        def cumulative(i, b):
+            """cum[r, p, a]: trapezoid over v in [0, T - t_a] of the rate
+            c_r(t_a + v, state at v) at the current phi iterate, for the
+            rates (c_phi, c_psi)."""
+            th, y_part, cols = sampled[i][b][0], y_parts[i][b], []
+            for a in range(n_t - 1):
+                m = n_t - a
+                w = phi_now.corners([v[a:a + m] for v in t_part],
+                                    [v[:, :m] for v in y_part])
+                vals = np.stack(_ql_rates(model, th[:, :m],
+                                          phi_now.gather(w, th[:, :m])))
+                cols.append(np.sum(0.5 * (vals[..., 1:] + vals[..., :-1]) * h,
+                                   axis=-1))
+            cols.append(np.zeros_like(cols[0]))  # empty integral at horizon
+            return np.stack(cols, axis=-1)
+
         vals, trace = guess, []
         for _ in range(max_iter):
-            phi_now = RegimeFunctional(t_nodes, y_nodes, vals[0],
-                                       np.zeros(shape[1:]), 0)
-
-            def rates(tv, iv, yv):  # (c_phi, c_psi) at the current phi iterate
-                return _ql_rates(model, iv, phi_now(tv, iv, yv))
-
-            fresh, se = _fk_grid(
-                lambda i, b: _grid_cumulative(*sampled[i][b], t_nodes, rates),
-                shape, scale, "literal")
+            phi_now.values = vals[0]
+            fresh, se = _fk_grid(cumulative, shape, scale, "literal")
             new = (1 - _QL_DAMPING) * vals + _QL_DAMPING * fresh
             trace.append(float(np.max(np.abs(new - vals))))
             vals = new
@@ -781,19 +789,20 @@ def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):
     """Linear hedging rule u = (Lam_t / Lam) (x + psi / phi), vectorized.
 
     ``functionals`` is the (phi, psi) pair, which must share one
-    (t, regime, y) grid (ValueError otherwise): the interpolation weights
-    are computed once and serve both.  Raises SingularPhi when the
-    interpolated phi is numerically zero.
+    (t, regime, y) grid (ValueError otherwise), or the lookup
+    :func:`ql_policy` builds from it once per policy (a pair is made into
+    one per call).  Per call: one interpolation of phi and psi together,
+    SingularPhi when phi is numerically zero there, and the per-regime
+    slope Lam_t / Lam, or :func:`ql_lambda_factors` per point when phi
+    enters Lam (the literal variant with jumps).
     """
-    phi, psi = functionals[0], functionals[1]
-    _check_shared_grid(phi, psi)
-    w = phi.weights(t, y)
-    pv = phi.gather(w, i)
-    sv = psi.gather(w, i)
-    if np.any(np.abs(pv) < _SINGULAR_TOL):
+    rule = _ql_rule(model, functionals)
+    pv, sv = rule.table(t, i, y)
+    if (np.abs(pv) < _SINGULAR_TOL).any():
         raise SingularPhi("phi is numerically zero at a queried node")
-    lam_t, lam = ql_lambda_factors(model, t, i, y, pv)
-    return (lam_t / lam) * (x + sv / pv)
+    slope = (np.divide(*ql_lambda_factors(model, t, i, y, pv))
+             if rule.slope is None else rule.slope[np.asarray(i, dtype=int)])
+    return slope * (x + sv / pv)
 
 
 def _check_shared_grid(phi: RegimeFunctional, psi: RegimeFunctional):
@@ -804,11 +813,38 @@ def _check_shared_grid(phi: RegimeFunctional, psi: RegimeFunctional):
         raise ValueError("phi and psi must sit on one (t, regime, y) grid")
 
 
+class _QlRule(NamedTuple):
+    """What the hedging rule reads that depends neither on x nor on the
+    queried points: phi and psi stacked on their grid, and the per-regime
+    slope, None when phi enters Lam or a regime's Lam is singular (the
+    per-point factors then raise for queried regimes only)."""
+    table: RegimeFunctional
+    slope: np.ndarray | None
+
+
+def _ql_rule(model: QuadraticLossModel, functionals) -> _QlRule:
+    if isinstance(functionals, _QlRule):
+        return functionals
+    phi, psi = functionals[0], functionals[1]
+    _check_shared_grid(phi, psi)
+    slope = None
+    if not _ql_phi_feeds_back(model):
+        try:
+            slope = np.divide(*ql_lambda_factors(
+                model, 0.0, np.arange(model.n_regimes), 0.0, -2.0))
+        except SingularDenominator:
+            pass
+    return _QlRule(RegimeFunctional(
+        phi.t_nodes, phi.y_nodes, np.stack([phi.values, psi.values]),
+        np.stack([phi.se, psi.se]), phi.n_paths), slope)
+
+
 def ql_policy(model: QuadraticLossModel, functionals) -> ControlPolicy:
-    """The hedging rule as a policy; refuses (phi, psi) on different grids."""
-    _check_shared_grid(functionals[0], functionals[1])
+    """The hedging rule as a policy; the grid check (ValueError for (phi,
+    psi) on different grids), stacked table and slope are built once here."""
+    rule = _ql_rule(model, functionals)
     return ControlPolicy(
-        rule=lambda t, x, i, y: ql_optimal_control(model, t, x, i, y, functionals))
+        rule=lambda t, x, i, y: ql_optimal_control(model, t, x, i, y, rule))
 
 
 def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
@@ -834,7 +870,7 @@ def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
     q = u * phiv * model.sigma[th]
     grad_H = model.r[th[:, :-1]] * p[:, :-1]
     etj, etc, ets = _regime_jump_slots(regime_model, ens,
-                                       lambda *a: phi_p(*a)[1])
+                                       lambda *a: phi_p(*a)[1], p)
 
     eta_jump = eta_comp = eta_sq = None
     if model.marks is not None:

@@ -1,4 +1,5 @@
 """Controlled paths: Euler stepping, event-grid exactness, objectives."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,59 @@ class TestNoisePlan:
         for name in ("t", "dW", "jump_mask", "jump_marks", "theta", "y"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(plan, name)[0, 0] = 1
+
+
+class TestRuleContract:
+    """The stepping kernel calls ``policy.rule`` once per grid column with
+    the plan's (n,) columns and stores what it returns as float controls."""
+
+    RULES = {
+        "python-scalar": lambda t, x, i, y: 0.25,
+        "zero-d-array": lambda t, x, i, y: np.array(0.25),
+        "int-array": lambda t, x, i, y: (x > 1.0).astype(int) + i,
+        "float-array": lambda t, x, i, y: 0.5 - 0.3 * x + 0.1 * y,
+        "state-itself": lambda t, x, i, y: x,
+    }
+    # SHA-256 of ens.x and ens.u, generated before the kernel stopped
+    # copying controls that already are float (n,) arrays
+    DIGESTS = {
+        "python-scalar":
+            "3dfe3adfd982e50d04db43ef5265f440ae1f0b8c12e8694be5758457532c4143",
+        "zero-d-array":
+            "3dfe3adfd982e50d04db43ef5265f440ae1f0b8c12e8694be5758457532c4143",
+        "int-array":
+            "84dcfd25251427d3617252f7a30a9ab43c3d138161a42b49ee3bc73337c46395",
+        "float-array":
+            "d8761c83236ce7191cd4c6127e2514ff6ca11d55a4b370bc410e263655c6fb34",
+        "state-itself":
+            "97b2c91a52f3151e61664a0811e79c9ee88eda06002a9ea0bb7deae10fb948a5",
+    }
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_one_call_per_column_with_float_controls(self, exp2_model, name):
+        dyn = _jump_dyn()
+        regimes = _paths(exp2_model, 7, 1.0, 23)
+        plan = build_plan(dyn, regimes, 0.05, 23)
+        n, K = plan.t.shape
+        calls = []
+
+        def rule(t, x, i, y):
+            calls.append((t.copy(), x.shape, i.copy(), y.copy()))
+            return self.RULES[name](t, x, i, y)
+
+        ens = simulate_ensemble(dyn, ControlPolicy(rule=rule), regimes, 1.0,
+                                0.05, 23, plan=plan)
+        assert len(calls) == K
+        for k, (t, x_shape, i, y) in enumerate(calls):
+            assert x_shape == (n,)
+            assert np.array_equal(t, plan.t[:, k])
+            assert np.array_equal(i, plan.theta[:, k])
+            assert np.array_equal(y, plan.y[:, k])
+        assert ens.u.dtype == np.float64 and ens.u.shape == (n, K)
+        if name == "state-itself":
+            assert np.array_equal(ens.u, ens.x)
+        digest = hashlib.sha256(ens.x.tobytes() + ens.u.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

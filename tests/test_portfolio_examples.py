@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from smjd.errors import (DegenerateVol, FixedPointDiverged,
                          SingularDenominator, SingularPhi)
-from smjd.jump_diffusion import MarkMeasure, simulate_ensemble
+from smjd.jump_diffusion import ControlPolicy, MarkMeasure, simulate_ensemble
 from smjd.maximum_principle import adjoint_residual
 from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                      RiskSensitiveModel, ql_adjoint, ql_dynamics,
@@ -383,7 +383,7 @@ def _bilinear_reference(f, t, i, y):
 
     def weights(nodes, q):
         if len(nodes) == 1:
-            return np.zeros(len(q), dtype=int), np.zeros(len(q))
+            return np.zeros(q.shape, dtype=int), np.zeros(q.shape)
         qc = np.clip(q, nodes[0], nodes[-1])
         k = np.clip(np.searchsorted(nodes, qc, side="right") - 1, 0,
                     len(nodes) - 2)
@@ -396,6 +396,24 @@ def _bilinear_reference(f, t, i, y):
     v = f.values
     return ((1 - wt) * (1 - wy) * v[it, i, iy] + wt * (1 - wy) * v[it2, i, iy]
             + (1 - wt) * wy * v[it, i, iy2] + wt * wy * v[it2, i, iy2])
+
+
+def _ql_rule_reference(model, phi, psi, t, x, i, y):
+    """slope * (x + psi / phi) with phi, psi from the reference
+    interpolation and the slope from the per-point factors."""
+    phi_ref = _bilinear_reference(phi, t, i, y)
+    psi_ref = _bilinear_reference(psi, t, i, y)
+    lam_t, lam = ql_lambda_factors(model, 0.0, np.broadcast_to(i, phi_ref.shape),
+                                   0.0, phi_ref)
+    return (lam_t / lam) * (x + psi_ref / phi_ref)
+
+
+def _random_functionals(rng, n_t, n_y, M=2):
+    t_nodes, y_nodes = np.linspace(0.0, 1.0, n_t), np.linspace(0.0, 1.5, n_y)
+    shape = (n_t, M, n_y)
+    return tuple(RegimeFunctional(t_nodes, y_nodes, v, np.zeros(shape), 0)
+                 for v in (-rng.uniform(1.0, 3.0, shape),
+                           rng.uniform(0.5, 2.5, shape)))
 
 
 class TestRegimeFunctional:
@@ -443,6 +461,72 @@ class TestRegimeFunctional:
 
 
 class TestQlControl:
+    @pytest.mark.parametrize("variant", ["consistent", "literal", "no-jumps"])
+    @pytest.mark.parametrize("n_t, n_y", [(11, 4), (1, 4), (11, 1), (1, 1)])
+    def test_rule_equals_reference_bit_for_bit(self, variant, n_t, n_y):
+        # the policy's rule and a direct call with the (phi, psi) pair both
+        # give slope * (x + psi / phi) of the reference interpolation
+        model = (QuadraticLossModel(r=np.array([0.05, 0.03]),
+                                    mbar=np.array([0.4, 0.3]),
+                                    sigma=np.array([0.2, 0.25]), d=1.0,
+                                    horizon=1.0)
+                 if variant == "no-jumps" else _ql_jump_model(variant))
+        rng = np.random.default_rng(13)
+        phi, psi = _random_functionals(rng, n_t, n_y)
+        # clamped t and y, the first and the last node, then random points
+        t = np.concatenate(([-0.5, 0.0, 1.0, 1.7, 0.3, -0.0],
+                            rng.uniform(-0.2, 1.2, 34)))
+        y = np.concatenate(([-1.0, 0.0, 1.5, 2.0, 0.75, 1.5],
+                            rng.uniform(-0.2, 1.7, 34)))
+        i = rng.integers(0, 2, t.size)
+        x = rng.normal(1.0, 0.5, t.size)
+        queries = [(t, x, i, y),
+                   (t.reshape(5, 8), x.reshape(5, 8), i.reshape(5, 8),
+                    y.reshape(5, 8)),
+                   (1.0, x, i, 1.5), (0.3, 0.9, 1, 0.2)]
+        rule = ql_policy(model, (phi, psi)).rule
+        for tq, xq, iq, yq in queries:
+            ref = _ql_rule_reference(model, phi, psi, tq, xq, iq, yq)
+            for got in (rule(tq, xq, iq, yq),
+                        ql_optimal_control(model, tq, xq, iq, yq,
+                                           (phi, psi))):
+                assert got.shape == ref.shape
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_singular_denominator_raises_at_a_visited_regime_only(self):
+        # |Lam| = sigma^2 = 1e-14 in regime 1 alone; phi and psi are given
+        # directly, since their builders need every regime's slope
+        model = QuadraticLossModel(r=np.array([0.05, 0.05]),
+                                   mbar=np.array([0.4, 0.0]),
+                                   sigma=np.array([0.2, 1e-7]), d=1.0,
+                                   horizon=1.0)
+        phi, psi = _random_functionals(np.random.default_rng(17), 11, 1)
+        rule = ql_policy(model, (phi, psi)).rule
+        t, x, y = np.linspace(0.0, 1.0, 6), np.full(6, 0.9), np.zeros(6)
+        zeros = np.zeros(6, dtype=int)
+        ref = _ql_rule_reference(model, phi, psi, t, x, zeros, y)
+        assert np.array_equal(rule(t, x, zeros, y), ref)
+        for call in (rule, lambda *a: ql_optimal_control(model, *a,
+                                                         (phi, psi))):
+            with pytest.raises(SingularDenominator):
+                call(t, x, np.array([0, 0, 1, 0, 0, 0]), y)
+        # stepped: the rule raises at the first column that visits regime 1
+        rm = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                         holding=(ExponentialHolding(2.0),
+                                  ExponentialHolding(2.0)))
+        paths = _paths(rm, 4, 1.0, 19)
+        columns = []
+
+        def counted(t, x, i, y):
+            columns.append(i.copy())
+            return rule(t, x, i, y)
+
+        with pytest.raises(SingularDenominator):
+            simulate_ensemble(ql_dynamics(model), ControlPolicy(rule=counted),
+                              paths, x0=0.9, dt=0.1, seed=19)
+        assert [bool(np.any(i == 1)) for i in columns] == (
+            [False] * (len(columns) - 1) + [True])
+
     def test_policy_refuses_functionals_on_different_grids(
             self, ql_nojump_single, single_regime):
         phi, _ = ql_phi_psi_markov(ql_nojump_single, single_regime,
