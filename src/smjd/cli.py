@@ -18,7 +18,9 @@ the output directory:
 
 The seed can be overridden by ``--seed`` and, with highest precedence, by
 the ``SMJD_SEED`` environment variable; overrides are logged in the
-summary.  Exit status: 0 when every acceptance flag passes, 1 when any
+summary.  Both must lie in the config's seed range [0, 2**64 - 1], and
+``--threads`` must be at least 1; otherwise the run exits 2 naming the flag
+or variable.  Exit status: 0 when every acceptance flag passes, 1 when any
 fails (or a runtime error occurs), 2 on configuration errors.  All output
 bytes are determined by (config, seed); ``--threads`` is accepted for
 interface compatibility and recorded, but cannot affect results.
@@ -58,6 +60,7 @@ COMMANDS = ("simulate", "rs-verify", "ql-verify", "dynkin", "hjb",
             "reduce-markov", "policy-eval")
 
 SEED_ENV = "SMJD_SEED"
+SEED_MAX = 2 ** 64 - 1  # seeds are unsigned 64-bit, in the config and outside
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +172,7 @@ def _top_schema(command: str) -> dict:
     required = ["experiment", "seed", "model"]
     props = {
         "experiment": {"const": command},
-        "seed": {"type": "integer", "minimum": 0,
-                 "maximum": 2 ** 64 - 1},
+        "seed": {"type": "integer", "minimum": 0, "maximum": SEED_MAX},
         "out": {"type": "string"},
         "model": model,
         "numerics": _NUMERICS_SCHEMA,
@@ -597,6 +599,15 @@ def run_experiment(command: str, cfg: dict, seed: int, seed_source: str,
     return 0 if passed else 1
 
 
+def _seed_in_range(seed: int, name: str) -> int:
+    """``seed`` if it lies in the config schema's range; ConfigError naming
+    the flag or variable ``name`` otherwise."""
+    if not 0 <= seed <= SEED_MAX:
+        raise ConfigError(f"{name} must be an integer in [0, 2**64 - 1], "
+                          f"got {seed}")
+    return seed
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="smjd",
@@ -619,9 +630,13 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         cfg = validate_config(cfg, args.command)
 
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got "
+                              f"{args.threads}")
         seed, seed_source = cfg["seed"], "config"
         if args.seed is not None:
-            seed, seed_source = args.seed, "--seed flag"
+            seed = _seed_in_range(args.seed, "--seed")
+            seed_source = "--seed flag"
         if os.environ.get(SEED_ENV):
             try:
                 seed = int(os.environ[SEED_ENV])
@@ -629,6 +644,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(
                     f"{SEED_ENV} must be an integer, got "
                     f"{os.environ[SEED_ENV]!r}") from exc
+            seed = _seed_in_range(seed, SEED_ENV)
             seed_source = f"{SEED_ENV} environment variable"
         out_dir = Path(args.out if args.out is not None else cfg["out"])
         return run_experiment(args.command, cfg, seed, seed_source, out_dir,

@@ -25,6 +25,17 @@ sees the same draws, so shared-noise coupling holds by construction.  The
 per-path simulator steps a one-path plan drawn from its generator, so with
 the generator of stream (seed, tag, p) it reproduces row p of the ensemble
 bit for bit.
+
+Stacked call convention: the kernel also steps P policies at once on one
+plan (the sufficiency sweep's perturbation family).  States are then
+(P, n) ((P, n, r) when dim > 1) and controls (P, n), while the t, regime,
+age and mark columns stay (n,): the rule is called once per column on the
+stacked states, and the drift, vol and jump coefficients once per column
+for all P.  So rules and coefficients used in a stacked pass must
+broadcast a leading policy axis against the (n,) columns (for dim > 1,
+index state coordinates as ``x[..., j]``); every library rule and
+coefficient does.  Elementwise expressions then give each row the bits its
+own single-policy run gives.
 """
 
 from __future__ import annotations
@@ -358,20 +369,36 @@ def _check_plan(plan: NoisePlan, dyn, regime_paths, dt, seed, stream_tag):
 
 
 def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
-          x0) -> Ensemble:
-    """Step every path of ``plan`` under ``policy``; the ensemble shares the
-    plan's arrays."""
+          x0, stack: int | None = None, keep: bool = True):
+    """Step every path of ``plan`` under ``policy``; returns (x, u, failures).
+
+    One policy (``stack`` None): states are (n,) ((n, r) when dim > 1), x
+    and u the (n, K) paths, and the first non-finite state raises
+    NonFinitePath.  ``stack`` = P steps P policies at once on states (P, n)
+    ((P, n, r)): ``policy.rule`` is the stacked rule of all P, x and u are
+    (P, n, K) paths, or, without ``keep``, x the final states and u None.
+    Row p's failure is its first NonFinitePath, or None; a failed row goes
+    on from x0 so the others are stepped on finite values.
+    """
     t, dW, theta, y = plan.t, plan.dW, plan.theta, plan.y
     jump_mask, jump_marks = plan.jump_mask, plan.jump_marks
     n, K = t.shape
     scalar = dyn.dim == 1
     dts = np.diff(t, axis=1)
+    lead = () if stack is None else (stack,)
+    shape = lead + (n,)
+    # index of column(s) c of the state, whatever the leading axes
+    at = (lambda c: (Ellipsis, c)) if scalar else (
+        lambda c: (Ellipsis, c, slice(None)))
 
-    x = (np.full(n, float(x0)) if scalar
-         else np.tile(np.asarray(x0, dtype=float), (n, 1)))
-    xs = np.empty((n, K)) if scalar else np.empty((n, K, dyn.dim))
-    us = np.empty((n, K))
-    u_prev = np.zeros(n)
+    x = (np.full(shape, float(x0)) if scalar
+         else np.tile(np.asarray(x0, dtype=float), shape + (1,)))
+    x_start = x.copy()
+    if keep:
+        xs = np.empty(shape + (K,) + ((dyn.dim,) if not scalar else ()))
+        us = np.empty(shape + (K,))
+    failures = [None] * (stack or 0)
+    u_prev = np.zeros(shape)
     for k in range(K):
         tk = t[:, k]
         jm_k = jump_mask[:, k]
@@ -379,14 +406,15 @@ def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
             idx = np.nonzero(jm_k)[0]
             # left-limit regime: every regime event is a grid node, so none
             # lies strictly between nodes k - 1 and k
-            gval = dyn.jump(tk[idx], x[idx], u_prev[idx], theta[idx, k - 1],
-                            jump_marks[idx, k])
+            gval = dyn.jump(tk[idx], x[at(idx)], u_prev[..., idx],
+                            theta[idx, k - 1], jump_marks[idx, k])
             x = x.copy()
-            x[idx] = x[idx] + gval
+            x[at(idx)] = x[at(idx)] + gval
         uk = policy.rule(tk, x, theta[:, k], y[:, k])
-        if type(uk) is not np.ndarray or uk.dtype != float or uk.shape != (n,):
-            uk = np.broadcast_to(np.asarray(uk, dtype=float), (n,)).astype(float)
-        xs[:, k], us[:, k] = x, uk
+        if type(uk) is not np.ndarray or uk.dtype != float or uk.shape != shape:
+            uk = np.broadcast_to(np.asarray(uk, dtype=float), shape).astype(float)
+        if keep:
+            xs[at(k)], us[..., k] = x, uk
         if k == K - 1:
             break
         delta = dts[:, k]
@@ -395,17 +423,30 @@ def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
         if scalar:
             x = x + b * delta + s * dW[:, k]
         else:
-            x = x + b * delta[:, None] + np.einsum("nij,nj->ni", s, dW[:, k])
+            x = x + b * delta[:, None] + np.einsum("...ij,...j->...i", s,
+                                                   dW[:, k])
         if not np.isfinite(x).all():
-            finite = np.isfinite(x.reshape(n, -1)).all(axis=1)
-            bad = int(np.nonzero(~finite)[0][0])
-            raise NonFinitePath(
-                f"non-finite state at column {k + 1} (t={t[bad, k + 1]:.6g})",
-                path_index=bad)
+            # (policies, paths): one row for a single policy
+            finite = np.isfinite(x).reshape(-1, n, dyn.dim).all(axis=2)
+            for row in np.nonzero(~finite.all(axis=1))[0]:
+                bad = int(np.nonzero(~finite[row])[0][0])
+                exc = NonFinitePath(f"non-finite state at column {k + 1} "
+                                    f"(t={t[bad, k + 1]:.6g})", path_index=bad)
+                if stack is None:
+                    raise exc
+                if failures[row] is None:
+                    failures[row] = exc
+                x[row] = x_start[row]
         u_prev = uk
-    return Ensemble(t=t, x=xs, theta=theta, y=y, u=us, dW=dW,
-                    jump_mask=jump_mask, jump_marks=jump_marks,
-                    horizon=plan.horizon,
+    return (xs, us, failures) if keep else (x, None, failures)
+
+
+def _ensemble(plan: NoisePlan, x: np.ndarray, u: np.ndarray) -> Ensemble:
+    """The ensemble of paths x, u stepped on ``plan``; it shares the plan's
+    arrays."""
+    return Ensemble(t=plan.t, x=x, theta=plan.theta, y=plan.y, u=u,
+                    dW=plan.dW, jump_mask=plan.jump_mask,
+                    jump_marks=plan.jump_marks, horizon=plan.horizon,
                     regime_paths=list(plan.regime_paths))
 
 
@@ -418,7 +459,8 @@ def simulate_controlled_path(dyn: ControlledDynamics, policy: ControlPolicy,
     kernel, so ``rng = stream(seed, tag, p)`` reproduces row p of
     ``simulate_ensemble(..., seed, stream_tag=tag)`` bit for bit.
     """
-    ens = _step(dyn, policy, _draw_plan(dyn, [regime], dt, [rng]), x0)
+    plan = _draw_plan(dyn, [regime], dt, [rng])
+    ens = _ensemble(plan, *_step(dyn, policy, plan, x0)[:2])
     cols = np.nonzero(ens.jump_mask[0, 1:])[0] + 1
     return SamplePath(ens.t[0], ens.x[0], ens.theta[0], ens.y[0], ens.u[0],
                       [(int(k), float(ens.jump_marks[0, k])) for k in cols],
@@ -442,7 +484,7 @@ def simulate_ensemble(dyn: ControlledDynamics, policy: ControlPolicy,
         plan = build_plan(dyn, regime_paths, dt, seed, stream_tag)
     else:
         _check_plan(plan, dyn, regime_paths, dt, seed, stream_tag)
-    return _step(dyn, policy, plan, x0)
+    return _ensemble(plan, *_step(dyn, policy, plan, x0)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +505,14 @@ def running_cost_paths(ens: Ensemble, objective: ObjectiveSpec) -> np.ndarray:
 
 def objective_paths(ens: Ensemble, objective: ObjectiveSpec) -> np.ndarray:
     """Per-path objective: running integral plus terminal cost."""
-    J = running_cost_paths(ens, objective)
+    return _with_terminal(running_cost_paths(ens, objective), objective,
+                          ens.x[:, -1], ens.theta[:, -1], ens.y[:, -1])
+
+
+def _with_terminal(J: np.ndarray, objective: ObjectiveSpec, x, theta, y):
+    """Running part ``J`` plus the terminal cost at the final states."""
     if objective.terminal is not None:
-        J = J + np.asarray(objective.terminal(ens.x[:, -1], ens.theta[:, -1],
-                                              ens.y[:, -1]), dtype=float)
+        J = J + np.asarray(objective.terminal(x, theta, y), dtype=float)
     return J
 
 

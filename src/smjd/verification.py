@@ -6,8 +6,11 @@ Three experiments:
   J(u_hat) >= J(u) against a family of perturbed policies with shared-noise
   coupling: every policy is stepped on one noise plan (identical regime,
   Brownian, and jump draws), so the zero perturbation gives a bit-identical
-  zero gap and small true gaps are resolvable.  The pass rule is one-sided:
-  dJ >= -2 SE.
+  zero gap and small true gaps are resolvable.  The base policy is stepped
+  on its own; the perturbed policies are stepped together in one stacked
+  pass of the kernel (states (P, n), one base-rule call per grid column),
+  each member's perturbation being data applied to the base controls.  The
+  pass rule is one-sided: dJ >= -2 SE.
 
 * ``markov_reduction_experiment`` reruns an exponential-holding pipeline
   with an independent plain Markov-chain sampler and checks agreement of
@@ -25,14 +28,16 @@ byte-reproducible from (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AdmissibilityFailure, NonFinitePath
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
-                             NoisePlan, ObjectiveSpec, build_plan,
-                             objective_paths, simulate_ensemble)
+                             NoisePlan, ObjectiveSpec, _ensemble, _step,
+                             _with_terminal, build_plan, objective_paths,
+                             simulate_ensemble)
 from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
     adjoint_residual
 from .portfolio_examples import _fk_moments, _sojourn_cumulative
@@ -66,6 +71,12 @@ class PerturbationFamily:
         to path p of an ``n_paths``-path ensemble, so the rule raises
         ValueError when called on any other number of paths (the per-path
         simulator included).
+
+    A perturbation is data: :meth:`terms` holds one row per member, and
+    :meth:`perturb` turns base controls of shape (rows, n) into the
+    members' controls with one vectorized expression per kind.  The
+    stacked sufficiency pass applies it to all members at once; each policy
+    of :meth:`policies` is a one-row view of the same term.
     """
 
     base: ControlPolicy
@@ -80,41 +91,50 @@ class PerturbationFamily:
         if self.kind == "window" and self.window is None:
             raise ValueError("window perturbations need a (start, end) window")
 
+    def terms(self, seed: int, n_paths: int) -> np.ndarray:
+        """One row per magnitude: delta for "shift" and "window" and
+        1 + delta for "scale", each (rows, 1); for "random" the (rows,
+        n_paths) constants, row idx drawn from stream (seed, "perturb",
+        idx)."""
+        d = np.array(self.magnitudes, dtype=float).reshape(-1, 1)
+        if self.kind == "scale":
+            return 1.0 + d
+        if self.kind != "random":
+            return d
+        return np.array([stream(seed, "perturb", idx).uniform(
+            -abs(delta), abs(delta), n_paths)
+            for idx, delta in enumerate(d[:, 0])]).reshape(-1, n_paths)
+
+    def perturb(self, term: np.ndarray, u, t, x):
+        """The controls of the members whose :meth:`terms` rows are ``term``,
+        from their base controls ``u`` at times ``t`` and states ``x``."""
+        if self.kind == "scale":
+            return u * term
+        bump = term * x if self.relative else term
+        if self.kind == "window":
+            a, b = self.window
+            bump = np.where((t >= a) & (t <= b), bump, 0.0)
+        return u + bump
+
     def policies(self, seed: int, n_paths: int):
         """Yield (label, delta, policy) triples for every magnitude."""
+        terms = self.terms(seed, n_paths)
         for idx, delta in enumerate(self.magnitudes):
             yield (f"{self.kind}[{idx}]", float(delta),
-                   self._perturbed(float(delta), seed, idx, n_paths))
+                   self._member(terms[idx], idx, n_paths))
 
-    def _perturbed(self, delta: float, seed: int, idx: int,
-                   n_paths: int) -> ControlPolicy:
+    def _member(self, term: np.ndarray, idx: int,
+                n_paths: int) -> ControlPolicy:
         base_rule = self.base.rule
-        if self.kind == "shift":
-            rel = self.relative
-            rule = (lambda t, x, i, y:
-                    base_rule(t, x, i, y) + delta * (x if rel else 1.0))
-        elif self.kind == "scale":
-            rule = lambda t, x, i, y: base_rule(t, x, i, y) * (1.0 + delta)
-        elif self.kind == "window":
-            a, b = self.window
-            rel = self.relative
 
-            def rule(t, x, i, y):
-                bump = delta * (x if rel else 1.0)
-                return base_rule(t, x, i, y) + np.where((t >= a) & (t <= b),
-                                                        bump, 0.0)
-        else:  # random constant per path
-            consts = stream(seed, "perturb", idx).uniform(-abs(delta),
-                                                          abs(delta), n_paths)
-            rel = self.relative
-
-            def rule(t, x, i, y):
+        def rule(t, x, i, y):
+            if self.kind == "random":
                 m = np.shape(np.atleast_1d(t))[0]
                 if m != n_paths:
                     raise ValueError(
                         f"perturbation {self.kind}[{idx}] holds one constant "
                         f"per path of {n_paths} paths; called on {m}")
-                return base_rule(t, x, i, y) + consts * (x if rel else 1.0)
+            return self.perturb(term, base_rule(t, x, i, y), t, x)
 
         return ControlPolicy(rule=rule, control_set=self.base.control_set)
 
@@ -223,12 +243,20 @@ def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
     its regime paths from ``plan``, and the base policy and every
     perturbation are stepped on it: the comparison is a common-random-number
     estimate by construction and dJ for the zero perturbation is exactly 0.
-    A ``plan`` built for another seed, dt, n_paths, horizon or origin
-    (i0, y0) raises ValueError naming it.  A perturbed policy whose
-    simulation blows up or produces a non-finite objective raises
-    AdmissibilityFailure naming the perturbation.
+    The base policy is stepped by ``simulate_ensemble``; the members of all
+    families are stepped together in one stacked kernel pass, which gives
+    every member the bits its own ``simulate_ensemble`` run would (see
+    :func:`_member_objectives`).  Every family must perturb one base policy
+    and ``n_paths`` must be at least 2 (ValueError).  A ``plan`` built for
+    another seed, dt, n_paths, horizon or origin (i0, y0) raises ValueError
+    naming it.  The first member, in family order, whose simulation blows up
+    or whose objective is non-finite raises AdmissibilityFailure naming it.
     """
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths for a standard error")
     base = families[0].base
+    if any(fam.base != base for fam in families):
+        raise ValueError("every family must perturb the same base policy")
     if plan is None:
         plan = sufficiency_plan(dyn, regime_model, i0, y0, horizon, n_paths,
                                 dt, seed)
@@ -239,8 +267,7 @@ def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
         if got != want:  # simulate_ensemble checks seed and dt
             raise ValueError(f"plan was built for another {name}: {got!r}, "
                              f"not {want!r}")
-    regime_paths = plan.regime_paths
-    ens_hat = simulate_ensemble(dyn, base, regime_paths, x0, dt, seed,
+    ens_hat = simulate_ensemble(dyn, base, plan.regime_paths, x0, dt, seed,
                                 plan=plan)
     J_hat = objective_paths(ens_hat, objective)
     if not np.all(np.isfinite(J_hat)):
@@ -251,31 +278,90 @@ def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
         u_max = float(u_coefficient_fn(ens_hat))
         foc = u_max < foc_tol
 
+    members = [(fam, idx, term) for fam in families
+               for idx, term in enumerate(fam.terms(seed, n_paths))]
     results: list[PerturbationResult] = []
-    for fam in families:
-        for label, delta, policy in fam.policies(seed, n_paths):
-            try:
-                ens_u = simulate_ensemble(dyn, policy, regime_paths, x0, dt,
-                                          seed, plan=plan)
-            except NonFinitePath as exc:
-                raise AdmissibilityFailure(
-                    f"perturbation {label} (delta={delta}) produced a "
-                    f"non-finite path: {exc}") from exc
-            J_u = objective_paths(ens_u, objective)
-            if not np.all(np.isfinite(J_u)):
-                raise AdmissibilityFailure(
-                    f"perturbation {label} (delta={delta}) has a non-finite "
-                    "objective")
-            gap = J_hat - J_u
-            dJ = float(np.mean(gap))
-            se = float(np.std(gap, ddof=1) / np.sqrt(n_paths))
-            results.append(PerturbationResult(label, fam.kind, delta, dJ, se,
-                                              bool(dJ >= -2.0 * se)))
+    for (fam, idx, _), J_u in zip(members, _member_objectives(
+            dyn, objective, members, plan, x0)):
+        label, delta = f"{fam.kind}[{idx}]", float(fam.magnitudes[idx])
+        if isinstance(J_u, NonFinitePath):
+            raise AdmissibilityFailure(
+                f"perturbation {label} (delta={delta}) produced a "
+                f"non-finite path: {J_u}") from J_u
+        if not np.all(np.isfinite(J_u)):
+            raise AdmissibilityFailure(
+                f"perturbation {label} (delta={delta}) has a non-finite "
+                "objective")
+        gap = J_hat - J_u
+        dJ = float(np.mean(gap))
+        se = float(np.std(gap, ddof=1) / np.sqrt(n_paths))
+        results.append(PerturbationResult(label, fam.kind, delta, dJ, se,
+                                          bool(dJ >= -2.0 * se)))
     return SufficiencyReport(
         j_hat=float(np.mean(J_hat)),
         se_hat=float(np.std(J_hat, ddof=1) / np.sqrt(n_paths)),
         results=results, u_coefficient_max=u_max, foc_pass=foc,
         n_paths=n_paths, seed=seed)
+
+
+# Bytes of the stored (x, u) paths of one stacked chunk when the objective
+# has a running cost; without one only the current states are kept.
+_STACK_BYTES = 64 * 2 ** 20
+
+
+def _member_objectives(dyn, objective, members, plan, x0):
+    """Per-path objective of each member (family, idx, term row), or the
+    NonFinitePath its simulation ended in, in member order.
+
+    The members are stepped as one stack of policies, in chunks of rows
+    whose stored paths fit in ``_STACK_BYTES`` when the objective has a
+    running cost.  Each column makes one call of the base rule on the
+    stacked states, and each family perturbs its rows with one expression,
+    so every member's controls and states are the floating-point operations
+    of its own policy.  Each row is then reduced by ``objective_paths``'
+    expressions on its own (n,) row.
+    """
+    n, K = plan.t.shape
+    keep = objective.running is not None
+    rows = (max(1, _STACK_BYTES // (8 * n * K * (plan.dim + 1))) if keep
+            else max(1, len(members)))
+    out = []
+    for a in range(0, len(members), rows):
+        chunk = members[a:a + rows]
+        x, u, failures = _step(dyn, ControlPolicy(_stacked_rule(chunk, n)),
+                               plan, x0, stack=len(chunk), keep=keep)
+        for p, exc in enumerate(failures):
+            if exc is not None:
+                out.append(exc)
+            elif keep:
+                out.append(objective_paths(_ensemble(plan, x[p], u[p]),
+                                           objective))
+            else:  # objective_paths without a running cost
+                out.append(_with_terminal(np.zeros(n), objective, x[p],
+                                          plan.theta[:, -1], plan.y[:, -1]))
+    return out
+
+
+def _stacked_rule(members, n: int):
+    """The rule of a stack of members of families of one base policy: one
+    base-rule call on the stacked states (rows, n), then one
+    :meth:`PerturbationFamily.perturb` per run of one family's rows."""
+    base_rule = members[0][0].base.rule
+    shape = (len(members), n)
+    runs, a = [], 0
+    for _, group in groupby(members, key=lambda m: id(m[0])):
+        group = list(group)
+        terms = np.array([term for _, _, term in group])
+        runs.append((group[0][0], terms, slice(a, a + len(terms))))
+        a += len(terms)
+
+    def rule(t, x, i, y):
+        u = np.broadcast_to(base_rule(t, x, i, y), shape)
+        parts = [fam.perturb(terms, u[rows], t, x[rows])
+                 for fam, terms, rows in runs]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +497,8 @@ def dp_connection_experiment(V: ValueFunctionStub, dyn: ControlledDynamics,
     stream keys (seed, "paths", p).  The Brownian paths are not nested
     across step sizes: each step size draws fresh normals scaled by its own
     steps, so the ratios mix discretization error with sampling noise.
-    Coupling the levels by summing fine increments is ROADMAP item 5.
+    Coupling the levels, with each coarse increment the sum of the fine
+    ones (coupled multi-resolution noise), is open work.
     """
     regime_paths = sample_regime_paths(regime_model, RegimeState(i0, y0),
                                        horizon, n_paths, seed)

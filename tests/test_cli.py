@@ -284,6 +284,48 @@ class TestSeedPrecedence:
         assert "SMJD_SEED" in capsys.readouterr().err
 
 
+class TestFlagRanges:
+    """Seeds outside the config schema's [0, 2**64 - 1] and thread counts
+    below 1 exit 2 naming the flag or variable, before anything runs."""
+
+    @pytest.mark.parametrize("seed", ["-5", str(2 ** 64)])
+    def test_seed_flag_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        rc = _run("simulate", _write(tmp_path, _rs_config()), out, "--seed",
+                  seed)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--seed" in err and seed in err
+        assert not out.exists()
+
+    def test_seed_flag_at_the_range_ends_runs(self, tmp_path):
+        cfg_path = _write(tmp_path, _rs_config())
+        for seed in ("0", str(2 ** 64 - 1)):
+            out = tmp_path / seed
+            assert _run("simulate", cfg_path, out, "--seed", seed) == 0
+            resolved = json.loads((out / "resolved_config.json").read_text())
+            assert resolved["seed"] == int(seed)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_env_out_of_range_exits_2(self, tmp_path, monkeypatch,
+                                           capsys, seed):
+        monkeypatch.setenv("SMJD_SEED", seed)
+        rc = _run("simulate", _write(tmp_path, _rs_config()), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "SMJD_SEED" in err and seed in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        rc = _run("simulate", _write(tmp_path, _rs_config()), out,
+                  "--threads", threads)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--threads" in err
+        assert not out.exists()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         cfg_path = _write(tmp_path, _rs_config())

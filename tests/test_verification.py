@@ -2,18 +2,22 @@
 import numpy as np
 import pytest
 
-from smjd.errors import AdmissibilityFailure
+from smjd import verification
+from smjd.cli import build_model
+from smjd.errors import AdmissibilityFailure, NonFinitePath
 from smjd.jump_diffusion import (ControlPolicy, ControlledDynamics,
-                                 ObjectiveSpec, simulate_controlled_path,
-                                 simulate_ensemble)
+                                 MarkMeasure, ObjectiveSpec, objective_paths,
+                                 simulate_controlled_path, simulate_ensemble)
 from smjd.maximum_principle import ValueFunctionStub
-from smjd.portfolio_examples import (QuadraticLossModel, ql_dynamics,
-                                     ql_objective, ql_phi_psi_markov,
-                                     ql_policy)
+from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
+                                     ql_dynamics, ql_objective, ql_phi_psi,
+                                     ql_phi_psi_markov, ql_policy,
+                                     rs_dynamics, rs_objective, rs_policy)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                               WeibullHolding, sample_regime_paths)
-from smjd.verification import (PerturbationFamily, default_perturbation_family,
+from smjd.verification import (PerturbationFamily, PerturbationResult,
+                               SufficiencyReport, default_perturbation_family,
                                dp_connection_experiment,
                                markov_reduction_experiment,
                                sufficiency_experiment, sufficiency_plan)
@@ -204,6 +208,246 @@ class TestSufficiency:
         rows = list(rep.csv_rows())
         assert rows[0][0] == 0 and rows[1][0] == 1
         assert rows[1][2] == 0.1
+
+    def test_one_path_is_refused(self, ql_setup, single_regime):
+        model, dyn, pol, obj = ql_setup
+        fams = [PerturbationFamily(pol, "shift", (0.0,))]
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            self._run(ql_setup, fams, n_paths=1, rm=single_regime)
+
+    def test_families_of_other_bases_are_refused(self, ql_setup,
+                                                 single_regime):
+        model, dyn, pol, obj = ql_setup
+        other = ControlPolicy(rule=lambda t, x, i, y: 0.5 * x)
+        fams = [PerturbationFamily(pol, "shift", (0.0,)),
+                PerturbationFamily(other, "scale", (0.1,))]
+        with pytest.raises(ValueError, match="same base policy"):
+            self._run(ql_setup, fams, n_paths=10, rm=single_regime)
+
+
+# ---------------------------------------------------------------------------
+# The stacked sweep against one simulate_ensemble run per member
+# ---------------------------------------------------------------------------
+
+def _reference_report(dyn, obj, families, plan, x0, seed):
+    """The sufficiency report built the long way: the base and every
+    ``policies()`` member stepped by ``simulate_ensemble`` on ``plan``, each
+    reduced by ``objective_paths``."""
+    paths, n = plan.regime_paths, len(plan.regime_paths)
+
+    def J(policy):
+        return objective_paths(simulate_ensemble(dyn, policy, paths, x0,
+                                                 plan.dt, seed, plan=plan),
+                               obj)
+
+    J_hat = J(families[0].base)
+    results = []
+    for fam in families:
+        for label, delta, policy in fam.policies(seed, n):
+            gap = J_hat - J(policy)
+            dJ = float(np.mean(gap))
+            se = float(np.std(gap, ddof=1) / np.sqrt(n))
+            results.append(PerturbationResult(label, fam.kind, delta, dJ, se,
+                                              bool(dJ >= -2.0 * se)))
+    return SufficiencyReport(
+        j_hat=float(np.mean(J_hat)),
+        se_hat=float(np.std(J_hat, ddof=1) / np.sqrt(n)),
+        results=results, n_paths=n, seed=seed)
+
+
+def _ql_jump_model(variant):
+    return build_model({"model": {
+        "kind": "ql", "r": [0.05, 0.03], "mbar": [0.4, 0.3],
+        "sigma": [0.2, 0.25], "d": 1.0, "horizon": 1.0,
+        "lambda_variant": variant,
+        "jumps": {"rate": 2.0, "atoms": [-0.05, 0.08], "weights": [0.4, 0.6],
+                  "coeff_scale": [1.0, 1.5]}}})
+
+
+def _ql_jump_problem(exp2_model, variant):
+    model = _ql_jump_model(variant)
+    if variant == "consistent":
+        fns = ql_phi_psi_markov(model, exp2_model, np.linspace(0.0, 1.0, 21))
+    else:  # phi enters the rule's slope: the Monte Carlo fixed point
+        fns = ql_phi_psi(model, exp2_model, np.linspace(0.0, 1.0, 11),
+                         np.array([0.0, 1.0]), 30, 4)[:2]
+    return ql_dynamics(model), ql_objective(model), ql_policy(model, fns)
+
+
+def _rs_problem():
+    model = RiskSensitiveModel(r=np.array([0.05, 0.02]),
+                               mu=np.array([0.13, 0.08]),
+                               sigma=np.array([0.2, 0.3]), gamma=0.5,
+                               horizon=1.0)
+    return rs_dynamics(model), rs_objective(model), rs_policy(model)
+
+
+def _dim2_problem():
+    """A dim-2 jump model whose rule, coefficients and objective index
+    state coordinates as x[..., j], so they broadcast a policy axis."""
+    a = np.array([0.05, -0.1])
+
+    def vol(t, x, u, i):
+        top = np.stack([0.2 * x[..., 0], 0.1 * u], axis=-1)
+        bottom = np.stack([0.05 + 0.0 * u, (0.3 + 0.1 * i) * x[..., 1]],
+                          axis=-1)
+        return np.stack([top, bottom], axis=-2)
+
+    dyn = ControlledDynamics(
+        dim=2,
+        drift=lambda t, x, u, i: a[i][..., None] * x + np.stack(
+            [0.1 * u, -0.05 * u * x[..., 0]], axis=-1),
+        vol=vol,
+        jump=lambda t, x, u, i, gam: 0.1 * gam[..., None] * x,
+        marks=MarkMeasure(rate=3.0, atoms=np.array([-0.2, 0.3]),
+                          weights=np.array([0.5, 0.5])))
+    obj = ObjectiveSpec(
+        running=lambda t, x, u, i, y: -0.1 * u ** 2 + 0.01 * x[..., 1],
+        terminal=lambda x, i, y: -(x[..., 0] - 1.0) ** 2 + 0.5 * x[..., 1])
+    base = ControlPolicy(
+        rule=lambda t, x, i, y: 0.3 * x[..., 0] - 0.1 * x[..., 1] + 0.05 * i)
+    return dyn, obj, base
+
+
+def _all_kinds(base, relative):
+    return [PerturbationFamily(base, "shift", (0.0, 0.1, -0.2),
+                               relative=relative),
+            PerturbationFamily(base, "scale", (0.05, -0.5)),
+            PerturbationFamily(base, "window", (0.25, -0.1),
+                               relative=relative, window=(0.3, 0.6)),
+            PerturbationFamily(base, "random", (0.05, 0.2),
+                               relative=relative)]
+
+
+class TestStackedSweep:
+    """``sufficiency_experiment`` steps the members stacked; its report
+    equals, bit for bit, the one built member by member."""
+
+    def _compare(self, rm, dyn, obj, families, x0, n_paths=30, dt=0.05,
+                 seed=17):
+        plan = sufficiency_plan(dyn, rm, 0, 0.0, 1.0, n_paths, dt, seed)
+        stacked = sufficiency_experiment(dyn, obj, families, rm, x0, 0, 0.0,
+                                         1.0, n_paths, dt, seed, plan=plan)
+        reference = _reference_report(dyn, obj, families, plan, x0, seed)
+        assert stacked.to_dict() == reference.to_dict()
+        assert stacked.results[0].dJ == 0.0  # the zero shift
+        return stacked
+
+    @pytest.mark.parametrize("variant", ["literal", "consistent"])
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_ql_with_jumps_all_kinds(self, exp2_model, variant, relative):
+        dyn, obj, base = _ql_jump_problem(exp2_model, variant)
+        self._compare(exp2_model, dyn, obj, _all_kinds(base, relative), 0.5)
+
+    def test_rs_default_family(self, exp2_model):
+        dyn, obj, base = _rs_problem()
+        fams = default_perturbation_family(base, relative=True, horizon=1.0)
+        rep = self._compare(exp2_model, dyn, obj, fams, 1.0)
+        assert len(rep.results) == 20
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 4, 100])
+    def test_running_cost_across_chunk_boundaries(self, exp2_model,
+                                                  monkeypatch,
+                                                  rows_per_chunk):
+        dyn, obj, base = _ql_jump_problem(exp2_model, "consistent")
+        obj = ObjectiveSpec(
+            running=lambda t, x, u, i, y: -0.2 * u ** 2 + 0.05 * (1 + i) * x,
+            terminal=obj.terminal)
+        n_paths, dt = 30, 0.05
+        K = sufficiency_plan(dyn, exp2_model, 0, 0.0, 1.0, n_paths, dt,
+                             17).t.shape[1]
+        # a chunk holds x and u, (n, K) doubles each, per row
+        monkeypatch.setattr(verification, "_STACK_BYTES",
+                            rows_per_chunk * 16 * n_paths * K)
+        self._compare(exp2_model, dyn, obj, _all_kinds(base, False), 0.5,
+                      n_paths=n_paths, dt=dt)
+
+    def test_dim2_with_broadcasting_callables(self, exp2_model, monkeypatch):
+        dyn, obj, base = _dim2_problem()
+        self._compare(exp2_model, dyn, obj, _all_kinds(base, False),
+                      np.array([1.0, 0.5]))
+        # chunked: the running cost keeps (n, K, 2) states per row
+        monkeypatch.setattr(verification, "_STACK_BYTES", 1)
+        self._compare(exp2_model, dyn, obj, _all_kinds(base, False),
+                      np.array([1.0, 0.5]))
+
+    def test_one_base_rule_call_per_column_on_stacked_states(self,
+                                                            exp2_model):
+        dyn, obj, base = _ql_jump_problem(exp2_model, "consistent")
+        shapes = []
+
+        def rule(t, x, i, y):
+            shapes.append((t.shape, x.shape, i.shape, y.shape))
+            return base.rule(t, x, i, y)
+
+        counted = ControlPolicy(rule=rule)
+        fams = _all_kinds(counted, False)
+        plan = sufficiency_plan(dyn, exp2_model, 0, 0.0, 1.0, 30, 0.05, 17)
+        sufficiency_experiment(dyn, obj, fams, exp2_model, 0.5, 0, 0.0, 1.0,
+                               30, 0.05, 17, plan=plan)
+        n, K = plan.t.shape
+        P = sum(len(f.magnitudes) for f in fams)
+        # the base ensemble, then one stacked call per column
+        assert shapes == [((n,),) * 4] * K + [((n,), (P, n), (n,), (n,))] * K
+
+
+class TestSweepFailures:
+    """The first member in family order that fails is named, with the
+    message a member-by-member sweep gives."""
+
+    @staticmethod
+    def _cubic(terminal):
+        dyn = ControlledDynamics(dim=1,
+                                 drift=lambda t, x, u, i: u * x ** 3,
+                                 vol=lambda t, x, u, i: np.zeros_like(x))
+        base = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
+        return dyn, ObjectiveSpec(running=None, terminal=terminal), base
+
+    @staticmethod
+    def _failure(dyn, policy, paths):
+        """The NonFinitePath of ``policy`` stepped on its own."""
+        with pytest.raises(NonFinitePath) as info:
+            simulate_ensemble(dyn, policy, paths, 2.0, 0.01, 3)
+        return info.value
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_earlier_member_is_named_though_a_later_one_fails_first(
+            self, single_regime):
+        dyn, obj, base = self._cubic(lambda x, i, y: x)
+        # dx = delta x^3 dt from x0 = 2: delta 5 blows up at a later column
+        # than delta 50, which comes later in family order
+        fams = [PerturbationFamily(base, "shift", (0.0, 5.0)),
+                PerturbationFamily(base, "shift", (50.0,))]
+        paths = sample_regime_paths(single_regime, RegimeState(0, 0.0), 1.0,
+                                    4, 3)
+        early = self._failure(dyn, list(fams[0].policies(3, 4))[1][2], paths)
+        late = self._failure(dyn, list(fams[1].policies(3, 4))[0][2], paths)
+        column = lambda exc: int(str(exc).split()[4])
+        assert column(late) < column(early)
+        with pytest.raises(AdmissibilityFailure) as info:
+            sufficiency_experiment(dyn, obj, fams, single_regime, x0=2.0,
+                                   i0=0, y0=0.0, horizon=1.0, n_paths=4,
+                                   dt=0.01, seed=3)
+        assert str(info.value) == (
+            f"perturbation shift[1] (delta=5.0) produced a non-finite path: "
+            f"{early}")
+        cause = info.value.__cause__
+        assert isinstance(cause, NonFinitePath)
+        assert cause.path_index == early.path_index
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_objective_outranks_a_later_blow_up(self,
+                                                           single_regime):
+        # delta -0.05 ends below 1.8 (log of a negative number); delta 50
+        # blows up, later in family order
+        dyn, obj, base = self._cubic(lambda x, i, y: np.log(x - 1.8))
+        fams = [PerturbationFamily(base, "shift", (0.0, -0.05, 50.0))]
+        with pytest.raises(AdmissibilityFailure) as info:
+            sufficiency_experiment(dyn, obj, fams, single_regime, x0=2.0,
+                                   i0=0, y0=0.0, horizon=1.0, n_paths=4,
+                                   dt=0.01, seed=3)
+        assert str(info.value) == ("perturbation shift[1] (delta=-0.05) has "
+                                   "a non-finite objective")
 
 
 class TestMarkovReduction:
