@@ -16,11 +16,14 @@ integrals.  The kernel calls the policy rule once per grid column on the
 (n,) t, regime and age columns and the state; it keeps a returned float64
 (n,) array as it is, never writing into it, and copies anything else that
 broadcasts to (n,) (a Python scalar, a 0-d or integer array) to float.
+The running cost is called once on all n*K grid points, flattened.
 
-Simulation has two parts.  :func:`build_plan` draws every path's noise --
+Simulation has two parts.  :func:`build_plan` fixes every path's noise --
 jump times and marks, the event grid, the Brownian increments and the
-regime values on the grid -- into a read-only :class:`NoisePlan`; a
-stepping kernel then runs a policy on it.  Every policy stepped on one plan
+regime values on the grid -- in a read-only :class:`NoisePlan`; a
+stepping kernel then runs a policy on it.  Only the draws are made path
+by path, from the path's own generator; the grids and regime values are
+laid out for the whole ensemble at once.  Every policy stepped on one plan
 sees the same draws, so shared-noise coupling holds by construction.  The
 per-path simulator steps a one-path plan drawn from its generator, so with
 the generator of stream (seed, tag, p) it reproduces row p of the ensemble
@@ -41,6 +44,7 @@ own single-policy run gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,17 +119,25 @@ class MarkMeasure:
         g, w = self.nodes()
         return float(np.sum(np.asarray(f(g), dtype=float) * w))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.discrete:  # equals rng.choice(atoms, size=n, p=weights)
-            return self.atoms[_cdf_table(self.weights).searchsorted(
-                rng.random(n), side="right")]
-        # inverse-cdf via dense tabulation of the density
+    @cached_property
+    def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cdf, values) of the inverse-cdf draw, built once per measure:
+        ``Generator.choice``'s table of the atoms, or the trapezoid cdf of
+        the density tabulated on 4097 nodes of the support."""
+        if self.discrete:
+            return _cdf_table(self.weights), self.atoms
         lo, hi = self.support
         grid = np.linspace(lo, hi, 4097)
         pdf = np.asarray(self.density(grid), dtype=float)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
         cdf /= cdf[-1]
-        return np.interp(rng.random(n), cdf, grid)
+        return cdf, grid
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        cdf, values = self._sampling_table
+        if self.discrete:  # equals rng.choice(atoms, size=n, p=weights)
+            return values[cdf.searchsorted(rng.random(n), side="right")]
+        return np.interp(rng.random(n), cdf, values)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +296,6 @@ def _draw_jumps(dyn: ControlledDynamics, horizon: float,
     return times, marks
 
 
-def _build_grid(horizon: float, dt: float, regime: RegimePath,
-                jump_times: np.ndarray) -> np.ndarray:
-    base = np.linspace(0.0, horizon, int(round(horizon / dt)) + 1)
-    events = np.array([t for t, _ in regime.events], dtype=float)
-    grid = np.unique(np.concatenate((base, events, jump_times)))
-    return grid[(grid >= 0.0) & (grid <= horizon)]
-
-
 # ---------------------------------------------------------------------------
 # Noise plan and stepping kernel
 # ---------------------------------------------------------------------------
@@ -311,38 +315,72 @@ def build_plan(dyn: ControlledDynamics, regime_paths: Sequence[RegimePath],
 
 def _draw_plan(dyn, regime_paths, dt, rngs, seed=None,
                stream_tag=None) -> NoisePlan:
-    """Draw each path's noise from its generator in ``rngs`` and lay the
-    paths out on padded grids."""
-    n = len(regime_paths)
-    horizon = regime_paths[0].horizon
-    scalar = dyn.dim == 1
-    grids, Zs, jump_infos = [], [], []
-    for rp, rng in zip(regime_paths, rngs):
-        jt, jm = _draw_jumps(dyn, horizon, rng)
-        grid = _build_grid(horizon, dt, rp, jt)
-        Nk = len(grid) - 1
-        Z = rng.standard_normal(Nk) if scalar else rng.standard_normal((Nk, dyn.dim))
-        grids.append(grid)
-        Zs.append(Z)
-        jump_infos.append((jt, jm))
+    """Draw each path's jumps, then its normals straight into its row of
+    dW, from its generator in ``rngs``.  In between, one pass lays out the
+    ensemble: the event and jump times, sorted by (path, time), are merged
+    into the base grid, and theta and y are ``RegimePath.state_at``'s
+    cadlag formula on a per-row count of the event columns."""
+    rngs = list(rngs)
+    n, horizon = len(rngs), regime_paths[0].horizon
+    jump_t, jump_m = zip(*(_draw_jumps(dyn, horizon, rng) for rng in rngs))
+    base = np.linspace(0.0, horizon, int(round(horizon / dt)) + 1)
+    B = base.size
+    ev_t = [rp._times for rp in regime_paths]
+    n_ev = np.array([e.size for e in ev_t], dtype=np.intp)
+    parts = ev_t + list(jump_t)  # every row's events, then its jumps
+    times = np.concatenate(parts)
+    rows = np.repeat(np.tile(np.arange(n), 2), [a.size for a in parts])
+    order = np.lexsort((times, rows))
+    r, x = rows[order], times[order]
+    pos = np.searchsorted(base, x)
+    dup = np.concatenate(([False], (r[1:] == r[:-1]) & (x[1:] == x[:-1])))
+    new = ~dup & (base[np.minimum(pos, B - 1)] != x)
+    n_new = np.bincount(r[new], minlength=n)
+    # column: base nodes before the time plus its row's new times before
+    # it; a repeated time takes the column of its first copy
+    col = pos + np.cumsum(new) - new - (np.cumsum(n_new) - n_new)[r]
+    col = col[np.maximum.accumulate(np.where(dup, 0, np.arange(x.size)))]
+    L = B + n_new
+    t = np.full((n, int(L.max())), horizon)
+    t[r[new], col[new]] = x[new]
+    # base node b moves right by its row's new times before it
+    shift = np.bincount(r[new] * B + pos[new], minlength=n * B).reshape(n, B)
+    np.cumsum(shift, axis=1, out=shift)
+    shift += np.arange(B)
+    t[np.arange(n)[:, None], shift] = base
+    del shift
 
-    K = max(len(g) for g in grids)
-    t = np.full((n, K), horizon)
-    dW = np.zeros((n, K - 1)) if scalar else np.zeros((n, K - 1, dyn.dim))
-    jump_mask = np.zeros((n, K), dtype=bool)
-    jump_marks = np.zeros((n, K))
-    theta = np.empty((n, K), dtype=int)
-    y = np.empty((n, K))
-    for p, (grid, Z, (jt, jm)) in enumerate(zip(grids, Zs, jump_infos)):
-        L = len(grid)
-        t[p, :L] = grid
-        steps = np.sqrt(np.diff(grid))
-        dW[p, : L - 1] = Z * steps if scalar else Z * steps[:, None]
-        if jt.size:
-            cols = np.searchsorted(grid, jt)
-            jump_mask[p, cols] = True
-            jump_marks[p, cols] = jm
-        theta[p], y[p] = regime_paths[p].state_at(t[p], side="right")
+    E = n_ev.sum()
+    jump = order >= E
+    jump_mask = np.zeros(t.shape, dtype=bool)
+    jump_marks = np.zeros(t.shape)
+    jump_mask[r[jump], col[jump]] = True
+    jump_marks[r[jump], col[jump]] = np.concatenate(jump_m)[order[jump] - E]
+    # slot 0 of a row's table is its origin (last event at -y0), slot j
+    # its j-th event; a node's slot counts the row's events up to it
+    first = np.cumsum(n_ev + 1) - (n_ev + 1)
+    origin = np.zeros(n + E, dtype=bool)
+    origin[first] = True
+    last_t, states = np.empty(origin.size), np.empty(origin.size, dtype=int)
+    last_t[origin] = [-rp.origin.y for rp in regime_paths]
+    last_t[~origin] = np.concatenate(ev_t)
+    states[origin] = [rp.origin.theta for rp in regime_paths]
+    states[~origin] = np.concatenate([rp._states for rp in regime_paths])
+    slot = np.zeros(t.shape, dtype=int)
+    slot[r[~jump], col[~jump]] = 1
+    np.cumsum(slot, axis=1, out=slot)
+    slot += first[:, None]
+    y = np.take(last_t, slot)
+    np.subtract(t, y, out=y)
+    theta = np.take(states, slot)
+    del slot
+
+    dW = np.zeros((n, t.shape[1] - 1) + ((dyn.dim,) if dyn.dim > 1 else ()))
+    for p, rng in enumerate(rngs):
+        rng.standard_normal(out=dW[p, : L[p] - 1])
+    steps = np.diff(t, axis=1)
+    np.sqrt(steps, out=steps)
+    dW *= steps if dyn.dim == 1 else steps[..., None]
     for a in (t, dW, jump_mask, jump_marks, theta, y):
         a.flags.writeable = False
     return NoisePlan(t=t, dW=dW, jump_mask=jump_mask, jump_marks=jump_marks,
@@ -495,10 +533,12 @@ def running_cost_paths(ens: Ensemble, objective: ObjectiveSpec) -> np.ndarray:
     """Per-path trapezoidal integral of the running cost on the path grid."""
     if objective.running is None:
         return np.zeros(ens.n_paths)
-    vals = np.empty_like(ens.t)
-    for k in range(ens.t.shape[1]):
-        vals[:, k] = objective.running(ens.t[:, k], ens.x[:, k], ens.u[:, k],
-                                       ens.theta[:, k], ens.y[:, k])
+    # one call on the n*K points: x (n*K,), or (n*K, r) when dim > 1
+    n, K = ens.t.shape
+    vals = np.empty((n, K))
+    vals.reshape(-1)[:] = objective.running(*(
+        a.reshape((n * K,) + a.shape[2:])
+        for a in (ens.t, ens.x, ens.u, ens.theta, ens.y)))
     dts = np.diff(ens.t, axis=1)
     return np.sum(0.5 * (vals[:, 1:] + vals[:, :-1]) * dts, axis=1)
 

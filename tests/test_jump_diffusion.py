@@ -7,13 +7,14 @@ import pytest
 
 from smjd.errors import NonFinitePath
 from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, MarkMeasure,
-                                 ObjectiveSpec, build_plan,
+                                 ObjectiveSpec, _draw_plan, build_plan,
                                  coefficient_regularity_probe,
                                  estimate_objective, objective_paths,
-                                 simulate_controlled_path, simulate_ensemble)
+                                 running_cost_paths, simulate_controlled_path,
+                                 simulate_ensemble)
 from smjd.rng import stream
-from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
-                              simulate_regime_direct)
+from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
+                              RegimeState, _cdf_table, simulate_regime_direct)
 
 
 def _zero_policy():
@@ -58,6 +59,37 @@ class TestMarkMeasure:
         assert mm.integrate(lambda g: g) == pytest.approx(0.1, rel=1e-10)
         assert mm.integrate(lambda g: g ** 2) == pytest.approx(
             0.2 ** 2 / 3.0, rel=1e-10)
+
+    def test_discrete_draws_equal_choice_on_every_call(self):
+        atoms, weights = np.array([-0.1, 0.05, 0.2]), np.array([0.3, 0.4, 0.3])
+        mm = MarkMeasure(rate=1.0, atoms=atoms, weights=weights)
+        for k in range(4):
+            u = stream(3, "marks", k).random(11)
+            inline = atoms[_cdf_table(weights).searchsorted(u, side="right")]
+            drawn = mm.sample(stream(3, "marks", k), 11)
+            assert drawn.tobytes() == inline.tobytes()
+            assert np.array_equal(drawn, stream(3, "marks", k).choice(
+                atoms, size=11, p=weights))
+
+    def test_density_is_tabulated_once(self):
+        calls = []
+
+        def density(g):  # triangular on [0, 0.2]
+            calls.append(np.shape(g))
+            return 50.0 * g
+
+        mm = MarkMeasure(rate=1.0, density=density, support=(0.0, 0.2))
+        calls.clear()
+        draws = [mm.sample(stream(5, "marks", k), 9) for k in range(6)]
+        assert len(calls) <= 1
+        grid = np.linspace(0.0, 0.2, 4097)
+        pdf = 50.0 * grid
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1])
+                                               * np.diff(grid))))
+        cdf /= cdf[-1]
+        for k, drawn in enumerate(draws):
+            inline = np.interp(stream(5, "marks", k).random(9), cdf, grid)
+            assert drawn.tobytes() == inline.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +343,171 @@ class TestRuleContract:
 
 
 # ---------------------------------------------------------------------------
+# plan layout
+# ---------------------------------------------------------------------------
+
+class _StubRng:
+    """Generator stand-in for the draw protocol: preset jump times (in the
+    order ``uniform`` hands them out), spread mark uniforms, and normals
+    numbered from ``first`` whether drawn by size or into ``out``."""
+
+    def __init__(self, jump_times, first):
+        self.jump_times, self.next = np.asarray(jump_times, float), first
+
+    def poisson(self, lam):
+        return self.jump_times.size
+
+    def uniform(self, low, high, size):
+        return self.jump_times.copy()
+
+    def random(self, size):
+        return np.linspace(0.05, 0.95, size)
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.next + 0.25 * np.arange(out.size).reshape(out.shape)
+        self.next += out.size
+        return out
+
+
+def _per_path_plan(dyn, regime_paths, dt, rngs):
+    """The per-path layout: each path's grid is np.unique of the base grid,
+    its regime events and its jumps; theta and y come from state_at."""
+    horizon = regime_paths[0].horizon
+    base = np.linspace(0.0, horizon, int(round(horizon / dt)) + 1)
+    rows = []
+    for rp, rng in zip(regime_paths, rngs):
+        jt = np.sort(rng.uniform(0.0, horizon,
+                                 size=rng.poisson(dyn.marks.rate * horizon)))
+        jm = dyn.marks.sample(rng, jt.size)
+        events = np.array([s for s, _ in rp.events], dtype=float)
+        grid = np.unique(np.concatenate((base, events, jt)))
+        tail = (dyn.dim,) if dyn.dim > 1 else ()
+        rows.append((grid, rng.standard_normal((grid.size - 1,) + tail),
+                     jt, jm, rp))
+    n, K = len(rows), max(row[0].size for row in rows)
+    t, dW = np.full((n, K), horizon), np.zeros((n, K - 1) + tail)
+    mask, marks = np.zeros((n, K), dtype=bool), np.zeros((n, K))
+    theta, y = np.empty((n, K), dtype=int), np.empty((n, K))
+    for p, (grid, Z, jt, jm, rp) in enumerate(rows):
+        t[p, :grid.size] = grid
+        steps = np.sqrt(np.diff(grid))
+        dW[p, :grid.size - 1] = Z * (steps if dyn.dim == 1 else steps[:, None])
+        mask[p, np.searchsorted(grid, jt)] = True
+        marks[p, np.searchsorted(grid, jt)] = jm
+        theta[p], y[p] = rp.state_at(t[p], side="right")
+    return t, dW, mask, marks, theta, y
+
+
+class TestPlanLayout:
+    """The ensemble-wide layout against the per-path one, on hand-made
+    regime paths and jump times that hit its edge cases."""
+
+    BASE = np.linspace(0.0, 1.0, 21)   # dt = 0.05 on [0, 1]
+    CASES = [
+        # an event on a base node, a jump at an event time, a jump at 0.0
+        # and two equal jump times
+        ([(BASE[5], 1), (0.33, 0)], RegimeState(0, 0.0),
+         [0.71, 0.33, 0.0, 0.71]),
+        # no events, aged origin, no jumps: the shortest row
+        ([], RegimeState(1, 0.4), []),
+        # an event at the horizon, a jump on a base node
+        ([(0.1234, 1), (1.0, 0)], RegimeState(0, 0.25), [0.9999, BASE[10]]),
+        # a run of new times between two base nodes
+        ([(0.011, 1), (0.012, 0), (0.013, 1)], RegimeState(0, 0.0),
+         [0.014, 0.999, 0.0141]),
+    ]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_per_path_layout(self, dim):
+        dyn = replace(_jump_dyn(), dim=dim)
+        paths = [RegimePath(ev, origin, 1.0) for ev, origin, _ in self.CASES]
+        stubs = lambda: [_StubRng(jt, 1.0 + 100.0 * p)
+                         for p, (_, _, jt) in enumerate(self.CASES)]
+        plan = _draw_plan(dyn, paths, 0.05, stubs())
+        ref = _per_path_plan(dyn, paths, 0.05, stubs())
+        for name, want in zip(("t", "dW", "jump_mask", "jump_marks", "theta",
+                               "y"), ref):
+            got = getattr(plan, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        # rows of unequal length: padding is the horizon, zero steps and
+        # the final regime values
+        n, K = plan.t.shape
+        lengths = [21 + 2, 21, 21 + 2, 21 + 6]
+        assert K == max(lengths)
+        for p, L in enumerate(lengths):
+            assert plan.t[p, L - 1] == 1.0 and np.all(plan.t[p, L:] == 1.0)
+            pad = plan.dW[p, L - 1:]
+            assert np.all(pad == 0.0) and not np.signbit(pad).any()
+            assert np.all(plan.dW[p, :L - 1] != 0.0)
+            end = paths[p].state_at(1.0, side="right")
+            assert np.all(plan.theta[p, L - 1:] == end[0])
+            assert np.all(plan.y[p, L - 1:] == end[1])
+        assert plan.y[1, 0] == 0.4 and plan.theta[1, 0] == 1
+        assert plan.jump_mask[0, 0] and plan.jump_mask.sum() == 8
+        col = np.searchsorted(plan.t[0], 0.33)
+        assert plan.jump_mask[0, col] and plan.theta[0, col] == 0
+
+
+class TestPlanBytes:
+    """``build_plan``'s arrays, pinned and replayed from the streams."""
+
+    # SHA-256 of t, dW, jump_mask, jump_marks, theta and y, generated with
+    # the per-path layout that the ensemble-wide one replaced
+    DIGESTS = {
+        "scalar-atoms":
+            "1628baa95b1d85b9ade88ddf554fbd8215782fb3b580990f3a675ee0d24ec5f8",
+        "dim2-density":
+            "b23c9145a52c1debf5cb88b37e96b34c788dcc4279068202338e85e991499700",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_plan_digest(self, exp2_model, weibull3_model, name):
+        if name == "scalar-atoms":
+            plan = build_plan(_jump_dyn(),
+                              _paths(exp2_model, 40, 1.0, 29, y0=0.2), 0.02,
+                              29)
+        else:
+            marks = MarkMeasure(rate=4.0, density=lambda g: np.full_like(g, 2.0),
+                                support=(0.0, 0.5))
+            plan = build_plan(replace(_jump_dyn(marks), dim=2),
+                              _paths(weibull3_model, 15, 1.0, 37, i0=1,
+                                     y0=0.4), 0.05, 37, "other")
+        h = hashlib.sha256()
+        for a in (plan.t, plan.dW, plan.jump_mask, plan.jump_marks,
+                  plan.theta, plan.y):
+            h.update(a.tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]
+
+    def test_rows_replay_their_streams(self, exp2_model):
+        """Path p draws from stream (seed, tag, p): Poisson count, jump
+        times, marks, then one normal per step of its grid."""
+        dyn = _jump_dyn()
+        regimes = _paths(exp2_model, 30, 1.0, 41, y0=0.1)
+        plan = build_plan(dyn, regimes, 0.05, 41, "replay")
+        base = np.linspace(0.0, 1.0, 21)
+        n_jumps = 0
+        for p in (0, 7, 18, 29):
+            rng = stream(41, "replay", p)
+            count = rng.poisson(3.0)
+            jt = np.sort(rng.uniform(0.0, 1.0, size=count))
+            jm = rng.choice(dyn.marks.atoms, size=count, p=dyn.marks.weights)
+            events = [s for s, _ in regimes[p].events]
+            grid = np.unique(np.concatenate((base, events, jt)))
+            Z = rng.standard_normal(grid.size - 1)
+            L = grid.size
+            assert np.array_equal(plan.t[p, :L], grid)
+            cols = np.searchsorted(grid, jt)
+            assert np.array_equal(np.nonzero(plan.jump_mask[p])[0], cols)
+            assert np.array_equal(plan.jump_marks[p, cols], jm)
+            assert (plan.dW[p, :L - 1].tobytes()
+                    == (Z * np.sqrt(np.diff(grid))).tobytes())
+            n_jumps += count
+        assert n_jumps > 0
+
+
+# ---------------------------------------------------------------------------
 # objective estimation
 # ---------------------------------------------------------------------------
 
@@ -354,6 +551,43 @@ class TestObjective:
         j = objective_paths(ens, obj)
         assert j.shape == (7,)
         assert np.allclose(j, 1.0 + 2.0)  # int_0^1 1 dt + 2*1
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_running_cost_is_one_call_on_all_points(self, exp2_model, dim):
+        if dim == 1:
+            dyn, x0 = _jump_dyn(), 1.0
+            rule = lambda t, x, i, y: 0.5 - 0.3 * x + 0.1 * y
+            cost = lambda t, x, u, i, y: (-0.2 * u ** 2 + 0.05 * (1 + i) * x
+                                          + 0.01 * t * y)
+        else:
+            dyn = replace(_jump_dyn(), dim=2,
+                          drift=lambda t, x, u, i: 0.05 * x,
+                          vol=lambda t, x, u, i: (0.2 * x[..., :, None]
+                                                  * np.eye(2)),
+                          jump=lambda t, x, u, i, gam: 0.1 * gam[..., None] * x)
+            x0 = np.array([1.0, 0.5])
+            rule = lambda t, x, i, y: 0.3 * x[..., 0]
+            cost = lambda t, x, u, i, y: -0.1 * u ** 2 + 0.01 * x[..., 1]
+        ens = simulate_ensemble(dyn, ControlPolicy(rule=rule),
+                                _paths(exp2_model, 9, 1.0, 31), x0, 0.05, 31)
+        shapes = []
+
+        def running(t, x, u, i, y):
+            shapes.append(x.shape)
+            return cost(t, x, u, i, y)
+
+        J = running_cost_paths(ens, ObjectiveSpec(running=running,
+                                                  terminal=None))
+        n, K = ens.t.shape
+        assert shapes == [(n * K,) + ((dim,) if dim > 1 else ())]
+        # the per-column loop the one call replaced
+        vals = np.empty((n, K))
+        for k in range(K):
+            vals[:, k] = cost(ens.t[:, k], ens.x[:, k], ens.u[:, k],
+                              ens.theta[:, k], ens.y[:, k])
+        ref = np.sum(0.5 * (vals[:, 1:] + vals[:, :-1]) * np.diff(ens.t, axis=1),
+                     axis=1)
+        assert J.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
