@@ -289,15 +289,24 @@ def _sojourn_cumulative(paths: Sequence[RegimePath], c_states: np.ndarray,
     ``c_states`` is indexed by regime along its last axis; leading axes
     stack several rates, integrated in the same pass over the sojourns.
     The integrand is piecewise constant in the regime, so the integral is a
-    sum of sojourn overlaps; no time-discretization error.
+    sum of sojourn overlaps; no time-discretization error.  The sum runs
+    over the sojourn index, all paths at once; a path with fewer sojourns
+    is padded with empty ones at its horizon, which add an exact 0.0 for
+    finite rates.
     """
-    cum = np.zeros(np.shape(c_states)[:-1] + (len(paths), len(taus)))
+    n_soj = max((rp._times.size + 1 for rp in paths), default=0)
+    bounds = np.empty((len(paths), n_soj + 1))
+    states = np.zeros((len(paths), n_soj), dtype=int)
     for p, rp in enumerate(paths):
-        seg_t = [0.0] + [t for t, _ in rp.events] + [rp.horizon]
-        seg_s = [rp.origin.theta] + [s for _, s in rp.events]
-        for s0, s1, st in zip(seg_t[:-1], seg_t[1:], seg_s):
-            cum[..., p, :] += (c_states[..., st, None]
-                               * np.clip(taus - s0, 0.0, s1 - s0))
+        e = rp._times.size
+        bounds[p, 0], bounds[p, 1:e + 1], bounds[p, e + 1:] = (
+            0.0, rp._times, rp.horizon)
+        states[p, 0], states[p, 1:e + 1] = rp.origin.theta, rp._states
+    cum = np.zeros(np.shape(c_states)[:-1] + (len(paths), len(taus)))
+    for k in range(n_soj):
+        s0, s1 = bounds[:, k, None], bounds[:, k + 1, None]
+        cum += (c_states[..., states[:, k], None]
+                * np.clip(taus - s0, 0.0, s1 - s0))
     return cum
 
 

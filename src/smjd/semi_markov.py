@@ -12,12 +12,14 @@ where hazard(i, y) = f(y|i) / (1 - F(y|i)).
 
 Two samplers are provided: a renewal-style direct sampler (draw a holding
 time, then a target state) and a thinning sampler that realizes the driving
-Poisson-measure representation.  Thinning proposes against a hazard
-majorant: for nondecreasing hazards (exponential, Weibull with shape >= 1) a
-piecewise-constant one, the hazard at the end of each age window of fixed
-length (Lewis & Shedler 1979); for custom distributions the declared global
-bound.  The samplers agree in law; tests compare them with two-sample
-statistics.
+Poisson-measure representation.  The direct sampler runs as one array pass
+over a whole ensemble, on blocks of uniforms per path, and consumes exactly
+the 2E + 1 uniforms of a per-event loop for a path with E events.  Thinning
+proposes against a hazard majorant: for nondecreasing hazards (exponential,
+Weibull with shape >= 1) a piecewise-constant one, the hazard at the end of
+each age window of fixed length (Lewis & Shedler 1979); for custom
+distributions the declared global bound.  The samplers agree in law; tests
+compare them with two-sample statistics.
 
 Categorical draws (next states, discrete marks) read a cumulative table
 built once, as ``Generator.choice`` builds it, with one uniform per draw:
@@ -261,7 +263,7 @@ class RegimePath:
 
     ``events`` holds (jump time, new state) with strictly increasing times;
     the age grows at unit rate between events and resets to exactly 0 at
-    each event.
+    each event.  ``_times`` and ``_states`` hold the same events as arrays.
     """
 
     events: list[tuple[float, int]]
@@ -272,15 +274,21 @@ class RegimePath:
 
     def __post_init__(self):
         times = np.array([t for t, _ in self.events], dtype=float)
-        if times.size and (np.any(np.diff(times) <= 0) or times[0] <= 0
-                           or times[-1] > self.horizon):
-            raise ValueError("event times must be strictly increasing in (0, horizon]")
-        states = np.array([s for _, s in self.events], dtype=int)
-        prev = np.concatenate(([self.origin.theta], states[:-1]))
-        if np.any(states == prev):
-            raise ValueError("consecutive states must differ")
-        self._times = times
-        self._states = states
+        chain = np.array([self.origin.theta, *(s for _, s in self.events)],
+                         dtype=int)
+        _check_events(times[None], chain[None], np.array([times.size]),
+                      self.horizon)
+        self._times, self._states = times, chain[1:]
+
+    @classmethod
+    def _from_arrays(cls, times: np.ndarray, states: np.ndarray,
+                     origin: RegimeState, horizon: float) -> RegimePath:
+        """A path on event arrays that :func:`_check_events` has passed."""
+        path = cls.__new__(cls)
+        path.events = list(zip(times.tolist(), states.tolist()))
+        path.origin, path.horizon = origin, horizon
+        path._times, path._states = times, states
+        return path
 
     def state_at(self, t, side: str = "left"):
         """Regime index and age at time t (vectorized).
@@ -302,6 +310,25 @@ class RegimePath:
         if np.ndim(t) == 0:
             return int(theta), float(age)
         return theta.astype(int), age
+
+
+def _check_events(times: np.ndarray, chain: np.ndarray, counts: np.ndarray,
+                  horizon: float) -> None:
+    """Refuse event tables with a bad row.
+
+    Row p holds ``counts[p]`` events: times ``times[p, :counts[p]]`` and
+    states ``chain[p, 1:counts[p] + 1]``, with ``chain[p, 0]`` the origin's
+    state; entries past them are ignored.  The times must be strictly
+    increasing in (0, horizon] and each state must differ from the one
+    before it.
+    """
+    live = np.arange(times.shape[1]) < counts[:, None]
+    bad = (times <= 0) | (times > horizon)
+    bad[:, 1:] |= times[:, 1:] <= times[:, :-1]
+    if (live & bad).any():
+        raise ValueError("event times must be strictly increasing in (0, horizon]")
+    if (live & (chain[:, 1:] == chain[:, :-1])).any():
+        raise ValueError("consecutive states must differ")
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +413,38 @@ def intensity_matrix(model: RegimeModel, y: float) -> np.ndarray:
     return Q
 
 
-def sample_holding_time(model: RegimeModel, i: int, rng: np.random.Generator,
-                        age: float = 0.0) -> float:
-    """Draw a holding time for state i, conditioned on survival to ``age``.
-
-    Inverse-cdf for exponential/Weibull; bisection to 1e-10 for custom
-    distributions.  With age > 0 the residual law
-    (F(age+t) - F(age)) / (1 - F(age)) is sampled.
-    """
-    dist = model.holding[i]
-    u = rng.random()
-    if age == 0.0:
-        tau = float(dist.inverse_cdf(u))
-        return tau
-    F_age = float(np.asarray(dist.cdf(age), dtype=float))
+def _age_cdf(model: RegimeModel, i: int, age: float) -> float:
+    """F(age | i), refused with AgeBeyondSupport where it reaches 1."""
+    F_age = float(np.asarray(model.holding[i].cdf(age), dtype=float))
     if F_age >= _CDF_ONE:
         raise AgeBeyondSupport(i, age)
-    target = F_age + u * (1.0 - F_age)
-    return float(dist.inverse_cdf(target)) - age
+    return F_age
+
+
+def _holding_times(model: RegimeModel, i: np.ndarray, u: np.ndarray,
+                   age: float = 0.0) -> np.ndarray:
+    """Holding times of the states ``i`` for the uniforms ``u`` (same shape),
+    each conditioned on survival to ``age``: one inverse-cdf call per state.
+
+    Inverse-cdf for exponential/Weibull; bisection to 1e-10 for custom
+    distributions, one element at a time.  With age > 0 the residual law
+    (F(age+t) - F(age)) / (1 - F(age)) is sampled.
+    """
+    def invert(s, mask):
+        dist = model.holding[s]
+        if age == 0.0:
+            return dist.inverse_cdf(u[mask])
+        F_age = _age_cdf(model, s, age)
+        return dist.inverse_cdf(F_age + u[mask] * (1.0 - F_age)) - age
+    return _per_state(model.n_states, i, invert)
+
+
+def sample_holding_time(model: RegimeModel, i: int, rng: np.random.Generator,
+                        age: float = 0.0) -> float:
+    """Draw a holding time for state i, conditioned on survival to ``age``,
+    from one ``rng.random()`` (see :func:`_holding_times`)."""
+    u = rng.random()
+    return float(_holding_times(model, np.array([i]), np.array([u]), age)[0])
 
 
 def _cdf_table(p: np.ndarray) -> np.ndarray:
@@ -427,36 +468,134 @@ def _next_state(kernel_cdf: np.ndarray, i: int,
 # Samplers
 # ---------------------------------------------------------------------------
 
+_FIRST_BLOCK = 8  # sojourns per path in the direct sampler's first block
+_BLOCK_SOJOURNS = 1 << 18  # cap on the sojourns of one later block
+
+
+def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
+                  n: int, draw) -> list[RegimePath]:
+    """``n`` direct-sampler paths, drawn as one array pass.
+
+    ``draw(rows, k)`` returns the next 2k uniforms of each path in ``rows``
+    as a (len(rows), 2k) table, in the order 2k ``random()`` calls would
+    return them.  Column 2j drives the holding time of a block's sojourn j
+    and column 2j + 1 the kernel draw that ends it, so a path with E events
+    reads 2E + 1 uniforms, as the renewal loop does (a single-state model
+    reads none).
+
+    A block is sampled in three array steps over all its paths:
+
+    - the embedded chain.  The state after column j, entered from state s,
+      is the count of ``kernel_cdf[s] <= u``, which is what
+      ``Generator.choice`` draws.  These one-column maps are composed into
+      prefixes by doubling, log2(k) gathers, and the prefixes are applied
+      to each path's entry state;
+    - the holding times, one inverse-cdf call per state (the residual law
+      for an aged origin's first sojourn);
+    - the event times: a cumulative sum along each row, sequential like the
+      loop's ``t += tau``, cut at the horizon or at the first non-finite
+      time.
+
+    Only paths that reach the end of a block before the cut draw another,
+    sized from their pace so far.  Raises AgeBeyondSupport before any draw
+    when the origin's age is past its law's support.
+    """
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    M = model.n_states
+    rows = np.arange(n if M > 1 else 0)
+    if rows.size and origin.y > 0.0:
+        _age_cdf(model, origin.theta, origin.y)
+    state, t, age, k = origin.theta, 0.0, origin.y, _FIRST_BLOCK
+    counts = np.zeros(n, dtype=np.intp)
+    blocks, width = [], 0
+    while rows.size:
+        u = draw(rows, k)
+        odd = u[:, 1::2]
+        # succ[p, j, s]: state after column j of path p, entered from s
+        succ = np.empty((rows.size, k, M), dtype=np.intp)
+        for s, cdf in enumerate(model.kernel_cdf):
+            succ[..., s] = cdf.searchsorted(odd, side="right")
+        flat, at = succ.reshape(-1), np.arange(0, succ.size, M).reshape(
+            rows.size, k, 1)  # flat index of succ[p, j, 0]
+        d = 1
+        while d < k:  # succ[:, j] becomes the map across columns 0..j
+            succ[:, d:] = flat[at[:, d:] + succ[:, :-d]]
+            d *= 2
+        chain = np.empty((rows.size, k + 1), dtype=np.intp)
+        chain[:, 0] = state
+        chain[:, 1:] = flat[at[..., 0] + chain[:, :1]]
+        tau = np.empty((rows.size, k))
+        j0 = 1 if age > 0.0 else 0  # an aged first sojourn has its own law
+        if j0:
+            tau[:, 0] = _holding_times(model, chain[:, 0], u[:, 0], age)
+        tau[:, j0:] = _holding_times(model, chain[:, j0:k], u[:, 2 * j0::2])
+        tau[:, 0] += t
+        times = tau.cumsum(axis=1)
+        cut = ~(times < horizon)  # NaN and inf included; none is -inf
+        ended = cut.any(axis=1)
+        counts[rows] += np.where(ended, cut.argmax(axis=1), k)
+        blocks.append((rows, width, times, chain))
+        width += k
+        if ended.all():
+            break
+        rows, state, t = rows[~ended], chain[~ended, k], times[~ended, -1]
+        with np.errstate(divide="ignore"):  # next block: from the pace so far
+            pace = float(np.mean((horizon - t) / t)) * width
+        cap = max(_BLOCK_SOJOURNS // rows.size, 1)
+        k, age = int(min(max(2 * k, 1.25 * pace), cap)), 0.0
+    if len(blocks) == 1:  # the first block holds every path
+        times, chain = blocks[0][2:]
+    else:
+        times = np.zeros((n, width))
+        chain = np.full((n, width + 1), origin.theta, dtype=np.intp)
+        for r, c, tt, ch in blocks:
+            times[r, c:c + tt.shape[1]] = tt
+            chain[r, c + 1:c + tt.shape[1] + 1] = ch[:, 1:]
+    _check_events(times, chain, counts, horizon)
+    return [RegimePath._from_arrays(times[p, :e], chain[p, 1:e + 1], origin,
+                                    horizon)
+            for p, e in enumerate(counts.tolist())]
+
+
 def simulate_regime_direct(model: RegimeModel, origin: RegimeState,
                            horizon: float, rng: np.random.Generator) -> RegimePath:
     """Renewal-style sampler: alternate holding-time and kernel draws.
 
     The first holding time is drawn from the age-conditioned residual law
-    when origin.y > 0.
+    when origin.y > 0.  ``rng`` is left exactly where a loop of
+    ``random()`` calls would leave it: after 2E + 1 uniforms for a path
+    with E events, none for a single-state model.  The path is sampled by
+    :func:`_direct_paths` from blocks of uniforms; the state of ``rng`` is
+    then restored and the used count drawn again.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    events: list[tuple[float, int]] = []
-    t, i, age = 0.0, origin.theta, origin.y
-    if model.n_states == 1:
-        return RegimePath(events, origin, horizon)
-    while True:
-        tau = sample_holding_time(model, i, rng, age=age)
-        t += tau
-        if t >= horizon or not math.isfinite(t):
-            break
-        i = _next_state(model.kernel_cdf, i, rng)
-        events.append((t, i))
-        age = 0.0
-    return RegimePath(events, origin, horizon)
+    bits = rng.bit_generator
+    start = bits.state
+    path, = _direct_paths(model, origin, horizon, 1,
+                          lambda rows, k: rng.random((1, 2 * k)))
+    bits.state = start
+    if model.n_states > 1:
+        rng.random(2 * len(path.events) + 1)
+    return path
 
 
 def sample_regime_paths(model: RegimeModel, origin: RegimeState,
                         horizon: float, n: int, seed: int,
                         tag: str = "regime") -> list[RegimePath]:
-    """``n`` direct-sampler paths; path p draws from stream (seed, tag, p)."""
-    return [simulate_regime_direct(model, origin, horizon, stream(seed, tag, p))
-            for p in range(n)]
+    """``n`` direct-sampler paths; path p draws from stream (seed, tag, p).
+
+    Path p is the one :func:`simulate_regime_direct` draws from that
+    stream; all ``n`` are sampled in one :func:`_direct_paths` pass.
+    """
+    rngs = [stream(seed, tag, p) for p in range(n)]
+
+    def draw(rows, k):
+        u = np.empty((rows.size, 2 * k))
+        for row, p in zip(u, rows.tolist()):
+            rngs[p].random(out=row)
+        return u
+
+    return _direct_paths(model, origin, horizon, n, draw)
 
 
 def _majorant_step(dist: HoldingDistribution) -> float:
@@ -613,12 +752,15 @@ def dynkin_statistics(model: RegimeModel, paths: Sequence[RegimePath],
 def _dynkin_block(model, paths, phi, dphi_dy, dt) -> np.ndarray:
     """Dynkin statistics of a block of paths, node for node and sum for sum
     as with one np.linspace and one np.trapezoid per sojourn."""
-    states, length, y0 = map(np.array, zip(*(
-        (st, t1 - t0, ya) for rp in paths for st, t0, t1, ya in zip(
-            [rp.origin.theta, *(s for _, s in rp.events)],
-            [0.0, *(t for t, _ in rp.events)],
-            [*(t for t, _ in rp.events), rp.horizon],
-            [rp.origin.y] + [0.0] * len(rp.events)))))
+    n_ev = np.array([rp._times.size for rp in paths])
+    states = np.concatenate([part for rp in paths
+                             for part in ([rp.origin.theta], rp._states)])
+    length = (np.concatenate([part for rp in paths
+                              for part in (rp._times, [rp.horizon])])
+              - np.concatenate([part for rp in paths
+                                for part in ([0.0], rp._times)]))
+    y0 = np.zeros(length.size)
+    y0[np.cumsum(n_ev + 1) - (n_ev + 1)] = [rp.origin.y for rp in paths]
     n_sub = np.maximum(np.ceil(length / dt).astype(int), 1)
     counts, step = n_sub + 1, length / n_sub
     last = np.cumsum(counts) - 1  # last node of each sojourn
@@ -634,11 +776,11 @@ def _dynkin_block(model, paths, phi, dphi_dy, dt) -> np.ndarray:
                       last[:-1])
     ends = np.cumsum(n_sub)
     out, k = np.empty(len(paths)), 0
-    for p, rp in enumerate(paths):
+    for p, (rp, e) in enumerate(zip(paths, n_ev.tolist())):
         integral = 0.0
-        for end, n in zip(ends[k:k + len(rp.events) + 1], n_sub[k:]):
+        for end, n in zip(ends[k:k + e + 1], n_sub[k:]):
             integral += terms[end - n:end].sum()
-        k += len(rp.events) + 1
+        k += e + 1
         out[p] = (phi(int(states[k - 1]), float(ages[last[k - 1]]))
                   - phi(rp.origin.theta, rp.origin.y) - integral)
     return out

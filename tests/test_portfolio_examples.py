@@ -9,7 +9,8 @@ from smjd.errors import (DegenerateVol, FixedPointDiverged,
 from smjd.jump_diffusion import ControlPolicy, MarkMeasure, simulate_ensemble
 from smjd.maximum_principle import adjoint_residual
 from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
-                                     RiskSensitiveModel, ql_adjoint, ql_dynamics,
+                                     RiskSensitiveModel, _sojourn_cumulative,
+                                     ql_adjoint, ql_dynamics,
                                      ql_lambda_factors, ql_objective,
                                      ql_optimal_control, ql_phi_psi,
                                      ql_phi_psi_markov, ql_policy,
@@ -19,7 +20,8 @@ from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                      rs_policy, rs_source_rate,
                                      rs_u_coefficient)
 from smjd.rng import stream
-from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
+from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
+                              RegimeState, sample_regime_paths,
                               simulate_regime_direct)
 
 
@@ -175,6 +177,30 @@ class TestRsPhi:
             for b in range(2):
                 assert (abs(mc.values[0, i, b] - exact.values[0, i, 0])
                         < 3 * mc.se[0, i, b])
+
+
+def _sojourn_cumulative_reference(paths, c_states, taus):
+    """One sojourn at a time, one path at a time."""
+    cum = np.zeros(np.shape(c_states)[:-1] + (len(paths), len(taus)))
+    for p, rp in enumerate(paths):
+        seg_t = [0.0] + [t for t, _ in rp.events] + [rp.horizon]
+        seg_s = [rp.origin.theta] + [s for _, s in rp.events]
+        for s0, s1, st in zip(seg_t[:-1], seg_t[1:], seg_s):
+            cum[..., p, :] += (c_states[..., st, None]
+                               * np.clip(taus - s0, 0.0, s1 - s0))
+    return cum
+
+
+@pytest.mark.parametrize("c_states", [np.array([0.7, -1.3]),
+                                      np.array([[-2.0, 0.4], [1.5, -0.25]])])
+def test_sojourn_cumulative_matches_per_path_loop(exp_two, c_states):
+    # sojourn counts differ from path to path, so short paths are padded
+    paths = sample_regime_paths(exp_two, RegimeState(1, 0.2), 1.5, 40, 13)
+    paths.append(RegimePath([], RegimeState(0, 0.0), 1.5))
+    taus = np.linspace(0.0, 1.5, 31)
+    got = _sojourn_cumulative(paths, c_states, taus)
+    want = _sojourn_cumulative_reference(paths, c_states, taus)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestRsAdjoint:

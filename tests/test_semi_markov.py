@@ -1,5 +1,6 @@
 """Regime process: hazards, intensity matrices, samplers, and the generator."""
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -13,11 +14,12 @@ from smjd.errors import AgeBeyondSupport, BoundViolation, InfiniteHazard
 from smjd.jump_diffusion import MarkMeasure
 from smjd.rng import stream
 from smjd.semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
-                              RegimeState, WeibullHolding, apply_generator_L,
-                              dynkin_statistics, hazard_rate,
-                              intensity_matrix, sample_holding_time,
-                              sample_regime_paths, simulate_ctmc,
-                              simulate_regime_direct, simulate_regime_thinning)
+                              RegimePath, RegimeState, WeibullHolding,
+                              apply_generator_L, dynkin_statistics,
+                              hazard_rate, intensity_matrix,
+                              sample_holding_time, sample_regime_paths,
+                              simulate_ctmc, simulate_regime_direct,
+                              simulate_regime_thinning)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +473,123 @@ class TestDrawProtocol:
         assert events > 0 and rng.randoms == len(calls) > events
 
 
+def _direct_reference(model, origin, horizon, rng):
+    """The renewal loop the array sampler replaced: per sojourn one
+    ``random()`` for the holding time, then one ``uniform()`` for the
+    target state."""
+    events, t, i, age = [], 0.0, origin.theta, origin.y
+    if model.n_states == 1:
+        return events
+    while True:
+        dist, u = model.holding[i], rng.random()
+        if age == 0.0:
+            tau = float(dist.inverse_cdf(u))
+        else:
+            F_age = float(np.asarray(dist.cdf(age), dtype=float))
+            if F_age >= 1.0 - 1e-15:
+                raise AgeBeyondSupport(i, age)
+            tau = float(dist.inverse_cdf(F_age + u * (1.0 - F_age))) - age
+        t += tau
+        if t >= horizon or not math.isfinite(t):
+            return events
+        i = int(model.kernel_cdf[i].searchsorted(rng.uniform(), side="right"))
+        events.append((t, i))
+        age = 0.0
+
+
+def _custom_model():
+    """A gamma law next to a defective one (mass 0.4 never exits)."""
+    gam = st.gamma(2.0, scale=0.5)
+    gamma = CustomHolding(pdf=gam.pdf, cdf=gam.cdf, hazard_bound_value=10.0,
+                          window=10.0)
+    defective = CustomHolding(
+        pdf=lambda y: 0.6 * np.exp(-np.asarray(y, dtype=float)),
+        cdf=lambda y: 0.6 * -np.expm1(-np.asarray(y, dtype=float)),
+        hazard_bound_value=1.0, window=10.0)
+    return RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                       holding=(gamma, defective))
+
+
+def _single_model():
+    return RegimeModel(kernel=np.array([[0.0]]),
+                       holding=(ExponentialHolding(1.0),))
+
+
+def _assert_same_path(path, events):
+    assert path.events == events
+    assert all(type(t) is float and type(s) is int for t, s in path.events)
+    assert path._times.tobytes() == np.array([t for t, _ in events],
+                                             dtype=float).tobytes()
+    assert path._states.tobytes() == np.array([s for _, s in events],
+                                              dtype=np.int64).tobytes()
+
+
+class TestDirectSamplerMatchesLoop:
+    """Both entry points of the array sampler against the renewal loop."""
+
+    CASES = [(model, origin, horizon, n)
+             for model, origin, n in (("exp2", (0, 0.0), 60),
+                                      ("weibull3", (0, 0.0), 60),
+                                      ("weibull3", (1, 0.3), 60),
+                                      ("custom", (0, 0.0), 12),
+                                      ("custom", (1, 0.7), 12),
+                                      ("single", (0, 0.4), 5),
+                                      ("exp2", (1, 0.0), 0))
+             for horizon in (1.0, 50.0)]
+
+    @staticmethod
+    def _model(name, exp2_model, weibull3_model):
+        return {"exp2": exp2_model, "weibull3": weibull3_model,
+                "custom": _custom_model(), "single": _single_model()}[name]
+
+    @pytest.mark.parametrize("name,origin,horizon,n", CASES)
+    def test_sample_regime_paths_bit_for_bit(self, exp2_model, weibull3_model,
+                                             name, origin, horizon, n):
+        model = self._model(name, exp2_model, weibull3_model)
+        origin = RegimeState(*origin)
+        paths = sample_regime_paths(model, origin, horizon, n, 61, "equiv")
+        assert len(paths) == n
+        for p, path in enumerate(paths):
+            assert path.origin == origin and path.horizon == horizon
+            _assert_same_path(path, _direct_reference(
+                model, origin, horizon, stream(61, "equiv", p)))
+
+    @pytest.mark.parametrize("name,origin,horizon,n", CASES)
+    def test_shared_stream_left_where_the_loop_leaves_it(
+            self, exp2_model, weibull3_model, name, origin, horizon, n):
+        model = self._model(name, exp2_model, weibull3_model)
+        origin = RegimeState(*origin)
+        a, b = stream(67, "shared", n), stream(67, "shared", n)
+        for _ in range(max(n, 3)):
+            _assert_same_path(simulate_regime_direct(model, origin, horizon, a),
+                              _direct_reference(model, origin, horizon, b))
+            assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+        assert a.random() == b.random()
+
+    def test_age_beyond_support_raised_at_the_same_call(self):
+        uniform = CustomHolding(
+            pdf=lambda y: np.where((np.asarray(y) >= 0) & (np.asarray(y) <= 1),
+                                   1.0, 0.0),
+            cdf=lambda y: np.clip(np.asarray(y, dtype=float), 0.0, 1.0),
+            hazard_bound_value=1e6, window=0.999)
+        model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            holding=(uniform, ExponentialHolding(1.0)))
+        a, b = stream(71, "support"), stream(71, "support")
+
+        def failing_call(sample, rng):
+            for call, y in enumerate((0.2, 0.9, 1.5, 0.1)):
+                try:
+                    sample(model, RegimeState(0, y), 3.0, rng)
+                except AgeBeyondSupport as exc:
+                    return call, exc.state, exc.age
+            return None
+
+        assert failing_call(simulate_regime_direct, a) == failing_call(
+            _direct_reference, b) == (2, 0, 1.5)
+        with pytest.raises(AgeBeyondSupport):
+            sample_regime_paths(model, RegimeState(0, 1.5), 3.0, 4, 71)
+
+
 # ---------------------------------------------------------------------------
 # path structure / age dynamics
 # ---------------------------------------------------------------------------
@@ -498,6 +617,30 @@ class TestRegimePath:
         # right-continuous evaluation just after an event: age resets to ~0
         th2, y2 = path.state_at(np.array([t1]), side="right")
         assert y2[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("events,origin", [
+        ([(0.5, 1), (0.5, 0)], 0),  # repeated time
+        ([(0.6, 1), (0.4, 0)], 0),  # decreasing times
+        ([(0.0, 1)], 0),  # time at 0
+        ([(1.5, 1)], 0),  # time past the horizon
+        ([(0.3, 0)], 0),  # state repeats the origin's
+        ([(0.3, 1), (0.7, 1)], 0),  # state repeats the previous event's
+    ])
+    def test_bad_events_refused(self, events, origin):
+        with pytest.raises(ValueError):
+            RegimePath(events, RegimeState(origin, 0.0), 1.0)
+        # the array check, as a table row after a good one; what lies past
+        # a row's event count is not read
+        good = [(0.2, 1), (0.9, 0)]
+        pad = len(good) - len(events) if len(events) < len(good) else 0
+        times = np.array([[t for t, _ in good],
+                          [t for t, _ in events] + [np.nan] * pad])
+        chain = np.array([[0] + [s for _, s in good],
+                          [origin] + [s for _, s in events] + [origin] * pad])
+        with pytest.raises(ValueError):
+            semi_markov._check_events(times, chain, np.array([2, len(events)]),
+                                      1.0)
+        semi_markov._check_events(times, chain, np.array([2, 0]), 1.0)
 
     def test_state_at_with_no_events(self, single_regime):
         path = simulate_regime_direct(single_regime, RegimeState(0, 0.3), 2.0,
