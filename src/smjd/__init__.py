@@ -33,7 +33,7 @@ from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              SamplePath, build_plan,
                              coefficient_regularity_probe, estimate_objective,
                              objective_paths, simulate_controlled_path,
-                             simulate_ensemble)
+                             simulate_ensemble, step_plan)
 from .maximum_principle import (AdjointPath, AdjointState, ValueFunctionStub,
                                 adjoint_from_value, adjoint_residual,
                                 argmax_hamiltonian, dynkin_check, generator_G,
@@ -52,6 +52,6 @@ from .verification import (MarkovReductionReport, PerturbationFamily,
                            SufficiencyReport, default_perturbation_family,
                            dp_connection_experiment,
                            markov_reduction_experiment,
-                           sufficiency_experiment)
+                           sufficiency_experiment, sufficiency_plan)
 
 __version__ = "0.1.0"

@@ -33,12 +33,14 @@ import copy
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import jsonschema
 
-from .errors import ConfigError, InfiniteHazard, SmjdError
+from .errors import (AgeBeyondSupport, ConfigError, DegenerateVol,
+                     InfiniteHazard, SmjdError)
 from .jump_diffusion import MarkMeasure, objective_paths, simulate_ensemble
 from .maximum_principle import ValueFunctionStub, hjb_residual, \
     hjb_terminal_mismatch
@@ -58,6 +60,7 @@ from .verification import (default_perturbation_family,
 
 COMMANDS = ("simulate", "rs-verify", "ql-verify", "dynkin", "hjb",
             "reduce-markov", "policy-eval")
+_PLAN_COMMANDS = ("simulate", "rs-verify", "ql-verify", "reduce-markov")
 
 SEED_ENV = "SMJD_SEED"
 SEED_MAX = 2 ** 64 - 1  # seeds are unsigned 64-bit, in the config and outside
@@ -221,7 +224,8 @@ def _check_cross_fields(cfg: dict) -> None:
     """Checks between fields of the resolved config (defaults applied) that
     the schema cannot express: per-regime arrays and regime indices must
     match the kernel's state count, jump atoms and weights must pair up,
-    and an age grid of several nodes needs a positive y_max."""
+    an age grid of several nodes needs a positive y_max, a noise plan's dt
+    a step on [0, horizon], and policy queries t in [0, horizon], y >= 0."""
     def bad(path, msg):
         raise ConfigError(f"config invalid at {path}: {msg}")
 
@@ -232,6 +236,10 @@ def _check_cross_fields(cfg: dict) -> None:
         return
     M = len(cfg["regime"]["kernel"])
     m = cfg["model"]
+    if (cfg["experiment"] in _PLAN_COMMANDS
+            and round(m["horizon"] / num["dt"]) < 1):
+        bad("$.numerics.dt",
+            f"{num['dt']} gives no step on [0, {m['horizon']}]")
     if not 0 <= m["i0"] < M:
         bad("$.model.i0", f"regime index {m['i0']} outside [0, {M})")
     per_regime = {f"$.model.{k}": m[k] for k in ("r", "mu", "mbar", "sigma")
@@ -245,10 +253,14 @@ def _check_cross_fields(cfg: dict) -> None:
     for path, values in per_regime.items():
         if len(values) != M:
             bad(path, f"{len(values)} entries for {M} regimes")
-    for k, (_, _, i, _) in enumerate(cfg.get("queries", ())):
+    for k, (t, _, i, y) in enumerate(cfg.get("queries", ())):
+        if not 0 <= t <= m["horizon"]:
+            bad(f"$.queries[{k}][0]", f"time {t} outside [0, {m['horizon']}]")
         if not (0 <= i < M and i == int(i)):
             bad(f"$.queries[{k}][2]",
                 f"regime index {i} is not an integer in [0, {M})")
+        if y < 0:
+            bad(f"$.queries[{k}][3]", f"age {y} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +299,20 @@ def build_model(cfg: dict):
                                   d=m["d"], horizon=m["horizon"], marks=marks,
                                   jump_coeff=coeff,
                                   lambda_variant=m["lambda_variant"])
+    except DegenerateVol as exc:
+        raise ConfigError(f"config invalid at $.model.sigma: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config invalid at $.model: {exc}") from exc
+
+
+@contextmanager
+def _age_field(path: str):
+    """Report an AgeBeyondSupport raised inside as a config error at
+    ``path``, the field that set the age past its state's holding law."""
+    try:
+        yield
+    except AgeBeyondSupport as exc:
+        raise ConfigError(f"config invalid at {path}: {exc}") from exc
 
 
 def _grids(cfg: dict):
@@ -314,18 +338,20 @@ def _problem(cfg, regime_model, seed):
         variant = cfg["model"]["phi_variant"]
 
         def u_fn(ens):
-            phi = rs_phi_functional(model, regime_model, t_nodes, y_nodes,
-                                    num["functional_paths"], seed,
-                                    variant=variant)
+            with _age_field("$.numerics.y_max"):
+                phi = rs_phi_functional(model, regime_model, t_nodes, y_nodes,
+                                        num["functional_paths"], seed,
+                                        variant=variant)
             return rs_u_coefficient(model, ens, rs_adjoint(
                 model, ens, phi, regime_model, variant=variant))
 
         return (model, rs_dynamics(model), rs_policy(model),
                 rs_objective(model), u_fn)
-    functionals = ql_phi_psi(model, regime_model, t_nodes, y_nodes,
-                             num["functional_paths"], seed,
-                             tol=num["fixed_point_tol"],
-                             max_iter=num["fixed_point_max_iter"])[:2]
+    with _age_field("$.numerics.y_max"):
+        functionals = ql_phi_psi(model, regime_model, t_nodes, y_nodes,
+                                 num["functional_paths"], seed,
+                                 tol=num["fixed_point_tol"],
+                                 max_iter=num["fixed_point_max_iter"])[:2]
     return (model, ql_dynamics(model), ql_policy(model, functionals),
             ql_objective(model),
             lambda ens: ql_u_coefficient(
@@ -375,8 +401,9 @@ def _run_simulate(cfg, seed):
     m = cfg["model"]
     num = cfg["numerics"]
     _, dyn, policy, objective, _ = _problem(cfg, regime_model, seed)
-    paths = sample_regime_paths(regime_model, RegimeState(m["i0"], m["y0"]),
-                                m["horizon"], num["n_paths"], seed)
+    with _age_field("$.model.y0"):
+        paths = sample_regime_paths(regime_model, RegimeState(
+            m["i0"], m["y0"]), m["horizon"], num["n_paths"], seed)
     ens = simulate_ensemble(dyn, policy, paths, m["x0"], num["dt"], seed)
     J = objective_paths(ens, objective)
     rows = [(p, ens.x[p, -1], int(ens.theta[p, -1]), ens.y[p, -1], J[p])
@@ -399,17 +426,18 @@ def _verify_common(cfg, seed, kind):
     relative = kind == "rs"  # RS perturbations scale with wealth
     families = default_perturbation_family(base, relative, m["horizon"])
     # the candidate and the negative control step on one noise plan
-    where = (m["i0"], m["y0"], m["horizon"], num["n_paths"], num["dt"], seed)
-    plan = sufficiency_plan(dyn, regime_model, *where)
-    report = sufficiency_experiment(
-        dyn, objective, families, regime_model, m["x0"], *where,
-        u_coefficient_fn=u_fn, foc_tol=num["foc_tol"], plan=plan)
+    with _age_field("$.model.y0"):
+        plan = sufficiency_plan(dyn, regime_model, m["i0"], m["y0"],
+                                m["horizon"], num["n_paths"], num["dt"], seed)
+    report = sufficiency_experiment(dyn, objective, families, plan, m["x0"],
+                                    seed, u_coefficient_fn=u_fn,
+                                    foc_tol=num["foc_tol"])
 
     scaled = ControlPolicy(rule=lambda t, x, i, y: 1.5 * base.rule(t, x, i, y),
                            control_set=base.control_set)
     neg_families = default_perturbation_family(scaled, relative, m["horizon"])
-    neg = sufficiency_experiment(dyn, objective, neg_families, regime_model,
-                                 m["x0"], *where, plan=plan)
+    neg = sufficiency_experiment(dyn, objective, neg_families, plan, m["x0"],
+                                 seed)
     detected = any(not r.passed for r in neg.results)
 
     passed = report.passed and detected
@@ -445,8 +473,9 @@ def _run_dynkin(cfg, seed):
     regime_model = build_regime_model(cfg["regime"])
     m = cfg["model"]
     num = cfg["numerics"]
-    paths = sample_regime_paths(regime_model, RegimeState(m["i0"], m["y0"]),
-                                m["horizon"], num["n_paths"], seed)
+    with _age_field("$.model.y0"):
+        paths = sample_regime_paths(regime_model, RegimeState(
+            m["i0"], m["y0"]), m["horizon"], num["n_paths"], seed)
     rows, lines, all_pass = [], [], True
     for fid, (name, phi, dphi) in enumerate(_DYNKIN_FUNCS):
         stats = dynkin_statistics(regime_model, paths, phi, dphi, num["dt"])

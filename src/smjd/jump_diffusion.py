@@ -20,14 +20,14 @@ The running cost is called once on all n*K grid points, flattened.
 
 Simulation has two parts.  :func:`build_plan` fixes every path's noise --
 jump times and marks, the event grid, the Brownian increments and the
-regime values on the grid -- in a read-only :class:`NoisePlan`; a
-stepping kernel then runs a policy on it.  Only the draws are made path
+regime values on the grid -- in a read-only :class:`NoisePlan`;
+:func:`step_plan` then runs a policy on it.  Only the draws are made path
 by path, from the path's own generator; the grids and regime values are
 laid out for the whole ensemble at once.  Every policy stepped on one plan
-sees the same draws, so shared-noise coupling holds by construction.  The
+sees the same draws, so shared-noise coupling holds by construction.
+:func:`simulate_ensemble` is ``build_plan`` then ``step_plan``; the
 per-path simulator steps a one-path plan drawn from its generator, so with
-the generator of stream (seed, tag, p) it reproduces row p of the ensemble
-bit for bit.
+stream (seed, tag, p) it reproduces row p of the ensemble bit for bit.
 
 Stacked call convention: the kernel also steps P policies at once on one
 plan (the sufficiency sweep's perturbation family).  States are then
@@ -56,7 +56,7 @@ from .semi_markov import (RegimeModel, RegimePath, RegimeState, _cdf_table,
 
 __all__ = [
     "MarkMeasure", "ControlledDynamics", "ControlPolicy", "ObjectiveSpec",
-    "SamplePath", "Ensemble", "NoisePlan", "build_plan",
+    "SamplePath", "Ensemble", "NoisePlan", "build_plan", "step_plan",
     "simulate_controlled_path", "simulate_ensemble",
     "estimate_objective", "coefficient_regularity_probe", "RegularityReport",
 ]
@@ -257,10 +257,10 @@ class NoisePlan:
     its Brownian increments ``dW``, its asset jumps (``jump_mask``,
     ``jump_marks``) and its cadlag regime values ``theta`` and ``y``.  None
     of them depends on the control, so any number of policies can be
-    stepped on one plan; the arrays are read-only and shared by every
-    ensemble stepped on it.  ``dt``, ``seed``, ``stream_tag`` and ``marks``
-    record what the plan was drawn for (a plan drawn from a caller's
-    generator has no seed or tag).
+    stepped on one plan with :func:`step_plan`; the arrays are read-only
+    and shared by every ensemble stepped on it.  ``marks`` is the mark
+    measure the jumps were drawn from and :attr:`dim` the state dimension
+    of ``dW``; :func:`step_plan` refuses dynamics with any other.
     """
 
     t: np.ndarray
@@ -271,9 +271,6 @@ class NoisePlan:
     y: np.ndarray
     horizon: float
     regime_paths: tuple[RegimePath, ...]
-    dt: float
-    seed: int | None
-    stream_tag: str | None
     marks: MarkMeasure | None
 
     @property
@@ -306,15 +303,14 @@ def build_plan(dyn: ControlledDynamics, regime_paths: Sequence[RegimePath],
 
     Path p draws from stream (seed, stream_tag, p): Poisson jump count, jump
     times, jump marks, then one standard-normal vector per step of its grid
-    in grid order.
+    in grid order.  A ``dt`` of twice the horizon or more raises ValueError.
     """
     return _draw_plan(dyn, regime_paths, dt,
                       (stream(seed, stream_tag, p)
-                       for p in range(len(regime_paths))), seed, stream_tag)
+                       for p in range(len(regime_paths))))
 
 
-def _draw_plan(dyn, regime_paths, dt, rngs, seed=None,
-               stream_tag=None) -> NoisePlan:
+def _draw_plan(dyn, regime_paths, dt, rngs) -> NoisePlan:
     """Draw each path's jumps, then its normals straight into its row of
     dW, from its generator in ``rngs``.  In between, one pass lays out the
     ensemble: the event and jump times, sorted by (path, time), are merged
@@ -322,8 +318,11 @@ def _draw_plan(dyn, regime_paths, dt, rngs, seed=None,
     cadlag formula on a per-row count of the event columns."""
     rngs = list(rngs)
     n, horizon = len(rngs), regime_paths[0].horizon
+    steps = int(round(horizon / dt))
+    if steps < 1:
+        raise ValueError(f"dt {dt} gives no step on [0, {horizon}]")
     jump_t, jump_m = zip(*(_draw_jumps(dyn, horizon, rng) for rng in rngs))
-    base = np.linspace(0.0, horizon, int(round(horizon / dt)) + 1)
+    base = np.linspace(0.0, horizon, steps + 1)
     B = base.size
     ev_t = [rp._times for rp in regime_paths]
     n_ev = np.array([e.size for e in ev_t], dtype=np.intp)
@@ -385,25 +384,7 @@ def _draw_plan(dyn, regime_paths, dt, rngs, seed=None,
         a.flags.writeable = False
     return NoisePlan(t=t, dW=dW, jump_mask=jump_mask, jump_marks=jump_marks,
                      theta=theta, y=y, horizon=horizon,
-                     regime_paths=tuple(regime_paths), dt=dt, seed=seed,
-                     stream_tag=stream_tag, marks=dyn.marks)
-
-
-def _check_plan(plan: NoisePlan, dyn, regime_paths, dt, seed, stream_tag):
-    """Refuse a plan drawn for anything other than this simulation."""
-    if (len(plan.regime_paths) != len(regime_paths)
-            or any(a is not b for a, b in zip(plan.regime_paths,
-                                              regime_paths))):
-        raise ValueError("plan was built for other regime_paths")
-    for field, want, same in (("dt", dt, plan.dt == dt),
-                              ("seed", seed, plan.seed == seed),
-                              ("stream_tag", stream_tag,
-                               plan.stream_tag == stream_tag),
-                              ("dim", dyn.dim, plan.dim == dyn.dim),
-                              ("marks", dyn.marks, plan.marks is dyn.marks)):
-        if not same:
-            raise ValueError(f"plan was built for another {field}: "
-                             f"{getattr(plan, field)!r}, not {want!r}")
+                     regime_paths=tuple(regime_paths), marks=dyn.marks)
 
 
 def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
@@ -493,36 +474,44 @@ def simulate_controlled_path(dyn: ControlledDynamics, policy: ControlPolicy,
                              rng: np.random.Generator) -> SamplePath:
     """Euler-Maruyama path on the union of the base grid and all event times.
 
-    Draws a one-path plan from ``rng`` and steps it with the ensemble's
-    kernel, so ``rng = stream(seed, tag, p)`` reproduces row p of
+    Draws a one-path plan from ``rng`` and steps it with
+    :func:`step_plan`, so ``rng = stream(seed, tag, p)`` reproduces row p of
     ``simulate_ensemble(..., seed, stream_tag=tag)`` bit for bit.
     """
-    plan = _draw_plan(dyn, [regime], dt, [rng])
-    ens = _ensemble(plan, *_step(dyn, policy, plan, x0)[:2])
+    ens = step_plan(dyn, policy, _draw_plan(dyn, [regime], dt, [rng]), x0)
     cols = np.nonzero(ens.jump_mask[0, 1:])[0] + 1
     return SamplePath(ens.t[0], ens.x[0], ens.theta[0], ens.y[0], ens.u[0],
                       [(int(k), float(ens.jump_marks[0, k])) for k in cols],
                       regime)
 
 
+def step_plan(dyn: ControlledDynamics, policy: ControlPolicy,
+              plan: NoisePlan, x0) -> Ensemble:
+    """Step ``policy`` from ``x0`` on every path of ``plan``.
+
+    Every policy stepped on one plan sees its regime, Brownian and jump
+    draws (shared-noise coupling), and the ensemble shares the plan's
+    arrays.  A plan drawn for another state dimension or mark measure than
+    ``dyn``'s raises ValueError naming it.
+    """
+    for field, want, same in (("dim", dyn.dim, plan.dim == dyn.dim),
+                              ("marks", dyn.marks, plan.marks is dyn.marks)):
+        if not same:
+            raise ValueError(f"plan was built for another {field}: "
+                             f"{getattr(plan, field)!r}, not {want!r}")
+    return _ensemble(plan, *_step(dyn, policy, plan, x0)[:2])
+
+
 def simulate_ensemble(dyn: ControlledDynamics, policy: ControlPolicy,
                       regime_paths: Sequence[RegimePath], x0, dt: float,
-                      seed: int, stream_tag: str = "paths", *,
-                      plan: NoisePlan | None = None) -> Ensemble:
-    """Simulate one path per regime path, vectorized across the ensemble.
-
-    The noise comes from ``build_plan(dyn, regime_paths, dt, seed,
-    stream_tag)``, or from ``plan`` when given, which must have been built
-    with exactly those arguments (ValueError naming the first that
-    differs).  Policies stepped on one plan see identical regime, Brownian
-    and jump draws by construction (shared-noise coupling), and results do
-    not depend on how the ensemble is scheduled.
+                      seed: int, stream_tag: str = "paths") -> Ensemble:
+    """Simulate one path per regime path, vectorized across the ensemble:
+    :func:`step_plan` on ``build_plan(dyn, regime_paths, dt, seed,
+    stream_tag)``.  To step several policies on shared noise, build the
+    plan once and step each on it.
     """
-    if plan is None:
-        plan = build_plan(dyn, regime_paths, dt, seed, stream_tag)
-    else:
-        _check_plan(plan, dyn, regime_paths, dt, seed, stream_tag)
-    return _ensemble(plan, *_step(dyn, policy, plan, x0)[:2])
+    return step_plan(dyn, policy,
+                     build_plan(dyn, regime_paths, dt, seed, stream_tag), x0)
 
 
 # ---------------------------------------------------------------------------

@@ -225,13 +225,8 @@ class RegimeFunctional:
     n_paths: int
 
     def __call__(self, t, i, y):
-        return self.gather(self.weights(t, y), i)
-
-    def weights(self, t, y) -> tuple:
-        """Bilinear weights of the points (t, y) on this grid: each lower
-        corner's flat position at regime 0, the steps to the upper t and y
-        neighbours (0 on a one-node axis), the four corner coefficients."""
-        return self.corners(self.axis_weights(0, t), self.axis_weights(1, y))
+        return self.gather(self.corners(self.axis_weights(0, t),
+                                        self.axis_weights(1, y)), i)
 
     def axis_weights(self, axis: int, q) -> tuple:
         """Lower node index and lower and upper node weights of the queries
@@ -250,7 +245,10 @@ class RegimeFunctional:
         return idx, 1 - w, w
 
     def corners(self, t_part, y_part) -> tuple:
-        """:meth:`weights` from broadcasting t and y :meth:`axis_weights`."""
+        """Bilinear weights of the points whose t and y :meth:`axis_weights`
+        are given, broadcast: each lower corner's flat position at regime 0,
+        the steps to the upper t and y neighbours (0 on a one-node axis),
+        the four corner coefficients."""
         (it, wt0, wt1), (iy, wy0, wy1) = t_part, y_part
         n_t, M, n_y = self.values.shape[-3:]
         stride = M * n_y
@@ -258,7 +256,7 @@ class RegimeFunctional:
                 (wt0 * wy0, wt1 * wy0, wt0 * wy1, wt1 * wy1))
 
     def gather(self, weights: tuple, i):
-        """Values at regime ``i`` of the points whose :meth:`weights` are
+        """Values at regime ``i`` of the points whose :meth:`corners` are
         given."""
         (k, dt, dy), (c00, c10, c01, c11) = weights
         i = np.atleast_1d(np.asarray(i, dtype=int))
@@ -814,14 +812,6 @@ def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):
     return slope * (x + sv / pv)
 
 
-def _check_shared_grid(phi: RegimeFunctional, psi: RegimeFunctional):
-    if phi.values.shape != psi.values.shape or any(
-            a is not b and not np.array_equal(a, b)
-            for a, b in ((phi.t_nodes, psi.t_nodes),
-                         (phi.y_nodes, psi.y_nodes))):
-        raise ValueError("phi and psi must sit on one (t, regime, y) grid")
-
-
 class _QlRule(NamedTuple):
     """What the hedging rule reads that depends neither on x nor on the
     queried points: phi and psi stacked on their grid, and the per-regime
@@ -835,7 +825,11 @@ def _ql_rule(model: QuadraticLossModel, functionals) -> _QlRule:
     if isinstance(functionals, _QlRule):
         return functionals
     phi, psi = functionals[0], functionals[1]
-    _check_shared_grid(phi, psi)
+    if phi.values.shape != psi.values.shape or any(
+            a is not b and not np.array_equal(a, b)
+            for a, b in ((phi.t_nodes, psi.t_nodes),
+                         (phi.y_nodes, psi.y_nodes))):
+        raise ValueError("phi and psi must sit on one (t, regime, y) grid")
     slope = None
     if not _ql_phi_feeds_back(model):
         try:
@@ -863,17 +857,16 @@ def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
     p = phi X + psi, q = u phi sigma, asset-jump integrand eta = u phi g
     evaluated at realized marks, regime-jump integrand the (X-weighted phi
     difference + psi difference) across the event.  Compensator rates use
-    the path's left-node values.  Refuses (phi, psi) on different grids;
-    each evaluation interpolates both with one set of weights.
+    the path's left-node values.  ``functionals`` is read like
+    :func:`ql_optimal_control`'s; each evaluation reads phi and psi with
+    one stacked lookup.
     """
-    phi, psi = functionals[0], functionals[1]
-    _check_shared_grid(phi, psi)
+    table = _ql_rule(model, functionals).table
     t, x, th, y, u = ens.t, ens.x, ens.theta, ens.y, ens.u
 
-    def phi_p(tv, xv, iv, yv):  # phi and p = phi x + psi, one set of weights
-        w = phi.weights(tv, yv)
-        F = phi.gather(w, iv)
-        return F, F * xv + psi.gather(w, iv)
+    def phi_p(tv, xv, iv, yv):  # phi and p = phi x + psi
+        F, S = table(tv, iv, yv)
+        return F, F * xv + S
 
     phiv, p = phi_p(t, x, th, y)
     q = u * phiv * model.sigma[th]

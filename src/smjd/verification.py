@@ -6,11 +6,12 @@ Three experiments:
   J(u_hat) >= J(u) against a family of perturbed policies with shared-noise
   coupling: every policy is stepped on one noise plan (identical regime,
   Brownian, and jump draws), so the zero perturbation gives a bit-identical
-  zero gap and small true gaps are resolvable.  The base policy is stepped
-  on its own; the perturbed policies are stepped together in one stacked
-  pass of the kernel (states (P, n), one base-rule call per grid column),
-  each member's perturbation being data applied to the base controls.  The
-  pass rule is one-sided: dJ >= -2 SE.
+  zero gap and small true gaps are resolvable.  The plan, built once by
+  ``sufficiency_plan``, can serve several sweeps.  The base policy is
+  stepped by ``step_plan``; the perturbed policies are stepped together in
+  one stacked pass of the kernel (states (P, n), one base-rule call per
+  grid column), each member's perturbation being data applied to the base
+  controls.  The pass rule is one-sided: dJ >= -2 SE.
 
 * ``markov_reduction_experiment`` reruns an exponential-holding pipeline
   with an independent plain Markov-chain sampler and checks agreement of
@@ -37,7 +38,7 @@ from .errors import AdmissibilityFailure, NonFinitePath
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              NoisePlan, ObjectiveSpec, _ensemble, _step,
                              _with_terminal, build_plan, objective_paths,
-                             simulate_ensemble)
+                             simulate_ensemble, step_plan)
 from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
     adjoint_residual
 from .portfolio_examples import _fk_moments, _sojourn_cumulative
@@ -232,43 +233,30 @@ def sufficiency_plan(dyn: ControlledDynamics, regime_model: RegimeModel,
 
 def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
                            families: Sequence[PerturbationFamily],
-                           regime_model: RegimeModel, x0, i0: int, y0: float,
-                           horizon: float, n_paths: int, dt: float, seed: int,
+                           plan: NoisePlan, x0, seed: int,
                            u_coefficient_fn: Callable[[Ensemble], float] | None = None,
-                           foc_tol: float = 1e-8, *,
-                           plan: NoisePlan | None = None) -> SufficiencyReport:
+                           foc_tol: float = 1e-8) -> SufficiencyReport:
     """Estimate dJ = J(base) - J(perturbed) for every family member.
 
-    The noise plan is built once by :func:`sufficiency_plan`, or taken with
-    its regime paths from ``plan``, and the base policy and every
-    perturbation are stepped on it: the comparison is a common-random-number
-    estimate by construction and dJ for the zero perturbation is exactly 0.
-    The base policy is stepped by ``simulate_ensemble``; the members of all
-    families are stepped together in one stacked kernel pass, which gives
-    every member the bits its own ``simulate_ensemble`` run would (see
-    :func:`_member_objectives`).  Every family must perturb one base policy
-    and ``n_paths`` must be at least 2 (ValueError).  A ``plan`` built for
-    another seed, dt, n_paths, horizon or origin (i0, y0) raises ValueError
-    naming it.  The first member, in family order, whose simulation blows up
-    or whose objective is non-finite raises AdmissibilityFailure naming it.
+    The base policy and every perturbation are stepped on ``plan`` (usually
+    from :func:`sufficiency_plan`), whose paths set ``n_paths``: the
+    comparison is a common-random-number estimate by construction and dJ
+    for the zero perturbation is exactly 0.  ``seed`` keys the "random"
+    perturbations' streams.  The base policy is stepped by ``step_plan``;
+    the members of all families are stepped together in one stacked kernel
+    pass, which gives every member the bits its own ``step_plan`` run would
+    (see :func:`_member_objectives`).  Every family must perturb one base
+    policy and the plan must hold at least 2 paths (ValueError).  The first
+    member, in family order, whose simulation blows up or whose objective
+    is non-finite raises AdmissibilityFailure naming it.
     """
+    n_paths = len(plan.regime_paths)
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
     base = families[0].base
     if any(fam.base != base for fam in families):
         raise ValueError("every family must perturb the same base policy")
-    if plan is None:
-        plan = sufficiency_plan(dyn, regime_model, i0, y0, horizon, n_paths,
-                                dt, seed)
-    origins = {(rp.origin.theta, rp.origin.y) for rp in plan.regime_paths}
-    for name, got, want in (("n_paths", len(plan.regime_paths), n_paths),
-                            ("horizon", plan.horizon, horizon),
-                            ("origin (i0, y0)", origins, {(i0, y0)})):
-        if got != want:  # simulate_ensemble checks seed and dt
-            raise ValueError(f"plan was built for another {name}: {got!r}, "
-                             f"not {want!r}")
-    ens_hat = simulate_ensemble(dyn, base, plan.regime_paths, x0, dt, seed,
-                                plan=plan)
+    ens_hat = step_plan(dyn, base, plan, x0)
     J_hat = objective_paths(ens_hat, objective)
     if not np.all(np.isfinite(J_hat)):
         raise AdmissibilityFailure("base policy objective is non-finite")

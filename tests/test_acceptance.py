@@ -30,7 +30,7 @@ from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                               simulate_regime_thinning)
 from smjd.verification import (default_perturbation_family,
                                markov_reduction_experiment,
-                               sufficiency_experiment)
+                               sufficiency_experiment, sufficiency_plan)
 
 
 def _verdict(capsys, n, ok, detail):
@@ -239,13 +239,14 @@ def test_criterion_6_sufficiency(capsys, example):
         dyn, obj = ql_dynamics(model), ql_objective(model)
         base, relative, x0, seed = ql_policy(model, fns), False, 0.5, 102
     fams = default_perturbation_family(base, relative, 1.0)
-    rep = sufficiency_experiment(dyn, obj, fams, rm, x0, 0, 0.0, 1.0,
-                                 10_000, 5e-3, seed)
+    # the candidate and the negative control step on one noise plan
+    plan = sufficiency_plan(dyn, rm, 0, 0.0, 1.0, 10_000, 5e-3, seed)
+    rep = sufficiency_experiment(dyn, obj, fams, plan, x0, seed)
     bad = ControlPolicy(rule=lambda t, x, i, y: 1.5 * base.rule(t, x, i, y))
     neg = sufficiency_experiment(dyn, obj,
                                  default_perturbation_family(bad, relative,
                                                              1.0),
-                                 rm, x0, 0, 0.0, 1.0, 10_000, 5e-3, seed)
+                                 plan, x0, seed)
     detected = any(not r.passed for r in neg.results)
     elapsed = time.perf_counter() - t0
     ok = (rep.passed and len(rep.results) >= 20 and detected

@@ -103,6 +103,14 @@ class TestConfigValidation:
         ("$.queries[1][2]", lambda c: c.update(
             experiment="policy-eval", queries=[[0.0, 1.0, 0, 0.0],
                                                [0.0, 1.0, 2, 0.0]])),
+        # queries outside [0, horizon] x [0, inf) are refused, not clamped
+        ("$.queries[0][0]", lambda c: c.update(
+            experiment="policy-eval", queries=[[-3.0, 1.0, 0, 0.0]])),
+        ("$.queries[1][0]", lambda c: c.update(
+            experiment="policy-eval", queries=[[1.0, 1.0, 0, 0.0],
+                                               [1.5, 1.0, 0, 0.0]])),
+        ("$.queries[0][3]", lambda c: c.update(
+            experiment="policy-eval", queries=[[0.5, 1.0, 1, -0.5]])),
         # the default 3 age nodes on [0, y_max] collapse at y_max = 0
         ("$.numerics.y_max", lambda c: c.update(
             experiment="policy-eval", model=_ql_model(),
@@ -117,6 +125,58 @@ class TestConfigValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+
+    @pytest.mark.parametrize("command", ["simulate", "rs-verify", "ql-verify",
+                                         "reduce-markov"])
+    def test_dt_without_a_step_exits_2(self, tmp_path, capsys, command):
+        # horizon 1: dt 3 rounds to no step of the noise plan's base grid
+        cfg = _rs_config(experiment=command)
+        if command == "ql-verify":
+            cfg["model"] = _ql_model()
+        cfg["numerics"]["dt"] = 3.0
+        rc = _run(command, _write(tmp_path, cfg), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "$.numerics.dt" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "rs-verify", "dynkin"])
+    def test_start_age_past_support_exits_2(self, tmp_path, capsys, command):
+        # the exponential(2) law of state 0 has cdf 1 - e^-80 == 1 at age 40
+        cfg = _rs_config(experiment=command)
+        cfg["model"]["y0"] = 40.0
+        rc = _run(command, _write(tmp_path, cfg), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "$.model.y0" in err
+        assert "AgeBeyondSupport" not in err
+
+    @pytest.mark.parametrize("command, kind", [
+        ("rs-verify", "rs"), ("ql-verify", "ql"), ("simulate", "ql"),
+        ("policy-eval", "ql")])
+    def test_age_grid_past_support_exits_2(self, tmp_path, capsys, command,
+                                           kind):
+        # the (t, age) functional grid reaches age 40 in every state
+        cfg = _rs_config(experiment=command)
+        if command == "policy-eval":
+            cfg["queries"] = [[0.0, 1.0, 0, 0.0]]
+        if kind == "ql":
+            cfg["model"] = _ql_model()
+        cfg["numerics"]["y_max"] = 40.0
+        rc = _run(command, _write(tmp_path, cfg), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "$.numerics.y_max" in err
+
+    @pytest.mark.parametrize("kind", ["rs", "ql"])
+    def test_zero_sigma_exits_2(self, tmp_path, capsys, kind):
+        cfg = _rs_config()
+        if kind == "ql":
+            cfg["model"] = _ql_model()
+        cfg["model"]["sigma"] = [0.0, 0.3]
+        rc = _run("simulate", _write(tmp_path, cfg), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "$.model.sigma" in err
 
     def test_bad_kernel_exits_2(self, tmp_path, capsys):
         cfg = _rs_config()

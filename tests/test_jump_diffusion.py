@@ -11,7 +11,7 @@ from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, MarkMeasure,
                                  coefficient_regularity_probe,
                                  estimate_objective, objective_paths,
                                  running_cost_paths, simulate_controlled_path,
-                                 simulate_ensemble)
+                                 simulate_ensemble, step_plan)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
                               RegimeState, _cdf_table, simulate_regime_direct)
@@ -251,8 +251,7 @@ class TestNoisePlan:
                                   + 0.1 * y),
                     ControlPolicy(rule=lambda t, x, i, y: 0.2 * x * (i + 1))]
         for policy in policies:
-            planned = simulate_ensemble(dyn, policy, regimes, 1.0, 0.02, 13,
-                                        plan=plan)
+            planned = step_plan(dyn, policy, plan, 1.0)
             plain = simulate_ensemble(dyn, policy, regimes, 1.0, 0.02, 13)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(planned, name),
@@ -261,25 +260,34 @@ class TestNoisePlan:
         assert plan.jump_mask.sum() > 0
         assert len(np.unique(plan.theta)) == 2
 
-    @pytest.mark.parametrize("field", ["regime_paths", "dt", "seed",
-                                       "stream_tag", "dim", "marks"])
+    @pytest.mark.parametrize("field", ["dim", "marks"])
     def test_mismatched_plan_raises(self, exp2_model, field):
         dyn = _jump_dyn()
-        regimes = _paths(exp2_model, 5, 1.0, 17)
-        args = {"regime_paths": regimes, "dt": 0.05, "seed": 17,
-                "stream_tag": "paths"}
-        plan = build_plan(dyn, **args)
-        if field == "regime_paths":
-            args[field] = _paths(exp2_model, 5, 1.0, 17)  # equal, not same
-        elif field == "dim":
+        plan = build_plan(dyn, _paths(exp2_model, 5, 1.0, 17), 0.05, 17)
+        if field == "dim":
             dyn = replace(dyn, dim=2)
-        elif field == "marks":
+        else:
             dyn = _jump_dyn(MarkMeasure(rate=3.0, atoms=np.array([0.1]),
                                         weights=np.array([1.0])))
-        else:
-            args[field] = {"dt": 0.1, "seed": 18, "stream_tag": "other"}[field]
-        with pytest.raises(ValueError, match=field):
-            simulate_ensemble(dyn, _zero_policy(), x0=1.0, plan=plan, **args)
+        with pytest.raises(ValueError,
+                           match=f"plan was built for another {field}: "):
+            step_plan(dyn, _zero_policy(), plan, 1.0)
+
+    @pytest.mark.parametrize("dt", [2.0, 3.0])
+    def test_dt_without_a_step_is_refused(self, single_regime, exp2_model,
+                                          frozen_dyn, dt):
+        # horizon 1: a dt of 2 or more rounds to no step on [0, 1]
+        for dyn, model in ((frozen_dyn, single_regime),
+                           (_jump_dyn(), exp2_model)):
+            with pytest.raises(ValueError, match=f"dt {dt} gives no step"):
+                build_plan(dyn, _paths(model, 3, 1.0, 5), dt, 5)
+        with pytest.raises(ValueError, match=f"dt {dt} gives no step"):
+            simulate_controlled_path(frozen_dyn, _zero_policy(),
+                                     _paths(single_regime, 1, 1.0, 5)[0], 1.0,
+                                     dt, stream(5, "paths", 0))
+        # just under twice the horizon: one step
+        plan = build_plan(frozen_dyn, _paths(single_regime, 3, 1.0, 5), 1.9, 5)
+        assert np.array_equal(plan.t, np.tile([0.0, 1.0], (3, 1)))
 
     def test_plan_arrays_are_read_only(self, exp2_model):
         plan = build_plan(_jump_dyn(), _paths(exp2_model, 3, 1.0, 19), 0.1,
@@ -327,8 +335,7 @@ class TestRuleContract:
             calls.append((t.copy(), x.shape, i.copy(), y.copy()))
             return self.RULES[name](t, x, i, y)
 
-        ens = simulate_ensemble(dyn, ControlPolicy(rule=rule), regimes, 1.0,
-                                0.05, 23, plan=plan)
+        ens = step_plan(dyn, ControlPolicy(rule=rule), plan, 1.0)
         assert len(calls) == K
         for k, (t, x_shape, i, y) in enumerate(calls):
             assert x_shape == (n,)

@@ -40,6 +40,8 @@ def _cfg(command, model, regime=_EXP2, numerics=_NUM, **extra):
 
 CASES = {
     "simulate-rs": _cfg("simulate", _RS),
+    "simulate-ql-jumps": _cfg("simulate", _QL),
+    "reduce-markov-rs": _cfg("reduce-markov", _RS),
     "rs-verify": _cfg("rs-verify", _RS),
     "ql-verify-literal": _cfg("ql-verify", _QL),
     "ql-verify-consistent": _cfg("ql-verify",
@@ -62,6 +64,18 @@ DIGESTS = {
         '61e5b3fb813d3c794b8572ea0518ed855ca22d569609e645ac9d713b7cab276e',
         'bc35d2857966876a443eb55e0523ef6c2d99d07c377ebe1ab06b2a8f58654262',
         'e720ee3bf6acb56f0e3bdc91f87a7ee8b2c3e4de9a7b145848a30a827ecbb45b',
+    ),
+    'simulate-ql-jumps': (
+        '6f530d9b5026e120cf1533efae2450cd7721d16a128468c9621f619b067416fc',
+        '0f64fcc445310b2d1bfde5f1571640676a79cd6a2a958fc56e1f10be0073f157',
+        'c3bf7efc3ce25d729ab4279f8ce878a3fd2711a089e846151bc6833aaea1488e',
+        '3fd7508775942e6543407554098a495ac0fbe0f3bc7718003399b6885735e5e7',
+    ),
+    'reduce-markov-rs': (
+        '3416438678f49db63d2142dc861bd782f5c6170f88b7637bdda08c36f7d7e850',
+        'fefebaf8dd32b143b499cf6dd8e09f7b84a7c630829410e1ab1ede0e8fb002db',
+        '628ca7a385547ab7a64582930f5c4b7a22ff0b0fb75e67e771d197278a97ffab',
+        'a9ece9d7356a1ea620b472a22d00afc39ee6875d354c93a5c4c6aad8340f61e7',
     ),
     'rs-verify': (
         '62f8cfd92bbdbff949536a6a744f49dfb9aa04380ba3da3a6299a3ecfd482956',

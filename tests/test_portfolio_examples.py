@@ -460,7 +460,8 @@ class TestRegimeFunctional:
         queries = [(t, i, y), (0.3, i, y), (t, 1, 0.0), (-0.0, 0, -0.0)]
         for tq, iq, yq in queries:
             ref = _bilinear_reference(f, tq, iq, yq)
-            split = f.gather(f.weights(tq, yq), iq)
+            split = f.gather(f.corners(f.axis_weights(0, tq),
+                                       f.axis_weights(1, yq)), iq)
             for got in (split, f(tq, iq, yq)):
                 assert got.shape == ref.shape
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -7,7 +7,8 @@ from smjd.cli import build_model
 from smjd.errors import AdmissibilityFailure, NonFinitePath
 from smjd.jump_diffusion import (ControlPolicy, ControlledDynamics,
                                  MarkMeasure, ObjectiveSpec, objective_paths,
-                                 simulate_controlled_path, simulate_ensemble)
+                                 simulate_controlled_path, simulate_ensemble,
+                                 step_plan)
 from smjd.maximum_principle import ValueFunctionStub
 from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
                                      ql_dynamics, ql_objective, ql_phi_psi,
@@ -98,13 +99,18 @@ class TestPerturbationFamily:
         assert np.array_equal(ens.u[:, 0], ens_base.u[:, 0] + consts)
 
 
+def _cubic_plan(dyn, single_regime):
+    """The 4-path, dt = 0.01 plan of seed 3 the failing sweeps step on."""
+    return sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 4, 0.01, 3)
+
+
 class TestSufficiency:
     def _run(self, setup, families, n_paths=400, seed=11, dt=0.01, **kw):
         model, dyn, pol, obj = setup
-        return sufficiency_experiment(dyn, obj, families, kw.pop("rm"),
-                                      x0=0.5, i0=0, y0=0.0, horizon=1.0,
-                                      n_paths=n_paths, dt=dt, seed=seed,
-                                      **kw)
+        plan = sufficiency_plan(dyn, kw.pop("rm"), 0, 0.0, 1.0, n_paths, dt,
+                                seed)
+        return sufficiency_experiment(dyn, obj, families, plan, x0=0.5,
+                                      seed=seed, **kw)
 
     def test_zero_perturbation_couples_exactly(self, ql_setup, single_regime):
         model, dyn, pol, obj = ql_setup
@@ -143,9 +149,9 @@ class TestSufficiency:
         model, dyn, pol, obj = ql_setup
         bad = ControlPolicy(rule=lambda t, x, i, y: 1.5 * pol.rule(t, x, i, y))
         fams = [PerturbationFamily(bad, "scale", (-1.0 / 3.0,))]
-        rep = sufficiency_experiment(dyn, obj, fams, single_regime, x0=0.5,
-                                     i0=0, y0=0.0, horizon=1.0, n_paths=2000,
-                                     dt=0.01, seed=13)
+        plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 2000, 0.01,
+                                13)
+        rep = sufficiency_experiment(dyn, obj, fams, plan, x0=0.5, seed=13)
         assert not rep.passed
         assert rep.results[0].dJ < -2.0 * rep.results[0].se
 
@@ -167,35 +173,19 @@ class TestSufficiency:
         base = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         fams = [PerturbationFamily(base, "shift", (50.0,))]
         with pytest.raises(AdmissibilityFailure, match="shift"):
-            sufficiency_experiment(dyn, obj, fams, single_regime, x0=2.0,
-                                   i0=0, y0=0.0, horizon=1.0, n_paths=4,
-                                   dt=0.01, seed=3)
+            sufficiency_experiment(dyn, obj, fams, _cubic_plan(
+                dyn, single_regime), x0=2.0, seed=3)
 
     def test_shared_plan_gives_the_same_report(self, ql_setup, single_regime):
+        # a plan already stepped by one sweep gives the next one the report
+        # of a freshly built plan
         model, dyn, pol, obj = ql_setup
         fams = default_perturbation_family(pol, relative=False, horizon=1.0)
         plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 40, 0.05, 11)
+        first = sufficiency_experiment(dyn, obj, fams, plan, 0.5, 11)
+        again = sufficiency_experiment(dyn, obj, fams, plan, 0.5, 11)
         own = self._run(ql_setup, fams, n_paths=40, dt=0.05, rm=single_regime)
-        shared = self._run(ql_setup, fams, n_paths=40, dt=0.05,
-                           rm=single_regime, plan=plan)
-        assert shared.to_dict() == own.to_dict()
-
-    @pytest.mark.parametrize("field,kw", [
-        ("seed", {"seed": 12}), ("dt", {"dt": 0.025}),
-        ("n_paths", {"n_paths": 39}), ("horizon", {"horizon": 2.0}),
-        (r"origin \(i0, y0\)", {"i0": 1}), (r"origin \(i0, y0\)", {"y0": 0.5}),
-    ])
-    def test_plan_for_other_noise_is_refused(self, ql_setup, single_regime,
-                                             field, kw):
-        model, dyn, pol, obj = ql_setup
-        plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 40, 0.05, 11)
-        args = dict(x0=0.5, i0=0, y0=0.0, horizon=1.0, n_paths=40, dt=0.05,
-                    seed=11) | kw
-        fams = [PerturbationFamily(pol, "shift", (0.0,))]
-        with pytest.raises(ValueError,
-                           match=f"plan was built for another {field}: "):
-            sufficiency_experiment(dyn, obj, fams, single_regime, **args,
-                                   plan=plan)
+        assert first.to_dict() == again.to_dict() == own.to_dict()
 
     def test_report_serialization(self, ql_setup, single_regime):
         model, dyn, pol, obj = ql_setup
@@ -226,19 +216,17 @@ class TestSufficiency:
 
 
 # ---------------------------------------------------------------------------
-# The stacked sweep against one simulate_ensemble run per member
+# The stacked sweep against one step_plan run per member
 # ---------------------------------------------------------------------------
 
 def _reference_report(dyn, obj, families, plan, x0, seed):
     """The sufficiency report built the long way: the base and every
-    ``policies()`` member stepped by ``simulate_ensemble`` on ``plan``, each
+    ``policies()`` member stepped by ``step_plan`` on ``plan``, each
     reduced by ``objective_paths``."""
-    paths, n = plan.regime_paths, len(plan.regime_paths)
+    n = len(plan.regime_paths)
 
     def J(policy):
-        return objective_paths(simulate_ensemble(dyn, policy, paths, x0,
-                                                 plan.dt, seed, plan=plan),
-                               obj)
+        return objective_paths(step_plan(dyn, policy, plan, x0), obj)
 
     J_hat = J(families[0].base)
     results = []
@@ -326,8 +314,7 @@ class TestStackedSweep:
     def _compare(self, rm, dyn, obj, families, x0, n_paths=30, dt=0.05,
                  seed=17):
         plan = sufficiency_plan(dyn, rm, 0, 0.0, 1.0, n_paths, dt, seed)
-        stacked = sufficiency_experiment(dyn, obj, families, rm, x0, 0, 0.0,
-                                         1.0, n_paths, dt, seed, plan=plan)
+        stacked = sufficiency_experiment(dyn, obj, families, plan, x0, seed)
         reference = _reference_report(dyn, obj, families, plan, x0, seed)
         assert stacked.to_dict() == reference.to_dict()
         assert stacked.results[0].dJ == 0.0  # the zero shift
@@ -383,8 +370,7 @@ class TestStackedSweep:
         counted = ControlPolicy(rule=rule)
         fams = _all_kinds(counted, False)
         plan = sufficiency_plan(dyn, exp2_model, 0, 0.0, 1.0, 30, 0.05, 17)
-        sufficiency_experiment(dyn, obj, fams, exp2_model, 0.5, 0, 0.0, 1.0,
-                               30, 0.05, 17, plan=plan)
+        sufficiency_experiment(dyn, obj, fams, plan, 0.5, 17)
         n, K = plan.t.shape
         P = sum(len(f.magnitudes) for f in fams)
         # the base ensemble, then one stacked call per column
@@ -425,9 +411,8 @@ class TestSweepFailures:
         column = lambda exc: int(str(exc).split()[4])
         assert column(late) < column(early)
         with pytest.raises(AdmissibilityFailure) as info:
-            sufficiency_experiment(dyn, obj, fams, single_regime, x0=2.0,
-                                   i0=0, y0=0.0, horizon=1.0, n_paths=4,
-                                   dt=0.01, seed=3)
+            sufficiency_experiment(dyn, obj, fams, _cubic_plan(
+                dyn, single_regime), x0=2.0, seed=3)
         assert str(info.value) == (
             f"perturbation shift[1] (delta=5.0) produced a non-finite path: "
             f"{early}")
@@ -443,9 +428,8 @@ class TestSweepFailures:
         dyn, obj, base = self._cubic(lambda x, i, y: np.log(x - 1.8))
         fams = [PerturbationFamily(base, "shift", (0.0, -0.05, 50.0))]
         with pytest.raises(AdmissibilityFailure) as info:
-            sufficiency_experiment(dyn, obj, fams, single_regime, x0=2.0,
-                                   i0=0, y0=0.0, horizon=1.0, n_paths=4,
-                                   dt=0.01, seed=3)
+            sufficiency_experiment(dyn, obj, fams, _cubic_plan(
+                dyn, single_regime), x0=2.0, seed=3)
         assert str(info.value) == ("perturbation shift[1] (delta=-0.05) has "
                                    "a non-finite objective")
 
