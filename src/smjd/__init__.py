@@ -18,8 +18,9 @@ Layers:
 
 from .errors import (AdmissibilityFailure, AgeBeyondSupport, BoundViolation,
                      ConfigError, DegenerateVol, FixedPointDiverged,
-                     InfiniteHazard, NonFinitePath, SingularDenominator,
-                     SingularPhi, SmjdError, UnboundedHamiltonian)
+                     InfiniteHazard, InvalidParameter, NonFinitePath,
+                     SingularDenominator, SingularPhi, SmjdError,
+                     UnboundedHamiltonian)
 from .rng import stream
 from .semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                           RegimePath, RegimeState, WeibullHolding,

@@ -40,7 +40,7 @@ import numpy as np
 import jsonschema
 
 from .errors import (AgeBeyondSupport, ConfigError, DegenerateVol,
-                     InfiniteHazard, SmjdError)
+                     InfiniteHazard, InvalidParameter, SmjdError)
 from .jump_diffusion import MarkMeasure, objective_paths, simulate_ensemble
 from .maximum_principle import ValueFunctionStub, hjb_residual, \
     hjb_terminal_mismatch
@@ -267,6 +267,26 @@ def _check_cross_fields(cfg: dict) -> None:
 # Builders
 # ---------------------------------------------------------------------------
 
+# library parameters whose config field has another name or place
+_CONFIG_FIELDS = {"weights": "jumps.weights", "jump_coeff": "jumps.atoms"}
+
+
+@contextmanager
+def _refused_at(section: str):
+    """Report a constructor's refusal as a config error at the field of
+    ``section`` it names: sigma for DegenerateVol, the InvalidParameter's
+    field, or else ``section`` itself for another ValueError."""
+    try:
+        yield
+    except DegenerateVol as exc:
+        raise ConfigError(f"config invalid at {section}.sigma: {exc}") from exc
+    except InvalidParameter as exc:
+        field = _CONFIG_FIELDS.get(exc.field, exc.field)
+        raise ConfigError(f"config invalid at {section}.{field}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config invalid at {section}: {exc}") from exc
+
+
 def build_regime_model(cfg: dict) -> RegimeModel:
     holding = []
     for h in cfg["holding"]:
@@ -274,16 +294,14 @@ def build_regime_model(cfg: dict) -> RegimeModel:
             holding.append(ExponentialHolding(rate=h["rate"]))
         else:
             holding.append(WeibullHolding(shape=h["shape"], scale=h["scale"]))
-    try:
+    with _refused_at("$.regime"):
         return RegimeModel(kernel=np.asarray(cfg["kernel"], dtype=float),
                            holding=tuple(holding))
-    except ValueError as exc:
-        raise ConfigError(f"config invalid at $.regime: {exc}") from exc
 
 
 def build_model(cfg: dict):
     m = cfg["model"]
-    try:
+    with _refused_at("$.model"):
         if m["kind"] == "rs":
             return RiskSensitiveModel(r=m["r"], mu=m["mu"], sigma=m["sigma"],
                                       gamma=m["gamma"], horizon=m["horizon"])
@@ -299,10 +317,6 @@ def build_model(cfg: dict):
                                   d=m["d"], horizon=m["horizon"], marks=marks,
                                   jump_coeff=coeff,
                                   lambda_variant=m["lambda_variant"])
-    except DegenerateVol as exc:
-        raise ConfigError(f"config invalid at $.model.sigma: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config invalid at $.model: {exc}") from exc
 
 
 @contextmanager

@@ -48,6 +48,14 @@ class UnboundedHamiltonian(SmjdError):
     """The Hamiltonian is linear in u with nonzero slope on an unbounded set."""
 
 
+class InvalidParameter(SmjdError, ValueError):
+    """A constructor refused the value of one parameter, named by ``field``."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 class DegenerateVol(SmjdError):
     """Volatility is zero where a division by sigma is required."""
 

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFinitePath
+from .errors import InvalidParameter, NonFinitePath
 from .rng import stream
 from .semi_markov import (RegimeModel, RegimePath, RegimeState, _cdf_table,
                           sample_regime_paths)
@@ -87,8 +87,13 @@ class MarkMeasure:
         if self.atoms is not None:
             atoms = np.asarray(self.atoms, dtype=float)
             weights = np.asarray(self.weights, dtype=float)
+            if self.weights is None or weights.shape != atoms.shape:
+                raise InvalidParameter("weights", "discrete mark weights "
+                                       "must pair up with the atoms")
             if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
-                raise ValueError("discrete mark weights must sum to 1")
+                raise InvalidParameter(
+                    "weights", "discrete mark weights must be nonnegative "
+                    "and sum to 1")
             object.__setattr__(self, "atoms", atoms)
             object.__setattr__(self, "weights", weights)
         elif self.density is not None:

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (DegenerateVol, FixedPointDiverged, SingularDenominator,
-                     SingularPhi)
+from .errors import (DegenerateVol, FixedPointDiverged, InvalidParameter,
+                     SingularDenominator, SingularPhi)
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, ObjectiveSpec)
 from .maximum_principle import AdjointPath
@@ -81,7 +81,7 @@ class RiskSensitiveModel:
     def __post_init__(self):
         _check_market(self, ("r", "mu", "sigma"))
         if self.gamma == 1.0 or self.gamma <= 0.0:
-            raise ValueError("gamma must lie in (0,1) or (1,inf)")
+            raise InvalidParameter("gamma", "gamma must lie in (0,1) or (1,inf)")
 
     @property
     def mbar(self) -> np.ndarray:
@@ -100,14 +100,16 @@ class QuadraticLossModel:
     level by construction (its signature has no state argument); the linear
     adjoint ansatz p = phi X + psi only closes in that case.  ``marks``
     carries the jump rate and mark distribution; both may be None for the
-    no-jump problem.  ``lambda_variant`` selects the denominator factors fed
-    to the control rule and fixed point:
+    no-jump problem.  ``lambda_variant`` selects the factors of the rule
+    slope Lam_t / Lam, tabulated once per model in :attr:`slope_terms`:
 
     * "literal": Lam_t = -mbar sigma + int g dpi, Lam = sigma^2
       + phi int g^2 dpi (phi enters the denominator);
-    * "consistent": Lam_t = -mbar sigma + rate * int g dpi, Lam = sigma^2
-      + rate * int g^2 dpi (the first-order condition of the Hamiltonian
-      for these dynamics; phi cancels).
+    * "consistent": Lam_t = -(sigma mbar + rate int g dpi), Lam = sigma^2
+      + rate int g^2 dpi, the first-order condition of the Hamiltonian for
+      these dynamics (phi cancels): uncompensated jumps add rate int g dpi
+      of drift per unit of control, so the jump moments enter with the
+      rate and the sign of the diffusion excess return.
     """
 
     r: np.ndarray
@@ -126,18 +128,13 @@ class QuadraticLossModel:
         if self.lambda_variant not in ("literal", "consistent"):
             raise ValueError("lambda_variant must be 'literal' or 'consistent'")
         if self.marks is not None:
-            for i in range(len(self.r)):
-                if self.marks.discrete:
-                    vals = np.asarray(self.jump_coeff(i, self.marks.atoms),
-                                      dtype=float)
-                else:
-                    lo, hi = self.marks.support
-                    vals = np.asarray(
-                        self.jump_coeff(i, np.linspace(lo, hi, 257)), dtype=float)
-                if np.any(1.0 + vals <= 0.0):
-                    raise ValueError(
-                        "jump coefficient must satisfy 1 + g > 0 (wealth "
-                        "positivity)")
+            gam = (self.marks.atoms if self.marks.discrete
+                   else np.linspace(*self.marks.support, 257))
+            if np.any(1.0 + self.jump_sizes(np.arange(len(self.r))[:, None],
+                                            gam) <= 0.0):
+                raise InvalidParameter(
+                    "jump_coeff", "jump coefficient must satisfy 1 + g > 0 "
+                    "(wealth positivity)")
 
     @property
     def n_regimes(self) -> int:
@@ -168,10 +165,24 @@ class QuadraticLossModel:
         rate = self.marks.rate if self.marks is not None else 0.0
         return self.sigma * self.mbar + rate * self.jump_moments[0]
 
+    @cached_property
+    def slope_terms(self) -> tuple:
+        """Per-regime (Lam_t, Lam without phi, phi's coefficient in Lam),
+        built once per model; the coefficient is None unless phi enters Lam
+        (the literal variant with jumps)."""
+        m1, m2 = self.jump_moments
+        s2 = self.sigma ** 2
+        if self.lambda_variant == "consistent":
+            rate = self.marks.rate if self.marks is not None else 0.0
+            return -self.gain, s2 + rate * m2, None
+        return (-(self.mbar * self.sigma) + m1, s2,
+                None if self.marks is None else m2)
+
 
 def _check_market(model, names: tuple):
-    """Coerce a market model's per-regime arrays ``names`` and refuse unequal
-    lengths, sigma near 0, mbar < 0 and a nonpositive horizon."""
+    """Coerce a market model's per-regime arrays ``names`` (r, the source
+    of mbar, sigma) and refuse unequal lengths, sigma near 0, mbar < 0 and
+    a nonpositive horizon."""
     for name in names:
         object.__setattr__(model, name, np.atleast_1d(
             np.asarray(getattr(model, name), dtype=float)))
@@ -180,9 +191,10 @@ def _check_market(model, names: tuple):
     if np.any(np.abs(model.sigma) < _SINGULAR_TOL):
         raise DegenerateVol("sigma must be bounded away from zero")
     if np.any(model.mbar < -1e-12):
-        raise ValueError("market price of risk must be nonnegative")
+        raise InvalidParameter(names[1],
+                               "market price of risk must be nonnegative")
     if not model.horizon > 0:
-        raise ValueError("horizon must be positive")
+        raise InvalidParameter("horizon", "horizon must be positive")
 
 
 def _wealth_dynamics(model, jump=None) -> ControlledDynamics:
@@ -212,10 +224,11 @@ class RegimeFunctional:
 
     ``values`` has shape (..., n_t, M, n_y), leading axes stacking
     functionals one query reads together; ``se`` is the Monte Carlo SE per
-    node and ``n_paths`` the sample size.  Queries clamp t and y to the
-    grid; a call returns the leading axes, then the broadcast (t, i, y)
-    shape, at least 1-D.  Node gaps are built once; a query builds per-axis
-    weights, combines their corners and gathers, each step a method.
+    node and ``n_paths`` the sample size.  A call clamps t and y to the
+    grid, finds each query's lower node and weight on both axes (the node
+    gaps are built once per functional) and sums the four corners at
+    regime i.  It returns the leading axes, then the broadcast (t, i, y)
+    shape, at least 1-D.
     """
 
     t_nodes: np.ndarray
@@ -225,49 +238,36 @@ class RegimeFunctional:
     n_paths: int
 
     def __call__(self, t, i, y):
-        return self.gather(self.corners(self.axis_weights(0, t),
-                                        self.axis_weights(1, y)), i)
-
-    def axis_weights(self, axis: int, q) -> tuple:
-        """Lower node index and lower and upper node weights of the queries
-        ``q`` on the t (0) or the y (1) axis, clamped to its nodes."""
-        nodes, inner, gaps = self._axes[axis]
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        if len(nodes) == 1:
-            w = np.zeros(q.shape)
-            return np.zeros(q.shape, dtype=int), 1 - w, w
-        # np.clip without its Python-level dispatch; this argument order gives
-        # np.clip's result bit for bit, signed zeros and NaN included
-        qc = np.minimum(nodes[-1], np.maximum(nodes[0], q))
-        # interior nodes at or below qc: the lower index, in 0..len(nodes) - 2
-        idx = np.searchsorted(inner, qc, side="right")
-        w = (qc - nodes[idx]) / gaps[idx]
-        return idx, 1 - w, w
-
-    def corners(self, t_part, y_part) -> tuple:
-        """Bilinear weights of the points whose t and y :meth:`axis_weights`
-        are given, broadcast: each lower corner's flat position at regime 0,
-        the steps to the upper t and y neighbours (0 on a one-node axis),
-        the four corner coefficients."""
-        (it, wt0, wt1), (iy, wy0, wy1) = t_part, y_part
-        n_t, M, n_y = self.values.shape[-3:]
-        stride = M * n_y
-        return ((it * stride + iy, stride * (n_t > 1), int(n_y > 1)),
-                (wt0 * wy0, wt1 * wy0, wt0 * wy1, wt1 * wy1))
-
-    def gather(self, weights: tuple, i):
-        """Values at regime ``i`` of the points whose :meth:`corners` are
-        given."""
-        (k, dt, dy), (c00, c10, c01, c11) = weights
-        i = np.atleast_1d(np.asarray(i, dtype=int))
+        parts = []
+        for (nodes, inner, gaps), q in zip(self._axes, (t, y)):
+            # np.atleast_1d(np.asarray(q, dtype=float)) in one C call
+            q = np.array(q, dtype=float, copy=None, ndmin=1)
+            if len(nodes) == 1:
+                w = np.zeros(q.shape)
+                parts.append((np.zeros(q.shape, dtype=int), 1 - w, w))
+                continue
+            # np.clip without its Python-level dispatch; this argument order
+            # gives np.clip's result bit for bit, signed zeros and NaN included
+            qc = np.minimum(nodes[-1], np.maximum(nodes[0], q))
+            # interior nodes at or below qc: the lower index, in 0..len - 2
+            idx = inner.searchsorted(qc, side="right")
+            w = (qc - nodes[idx]) / gaps[idx]
+            parts.append((idx, 1 - w, w))
+        (it, wt0, wt1), (iy, wy0, wy1) = parts
+        i = np.array(i, dtype=int, copy=None, ndmin=1)
         *lead, n_t, M, n_y = self.values.shape
         if i.size and (i.min() < 0 or i.max() >= M):
             raise IndexError(f"regime index outside 0..{M - 1}")
+        # flat positions of the lower corners and the steps to the upper t
+        # and y neighbours (0 on a one-node axis)
         v = self.values.reshape(*lead, -1)
-        k00 = k + i * n_y
-        k01 = k00 + dy
-        return (c00 * v.take(k00, axis=-1) + c10 * v.take(k00 + dt, axis=-1)
-                + c01 * v.take(k01, axis=-1) + c11 * v.take(k01 + dt, axis=-1))
+        dt = M * n_y * (n_t > 1)
+        k00 = it * (M * n_y) + iy + i * n_y
+        k01 = k00 + int(n_y > 1)
+        return (wt0 * wy0 * v.take(k00, axis=-1)
+                + wt1 * wy0 * v.take(k00 + dt, axis=-1)
+                + wt0 * wy1 * v.take(k01, axis=-1)
+                + wt1 * wy1 * v.take(k01 + dt, axis=-1))
 
     @cached_property
     def _axes(self) -> tuple:
@@ -617,49 +617,36 @@ def _max_on_real_nodes(coef: np.ndarray, ens: Ensemble) -> float:
 
 def ql_lambda_factors(model: QuadraticLossModel, t, i, y,
                       phi_value) -> tuple:
-    """Numerator and denominator factors of the linear hedging rule.
-
-    Literal variant: Lam_t = -mbar sigma + int g dpi and Lam = sigma^2
-    + phi int g^2 dpi.  Consistent variant: Lam_t = -(mbar sigma
-    + rate int g dpi) and Lam = sigma^2 + rate int g^2 dpi, the
-    first-order condition of the control problem itself -- uncompensated
-    jumps contribute rate * int g dpi of extra drift per unit of control,
-    so the jump moments enter with the rate factor and the same sign as
-    the diffusion excess return.  Vectorizes over the regime ``i`` and
+    """Factors Lam_t and Lam of the hedging rule's slope, as
+    :class:`QuadraticLossModel` defines them per variant, read from its
+    table ``slope_terms``.  Vectorizes over the regime ``i`` and
     ``phi_value`` (the factors do not depend on t or y given phi); scalar
-    arguments give floats.  Raises SingularDenominator when |Lam| < 1e-12.
+    arguments give floats.  SingularDenominator when |Lam| < 1e-12.
     """
-    m1, m2 = model.jump_moments
     i = np.asarray(i, dtype=int)
-    s2 = model.sigma[i] ** 2
-    if model.lambda_variant == "literal":
-        lam_t = -(model.mbar[i] * model.sigma[i]) + m1[i]
-        lam = s2 + phi_value * m2[i]
-    else:
-        rate = model.marks.rate if model.marks is not None else 0.0
-        lam_t = -model.gain[i]
-        lam = s2 + rate * m2[i]
-    if np.any(np.abs(lam) < _SINGULAR_TOL):
-        raise SingularDenominator(
-            f"|Lam| = {np.min(np.abs(lam)):.3g} below 1e-12")
     shape = np.broadcast_shapes(i.shape, np.shape(phi_value))
     if not shape:
-        return float(lam_t), float(lam)
+        return tuple(float(a) for a in _ql_factors(model, i, phi_value))
     return tuple(a if a.shape == shape else np.broadcast_to(a, shape)
-                 for a in (lam_t, lam))
+                 for a in _ql_factors(model, i, phi_value))
 
 
-def _ql_phi_feeds_back(model: QuadraticLossModel) -> bool:
-    """Whether the slope Lam_t / Lam depends on phi: only in the literal
-    variant with jumps."""
-    return model.lambda_variant == "literal" and model.marks is not None
+def _ql_factors(model: QuadraticLossModel, i, phi_value) -> tuple:
+    """:func:`ql_lambda_factors` in the shapes its gathers give."""
+    lam_t, lam_0, lam_phi = model.slope_terms
+    i = np.asarray(i, dtype=int)
+    lam = lam_0[i] if lam_phi is None else lam_0[i] + phi_value * lam_phi[i]
+    if (np.abs(lam) < _SINGULAR_TOL).any():
+        raise SingularDenominator(
+            f"|Lam| = {np.min(np.abs(lam)):.3g} below 1e-12")
+    return lam_t[i], lam
 
 
 def _ql_rates(model: QuadraticLossModel, i, phi_value) -> tuple:
     """Feynman-Kac rates (c_phi, c_psi) = (2r, r) + k (sigma mbar + rate
     int g dpi) in regime ``i`` with k = Lam_t / Lam at ``phi_value``;
-    vectorizes like :func:`ql_lambda_factors`, with one call to it."""
-    k = np.divide(*ql_lambda_factors(model, 0.0, i, 0.0, phi_value))
+    vectorizes over ``i`` and ``phi_value``."""
+    k = np.divide(*_ql_factors(model, i, phi_value))
     kterm = k * model.gain[i]
     return 2.0 * model.r[i] + kterm, model.r[i] + kterm
 
@@ -707,7 +694,7 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
     initial guess phi = -2, psi = 2d.
     """
     t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
-    feedback = _ql_phi_feeds_back(model)
+    feedback = model.slope_terms[2] is not None  # phi's coefficient in Lam
     if (feedback and len(t_nodes) > 1 and np.ptp(np.diff(t_nodes))
             > 1e-9 * (t_nodes[-1] - t_nodes[0])):
         raise ValueError("phi-dependent denominator needs a uniform t grid")
@@ -728,28 +715,23 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
             scale, "literal")
         trace = [float(np.max(np.abs(vals - guess)))]
     else:
-        # phi is queried at t nodes and sampled ages that stay fixed across
-        # iterations: t weights once per grid, age weights per start node
+        # phi is read at the t nodes and at the states and ages sampled
+        # there, which stay fixed across iterations
         sampled = [[_sampled_states(paths[i][b], t_nodes) for b in range(n_y)]
                    for i in range(M)]
         phi_now = RegimeFunctional(t_nodes, y_nodes, guess[0],
                                    np.zeros(shape[1:]), 0)
-        t_part = phi_now.axis_weights(0, t_nodes)
-        y_parts = [[phi_now.axis_weights(1, yy) for _, yy in row]
-                   for row in sampled]
         n_t, h = len(t_nodes), t_nodes[1] - t_nodes[0]
 
         def cumulative(i, b):
             """cum[r, p, a]: trapezoid over v in [0, T - t_a] of the rate
             c_r(t_a + v, state at v) at the current phi iterate, for the
             rates (c_phi, c_psi)."""
-            th, y_part, cols = sampled[i][b][0], y_parts[i][b], []
+            (th, yy), cols = sampled[i][b], []
             for a in range(n_t - 1):
                 m = n_t - a
-                w = phi_now.corners([v[a:a + m] for v in t_part],
-                                    [v[:, :m] for v in y_part])
-                vals = np.stack(_ql_rates(model, th[:, :m],
-                                          phi_now.gather(w, th[:, :m])))
+                vals = np.stack(_ql_rates(model, th[:, :m], phi_now(
+                    t_nodes[a:a + m], th[:, :m], yy[:, :m])))
                 cols.append(np.sum(0.5 * (vals[..., 1:] + vals[..., :-1]) * h,
                                    axis=-1))
             cols.append(np.zeros_like(cols[0]))  # empty integral at horizon
@@ -783,7 +765,7 @@ def ql_phi_psi_markov(model: QuadraticLossModel, regime_model: RegimeModel,
     literal denominator has no matrix-exponential form and is rejected.
     """
     t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
-    if _ql_phi_feeds_back(model):
+    if model.slope_terms[2] is not None:
         raise ValueError("phi enters the literal denominator with jumps; "
                          "only the Monte Carlo fixed point applies")
     rates = np.stack(_ql_rates(model, np.arange(model.n_regimes), -2.0))
@@ -796,33 +778,24 @@ def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):
     """Linear hedging rule u = (Lam_t / Lam) (x + psi / phi), vectorized.
 
     ``functionals`` is the (phi, psi) pair, which must share one
-    (t, regime, y) grid (ValueError otherwise), or the lookup
-    :func:`ql_policy` builds from it once per policy (a pair is made into
-    one per call).  Per call: one interpolation of phi and psi together,
-    SingularPhi when phi is numerically zero there, and the per-regime
-    slope Lam_t / Lam, or :func:`ql_lambda_factors` per point when phi
-    enters Lam (the literal variant with jumps).
+    (t, regime, y) grid (ValueError otherwise), or the two stacked in one
+    :class:`RegimeFunctional`, as :func:`ql_policy` stacks them once per
+    policy (a pair is stacked on every call).  Per call: one interpolation
+    of phi and psi together, SingularPhi when phi is numerically zero
+    there, and the slope Lam_t / Lam of :func:`ql_lambda_factors` at the
+    queried regimes and phi values.
     """
-    rule = _ql_rule(model, functionals)
-    pv, sv = rule.table(t, i, y)
+    pv, sv = _ql_table(functionals)(t, i, y)
     if (np.abs(pv) < _SINGULAR_TOL).any():
         raise SingularPhi("phi is numerically zero at a queried node")
-    slope = (np.divide(*ql_lambda_factors(model, t, i, y, pv))
-             if rule.slope is None else rule.slope[np.asarray(i, dtype=int)])
-    return slope * (x + sv / pv)
+    return np.divide(*_ql_factors(model, i, pv)) * (x + sv / pv)
 
 
-class _QlRule(NamedTuple):
-    """What the hedging rule reads that depends neither on x nor on the
-    queried points: phi and psi stacked on their grid, and the per-regime
-    slope, None when phi enters Lam or a regime's Lam is singular (the
-    per-point factors then raise for queried regimes only)."""
-    table: RegimeFunctional
-    slope: np.ndarray | None
-
-
-def _ql_rule(model: QuadraticLossModel, functionals) -> _QlRule:
-    if isinstance(functionals, _QlRule):
+def _ql_table(functionals) -> RegimeFunctional:
+    """phi and psi stacked on their one grid; a table already stacked,
+    values (2, n_t, M, n_y), passes through."""
+    if (isinstance(functionals, RegimeFunctional)
+            and functionals.values.ndim == 4):
         return functionals
     phi, psi = functionals[0], functionals[1]
     if phi.values.shape != psi.values.shape or any(
@@ -830,24 +803,18 @@ def _ql_rule(model: QuadraticLossModel, functionals) -> _QlRule:
             for a, b in ((phi.t_nodes, psi.t_nodes),
                          (phi.y_nodes, psi.y_nodes))):
         raise ValueError("phi and psi must sit on one (t, regime, y) grid")
-    slope = None
-    if not _ql_phi_feeds_back(model):
-        try:
-            slope = np.divide(*ql_lambda_factors(
-                model, 0.0, np.arange(model.n_regimes), 0.0, -2.0))
-        except SingularDenominator:
-            pass
-    return _QlRule(RegimeFunctional(
-        phi.t_nodes, phi.y_nodes, np.stack([phi.values, psi.values]),
-        np.stack([phi.se, psi.se]), phi.n_paths), slope)
+    return RegimeFunctional(phi.t_nodes, phi.y_nodes,
+                            np.stack([phi.values, psi.values]),
+                            np.stack([phi.se, psi.se]), phi.n_paths)
 
 
 def ql_policy(model: QuadraticLossModel, functionals) -> ControlPolicy:
     """The hedging rule as a policy; the grid check (ValueError for (phi,
-    psi) on different grids), stacked table and slope are built once here."""
-    rule = _ql_rule(model, functionals)
+    psi) on different grids) and the stacked table are built once here,
+    and each grid column makes one :func:`ql_optimal_control` call."""
+    table = _ql_table(functionals)
     return ControlPolicy(
-        rule=lambda t, x, i, y: ql_optimal_control(model, t, x, i, y, rule))
+        rule=lambda t, x, i, y: ql_optimal_control(model, t, x, i, y, table))
 
 
 def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
@@ -861,7 +828,7 @@ def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
     :func:`ql_optimal_control`'s; each evaluation reads phi and psi with
     one stacked lookup.
     """
-    table = _ql_rule(model, functionals).table
+    table = _ql_table(functionals)
     t, x, th, y, u = ens.t, ens.x, ens.theta, ens.y, ens.u
 
     def phi_p(tv, xv, iv, yv):  # phi and p = phi x + psi

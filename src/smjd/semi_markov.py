@@ -35,7 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AgeBeyondSupport, BoundViolation, InfiniteHazard
+from .errors import (AgeBeyondSupport, BoundViolation, InfiniteHazard,
+                     InvalidParameter)
 from .rng import stream
 
 _CDF_ONE = 1.0 - 1e-15
@@ -197,19 +198,21 @@ class RegimeModel:
         object.__setattr__(self, "holding", tuple(self.holding))
         M = kernel.shape[0]
         if kernel.shape != (M, M):
-            raise ValueError("kernel must be square")
+            raise InvalidParameter("kernel", "kernel must be square")
         if len(self.holding) != M:
-            raise ValueError("need one holding distribution per state")
+            raise InvalidParameter("holding",
+                                   "need one holding distribution per state")
         if np.any(np.diag(kernel) != 0.0):
-            raise ValueError("kernel diagonal must be exactly 0")
+            raise InvalidParameter("kernel", "kernel diagonal must be exactly 0")
         if np.any(kernel < 0):
-            raise ValueError("kernel entries must be nonnegative")
+            raise InvalidParameter("kernel", "kernel entries must be >= 0")
         if M > 1:
             rows = kernel.sum(axis=1)
             if np.any(np.abs(rows - 1.0) > 1e-12):
-                raise ValueError(f"kernel rows must sum to 1, got {rows}")
+                raise InvalidParameter(
+                    "kernel", f"kernel rows must sum to 1, got {rows}")
             if not _irreducible(kernel):
-                raise ValueError("kernel is not irreducible")
+                raise InvalidParameter("kernel", "kernel is not irreducible")
             object.__setattr__(self, "kernel_cdf", _cdf_table(kernel))
         for i, dist in enumerate(self.holding):
             if isinstance(dist, CustomHolding):

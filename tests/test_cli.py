@@ -185,6 +185,39 @@ class TestConfigValidation:
         assert rc == 2
         assert "regime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("$.model.jumps.weights", lambda c: c.update(model=_ql_model(
+            jumps=_ql_jumps(weights=[0.5, 0.6])))),
+        ("$.model.jumps.weights", lambda c: c.update(model=_ql_model(
+            jumps=_ql_jumps(weights=[1.2, -0.2])))),
+        ("$.model.jumps.atoms", lambda c: c.update(model=_ql_model(
+            jumps=_ql_jumps(atoms=[-1.5, 0.08])))),
+        ("$.model.mbar", lambda c: c.update(model=_ql_model(
+            mbar=[0.4, -0.1]))),
+        ("$.model.mu", lambda c: c["model"].update(mu=[0.01, 0.08])),
+        ("$.model.gamma", lambda c: c["model"].update(gamma=1.0)),
+        ("$.regime.kernel", lambda c: c["regime"].update(
+            kernel=[[0, 0.5], [1, 0]])),
+        ("$.regime.kernel", lambda c: c["regime"].update(
+            kernel=[[0.5, 0.5], [1, 0]])),
+        # three states: 0 and 1 never reach 2
+        ("$.regime.kernel", lambda c: c.update(
+            regime={"kernel": [[0, 1, 0], [1, 0, 0], [0.5, 0.5, 0]],
+                    "holding": [{"kind": "exponential", "rate": 1.0}] * 3},
+            model={**c["model"], "r": [0.05] * 3, "mu": [0.1] * 3,
+                   "sigma": [0.2] * 3})),
+    ], ids=["weights-sum", "weights-negative", "atoms-wealth", "ql-mbar",
+            "rs-mu", "rs-gamma", "kernel-rows", "kernel-diagonal",
+            "kernel-reducible"])
+    def test_constructor_refusal_exits_2_naming_field(self, tmp_path, capsys,
+                                                      field, edit):
+        cfg = _rs_config()
+        edit(cfg)
+        rc = _run("simulate", _write(tmp_path, cfg), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"config invalid at {field}:" in err
+
     def test_weibull_shape_below_one_exits_2_for_dynkin(self, tmp_path,
                                                         capsys):
         # the hazard of shape 0.7 is infinite at age 0, where every switch

@@ -52,6 +52,20 @@ class TestMarkMeasure:
             MarkMeasure(rate=1.0, atoms=np.array([0.1, 0.2]),
                         weights=np.array([0.5, 0.6]))
 
+    def test_atoms_without_weights_are_refused(self):
+        # np.asarray(None, dtype=float) is nan, which every weight check
+        # passed; integrate then returned nan
+        with pytest.raises(ValueError, match="weights"):
+            MarkMeasure(rate=1.0, atoms=np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25]])
+    def test_weights_of_another_length_are_refused(self, weights):
+        # broadcast weights made integrate disagree with sample, which
+        # draws from the first len(weights) atoms only
+        with pytest.raises(ValueError, match="weights"):
+            MarkMeasure(rate=1.0, atoms=np.array([0.1, 0.2]),
+                        weights=np.array(weights))
+
     def test_continuous_density_quadrature(self):
         # uniform density on [0, 0.2]: first moment 0.1, second 0.2^2/3
         mm = MarkMeasure(rate=1.0, density=lambda g: np.full_like(g, 5.0),

@@ -1,4 +1,6 @@
 """Closed-form rules, functionals, and adjoints for both portfolio problems."""
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -21,8 +23,8 @@ from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                      rs_u_coefficient)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
-                              RegimeState, sample_regime_paths,
-                              simulate_regime_direct)
+                              RegimeState, WeibullHolding,
+                              sample_regime_paths, simulate_regime_direct)
 
 
 def _paths(model, n, horizon, seed):
@@ -304,6 +306,44 @@ class TestQlLambdaFactors:
         with pytest.raises(SingularDenominator):
             ql_lambda_factors(model, 0.0, 0, 0.0, -2.0)
 
+    @pytest.mark.parametrize("variant", ["literal", "consistent"])
+    @pytest.mark.parametrize("jumps", [True, False], ids=["jumps", "no-jumps"])
+    def test_factors_equal_written_out_formulas_bit_for_bit(self, variant,
+                                                            jumps):
+        model = (_ql_jump_model(variant) if jumps else QuadraticLossModel(
+            r=np.array([0.05, 0.03]), mbar=np.array([0.4, 0.3]),
+            sigma=np.array([0.2, 0.25]), d=1.0, horizon=1.0,
+            lambda_variant=variant))
+        mbar, sigma = model.mbar, model.sigma
+        rate, m1, m2 = 0.0, np.zeros(2), np.zeros(2)
+        if jumps:  # pi puts 0.4 on -0.05 and 0.6 on 0.08; g = (1, 1.5)[i] mark
+            atoms, w = np.array([-0.05, 0.08]), np.array([0.4, 0.6])
+            rate = 2.0
+            m1 = np.array([np.sum(c * atoms * w) for c in (1.0, 1.5)])
+            m2 = np.array([np.sum((c * atoms) ** 2 * w) for c in (1.0, 1.5)])
+        rng = np.random.default_rng(11)
+        i_vec = np.array([0, 1, 1, 0, 1])
+        queries = [(i_vec, -1.5), (i_vec, rng.uniform(-3.0, -0.5, 5)),
+                   (i_vec, rng.uniform(-3.0, -0.5, (3, 1))),
+                   (i_vec.reshape(5, 1), rng.uniform(-3.0, -0.5, (5, 4))),
+                   (1, rng.uniform(-3.0, -0.5, 5)), (1, -1.5), (0, -0.5)]
+        for i, phi in queries:
+            if variant == "literal":
+                lam_t = -(mbar[i] * sigma[i]) + m1[i]
+                lam = sigma[i] ** 2 + phi * m2[i]
+            else:
+                lam_t = -(sigma[i] * mbar[i] + rate * m1[i])
+                lam = sigma[i] ** 2 + rate * m2[i]
+            got = ql_lambda_factors(model, 0.3, i, 0.7, phi)
+            shape = np.broadcast_shapes(np.shape(i), np.shape(phi))
+            if not shape:
+                assert all(type(g) is float for g in got)
+            for g, want in zip(got, (lam_t, lam)):
+                g, want = (np.asarray(np.broadcast_to(a, shape), dtype=float)
+                           for a in (g, want))
+                assert g.shape == shape
+                assert np.array_equal(g.view(np.int64), want.view(np.int64))
+
 
 class TestQlPhiPsi:
     def test_no_jump_closed_form(self, ql_nojump_single, single_regime):
@@ -393,6 +433,24 @@ class TestQlPhiPsi:
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.se, b.se)
 
+    def test_phi_feedback_fixed_point_is_pinned(self):
+        # the damped fixed point (literal variant with jumps) on a Weibull
+        # state, with ages past 0: SHA-256 of the phi/psi values, their SEs
+        # and the trace; like the CLI digests, a numpy or scipy build change
+        # can move it
+        rm = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                         holding=(WeibullHolding(shape=1.5, scale=0.8),
+                                  ExponentialHolding(1.0)))
+        phi, psi, info = ql_phi_psi(_ql_jump_model("literal"), rm,
+                                    np.linspace(0.0, 1.0, 11),
+                                    np.array([0.0, 0.5, 1.0]), 32, 5)
+        digest = hashlib.sha256()
+        for a in (phi.values, psi.values, phi.se, psi.se, info["trace"]):
+            digest.update(np.asarray(a, dtype=float).tobytes())
+        assert info["iterations"] == len(info["trace"]) == 12
+        assert digest.hexdigest() == ("428cbbe1810c4054aa42d7b82ea46e2f"
+                                      "d94c3468c6ca83c2d09275916be64208")
+
     def test_phi_feedback_stops_at_max_iter(self, exp_two):
         with pytest.raises(FixedPointDiverged) as err:
             ql_phi_psi(_ql_jump_model("literal"), exp_two,
@@ -444,7 +502,7 @@ def _random_functionals(rng, n_t, n_y, M=2):
 
 class TestRegimeFunctional:
     @pytest.mark.parametrize("n_y", [1, 4])
-    def test_weights_and_gather_equal_call_bit_for_bit(self, n_y):
+    def test_call_equals_reference_bit_for_bit(self, n_y):
         rng = np.random.default_rng(3)
         t_nodes = np.linspace(0.0, 1.0, 11)
         y_nodes = np.linspace(0.0, 1.5, n_y)
@@ -460,11 +518,9 @@ class TestRegimeFunctional:
         queries = [(t, i, y), (0.3, i, y), (t, 1, 0.0), (-0.0, 0, -0.0)]
         for tq, iq, yq in queries:
             ref = _bilinear_reference(f, tq, iq, yq)
-            split = f.gather(f.corners(f.axis_weights(0, tq),
-                                       f.axis_weights(1, yq)), iq)
-            for got in (split, f(tq, iq, yq)):
-                assert got.shape == ref.shape
-                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            got = f(tq, iq, yq)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         for regime in (2, -1):
             with pytest.raises(IndexError, match="regime"):
                 f(0.5, regime, 0.0)
