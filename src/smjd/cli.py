@@ -222,10 +222,11 @@ def validate_config(cfg: dict, command: str) -> dict:
 
 def _check_cross_fields(cfg: dict) -> None:
     """Checks between fields of the resolved config (defaults applied) that
-    the schema cannot express: per-regime arrays and regime indices must
-    match the kernel's state count, jump atoms and weights must pair up,
-    an age grid of several nodes needs a positive y_max, a noise plan's dt
-    a step on [0, horizon], and policy queries t in [0, horizon], y >= 0."""
+    the schema cannot express: kernel rows, per-regime arrays and regime
+    indices must match the kernel's state count, jump atoms and weights
+    must pair up, an age grid of several nodes needs a positive y_max, a
+    noise plan's dt a step on [0, horizon], and policy queries t in
+    [0, horizon], y >= 0."""
     def bad(path, msg):
         raise ConfigError(f"config invalid at {path}: {msg}")
 
@@ -235,6 +236,10 @@ def _check_cross_fields(cfg: dict) -> None:
     if "regime" not in cfg or cfg["model"]["kind"] == "hjb-deterministic":
         return
     M = len(cfg["regime"]["kernel"])
+    for k, row in enumerate(cfg["regime"]["kernel"]):
+        if len(row) != M:
+            bad(f"$.regime.kernel[{k}]", f"{len(row)} entries in a row of "
+                f"a {M}-state kernel")
     m = cfg["model"]
     if (cfg["experiment"] in _PLAN_COMMANDS
             and round(m["horizon"] / num["dt"]) < 1):

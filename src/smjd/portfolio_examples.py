@@ -20,9 +20,10 @@ Two worked problems drive the verification experiments:
 Every phi/psi builder calls one of two estimators of these functionals:
 Monte Carlo over regime paths (``_fk_moments``), for any holding law, in
 ``rs_phi``, ``rs_phi_functional`` and ``ql_phi_psi`` (the CLI's builders);
-and the matrix exponential (``_expm_functional``), exact and age-free but
-for exponential holding times only, in ``rs_phi_markov`` and
-``ql_phi_psi_markov``, the oracles the tests check Monte Carlo against.
+and powers of one step exponential on a uniform t grid
+(``_expm_functional``), exact and age-free but for exponential holding
+times only, in ``rs_phi_markov`` and ``ql_phi_psi_markov``, the oracles
+the tests check Monte Carlo against.
 
 Both adjoints are emitted in the step-indexed layout consumed by
 ``adjoint_residual``, including jump integrands evaluated at realized
@@ -386,12 +387,23 @@ def _expm_functional(regime_model: RegimeModel, rates: np.ndarray, scale,
     With Q the chain generator lam_i (kernel_ij - delta_ij), variant
     "literal" gives scale * E_i[exp(int_t^T c ds)], the row sums of
     exp((Q + diag c) tau), and "integral" E_i[int_t^T c ds], the last column
-    of exp([[Q, c], [0, 0]] tau).  One batched expm call covers every
-    (rate, t node) pair; ``scale`` broadcasts against (R, n_t, M).
+    of exp([[Q, c], [0, 0]] tau).  The values are powers of one step
+    exponential on a uniform t grid: with E = exp(gen h), node t_k reads
+    E^(n-1-k) applied to the read-out vector, filled by doubling (about
+    log2 n batched matrix-vector products); a grid that is not uniform is
+    refused.  ``scale`` broadcasts against (R, n_t, M).
     """
     if not all(isinstance(h, ExponentialHolding) for h in regime_model.holding):
         raise ValueError("matrix-exponential functionals require exponential "
                          "holding times in every state")
+    n = len(t_nodes)
+    h = (horizon - t_nodes[0]) / max(n - 1, 1)
+    off = np.abs(t_nodes - (t_nodes[0] + h * np.arange(n)))
+    if np.any(off > 1e-12 * (horizon - t_nodes[0])):
+        j = int(np.argmax(off))
+        raise ValueError(f"t grid must be uniform for the matrix-exponential "
+                         f"functionals: node {j} is {off[j]:.3g} off the "
+                         f"step {h:.6g}")
     M = regime_model.n_states
     Q = intensity_matrix(regime_model, 0.0)
     if variant == "literal":
@@ -400,8 +412,16 @@ def _expm_functional(regime_model: RegimeModel, rates: np.ndarray, scale,
         gen = np.zeros((len(rates), M + 1, M + 1))
         gen[:, :M, :M], gen[:, :M, M] = Q, rates
         read = np.eye(M + 1)[M]
-    taus = horizon - t_nodes
-    vals = scale * (expm(gen[:, None] * taus[:, None, None]) @ read)[..., :M]
+    # pw[:, :, k] = E^k read: E^m maps columns 0..m-1 to m..2m-1, then squares
+    power = expm(gen * h)
+    pw = np.empty(gen.shape[:2] + (n,))
+    pw[:, :, 0] = read
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        pw[:, :, m:m + k] = power @ pw[:, :, :k]
+        power, m = power @ power, 2 * m
+    vals = scale * pw[:, :M, ::-1].transpose(0, 2, 1)
     values = np.repeat(vals[..., None], len(y_nodes), axis=-1)
     return [RegimeFunctional(t_nodes, y_nodes, v, np.zeros_like(v), 0)
             for v in values]
@@ -515,7 +535,8 @@ def rs_phi_markov(model: RiskSensitiveModel, regime_model: RegimeModel,
 
     Age-independent (the regime process is then a Markov chain), so this
     serves both as a fast closed form on dense grids and as an independent
-    oracle for the Monte Carlo estimator.
+    oracle for the Monte Carlo estimator.  The values are powers of one
+    step exponential on a uniform t grid; ``t_nodes`` must be uniform.
     """
     _check_variant(variant)
     t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
@@ -763,6 +784,8 @@ def ql_phi_psi_markov(model: QuadraticLossModel, regime_model: RegimeModel,
     Valid whenever the rule slope Lam_t / Lam is free of phi (the
     consistent variant, or any model without jumps); the phi-dependent
     literal denominator has no matrix-exponential form and is rejected.
+    The values are powers of one step exponential on a uniform t grid;
+    ``t_nodes`` must be uniform.
     """
     t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
     if model.slope_terms[2] is not None:

@@ -116,6 +116,9 @@ class TestConfigValidation:
             experiment="policy-eval", model=_ql_model(),
             numerics={**c["numerics"], "y_max": 0},
             queries=[[0.0, 1.0, 0, 0.0]])),
+        # a ragged kernel is named by its short row, not as all of $.regime
+        ("$.regime.kernel[1]", lambda c: c["regime"].update(
+            kernel=[[0, 1], [1]])),
     ])
     def test_cross_field_mismatch_exits_2_naming_field(self, tmp_path, capsys,
                                                        field, edit):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from smjd import portfolio_examples
 from smjd.errors import (DegenerateVol, FixedPointDiverged,
                          SingularDenominator, SingularPhi)
 from smjd.jump_diffusion import ControlPolicy, MarkMeasure, simulate_ensemble
@@ -23,7 +24,7 @@ from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                      rs_u_coefficient)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
-                              RegimeState, WeibullHolding,
+                              RegimeState, WeibullHolding, intensity_matrix,
                               sample_regime_paths, simulate_regime_direct)
 
 
@@ -69,6 +70,21 @@ def _ql_jump_model(variant):
                               marks=marks,
                               jump_coeff=lambda i, g: [1.0, 1.5][i] * g,
                               lambda_variant=variant)
+
+
+def _three_state():
+    """A 3-state exponential kernel with RS and (jump-free) QL models on
+    it; the QL rates are (2r - mbar^2, r - mbar^2) without jumps."""
+    rm = RegimeModel(kernel=np.array([[0.0, 0.3, 0.7], [0.6, 0.0, 0.4],
+                                      [0.5, 0.5, 0.0]]),
+                     holding=(ExponentialHolding(1.0), ExponentialHolding(1.5),
+                              ExponentialHolding(0.7)))
+    r, sigma = np.array([0.05, 0.03, 0.04]), np.array([0.2, 0.25, 0.3])
+    rs = RiskSensitiveModel(r=r, mu=np.array([0.13, 0.105, 0.09]),
+                            sigma=sigma, gamma=0.5, horizon=1.0)
+    ql = QuadraticLossModel(r=r, mbar=np.array([0.4, 0.3, 0.2]), sigma=sigma,
+                            d=1.5, horizon=1.0)
+    return rm, rs, ql
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +165,7 @@ class TestRsPhi:
         # additive form: v_i(t) = E[int_t^T a ds | theta_t = i] solves
         # v' = -a - Q v, v(T) = 0; with three states the augmented
         # generator's rows and columns must line up with Q's
-        rm = RegimeModel(kernel=np.array([[0.0, 0.3, 0.7], [0.6, 0.0, 0.4],
-                                          [0.5, 0.5, 0.0]]),
-                         holding=(ExponentialHolding(1.0),
-                                  ExponentialHolding(1.5),
-                                  ExponentialHolding(0.7)))
-        model = RiskSensitiveModel(r=np.array([0.05, 0.03, 0.04]),
-                                   mu=np.array([0.13, 0.105, 0.09]),
-                                   sigma=np.array([0.2, 0.25, 0.3]),
-                                   gamma=0.5, horizon=1.0)
+        rm, model, _ = _three_state()
         a = rs_source_rate(model)
         Q = np.array([[-1.0, 0.3, 0.7], [0.9, -1.5, 0.6], [0.35, 0.35, -0.7]])
         t_nodes = np.linspace(0.0, 1.0, 11)
@@ -756,24 +764,108 @@ def test_regime_count_mismatch_is_refused(exp_two, kind, build, n):
         build(model, exp_two)
 
 
-@pytest.mark.parametrize("t_nodes, y_nodes, message", [
-    (np.linspace(0.0, 2.0, 5), _Y1, "t grid must end at the horizon"),
-    (np.array([0.0, 0.5, 0.5, 1.0]), _Y1, "t nodes must be strictly"),
-    (_T3, np.zeros(3), "y nodes must be strictly"),
-], ids=["past-horizon", "repeated-t", "degenerate-y"])
-@pytest.mark.parametrize("kind, build", [
-    ("rs", lambda m, rm, t, y: rs_phi_functional(m, rm, t, y, 4, 0)),
-    ("rs", lambda m, rm, t, y: rs_phi_markov(m, rm, t, "literal", y)),
-    ("ql", lambda m, rm, t, y: ql_phi_psi(m, rm, t, y, 4, 0)),
-    ("ql", lambda m, rm, t, y: ql_phi_psi_markov(m, rm, t, y)),
-], ids=["rs_phi_functional", "rs_phi_markov", "ql_phi_psi",
-        "ql_phi_psi_markov"])
-def test_bad_grid_is_refused(exp_two, rs_two, kind, build, t_nodes, y_nodes,
-                             message):
+_GRID_BUILDERS = {
+    "rs_phi_functional": ("rs", lambda m, rm, t, y: rs_phi_functional(
+        m, rm, t, y, 4, 0)),
+    "rs_phi_markov": ("rs", lambda m, rm, t, y: rs_phi_markov(
+        m, rm, t, "literal", y)),
+    "ql_phi_psi": ("ql", lambda m, rm, t, y: ql_phi_psi(m, rm, t, y, 4, 0)),
+    "ql_phi_psi_markov": ("ql", lambda m, rm, t, y: ql_phi_psi_markov(
+        m, rm, t, y)),
+}
+_BAD_GRIDS = {
+    "past-horizon": (np.linspace(0.0, 2.0, 5), _Y1,
+                     "t grid must end at the horizon"),
+    "repeated-t": (np.array([0.0, 0.5, 0.5, 1.0]), _Y1,
+                   "t nodes must be strictly"),
+    "degenerate-y": (_T3, np.zeros(3), "y nodes must be strictly"),
+    # step powers need one step; Monte Carlo takes any increasing grid
+    "non-uniform-t": (np.array([0.0, 0.3, 1.0]), _Y1,
+                      "t grid must be uniform"),
+}
+
+
+@pytest.mark.parametrize("builder, grid", [
+    pytest.param(b, g, id=f"{b}-{g}") for b in _GRID_BUILDERS
+    for g in _BAD_GRIDS if g != "non-uniform-t" or b.endswith("_markov")])
+def test_bad_grid_is_refused(exp_two, rs_two, builder, grid):
     # unchecked, a t node past the horizon gives a negative E[exp int a]
     # and an age grid [0, 0, 0] a NaN policy
+    kind, build = _GRID_BUILDERS[builder]
+    t_nodes, y_nodes, message = _BAD_GRIDS[grid]
     model = rs_two if kind == "rs" else QuadraticLossModel(
         r=np.array([0.05, 0.03]), mbar=np.array([0.4, 0.3]),
         sigma=np.array([0.2, 0.25]), d=1.0, horizon=1.0)
     with pytest.raises(ValueError, match=message):
         build(model, exp_two, t_nodes, y_nodes)
+
+
+class TestStepPowers:
+    """The Markov builders read powers of one step exponential."""
+
+    @staticmethod
+    def _per_node(rm, c, variant, t_nodes):
+        # scipy's expm at every node tau = T - t: the values the step
+        # powers must reproduce
+        Q = intensity_matrix(rm, 0.0)
+        if variant == "literal":
+            gen, read = Q + np.diag(c), np.ones(3)
+        else:
+            gen = np.zeros((4, 4))
+            gen[:3, :3], gen[:3, 3] = Q, c
+            read = np.eye(4)[3]
+        return np.array([(expm(gen * (1.0 - t)) @ read)[:3] for t in t_nodes])
+
+    @pytest.mark.parametrize("variant", ["literal", "integral"])
+    def test_rs_matches_per_node_expm(self, variant):
+        rm, rs, _ = _three_state()
+        t_nodes = np.linspace(0.25, 1.0, 301)
+        fn = rs_phi_markov(rs, rm, t_nodes, variant=variant)
+        want = self._per_node(rm, rs_source_rate(rs), variant, t_nodes)
+        np.testing.assert_allclose(fn.values[..., 0], want, rtol=1e-12)
+
+    def test_ql_matches_per_node_expm(self):
+        rm, _, ql = _three_state()
+        t_nodes = np.linspace(0.25, 1.0, 301)
+        phi, psi = ql_phi_psi_markov(ql, rm, t_nodes)
+        for fn, scale, c in ((phi, -2.0, 2.0 * ql.r - ql.mbar ** 2),
+                             (psi, 2.0 * ql.d, ql.r - ql.mbar ** 2)):
+            want = scale * self._per_node(rm, c, "literal", t_nodes)
+            np.testing.assert_allclose(fn.values[..., 0], want, rtol=1e-12)
+
+    def test_terminal_node_is_scale_times_read_exactly(self):
+        # E^0 is the identity by construction, not a computed exponential
+        rm, rs, ql = _three_state()
+        t_nodes = np.linspace(0.0, 1.0, 401)
+        phi, psi = ql_phi_psi_markov(ql, rm, t_nodes)
+        assert np.all(phi.values[-1] == -2.0)
+        assert np.all(psi.values[-1] == 2.0 * ql.d)
+        for variant, read in (("literal", 1.0), ("integral", 0.0)):
+            fn = rs_phi_markov(rs, rm, t_nodes, variant=variant)
+            assert np.all(fn.values[-1] == read)
+
+    def test_one_node_grid(self):
+        rm, rs, ql = _three_state()
+        T = np.array([1.0])
+        phi, psi = ql_phi_psi_markov(ql, rm, T, np.array([0.0, 0.5]))
+        assert phi.values.shape == (1, 3, 2)
+        assert np.all(phi.values == -2.0) and np.all(psi.values == 3.0)
+        fn = rs_phi_markov(rs, rm, T, variant="literal")
+        assert np.all(fn(np.array([0.0, 1.0]), np.array([0, 2]),
+                         np.zeros(2)) == 1.0)
+
+    def test_one_expm_call_of_r_slices_per_builder(self, monkeypatch):
+        rm, rs, ql = _three_state()
+        shapes = []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(portfolio_examples, "expm", counted)
+        t_nodes = np.linspace(0.0, 1.0, 2001)
+        rs_phi_markov(rs, rm, t_nodes, variant="literal")
+        rs_phi_markov(rs, rm, t_nodes, variant="integral")
+        ql_phi_psi_markov(ql, rm, t_nodes)
+        # R step generators per builder, not R * n_t
+        assert shapes == [(1, 3, 3), (1, 4, 4), (2, 3, 3)]
