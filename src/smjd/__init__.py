@@ -23,17 +23,15 @@ from .errors import (AdmissibilityFailure, AgeBeyondSupport, BoundViolation,
                      UnboundedHamiltonian)
 from .rng import stream
 from .semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
-                          RegimePath, RegimeState, WeibullHolding,
+                          RegimePath, RegimePaths, RegimeState, WeibullHolding,
                           apply_generator_L, dynkin_statistics, hazard_rate,
                           intensity_matrix, regime_switch_sum,
                           sample_holding_time, sample_regime_paths,
                           simulate_ctmc, simulate_regime_direct,
                           simulate_regime_thinning)
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
-                             MarkMeasure, NoisePlan, ObjectiveSpec,
-                             SamplePath, build_plan,
-                             coefficient_regularity_probe, estimate_objective,
-                             objective_paths, simulate_controlled_path,
+                             MarkMeasure, NoisePlan, ObjectiveSpec, build_plan,
+                             coefficient_regularity_probe, objective_paths,
                              simulate_ensemble, step_plan)
 from .maximum_principle import (AdjointPath, AdjointState, ValueFunctionStub,
                                 adjoint_from_value, adjoint_residual,

@@ -25,9 +25,7 @@ regime values on the grid -- in a read-only :class:`NoisePlan`;
 by path, from the path's own generator; the grids and regime values are
 laid out for the whole ensemble at once.  Every policy stepped on one plan
 sees the same draws, so shared-noise coupling holds by construction.
-:func:`simulate_ensemble` is ``build_plan`` then ``step_plan``; the
-per-path simulator steps a one-path plan drawn from its generator, so with
-stream (seed, tag, p) it reproduces row p of the ensemble bit for bit.
+:func:`simulate_ensemble` is ``build_plan`` then ``step_plan``.
 
 Stacked call convention: the kernel also steps P policies at once on one
 plan (the sufficiency sweep's perturbation family).  States are then
@@ -51,14 +49,13 @@ import numpy as np
 
 from .errors import InvalidParameter, NonFinitePath
 from .rng import stream
-from .semi_markov import (RegimeModel, RegimePath, RegimeState, _cdf_table,
-                          sample_regime_paths)
+from .semi_markov import RegimePath, RegimePaths, _cdf_table
 
 __all__ = [
     "MarkMeasure", "ControlledDynamics", "ControlPolicy", "ObjectiveSpec",
-    "SamplePath", "Ensemble", "NoisePlan", "build_plan", "step_plan",
-    "simulate_controlled_path", "simulate_ensemble",
-    "estimate_objective", "coefficient_regularity_probe", "RegularityReport",
+    "Ensemble", "NoisePlan", "build_plan", "step_plan", "simulate_ensemble",
+    "running_cost_paths", "objective_paths", "coefficient_regularity_probe",
+    "RegularityReport",
 ]
 
 
@@ -210,24 +207,6 @@ class ObjectiveSpec:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SamplePath:
-    """A simulated path on a grid containing every event time exactly.
-
-    ``x`` has shape (N+1,) for scalar models, (N+1, r) otherwise; ``theta``
-    and ``y`` are cadlag regime values at each node; ``u`` is the control in
-    force on [t_k, t_{k+1}).  ``jumps`` lists (node index, mark).
-    """
-
-    t: np.ndarray
-    x: np.ndarray
-    theta: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    jumps: list[tuple[int, float]]
-    regime: RegimePath
-
-
-@dataclass
 class Ensemble:
     """Vectorized ensemble of paths on padded per-path grids.
 
@@ -247,7 +226,7 @@ class Ensemble:
     jump_mask: np.ndarray   # (n, K) bool: asset jump applied at this node
     jump_marks: np.ndarray  # (n, K) mark value where jump_mask (else 0)
     horizon: float
-    regime_paths: list[RegimePath]
+    regime_paths: RegimePaths
 
     @property
     def n_paths(self) -> int:
@@ -275,7 +254,7 @@ class NoisePlan:
     theta: np.ndarray
     y: np.ndarray
     horizon: float
-    regime_paths: tuple[RegimePath, ...]
+    regime_paths: RegimePaths
     marks: MarkMeasure | None
 
     @property
@@ -308,7 +287,8 @@ def build_plan(dyn: ControlledDynamics, regime_paths: Sequence[RegimePath],
 
     Path p draws from stream (seed, stream_tag, p): Poisson jump count, jump
     times, jump marks, then one standard-normal vector per step of its grid
-    in grid order.  A ``dt`` of twice the horizon or more raises ValueError.
+    in grid order.  No regime path, mixed horizons or a ``dt`` of twice the
+    horizon or more raise ValueError.
     """
     return _draw_plan(dyn, regime_paths, dt,
                       (stream(seed, stream_tag, p)
@@ -319,21 +299,22 @@ def _draw_plan(dyn, regime_paths, dt, rngs) -> NoisePlan:
     """Draw each path's jumps, then its normals straight into its row of
     dW, from its generator in ``rngs``.  In between, one pass lays out the
     ensemble: the event and jump times, sorted by (path, time), are merged
-    into the base grid, and theta and y are ``RegimePath.state_at``'s
-    cadlag formula on a per-row count of the event columns."""
+    into the base grid, and theta and y are the cadlag regime values at a
+    per-row count of the event columns."""
+    if not len(regime_paths):
+        raise ValueError("a noise plan needs at least one regime path, got 0")
+    paths = RegimePaths.of(regime_paths)
     rngs = list(rngs)
-    n, horizon = len(rngs), regime_paths[0].horizon
+    n, horizon = len(rngs), paths.horizon
     steps = int(round(horizon / dt))
     if steps < 1:
         raise ValueError(f"dt {dt} gives no step on [0, {horizon}]")
     jump_t, jump_m = zip(*(_draw_jumps(dyn, horizon, rng) for rng in rngs))
     base = np.linspace(0.0, horizon, steps + 1)
     B = base.size
-    ev_t = [rp._times for rp in regime_paths]
-    n_ev = np.array([e.size for e in ev_t], dtype=np.intp)
-    parts = ev_t + list(jump_t)  # every row's events, then its jumps
-    times = np.concatenate(parts)
-    rows = np.repeat(np.tile(np.arange(n), 2), [a.size for a in parts])
+    times = np.concatenate((paths.times, *jump_t))  # events, then jumps
+    rows = np.repeat(np.tile(np.arange(n), 2), np.concatenate((
+        np.diff(paths.offsets), [a.size for a in jump_t])))
     order = np.lexsort((times, rows))
     r, x = rows[order], times[order]
     pos = np.searchsorted(base, x)
@@ -354,30 +335,13 @@ def _draw_plan(dyn, regime_paths, dt, rngs) -> NoisePlan:
     t[np.arange(n)[:, None], shift] = base
     del shift
 
-    E = n_ev.sum()
+    E = paths.times.size
     jump = order >= E
     jump_mask = np.zeros(t.shape, dtype=bool)
     jump_marks = np.zeros(t.shape)
     jump_mask[r[jump], col[jump]] = True
     jump_marks[r[jump], col[jump]] = np.concatenate(jump_m)[order[jump] - E]
-    # slot 0 of a row's table is its origin (last event at -y0), slot j
-    # its j-th event; a node's slot counts the row's events up to it
-    first = np.cumsum(n_ev + 1) - (n_ev + 1)
-    origin = np.zeros(n + E, dtype=bool)
-    origin[first] = True
-    last_t, states = np.empty(origin.size), np.empty(origin.size, dtype=int)
-    last_t[origin] = [-rp.origin.y for rp in regime_paths]
-    last_t[~origin] = np.concatenate(ev_t)
-    states[origin] = [rp.origin.theta for rp in regime_paths]
-    states[~origin] = np.concatenate([rp._states for rp in regime_paths])
-    slot = np.zeros(t.shape, dtype=int)
-    slot[r[~jump], col[~jump]] = 1
-    np.cumsum(slot, axis=1, out=slot)
-    slot += first[:, None]
-    y = np.take(last_t, slot)
-    np.subtract(t, y, out=y)
-    theta = np.take(states, slot)
-    del slot
+    theta, y = paths._cadlag(t, col[~jump])  # events in table order
 
     dW = np.zeros((n, t.shape[1] - 1) + ((dyn.dim,) if dyn.dim > 1 else ()))
     for p, rng in enumerate(rngs):
@@ -389,7 +353,7 @@ def _draw_plan(dyn, regime_paths, dt, rngs) -> NoisePlan:
         a.flags.writeable = False
     return NoisePlan(t=t, dW=dW, jump_mask=jump_mask, jump_marks=jump_marks,
                      theta=theta, y=y, horizon=horizon,
-                     regime_paths=tuple(regime_paths), marks=dyn.marks)
+                     regime_paths=paths, marks=dyn.marks)
 
 
 def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
@@ -471,23 +435,7 @@ def _ensemble(plan: NoisePlan, x: np.ndarray, u: np.ndarray) -> Ensemble:
     return Ensemble(t=plan.t, x=x, theta=plan.theta, y=plan.y, u=u,
                     dW=plan.dW, jump_mask=plan.jump_mask,
                     jump_marks=plan.jump_marks, horizon=plan.horizon,
-                    regime_paths=list(plan.regime_paths))
-
-
-def simulate_controlled_path(dyn: ControlledDynamics, policy: ControlPolicy,
-                             regime: RegimePath, x0, dt: float,
-                             rng: np.random.Generator) -> SamplePath:
-    """Euler-Maruyama path on the union of the base grid and all event times.
-
-    Draws a one-path plan from ``rng`` and steps it with
-    :func:`step_plan`, so ``rng = stream(seed, tag, p)`` reproduces row p of
-    ``simulate_ensemble(..., seed, stream_tag=tag)`` bit for bit.
-    """
-    ens = step_plan(dyn, policy, _draw_plan(dyn, [regime], dt, [rng]), x0)
-    cols = np.nonzero(ens.jump_mask[0, 1:])[0] + 1
-    return SamplePath(ens.t[0], ens.x[0], ens.theta[0], ens.y[0], ens.u[0],
-                      [(int(k), float(ens.jump_marks[0, k])) for k in cols],
-                      regime)
+                    regime_paths=plan.regime_paths)
 
 
 def step_plan(dyn: ControlledDynamics, policy: ControlPolicy,
@@ -548,24 +496,6 @@ def _with_terminal(J: np.ndarray, objective: ObjectiveSpec, x, theta, y):
     if objective.terminal is not None:
         J = J + np.asarray(objective.terminal(x, theta, y), dtype=float)
     return J
-
-
-def estimate_objective(dyn: ControlledDynamics, policy: ControlPolicy,
-                       objective: ObjectiveSpec, model: RegimeModel,
-                       x0, i0: int, y0: float, horizon: float,
-                       n_paths: int, dt: float, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the performance criterion with standard error.
-
-    Regime paths use streams (seed, "regime", p); state noise uses
-    (seed, "paths", p).  The reduction order is fixed by path index.
-    """
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths for a standard error")
-    regime_paths = sample_regime_paths(model, RegimeState(i0, y0), horizon,
-                                       n_paths, seed)
-    ens = simulate_ensemble(dyn, policy, regime_paths, x0, dt, seed)
-    J = objective_paths(ens, objective)
-    return float(np.mean(J)), float(np.std(J, ddof=1) / np.sqrt(n_paths))
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, ObjectiveSpec)
 from .maximum_principle import AdjointPath
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
-                          RegimeState, _per_state, intensity_matrix,
-                          regime_switch_sum, sample_regime_paths)
+                          RegimePaths, RegimeState, _per_state,
+                          intensity_matrix, regime_switch_sum,
+                          sample_regime_paths)
 
 __all__ = [
     "RiskSensitiveModel", "QuadraticLossModel", "RegimeFunctional",
@@ -293,15 +294,15 @@ def _sojourn_cumulative(paths: Sequence[RegimePath], c_states: np.ndarray,
     is padded with empty ones at its horizon, which add an exact 0.0 for
     finite rates.
     """
-    n_soj = max((rp._times.size + 1 for rp in paths), default=0)
-    bounds = np.empty((len(paths), n_soj + 1))
-    states = np.zeros((len(paths), n_soj), dtype=int)
-    for p, rp in enumerate(paths):
-        e = rp._times.size
-        bounds[p, 0], bounds[p, 1:e + 1], bounds[p, e + 1:] = (
-            0.0, rp._times, rp.horizon)
-        states[p, 0], states[p, 1:e + 1] = rp.origin.theta, rp._states
-    cum = np.zeros(np.shape(c_states)[:-1] + (len(paths), len(taus)))
+    paths = RegimePaths.of(paths)
+    n, n_ev = len(paths), np.diff(paths.offsets)
+    n_soj = int(n_ev.max(initial=0)) + 1
+    live = np.arange(n_soj) <= n_ev[:, None]  # each path's own sojourns
+    bounds = np.full((n, n_soj + 1), paths.horizon)
+    bounds[:, :-1][live] = np.insert(paths.times, paths.offsets[:-1], 0.0)
+    states = np.zeros((n, n_soj), dtype=int)
+    states[live] = np.insert(paths.states, paths.offsets[:-1], paths.theta0)
+    cum = np.zeros(np.shape(c_states)[:-1] + (n, len(taus)))
     for k in range(n_soj):
         s0, s1 = bounds[:, k, None], bounds[:, k + 1, None]
         cum += (c_states[..., states[:, k], None]
@@ -310,13 +311,10 @@ def _sojourn_cumulative(paths: Sequence[RegimePath], c_states: np.ndarray,
 
 
 def _sampled_states(paths: Sequence[RegimePath], v_nodes: np.ndarray):
-    """Regime index and age at the elapsed-time nodes, per path."""
-    n = len(paths)
-    th = np.empty((n, len(v_nodes)), dtype=int)
-    yy = np.empty((n, len(v_nodes)))
-    for p, rp in enumerate(paths):
-        th[p], yy[p] = rp.state_at(v_nodes, side="right")
-    return th, yy
+    """Regime index and age at the elapsed-time nodes, per path: the cadlag
+    values, as ``RegimePath.state_at(v_nodes, side="right")`` gives them."""
+    paths = RegimePaths.of(paths)
+    return paths._cadlag(v_nodes, np.searchsorted(v_nodes, paths.times))
 
 
 def _check_regime_count(model, regime_model: RegimeModel):

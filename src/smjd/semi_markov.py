@@ -21,6 +21,10 @@ each age window of fixed length (Lewis & Shedler 1979); for custom
 distributions the declared global bound.  The samplers agree in law; tests
 compare them with two-sample statistics.
 
+An ensemble is one :class:`RegimePaths` table (flat event arrays with
+per-path offsets and origins), which the sampler returns and the noise
+plan, the Dynkin statistics and the regime functionals read.
+
 Categorical draws (next states, discrete marks) read a cumulative table
 built once, as ``Generator.choice`` builds it, with one uniform per draw:
 they are identical to ``Generator.choice``.
@@ -38,6 +42,13 @@ from scipy.optimize import brentq
 from .errors import (AgeBeyondSupport, BoundViolation, InfiniteHazard,
                      InvalidParameter)
 from .rng import stream
+
+__all__ = ["ExponentialHolding", "WeibullHolding", "CustomHolding",
+           "RegimeModel", "RegimeState", "RegimePath", "RegimePaths",
+           "hazard_rate", "regime_switch_sum", "intensity_matrix",
+           "sample_holding_time", "simulate_regime_direct",
+           "sample_regime_paths", "simulate_regime_thinning", "simulate_ctmc",
+           "apply_generator_L", "dynkin_statistics"]
 
 _CDF_ONE = 1.0 - 1e-15
 _INV_TOL = 1e-10  # absolute tolerance on the time axis for numeric inversion
@@ -272,8 +283,8 @@ class RegimePath:
     events: list[tuple[float, int]]
     origin: RegimeState
     horizon: float
-    _times: np.ndarray = field(init=False, repr=False)
-    _states: np.ndarray = field(init=False, repr=False)
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
+    _states: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.array([t for t, _ in self.events], dtype=float)
@@ -332,6 +343,75 @@ def _check_events(times: np.ndarray, chain: np.ndarray, counts: np.ndarray,
         raise ValueError("event times must be strictly increasing in (0, horizon]")
     if (live & (chain[:, 1:] == chain[:, :-1])).any():
         raise ValueError("consecutive states must differ")
+
+
+@dataclass(frozen=True, eq=False)
+class RegimePaths(Sequence):
+    """Regime paths on one horizon in compressed rows: path p starts in
+    state ``theta0[p]`` at age ``y0[p]`` and enters ``states[j]`` at
+    ``times[j]`` for j in ``offsets[p]:offsets[p + 1]``.  ``paths[p]`` is
+    path p as a :class:`RegimePath`, ``paths[a:b]`` a table on views."""
+
+    offsets: np.ndarray  # (n + 1,) int, from 0
+    times: np.ndarray    # (E,) float
+    states: np.ndarray   # (E,) int
+    theta0: np.ndarray   # (n,) int
+    y0: np.ndarray       # (n,) float
+    horizon: float
+
+    @classmethod
+    def of(cls, paths: Sequence[RegimePath]) -> RegimePaths:
+        """A table as it is, or a sequence of paths stacked in order; an
+        empty one has a NaN horizon, and mixed horizons raise ValueError."""
+        if isinstance(paths, RegimePaths):
+            return paths
+        horizon = paths[0].horizon if len(paths) else math.nan
+        for p, rp in enumerate(paths):
+            if rp.horizon != horizon:
+                raise ValueError(
+                    f"regime paths 0 and {p} have different horizons, "
+                    f"{horizon} and {rp.horizon}; a table has one")
+        return cls(np.cumsum([0] + [rp._times.size for rp in paths]),
+                   np.concatenate([np.empty(0)] + [rp._times for rp in paths]),
+                   np.concatenate([np.empty(0, np.intp)]
+                                  + [rp._states for rp in paths]),
+                   np.array([rp.origin.theta for rp in paths], np.intp),
+                   np.array([rp.origin.y for rp in paths], float), horizon)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, key):
+        p = range(len(self))[key]
+        if isinstance(p, range):
+            if p.step != 1:
+                raise ValueError("a slice of a regime-path table takes "
+                                 "consecutive paths")
+            a, b = p.start, p.start + len(p)
+            lo, hi = self.offsets[a], self.offsets[b]
+            return RegimePaths(self.offsets[a:b + 1] - lo, self.times[lo:hi],
+                               self.states[lo:hi], self.theta0[a:b],
+                               self.y0[a:b], self.horizon)
+        lo, hi = self.offsets[p:p + 2]
+        return RegimePath._from_arrays(
+            self.times[lo:hi], self.states[lo:hi],
+            RegimeState(int(self.theta0[p]), float(self.y0[p])), self.horizon)
+
+    def _cadlag(self, t, col: np.ndarray):
+        """``self[p].state_at(t[p], side="right")`` for every row p of the
+        sorted (n, K) nodes ``t`` (or one (K,) row for all), where ``col[j]``
+        is the first node at or after event j, K if there is none."""
+        n, K = len(self), np.shape(t)[-1]
+        row = np.repeat(np.arange(n), np.diff(self.offsets))
+        on = col < K  # an event past the last node counts at none
+        seen = np.bincount(row[on] * K + col[on], minlength=n * K).reshape(n, K)
+        np.cumsum(seen, axis=1, out=seen)  # the row's events up to a node
+        first = self.offsets[:-1]
+        # slot first[p] + p is row p's origin (last event at -y0)
+        seen += (first + np.arange(n))[:, None]
+        y = np.take(np.insert(self.times, first, -self.y0), seen)
+        np.subtract(t, y, out=y)
+        return np.take(np.insert(self.states, first, self.theta0), seen), y
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +556,7 @@ _BLOCK_SOJOURNS = 1 << 18  # cap on the sojourns of one later block
 
 
 def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
-                  n: int, draw) -> list[RegimePath]:
+                  n: int, draw) -> RegimePaths:
     """``n`` direct-sampler paths, drawn as one array pass.
 
     ``draw(rows, k)`` returns the next 2k uniforms of each path in ``rows``
@@ -547,18 +627,16 @@ def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
             pace = float(np.mean((horizon - t) / t)) * width
         cap = max(_BLOCK_SOJOURNS // rows.size, 1)
         k, age = int(min(max(2 * k, 1.25 * pace), cap)), 0.0
-    if len(blocks) == 1:  # the first block holds every path
-        times, chain = blocks[0][2:]
-    else:
-        times = np.zeros((n, width))
-        chain = np.full((n, width + 1), origin.theta, dtype=np.intp)
-        for r, c, tt, ch in blocks:
-            times[r, c:c + tt.shape[1]] = tt
-            chain[r, c + 1:c + tt.shape[1] + 1] = ch[:, 1:]
+    times = np.zeros((n, width))
+    chain = np.full((n, width + 1), origin.theta, dtype=np.intp)
+    for r, c, tt, ch in blocks:
+        times[r, c:c + tt.shape[1]] = tt
+        chain[r, c + 1:c + tt.shape[1] + 1] = ch[:, 1:]
     _check_events(times, chain, counts, horizon)
-    return [RegimePath._from_arrays(times[p, :e], chain[p, 1:e + 1], origin,
-                                    horizon)
-            for p, e in enumerate(counts.tolist())]
+    live = np.arange(width) < counts[:, None]
+    return RegimePaths(np.concatenate(([0], counts.cumsum())), times[live],
+                       chain[:, 1:][live], np.full(n, origin.theta, np.intp),
+                       np.full(n, origin.y, float), horizon)
 
 
 def simulate_regime_direct(model: RegimeModel, origin: RegimeState,
@@ -574,21 +652,21 @@ def simulate_regime_direct(model: RegimeModel, origin: RegimeState,
     """
     bits = rng.bit_generator
     start = bits.state
-    path, = _direct_paths(model, origin, horizon, 1,
+    paths = _direct_paths(model, origin, horizon, 1,
                           lambda rows, k: rng.random((1, 2 * k)))
     bits.state = start
     if model.n_states > 1:
-        rng.random(2 * len(path.events) + 1)
-    return path
+        rng.random(2 * int(paths.offsets[1]) + 1)
+    return paths[0]
 
 
 def sample_regime_paths(model: RegimeModel, origin: RegimeState,
                         horizon: float, n: int, seed: int,
-                        tag: str = "regime") -> list[RegimePath]:
+                        tag: str = "regime") -> RegimePaths:
     """``n`` direct-sampler paths; path p draws from stream (seed, tag, p).
 
     Path p is the one :func:`simulate_regime_direct` draws from that
-    stream; all ``n`` are sampled in one :func:`_direct_paths` pass.
+    stream; all ``n`` are sampled into one table by :func:`_direct_paths`.
     """
     rngs = [stream(seed, tag, p) for p in range(n)]
 
@@ -739,31 +817,27 @@ def dynkin_statistics(model: RegimeModel, paths: Sequence[RegimePath],
     Along each sojourn the age runs at unit rate from its entry value (the
     origin age, then 0 after every switch), and L phi is integrated by the
     trapezoid rule on ceil(length / dt) equal steps.  The statistic has mean
-    zero up to that quadrature error.  Blocks of paths with about
-    ``_DYNKIN_BLOCK`` age nodes make one L phi call per state.
+    zero up to that quadrature error.  Blocks of consecutive paths with
+    about ``_DYNKIN_BLOCK`` age nodes make one L phi call per state.
     """
-    stats, start, nodes = np.empty(len(paths)), 0, 0.0
-    for p, rp in enumerate(paths):
-        nodes += rp.horizon / dt + 2 * len(rp.events) + 2  # >= its age nodes
-        if nodes >= _DYNKIN_BLOCK or p == len(paths) - 1:
-            stats[start:p + 1] = _dynkin_block(model, paths[start:p + 1],
-                                               phi, dphi_dy, dt)
-            start, nodes = p + 1, 0.0
+    paths = RegimePaths.of(paths)
+    nodes = np.cumsum(paths.horizon / dt + 2 * np.diff(paths.offsets) + 2)
+    starts = np.flatnonzero(np.diff(nodes // _DYNKIN_BLOCK, prepend=-1))
+    stats = np.empty(len(paths))
+    for a, b in zip(starts.tolist(), starts[1:].tolist() + [len(paths)]):
+        stats[a:b] = _dynkin_block(model, paths[a:b], phi, dphi_dy, dt)
     return stats
 
 
-def _dynkin_block(model, paths, phi, dphi_dy, dt) -> np.ndarray:
+def _dynkin_block(model, paths: RegimePaths, phi, dphi_dy, dt) -> np.ndarray:
     """Dynkin statistics of a block of paths, node for node and sum for sum
     as with one np.linspace and one np.trapezoid per sojourn."""
-    n_ev = np.array([rp._times.size for rp in paths])
-    states = np.concatenate([part for rp in paths
-                             for part in ([rp.origin.theta], rp._states)])
-    length = (np.concatenate([part for rp in paths
-                              for part in (rp._times, [rp.horizon])])
-              - np.concatenate([part for rp in paths
-                                for part in ([0.0], rp._times)]))
-    y0 = np.zeros(length.size)
-    y0[np.cumsum(n_ev + 1) - (n_ev + 1)] = [rp.origin.y for rp in paths]
+    n, starts = len(paths), paths.offsets[:-1]
+    first = starts + np.arange(n)  # sojourn index of each path's first
+    states = np.insert(paths.states, starts, paths.theta0)
+    length = (np.insert(paths.times, paths.offsets[1:], paths.horizon)
+              - np.insert(paths.times, starts, 0.0))
+    y0 = np.insert(np.zeros(paths.times.size), starts, paths.y0)
     n_sub = np.maximum(np.ceil(length / dt).astype(int), 1)
     counts, step = n_sub + 1, length / n_sub
     last = np.cumsum(counts) - 1  # last node of each sojourn
@@ -778,12 +852,11 @@ def _dynkin_block(model, paths, phi, dphi_dy, dt) -> np.ndarray:
     terms = np.delete(np.repeat(step, counts)[1:] * (L[1:] + L[:-1]) / 2.0,
                       last[:-1])
     ends = np.cumsum(n_sub)
-    out, k = np.empty(len(paths)), 0
-    for p, (rp, e) in enumerate(zip(paths, n_ev.tolist())):
+    out = np.empty(n)
+    for p, (a, b) in enumerate(zip(first, np.append(first[1:], length.size))):
         integral = 0.0
-        for end, n in zip(ends[k:k + e + 1], n_sub[k:]):
-            integral += terms[end - n:end].sum()
-        k += e + 1
-        out[p] = (phi(int(states[k - 1]), float(ages[last[k - 1]]))
-                  - phi(rp.origin.theta, rp.origin.y) - integral)
+        for end, m in zip(ends[a:b], n_sub[a:b]):
+            integral += terms[end - m:end].sum()
+        out[p] = (phi(int(states[b - 1]), float(ages[last[b - 1]]))
+                  - phi(int(paths.theta0[p]), float(paths.y0[p])) - integral)
     return out

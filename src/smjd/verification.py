@@ -43,8 +43,8 @@ from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
     adjoint_residual
 from .portfolio_examples import _fk_moments, _sojourn_cumulative
 from .rng import stream
-from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
-                          sample_regime_paths, simulate_ctmc)
+from .semi_markov import (ExponentialHolding, RegimeModel, RegimePaths,
+                          RegimeState, sample_regime_paths, simulate_ctmc)
 
 __all__ = [
     "PerturbationFamily", "PerturbationResult", "SufficiencyReport",
@@ -415,9 +415,9 @@ def markov_reduction_experiment(dyn: ControlledDynamics, policy: ControlPolicy,
 
     semi_paths = sample_regime_paths(regime_model, origin, horizon, n_paths,
                                      seed)
-    chain_paths = [simulate_ctmc(rates, regime_model.kernel, origin, horizon,
-                                 stream(seed, "chain", p))
-                   for p in range(n_paths)]
+    chain_paths = RegimePaths.of([simulate_ctmc(
+        rates, regime_model.kernel, origin, horizon, stream(seed, "chain", p))
+        for p in range(n_paths)])
 
     ens_a = simulate_ensemble(dyn, policy, semi_paths, x0, dt, seed,
                               stream_tag="paths")

@@ -8,13 +8,13 @@ import pytest
 from smjd.errors import NonFinitePath
 from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, MarkMeasure,
                                  ObjectiveSpec, _draw_plan, build_plan,
-                                 coefficient_regularity_probe,
-                                 estimate_objective, objective_paths,
-                                 running_cost_paths, simulate_controlled_path,
-                                 simulate_ensemble, step_plan)
+                                 coefficient_regularity_probe, objective_paths,
+                                 running_cost_paths, simulate_ensemble,
+                                 step_plan)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
-                              RegimeState, _cdf_table, simulate_regime_direct)
+                              RegimeState, _cdf_table, sample_regime_paths,
+                              simulate_regime_direct)
 
 
 def _zero_policy():
@@ -112,19 +112,18 @@ class TestMarkMeasure:
 
 class TestSimulatePath:
     def test_frozen_dynamics_constant_path(self, frozen_dyn, exp2_model):
-        regime = _paths(exp2_model, 1, 1.0, 0)[0]
-        path = simulate_controlled_path(frozen_dyn, _zero_policy(), regime,
-                                        x0=3.5, dt=0.01, rng=stream(0, "p"))
-        assert np.allclose(path.x, 3.5)
+        plan = build_plan(frozen_dyn, _paths(exp2_model, 1, 1.0, 0), 0.01, 0,
+                          "p")
+        ens = step_plan(frozen_dyn, _zero_policy(), plan, x0=3.5)
+        assert np.allclose(ens.x, 3.5)
 
     def test_deterministic_exponential_growth(self, single_regime):
         dyn = ControlledDynamics(dim=1,
                                  drift=lambda t, x, u, i: 0.05 * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
-        regime = _paths(single_regime, 1, 1.0, 0)[0]
-        path = simulate_controlled_path(dyn, _zero_policy(), regime, x0=1.0,
-                                        dt=1e-3, rng=stream(0, "p"))
-        assert abs(path.x[-1] - np.exp(0.05)) < 2e-4
+        plan = build_plan(dyn, _paths(single_regime, 1, 1.0, 0), 1e-3, 0, "p")
+        ens = step_plan(dyn, _zero_policy(), plan, x0=1.0)
+        assert abs(ens.x[0, -1] - np.exp(0.05)) < 2e-4
 
     def test_compound_poisson_mean(self, single_regime):
         mm = MarkMeasure(rate=2.0, atoms=np.array([0.1]),
@@ -159,19 +158,19 @@ class TestSimulatePath:
         assert abs(xT.mean() - expected) < 3 * se
 
     def test_regime_event_times_on_grid_exactly(self, exp2_model):
-        regime = _paths(exp2_model, 1, 1.0, 31)[0]
-        assert len(regime.events) > 0
-        path = simulate_controlled_path(
-            ControlledDynamics(dim=1,
-                               drift=lambda t, x, u, i: np.zeros_like(x),
-                               vol=lambda t, x, u, i: np.zeros_like(x)),
-            _zero_policy(), regime, x0=0.0, dt=0.01, rng=stream(31, "p"))
-        for t_ev, _ in regime.events:
-            assert np.any(path.t == t_ev)  # bit-exact membership
+        regimes = _paths(exp2_model, 1, 1.0, 31)
+        assert len(regimes[0].events) > 0
+        dyn = ControlledDynamics(dim=1,
+                                 drift=lambda t, x, u, i: np.zeros_like(x),
+                                 vol=lambda t, x, u, i: np.zeros_like(x))
+        ens = step_plan(dyn, _zero_policy(),
+                        build_plan(dyn, regimes, 0.01, 31, "p"), x0=0.0)
+        for t_ev, _ in regimes[0].events:
+            assert np.any(ens.t[0] == t_ev)  # bit-exact membership
 
     def test_path_equals_ensemble_row_bit_for_bit(self, exp2_model):
-        # the per-path simulator steps one path with the ensemble's code, so
-        # with the ensemble's stream for path p it reproduces row p exactly
+        # row p draws from stream (seed, tag, p) alone: a one-path plan drawn
+        # from that stream and stepped reproduces row p exactly
         mm = MarkMeasure(rate=3.0, atoms=np.array([-0.1, 0.05, 0.2]),
                          weights=np.array([0.3, 0.4, 0.3]))
         dyn = ControlledDynamics(
@@ -183,15 +182,15 @@ class TestSimulatePath:
         regimes = _paths(exp2_model, 200, 1.0, 5)
         ens = simulate_ensemble(dyn, policy, regimes, x0=1.0, dt=0.01, seed=5)
         for p, rp in enumerate(regimes):
-            path = simulate_controlled_path(dyn, policy, rp, 1.0, 0.01,
-                                            rng=stream(5, "paths", p))
-            K = len(path.t)
-            for name in ("t", "x", "u", "theta", "y"):
-                assert np.array_equal(getattr(path, name),
+            path = step_plan(dyn, policy, _draw_plan(
+                dyn, [rp], 0.01, [stream(5, "paths", p)]), 1.0)
+            K = path.t.shape[1]
+            for name in ("t", "x", "u", "theta", "y", "jump_mask",
+                         "jump_marks"):
+                assert np.array_equal(getattr(path, name)[0],
                                       getattr(ens, name)[p, :K]), (p, name)
             assert np.all(ens.t[p, K:] == 1.0)
-            cols = np.nonzero(ens.jump_mask[p])[0]
-            assert path.jumps == [(k, ens.jump_marks[p, k]) for k in cols]
+            assert not ens.jump_mask[p, K:].any()
         assert ens.jump_mask.sum() > 0
 
     def test_jump_uses_pre_jump_state(self, single_regime):
@@ -296,12 +295,26 @@ class TestNoisePlan:
             with pytest.raises(ValueError, match=f"dt {dt} gives no step"):
                 build_plan(dyn, _paths(model, 3, 1.0, 5), dt, 5)
         with pytest.raises(ValueError, match=f"dt {dt} gives no step"):
-            simulate_controlled_path(frozen_dyn, _zero_policy(),
-                                     _paths(single_regime, 1, 1.0, 5)[0], 1.0,
-                                     dt, stream(5, "paths", 0))
+            build_plan(frozen_dyn, _paths(single_regime, 1, 1.0, 5), dt, 5)
         # just under twice the horizon: one step
         plan = build_plan(frozen_dyn, _paths(single_regime, 3, 1.0, 5), 1.9, 5)
         assert np.array_equal(plan.t, np.tile([0.0, 1.0], (3, 1)))
+
+    def test_mixed_horizons_and_no_paths_are_refused(self, exp2_model):
+        # rows were laid out to the first path's horizon, and an event past
+        # it failed on an unrelated reshape; no path failed on an index
+        dyn = _jump_dyn()
+        a = RegimePath([(0.5, 1), (1.5, 0)], RegimeState(0, 0.0), 2.0)
+        b = RegimePath([(0.3, 1)], RegimeState(0, 0.0), 1.0)
+        late = RegimePath([(2.5, 1)], RegimeState(0, 0.0), 3.0)
+        for paths, horizons in (([a, b], "2.0 and 1.0"),
+                                ([a, late], "2.0 and 3.0")):
+            with pytest.raises(ValueError, match=f"horizons, {horizons}"):
+                build_plan(dyn, paths, 0.25, 0)
+        for paths in ([], sample_regime_paths(exp2_model, RegimeState(0, 0.0),
+                                              1.0, 0, 0)):
+            with pytest.raises(ValueError, match="at least one regime path"):
+                build_plan(dyn, paths, 0.25, 0)
 
     def test_plan_arrays_are_read_only(self, exp2_model):
         plan = build_plan(_jump_dyn(), _paths(exp2_model, 3, 1.0, 19), 0.1,
@@ -532,13 +545,22 @@ class TestPlanBytes:
 # objective estimation
 # ---------------------------------------------------------------------------
 
+def _objective_mean(dyn, obj, model, x0, n_paths, dt, seed):
+    """Mean and SE of the objective of the zero policy from (0, 0.0) on
+    [0, 1]: regime paths from streams (seed, "regime", p), state noise from
+    (seed, "paths", p)."""
+    paths = sample_regime_paths(model, RegimeState(0, 0.0), 1.0, n_paths, seed)
+    J = objective_paths(simulate_ensemble(dyn, _zero_policy(), paths, x0, dt,
+                                          seed), obj)
+    return J.mean(), J.std(ddof=1) / np.sqrt(n_paths)
+
+
 class TestObjective:
     def test_constant_running_cost_exact(self, single_regime, frozen_dyn):
         obj = ObjectiveSpec(running=lambda t, x, u, i, y: np.ones_like(x),
                             terminal=None)
-        est, se = estimate_objective(frozen_dyn, _zero_policy(), obj,
-                                     single_regime, x0=0.0, i0=0, y0=0.0,
-                                     horizon=1.0, n_paths=50, dt=0.02, seed=3)
+        est, se = _objective_mean(frozen_dyn, obj, single_regime, x0=0.0,
+                                  n_paths=50, dt=0.02, seed=3)
         assert est == pytest.approx(1.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -548,9 +570,8 @@ class TestObjective:
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - 1.0) ** 2)
-        est, _ = estimate_objective(dyn, _zero_policy(), obj, single_regime,
-                                    x0=1.0, i0=0, y0=0.0, horizon=1.0,
-                                    n_paths=10, dt=1e-3, seed=5)
+        est, _ = _objective_mean(dyn, obj, single_regime, x0=1.0, n_paths=10,
+                                 dt=1e-3, seed=5)
         assert est == pytest.approx(-(np.exp(0.05) - 1.0) ** 2, abs=2e-5)
 
     def test_martingale_terminal_mean(self, single_regime):
@@ -558,9 +579,8 @@ class TestObjective:
                                  drift=lambda t, x, u, i: np.zeros_like(x),
                                  vol=lambda t, x, u, i: 0.2 * x)
         obj = ObjectiveSpec(running=None, terminal=lambda x, i, y: x)
-        est, se = estimate_objective(dyn, _zero_policy(), obj, single_regime,
-                                     x0=1.0, i0=0, y0=0.0, horizon=1.0,
-                                     n_paths=20000, dt=0.01, seed=7)
+        est, se = _objective_mean(dyn, obj, single_regime, x0=1.0,
+                                  n_paths=20000, dt=0.01, seed=7)
         assert abs(est - 1.0) < 3 * se
 
     def test_objective_paths_shape(self, single_regime, frozen_dyn):

@@ -205,8 +205,8 @@ def _sojourn_cumulative_reference(paths, c_states, taus):
                                       np.array([[-2.0, 0.4], [1.5, -0.25]])])
 def test_sojourn_cumulative_matches_per_path_loop(exp_two, c_states):
     # sojourn counts differ from path to path, so short paths are padded
-    paths = sample_regime_paths(exp_two, RegimeState(1, 0.2), 1.5, 40, 13)
-    paths.append(RegimePath([], RegimeState(0, 0.0), 1.5))
+    paths = [*sample_regime_paths(exp_two, RegimeState(1, 0.2), 1.5, 40, 13),
+             RegimePath([], RegimeState(0, 0.0), 1.5)]
     taus = np.linspace(0.0, 1.5, 31)
     got = _sojourn_cumulative(paths, c_states, taus)
     want = _sojourn_cumulative_reference(paths, c_states, taus)

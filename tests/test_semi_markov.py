@@ -14,7 +14,8 @@ from smjd.errors import AgeBeyondSupport, BoundViolation, InfiniteHazard
 from smjd.jump_diffusion import MarkMeasure
 from smjd.rng import stream
 from smjd.semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
-                              RegimePath, RegimeState, WeibullHolding,
+                              RegimePath, RegimePaths, RegimeState,
+                              WeibullHolding,
                               apply_generator_L, dynkin_statistics,
                               hazard_rate, intensity_matrix,
                               sample_holding_time, sample_regime_paths,
@@ -553,6 +554,25 @@ class TestDirectSamplerMatchesLoop:
             assert path.origin == origin and path.horizon == horizon
             _assert_same_path(path, _direct_reference(
                 model, origin, horizon, stream(61, "equiv", p)))
+
+    @pytest.mark.parametrize("name,origin,horizon,n", CASES)
+    def test_table_slices_and_stacks_back(self, exp2_model, weibull3_model,
+                                          name, origin, horizon, n):
+        model = self._model(name, exp2_model, weibull3_model)
+        paths = sample_regime_paths(model, RegimeState(*origin), horizon, n,
+                                    61, "equiv")
+        stacked = RegimePaths.of(list(paths))
+        for field in ("offsets", "times", "states", "theta0", "y0"):
+            got, want = getattr(stacked, field), getattr(paths, field)
+            assert got.dtype == want.dtype, field
+            assert got.tobytes() == want.tobytes(), field
+        a, b = n // 3, n - n // 4
+        part = paths[a:b]
+        assert len(part) == b - a and part.horizon == horizon
+        for q, path in enumerate(part):
+            want = paths[a + q]
+            assert path == want  # events, origin and horizon
+            _assert_same_path(path, want.events)
 
     @pytest.mark.parametrize("name,origin,horizon,n", CASES)
     def test_shared_stream_left_where_the_loop_leaves_it(

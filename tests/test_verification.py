@@ -6,8 +6,8 @@ from smjd import verification
 from smjd.cli import build_model
 from smjd.errors import AdmissibilityFailure, NonFinitePath
 from smjd.jump_diffusion import (ControlPolicy, ControlledDynamics,
-                                 MarkMeasure, ObjectiveSpec, objective_paths,
-                                 simulate_controlled_path, simulate_ensemble,
+                                 MarkMeasure, ObjectiveSpec, build_plan,
+                                 objective_paths, simulate_ensemble,
                                  step_plan)
 from smjd.maximum_principle import ValueFunctionStub
 from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
@@ -91,8 +91,7 @@ class TestPerturbationFamily:
         regimes = sample_regime_paths(single_regime, RegimeState(0, 0.0), 1.0,
                                       8, 9)
         with pytest.raises(ValueError, match=r"random\[0\].*8 paths"):
-            simulate_controlled_path(dyn, pol, regimes[3], 1.0, 0.05,
-                                     stream(9, "paths", 3))
+            step_plan(dyn, pol, build_plan(dyn, regimes[3:4], 0.05, 9), 1.0)
         ens = simulate_ensemble(dyn, pol, regimes, 1.0, 0.05, 9)
         ens_base = simulate_ensemble(dyn, base, regimes, 1.0, 0.05, 9)
         consts = stream(9, "perturb", 0).uniform(-0.25, 0.25, 8)
