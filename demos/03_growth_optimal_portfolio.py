@@ -19,7 +19,7 @@ from smjd.jump_diffusion import simulate_ensemble
 from smjd.maximum_principle import adjoint_residual
 from smjd.portfolio_examples import (RiskSensitiveModel, rs_adjoint,
                                      rs_dynamics, rs_objective,
-                                     rs_optimal_control, rs_phi,
+                                     rs_optimal_control, rs_phi_functional,
                                      rs_phi_markov, rs_policy,
                                      rs_u_coefficient)
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
@@ -46,8 +46,11 @@ for i in range(2):
 # ---------------------------------------------------------------------------
 t_nodes = np.linspace(0.0, 1.0, 2001)
 phi_exact = rs_phi_markov(model, regimes, t_nodes, variant="literal")
-val_mc, se_mc = rs_phi(model, regimes, 0.0, 0, 0.0, n_paths=4000, seed=31,
-                       variant="literal")
+# Monte Carlo at the start node (t = 0, regime 0, age 0)
+phi_mc = rs_phi_functional(model, regimes, np.array([0.0, 1.0]),
+                           np.array([0.0]), n_paths=4000, seed=31,
+                           variant="literal")
+val_mc, se_mc = phi_mc.values[0, 0, 0], phi_mc.se[0, 0, 0]
 z, zi = np.array([0.0]), np.array([0])
 val_ex = float(phi_exact(z, zi, z)[0])
 print(f"\nPhi(0, regime 0): matrix exponential {val_ex:.5f}, "

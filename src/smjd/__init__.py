@@ -44,9 +44,8 @@ from .portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                  ql_optimal_control, ql_phi_psi, ql_policy,
                                  ql_phi_psi_markov, ql_u_coefficient,
                                  rs_adjoint, rs_dynamics, rs_objective,
-                                 rs_optimal_control, rs_phi,
-                                 rs_phi_functional, rs_phi_markov, rs_policy,
-                                 rs_u_coefficient)
+                                 rs_optimal_control, rs_phi_functional,
+                                 rs_phi_markov, rs_policy, rs_u_coefficient)
 from .verification import (MarkovReductionReport, PerturbationFamily,
                            SufficiencyReport, default_perturbation_family,
                            dp_connection_experiment,

@@ -155,16 +155,13 @@ _NUMERICS_SCHEMA = {
         "y_nodes": {"type": "integer", "minimum": 1},
         "y_max": {"type": "number", "minimum": 0},
         "functional_paths": {"type": "integer", "minimum": 2},
-        "fixed_point_tol": {"type": "number", "exclusiveMinimum": 0},
-        "fixed_point_max_iter": {"type": "integer", "minimum": 1},
         "foc_tol": {"type": "number", "exclusiveMinimum": 0},
     },
 }
 
 _NUMERICS_DEFAULTS = {
     "dt": 5e-3, "n_paths": 1000, "t_nodes": 21, "y_nodes": 3, "y_max": 2.0,
-    "functional_paths": 2000, "fixed_point_tol": 1e-4,
-    "fixed_point_max_iter": 50, "foc_tol": 1e-8,
+    "functional_paths": 2000, "foc_tol": 1e-8,
 }
 
 
@@ -368,9 +365,7 @@ def _problem(cfg, regime_model, seed):
                 rs_objective(model), u_fn)
     with _age_field("$.numerics.y_max"):
         functionals = ql_phi_psi(model, regime_model, t_nodes, y_nodes,
-                                 num["functional_paths"], seed,
-                                 tol=num["fixed_point_tol"],
-                                 max_iter=num["fixed_point_max_iter"])[:2]
+                                 num["functional_paths"], seed)[:2]
     return (model, ql_dynamics(model), ql_policy(model, functionals),
             ql_objective(model),
             lambda ens: ql_u_coefficient(

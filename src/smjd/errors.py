@@ -69,11 +69,8 @@ class SingularPhi(SmjdError):
 
 
 class FixedPointDiverged(SmjdError):
-    """The damped fixed-point iteration failed to converge."""
-
-    def __init__(self, message: str, trace=None):
-        self.trace = trace or []
-        super().__init__(message)
+    """A functional's fixed point still moved after its cap on rounds; the
+    message names the node."""
 
 
 class AdmissibilityFailure(SmjdError):

@@ -14,16 +14,18 @@ Two worked problems drive the verification experiments:
   diffusion part plus multiplicative asset jumps u * g(i, mark).  The
   optimal rule is linear, u = (Lam_t / Lam) (x + psi/phi), with phi, psi
   exponential Feynman-Kac functionals of the regime path.  They take one
-  Monte Carlo pass when the slope Lam_t / Lam is free of phi, and a damped
-  fixed-point iteration when phi enters Lam.
+  Monte Carlo pass over the regime paths: exact over the sojourns when the
+  slope Lam_t / Lam is free of phi, and a backward sweep over the t grid
+  when phi enters Lam, each column solving a scalar fixed point for its
+  own phi.
 
 Every phi/psi builder calls one of two estimators of these functionals:
 Monte Carlo over regime paths (``_fk_moments``), for any holding law, in
-``rs_phi``, ``rs_phi_functional`` and ``ql_phi_psi`` (the CLI's builders);
-and powers of one step exponential on a uniform t grid
-(``_expm_functional``), exact and age-free but for exponential holding
-times only, in ``rs_phi_markov`` and ``ql_phi_psi_markov``, the oracles
-the tests check Monte Carlo against.
+``rs_phi_functional`` and ``ql_phi_psi`` (the CLI's builders); and
+powers of one step exponential on a uniform t grid (``_expm_functional``),
+exact and age-free but for exponential holding times only, in
+``rs_phi_markov`` and ``ql_phi_psi_markov``, the oracles the tests check
+Monte Carlo against.
 
 Both adjoints are emitted in the step-indexed layout consumed by
 ``adjoint_residual``, including jump integrands evaluated at realized
@@ -52,7 +54,7 @@ from .semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
 __all__ = [
     "RiskSensitiveModel", "QuadraticLossModel", "RegimeFunctional",
     "rs_optimal_control", "rs_policy", "rs_dynamics", "rs_objective",
-    "rs_phi", "rs_phi_functional", "rs_phi_markov", "rs_adjoint",
+    "rs_phi_functional", "rs_phi_markov", "rs_adjoint",
     "rs_u_coefficient", "ql_phi_psi_markov",
     "ql_lambda_factors", "ql_phi_psi", "ql_optimal_control", "ql_policy",
     "ql_dynamics", "ql_objective", "ql_adjoint", "ql_u_coefficient",
@@ -376,8 +378,21 @@ def _fk_grid(cumulative, shape: tuple, scale, variant: str):
     return values, se
 
 
+def _uniform_step(t_nodes: np.ndarray) -> float:
+    """The step of a uniform t grid; a grid that is not uniform is refused
+    with a ValueError naming its node furthest off the step."""
+    n, span = len(t_nodes), t_nodes[-1] - t_nodes[0]
+    h = span / max(n - 1, 1)
+    off = np.abs(t_nodes - (t_nodes[0] + h * np.arange(n)))
+    if np.any(off > 1e-12 * span):
+        j = int(np.argmax(off))
+        raise ValueError(f"t grid must be uniform: node {j} is {off[j]:.3g} "
+                         f"off the step {h:.6g}")
+    return h
+
+
 def _expm_functional(regime_model: RegimeModel, rates: np.ndarray, scale,
-                     variant: str, horizon: float, t_nodes: np.ndarray,
+                     variant: str, t_nodes: np.ndarray,
                      y_nodes: np.ndarray) -> list:
     """Exact age-independent functionals, one per row c of ``rates`` (R, M),
     under exponential holding times; their SEs are zero.
@@ -389,19 +404,13 @@ def _expm_functional(regime_model: RegimeModel, rates: np.ndarray, scale,
     exponential on a uniform t grid: with E = exp(gen h), node t_k reads
     E^(n-1-k) applied to the read-out vector, filled by doubling (about
     log2 n batched matrix-vector products); a grid that is not uniform is
-    refused.  ``scale`` broadcasts against (R, n_t, M).
+    refused (:func:`_uniform_step`).  ``scale`` broadcasts against
+    (R, n_t, M).
     """
     if not all(isinstance(h, ExponentialHolding) for h in regime_model.holding):
         raise ValueError("matrix-exponential functionals require exponential "
                          "holding times in every state")
-    n = len(t_nodes)
-    h = (horizon - t_nodes[0]) / max(n - 1, 1)
-    off = np.abs(t_nodes - (t_nodes[0] + h * np.arange(n)))
-    if np.any(off > 1e-12 * (horizon - t_nodes[0])):
-        j = int(np.argmax(off))
-        raise ValueError(f"t grid must be uniform for the matrix-exponential "
-                         f"functionals: node {j} is {off[j]:.3g} off the "
-                         f"step {h:.6g}")
+    n, h = len(t_nodes), _uniform_step(t_nodes)
     M = regime_model.n_states
     Q = intensity_matrix(regime_model, 0.0)
     if variant == "literal":
@@ -477,33 +486,6 @@ def rs_source_rate(model: RiskSensitiveModel,
     return g * model.r - m ** 2 + ((2.0 - g) / (1.0 - g)) * m ** 2 / scale
 
 
-def rs_phi(model: RiskSensitiveModel, regime_model: RegimeModel, t, i: int,
-           y: float, n_paths: int, seed: int,
-           variant: str = "integral",
-           rate_variant: str = "literal") -> tuple[float, float]:
-    """Monte Carlo value of the regime functional started at (t, i, y).
-
-    variant="integral" returns E[int_t^T a ds] (the additive source form);
-    variant="literal" returns E[exp(int_t^T a ds)] (the multiplicative
-    form, which is the one whose induced adjoint satisfies the backward
-    equation across regime switches).  ``rate_variant`` selects the source
-    rate formula (see :func:`rs_source_rate`).  Returns (value, SE).
-    """
-    _check_variant(variant)
-    _check_regime_count(model, regime_model)
-    tau = model.horizon - float(t)
-    if tau < 0:
-        raise ValueError("t beyond the horizon")
-    if tau == 0.0:
-        return (0.0, 0.0) if variant == "integral" else (1.0, 0.0)
-    a = rs_source_rate(model, rate_variant)
-    paths = sample_regime_paths(regime_model, RegimeState(int(i), float(y)),
-                                tau, n_paths, seed, f"rsphi/{int(i)}/{float(y)}")
-    mean, se = _fk_moments(_sojourn_cumulative(paths, a, np.array([tau])),
-                           1.0, variant)
-    return float(mean[0]), float(se[0])
-
-
 def rs_phi_functional(model: RiskSensitiveModel, regime_model: RegimeModel,
                       t_nodes: np.ndarray, y_nodes: np.ndarray, n_paths: int,
                       seed: int, variant: str = "integral",
@@ -540,7 +522,7 @@ def rs_phi_markov(model: RiskSensitiveModel, regime_model: RegimeModel,
     t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
     return _expm_functional(regime_model,
                             rs_source_rate(model, rate_variant)[None], 1.0,
-                            variant, model.horizon, t_nodes, y_nodes)[0]
+                            variant, t_nodes, y_nodes)[0]
 
 
 def _check_variant(variant: str):
@@ -685,12 +667,12 @@ def ql_objective(model: QuadraticLossModel) -> ObjectiveSpec:
     )
 
 
-_QL_DAMPING = 0.5  # weight of the fresh estimate in a fixed-point step
+_SWEEP_ROUNDS = 50  # cap on the rounds of one column's scalar fixed point
 
 
 def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
                t_nodes: np.ndarray, y_nodes: np.ndarray, n_paths: int,
-               seed: int, tol: float = 1e-4, max_iter: int = 50):
+               seed: int):
     """Monte Carlo hedging functionals phi and psi on a (t, regime, age) grid.
 
     phi(t,i,y) = -2 E[exp(int_t^T c_phi ds)] and psi = 2d E[exp(int c_psi)]
@@ -700,78 +682,74 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
 
     When k is free of phi (the consistent variant, or no jumps), the rates
     are per-regime constants: one exact pass over the sojourns gives both
-    functionals, and info reports 1 iteration.  When phi enters Lam (the
-    literal variant with jumps), the rates are integrated by the trapezoid
-    rule on the t grid, which must be uniform, and a damped fixed point
-    runs on the same paths: each step moves (phi, psi) halfway to a fresh
-    estimate at the current phi (the damping 0.5 is a constant) until the
-    sup-norm change is below ``tol``.  After ``max_iter`` steps without
-    that it raises FixedPointDiverged carrying the trace.
+    functionals.  When phi enters Lam (the literal variant with jumps), the
+    rates are integrated by the trapezoid rule on the t grid, which must be
+    uniform, in one backward sweep over its columns.  At column t_a the
+    rates at the later nodes read phi from columns already solved; the
+    node's own phi enters only the rule's first half-weight term, so it
+    solves the scalar equation phi = -2 e^{h/2 c_phi(i, phi)} E[e^{rest}],
+    iterated until the column stops changing to 1e-12 relative
+    (FixedPointDiverged, naming the node, after ``_SWEEP_ROUNDS`` rounds).
+    psi then follows.
 
-    Returns (phi, psi, info) with info = {"iterations", "trace"}; the trace
-    holds the sup-norm change of each step, the first measured from the
-    initial guess phi = -2, psi = 2d.
+    Returns (phi, psi, info) with info = {"iterations": 1}: one pass over
+    the paths in either case.
     """
     t_nodes, y_nodes = _check_grid(model, regime_model, t_nodes, y_nodes)
     feedback = model.slope_terms[2] is not None  # phi's coefficient in Lam
-    if (feedback and len(t_nodes) > 1 and np.ptp(np.diff(t_nodes))
-            > 1e-9 * (t_nodes[-1] - t_nodes[0])):
-        raise ValueError("phi-dependent denominator needs a uniform t grid")
-    M, n_y = regime_model.n_states, len(y_nodes)
+    h = _uniform_step(t_nodes) if feedback else None
+    M, n_y, n_t = regime_model.n_states, len(y_nodes), len(t_nodes)
     taus = model.horizon - t_nodes
     paths = _start_node_paths(regime_model, y_nodes, taus[0], n_paths, seed,
                               "qlfk")
 
     # phi and psi are stacked along a leading axis of length 2
     scale = np.array([[-2.0], [2.0 * model.d]])
-    shape = (2, len(t_nodes), M, n_y)
-    guess = np.broadcast_to(scale[..., None, None], shape)
-
+    shape = (2, n_t, M, n_y)
     if not feedback:
         rates = np.stack(_ql_rates(model, np.arange(M), -2.0))
         vals, se = _fk_grid(
             lambda i, b: _sojourn_cumulative(paths[i][b], rates, taus), shape,
             scale, "literal")
-        trace = [float(np.max(np.abs(vals - guess)))]
     else:
-        # phi is read at the t nodes and at the states and ages sampled
-        # there, which stay fixed across iterations
-        sampled = [[_sampled_states(paths[i][b], t_nodes) for b in range(n_y)]
-                   for i in range(M)]
-        phi_now = RegimeFunctional(t_nodes, y_nodes, guess[0],
-                                   np.zeros(shape[1:]), 0)
-        n_t, h = len(t_nodes), t_nodes[1] - t_nodes[0]
-
-        def cumulative(i, b):
-            """cum[r, p, a]: trapezoid over v in [0, T - t_a] of the rate
-            c_r(t_a + v, state at v) at the current phi iterate, for the
-            rates (c_phi, c_psi)."""
-            (th, yy), cols = sampled[i][b], []
-            for a in range(n_t - 1):
-                m = n_t - a
-                vals = np.stack(_ql_rates(model, th[:, :m], phi_now(
-                    t_nodes[a:a + m], th[:, :m], yy[:, :m])))
-                cols.append(np.sum(0.5 * (vals[..., 1:] + vals[..., :-1]) * h,
-                                   axis=-1))
-            cols.append(np.zeros_like(cols[0]))  # empty integral at horizon
-            return np.stack(cols, axis=-1)
-
-        vals, trace = guess, []
-        for _ in range(max_iter):
-            phi_now.values = vals[0]
-            fresh, se = _fk_grid(cumulative, shape, scale, "literal")
-            new = (1 - _QL_DAMPING) * vals + _QL_DAMPING * fresh
-            trace.append(float(np.max(np.abs(new - vals))))
-            vals = new
-            if trace[-1] < tol:
-                break
-        else:
-            raise FixedPointDiverged(
-                f"no convergence after {max_iter} iterations "
-                f"(last change {trace[-1]:.3g})", trace=trace)
+        # th[j, k, p], yy[j, k, p]: regime and age of path p from start node
+        # k = (i, b), flattened, at elapsed time t_j - t_0
+        th, yy = (np.stack(a, axis=1).T for a in zip(*(
+            _sampled_states(paths[i][b], t_nodes - t_nodes[0])
+            for i, b in np.ndindex(M, n_y))))
+        node_i = np.repeat(np.arange(M), n_y)
+        vals = np.empty(shape)
+        vals[...] = scale[..., None, None]  # the exact terminal column
+        se = np.zeros(shape)
+        phi_now = RegimeFunctional(t_nodes, y_nodes, vals[0], se[0], 0)
+        for a in range(n_t - 2, -1, -1):
+            # rest[r, p, k]: the trapezoid's terms after t_a, whose phi is
+            # solved, for the rates (c_phi, c_psi)
+            th_a, yy_a = th[1:n_t - a], yy[1:n_t - a]
+            c = np.stack(_ql_rates(model, th_a,
+                                   phi_now(t_nodes[a + 1:, None, None], th_a,
+                                           yy_a)))
+            rest = h * (c.sum(axis=1) - 0.5 * c[:, -1]).transpose(0, 2, 1)
+            phi_a = vals[0, a + 1].ravel()  # the later column as first guess
+            for _ in range(_SWEEP_ROUNDS):
+                own = np.stack(_ql_rates(model, node_i, phi_a))
+                col, col_se = _fk_moments(rest + 0.5 * h * own[:, None],
+                                          scale, "literal")
+                change, phi_a = np.abs(col[0] - phi_a), col[0]
+                # stop at the rounding of the mean over the paths, which
+                # jitters the map by some 1e-14 relative
+                if np.all(change <= 1e-12 * np.abs(phi_a)):
+                    break
+            else:
+                i, b = divmod(int(np.argmax(change)), n_y)
+                raise FixedPointDiverged(
+                    f"phi at node (t={t_nodes[a]:.6g}, regime {i}, "
+                    f"age {y_nodes[b]:.6g}) still moves by {change.max():.3g}"
+                    f" after {_SWEEP_ROUNDS} rounds")
+            vals[:, a], se[:, a] = (v.reshape(2, M, n_y) for v in (col, col_se))
     phi = RegimeFunctional(t_nodes, y_nodes, vals[0], se[0], n_paths)
     psi = RegimeFunctional(t_nodes, y_nodes, vals[1], se[1], n_paths)
-    return phi, psi, {"iterations": len(trace), "trace": trace}
+    return phi, psi, {"iterations": 1}
 
 
 def ql_phi_psi_markov(model: QuadraticLossModel, regime_model: RegimeModel,
@@ -792,7 +770,7 @@ def ql_phi_psi_markov(model: QuadraticLossModel, regime_model: RegimeModel,
     rates = np.stack(_ql_rates(model, np.arange(model.n_regimes), -2.0))
     return tuple(_expm_functional(
         regime_model, rates, np.array([-2.0, 2.0 * model.d])[:, None, None],
-        "literal", model.horizon, t_nodes, y_nodes))
+        "literal", t_nodes, y_nodes))
 
 
 def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):

@@ -19,9 +19,9 @@ from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
                                      ql_adjoint, ql_dynamics, ql_objective,
                                      ql_phi_psi, ql_phi_psi_markov, ql_policy,
                                      ql_u_coefficient, rs_adjoint,
-                                     rs_dynamics, rs_objective, rs_phi,
-                                     rs_phi_markov, rs_policy,
-                                     rs_u_coefficient)
+                                     rs_dynamics, rs_objective,
+                                     rs_phi_functional, rs_phi_markov,
+                                     rs_policy, rs_u_coefficient)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                               WeibullHolding, apply_generator_L,
@@ -278,8 +278,10 @@ def test_criterion_7_closed_form_cross_checks(capsys):
 
     rs = RiskSensitiveModel(r=np.array([0.05]), mu=np.array([0.13]),
                             sigma=np.array([0.2]), gamma=0.5, horizon=1.0)
-    val, se = rs_phi(rs, single, 0.0, 0, 0.0, n_paths=100, seed=702,
-                     variant="integral")
+    growth = rs_phi_functional(rs, single, np.array([0.0, 1.0]),
+                               np.array([0.0]), n_paths=100, seed=702,
+                               variant="integral")
+    val, se = growth.values[0, 0, 0], growth.se[0, 0, 0]
     # deterministic case: exact up to accumulated float rounding
     ok = (err_phi < 0.01 and err_psi < 0.01 and abs(val - 5.865) < 1e-12
           and se < 1e-12)

@@ -236,6 +236,19 @@ class TestConfigValidation:
         assert "$.regime.holding[1].shape" in err
         assert "infinite at age 0" in err
 
+    @pytest.mark.parametrize("field, value", [("fixed_point_tol", 1e-4),
+                                              ("fixed_point_max_iter", 50)])
+    def test_removed_fixed_point_fields_exit_2(self, tmp_path, capsys, field,
+                                               value):
+        # the QL functionals take one backward sweep: no tolerance or cap
+        cfg = _rs_config(experiment="policy-eval", model=_ql_model(),
+                         queries=[[0.0, 0.5, 0, 0.0]])
+        cfg["numerics"][field] = value
+        rc = _run("policy-eval", _write(tmp_path, cfg), tmp_path / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "$.numerics" in err and field in err
+
 
 class TestOutputs:
     def test_simulate_writes_all_four_files(self, tmp_path):
@@ -284,15 +297,6 @@ class TestOutputs:
         rep = json.loads((out / "report.json").read_text())
         # regime 0: (mu - r)/((1-gamma) sigma^2) * x = 0.08/0.02 * 2 = 8
         assert rep["queries"][0]["u"] == pytest.approx(8.0, rel=1e-12)
-
-    def test_policy_eval_phi_free_fixed_point_needs_one_iteration(
-            self, tmp_path):
-        cfg = _rs_config(experiment="policy-eval",
-                         model=_ql_model(lambda_variant="consistent"),
-                         queries=[[0.0, 0.5, 0, 0.0]])
-        cfg["numerics"]["fixed_point_max_iter"] = 1
-        rc = _run("policy-eval", _write(tmp_path, cfg), tmp_path / "out")
-        assert rc == 0
 
     def test_reduce_markov_weibull_not_applicable(self, tmp_path):
         cfg = _rs_config(experiment="reduce-markov")

@@ -18,7 +18,7 @@ from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                      ql_optimal_control, ql_phi_psi,
                                      ql_phi_psi_markov, ql_policy,
                                      ql_u_coefficient, rs_adjoint, rs_dynamics,
-                                     rs_objective, rs_optimal_control, rs_phi,
+                                     rs_objective, rs_optimal_control,
                                      rs_phi_functional, rs_phi_markov,
                                      rs_policy, rs_source_rate,
                                      rs_u_coefficient)
@@ -72,6 +72,13 @@ def _ql_jump_model(variant):
                               lambda_variant=variant)
 
 
+def _weibull_exp():
+    """A 2-state kernel with one Weibull and one exponential state."""
+    return RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                       holding=(WeibullHolding(shape=1.5, scale=0.8),
+                                ExponentialHolding(1.0)))
+
+
 def _three_state():
     """A 3-state exponential kernel with RS and (jump-free) QL models on
     it; the QL rates are (2r - mbar^2, r - mbar^2) without jumps."""
@@ -116,13 +123,19 @@ class TestRsControl:
                                sigma=np.array([0.0]), gamma=0.5, horizon=1.0)
 
 
+def _rs_start_node(model, regime_model, n_paths, seed, variant):
+    """The Monte Carlo functional on the grid t in {0, T}, age 0: its
+    (value, SE) at regime 0, t = 0, and its value at t = T."""
+    fn = rs_phi_functional(model, regime_model, np.array([0.0, 1.0]),
+                           np.array([0.0]), n_paths, seed, variant=variant)
+    return fn.values[0, 0, 0], fn.se[0, 0, 0], fn.values[-1, 0, 0]
+
+
 class TestRsPhi:
     def test_terminal_boundary(self, rs_single, single_regime):
-        v_int, se = rs_phi(rs_single, single_regime, 1.0, 0, 0.0, 10, 0,
-                           variant="integral")
+        v_int = _rs_start_node(rs_single, single_regime, 10, 0, "integral")[2]
         assert v_int == pytest.approx(0.0, abs=1e-14)
-        v_lit, _ = rs_phi(rs_single, single_regime, 1.0, 0, 0.0, 10, 0,
-                          variant="literal")
+        v_lit = _rs_start_node(rs_single, single_regime, 10, 0, "literal")[2]
         assert v_lit == pytest.approx(1.0, abs=1e-14)
 
     def test_single_regime_source_rate_reference_value(self, rs_single,
@@ -130,8 +143,8 @@ class TestRsPhi:
         # a = gamma*r - mbar^2 + ((2-gamma)/(1-gamma)) * mbar^2/(2 sigma^2)
         #   = 0.025 - 0.16 + 3*2 = 5.865 for the constants above
         assert rs_source_rate(rs_single)[0] == pytest.approx(5.865, abs=1e-12)
-        val, se = rs_phi(rs_single, single_regime, 0.0, 0, 0.0, 100, 0,
-                         variant="integral")
+        val, se, _ = _rs_start_node(rs_single, single_regime, 100, 0,
+                                    "integral")
         assert val == pytest.approx(5.865, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-14)
 
@@ -147,8 +160,7 @@ class TestRsPhi:
         sol = solve_ivp(rhs, [1.0, 0.0], np.zeros(2), rtol=1e-10,
                         atol=1e-12)
         oracle = sol.y[0, -1]
-        val, se = rs_phi(rs_two, exp_two, 0.0, 0, 0.0, 3000, 11,
-                         variant="integral")
+        val, se, _ = _rs_start_node(rs_two, exp_two, 3000, 11, "integral")
         assert abs(val - oracle) < 3 * se
 
     def test_markov_functional_matches_ode_exactly(self, rs_two, exp_two):
@@ -430,41 +442,77 @@ class TestQlPhiPsi:
         QuadraticLossModel(r=[0.05, 0.03], mbar=[0.4, 0.3], sigma=[0.2, 0.25],
                            d=1.0, horizon=1.0, lambda_variant="literal"),
     ], ids=["consistent-with-jumps", "literal-without-jumps"])
-    def test_phi_free_slope_takes_one_pass(self, exp_two, model):
+    def test_phi_free_slope_takes_one_pass(self, exp_two, model, monkeypatch):
         args = (model, exp_two, np.linspace(0.0, 1.0, 11),
                 np.array([0.0, 0.5]), 32, 3)
         phi, psi, info = ql_phi_psi(*args)
-        phi1, psi1, info1 = ql_phi_psi(*args, max_iter=1)
-        assert info["iterations"] == info1["iterations"] == 1
-        assert len(info1["trace"]) == 1
+        # the exact pass over the sojourns never reaches the sweep's rounds
+        monkeypatch.setattr(portfolio_examples, "_SWEEP_ROUNDS", 1)
+        phi1, psi1, info1 = ql_phi_psi(*args)
+        assert info == info1 == {"iterations": 1}
         for a, b in ((phi, phi1), (psi, psi1)):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.se, b.se)
 
     def test_phi_feedback_fixed_point_is_pinned(self):
-        # the damped fixed point (literal variant with jumps) on a Weibull
-        # state, with ages past 0: SHA-256 of the phi/psi values, their SEs
-        # and the trace; like the CLI digests, a numpy or scipy build change
-        # can move it
-        rm = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                         holding=(WeibullHolding(shape=1.5, scale=0.8),
-                                  ExponentialHolding(1.0)))
+        # the backward sweep (literal variant with jumps) on a Weibull state,
+        # with ages past 0: SHA-256 of the phi/psi values and their SEs; like
+        # the CLI digests, a numpy or scipy build change can move it
+        rm = _weibull_exp()
         phi, psi, info = ql_phi_psi(_ql_jump_model("literal"), rm,
                                     np.linspace(0.0, 1.0, 11),
                                     np.array([0.0, 0.5, 1.0]), 32, 5)
         digest = hashlib.sha256()
-        for a in (phi.values, psi.values, phi.se, psi.se, info["trace"]):
+        for a in (phi.values, psi.values, phi.se, psi.se):
             digest.update(np.asarray(a, dtype=float).tobytes())
-        assert info["iterations"] == len(info["trace"]) == 12
-        assert digest.hexdigest() == ("428cbbe1810c4054aa42d7b82ea46e2f"
-                                      "d94c3468c6ca83c2d09275916be64208")
+        assert info == {"iterations": 1}
+        assert digest.hexdigest() == ("ac0c356e73ac1166c50229699a199138"
+                                      "8009e7ffb4114cadf54583015b20534f")
 
-    def test_phi_feedback_stops_at_max_iter(self, exp_two):
-        with pytest.raises(FixedPointDiverged) as err:
+    def test_phi_feedback_is_the_discrete_fixed_point(self):
+        # one fresh trapezoid estimate at the sweep's phi, written out here
+        # path by path, gives the sweep's phi and psi back
+        model, rm = _ql_jump_model("literal"), _weibull_exp()
+        t_nodes, y_nodes = np.linspace(0.0, 1.0, 11), np.array([0.0, 0.5, 1.0])
+        n_paths, seed, h = 32, 5, 0.1
+        phi, psi, _ = ql_phi_psi(model, rm, t_nodes, y_nodes, n_paths, seed)
+        lam_t, lam_0, lam_phi = model.slope_terms
+        for i, b in np.ndindex(2, 3):
+            paths = sample_regime_paths(rm, RegimeState(i, y_nodes[b]), 1.0,
+                                        n_paths, seed, f"qlfk/{i}/{b}")
+            for a, t in enumerate(t_nodes):
+                fresh = np.zeros((2, n_paths))
+                for p in range(n_paths):
+                    v = t_nodes[a:] - t  # elapsed times of the column's nodes
+                    th, yy = paths[p].state_at(v, side="right")
+                    f = phi(t_nodes[a:], th, yy)
+                    k = lam_t[th] / (lam_0[th] + f * lam_phi[th])
+                    c = np.stack([2 * model.r[th], model.r[th]]) + (
+                        k * model.gain[th])
+                    fresh[:, p] = np.sum(0.5 * h * (c[:, 1:] + c[:, :-1]),
+                                         axis=1)
+                want = np.array([-2.0, 2.0]) * np.exp(fresh).mean(axis=1)
+                got = phi.values[a, i, b], psi.values[a, i, b]
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_phi_feedback_reads_the_grid_from_its_first_node(self, exp_two):
+        # the sweep reads each path at elapsed time t - t_0: a grid starting
+        # at 0.5 gives the full grid's values there, on the same streams
+        model = _ql_jump_model("literal")
+        full = ql_phi_psi(model, exp_two, np.linspace(0.0, 1.0, 11), _Y1,
+                          2000, 3)
+        late = ql_phi_psi(model, exp_two, np.linspace(0.5, 1.0, 6), _Y1,
+                          2000, 3)
+        for f, g in zip(full[:2], late[:2]):
+            assert np.allclose(f.values[5:], g.values, rtol=0, atol=1e-15)
+            assert np.allclose(f.se[5:], g.se, rtol=0, atol=1e-15)
+
+    def test_phi_feedback_round_cap_raises(self, exp_two, monkeypatch):
+        monkeypatch.setattr(portfolio_examples, "_SWEEP_ROUNDS", 1)
+        with pytest.raises(FixedPointDiverged, match=r"phi at node \(t=0\.9, "
+                                                     r"regime \d, age 0\)"):
             ql_phi_psi(_ql_jump_model("literal"), exp_two,
-                       np.linspace(0.0, 1.0, 11), np.array([0.0]), 32, 3,
-                       max_iter=1)
-        assert len(err.value.trace) == 1
+                       np.linspace(0.0, 1.0, 11), _Y1, 32, 3)
 
 
 def _bilinear_reference(f, t, i, y):
@@ -746,12 +794,11 @@ _Y1 = np.array([0.0])
 
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("kind, build", [
-    ("rs", lambda m, rm: rs_phi(m, rm, 0.0, 0, 0.0, 4, 0)),
     ("rs", lambda m, rm: rs_phi_functional(m, rm, _T3, _Y1, 4, 0)),
     ("rs", lambda m, rm: rs_phi_markov(m, rm, _T3)),
     ("ql", lambda m, rm: ql_phi_psi(m, rm, _T3, _Y1, 4, 0)),
     ("ql", lambda m, rm: ql_phi_psi_markov(m, rm, _T3)),
-], ids=["rs_phi", "rs_phi_functional", "rs_phi_markov", "ql_phi_psi",
+], ids=["rs_phi_functional", "rs_phi_markov", "ql_phi_psi",
         "ql_phi_psi_markov"])
 def test_regime_count_mismatch_is_refused(exp_two, kind, build, n):
     r, sigma = np.full(n, 0.05), np.full(n, 0.2)
@@ -770,6 +817,8 @@ _GRID_BUILDERS = {
     "rs_phi_markov": ("rs", lambda m, rm, t, y: rs_phi_markov(
         m, rm, t, "literal", y)),
     "ql_phi_psi": ("ql", lambda m, rm, t, y: ql_phi_psi(m, rm, t, y, 4, 0)),
+    "ql_phi_psi-literal-jumps": ("ql-jumps", lambda m, rm, t, y: ql_phi_psi(
+        m, rm, t, y, 4, 0)),
     "ql_phi_psi_markov": ("ql", lambda m, rm, t, y: ql_phi_psi_markov(
         m, rm, t, y)),
 }
@@ -779,7 +828,8 @@ _BAD_GRIDS = {
     "repeated-t": (np.array([0.0, 0.5, 0.5, 1.0]), _Y1,
                    "t nodes must be strictly"),
     "degenerate-y": (_T3, np.zeros(3), "y nodes must be strictly"),
-    # step powers need one step; Monte Carlo takes any increasing grid
+    # step powers and the trapezoid sweep of phi's own rate need one step;
+    # Monte Carlo over per-regime rates takes any increasing grid
     "non-uniform-t": (np.array([0.0, 0.3, 1.0]), _Y1,
                       "t grid must be uniform"),
 }
@@ -787,15 +837,19 @@ _BAD_GRIDS = {
 
 @pytest.mark.parametrize("builder, grid", [
     pytest.param(b, g, id=f"{b}-{g}") for b in _GRID_BUILDERS
-    for g in _BAD_GRIDS if g != "non-uniform-t" or b.endswith("_markov")])
+    for g in _BAD_GRIDS
+    if g != "non-uniform-t" or b.endswith(("_markov", "-jumps"))])
 def test_bad_grid_is_refused(exp_two, rs_two, builder, grid):
     # unchecked, a t node past the horizon gives a negative E[exp int a]
     # and an age grid [0, 0, 0] a NaN policy
     kind, build = _GRID_BUILDERS[builder]
     t_nodes, y_nodes, message = _BAD_GRIDS[grid]
-    model = rs_two if kind == "rs" else QuadraticLossModel(
-        r=np.array([0.05, 0.03]), mbar=np.array([0.4, 0.3]),
-        sigma=np.array([0.2, 0.25]), d=1.0, horizon=1.0)
+    if kind == "ql-jumps":
+        model = _ql_jump_model("literal")
+    else:
+        model = rs_two if kind == "rs" else QuadraticLossModel(
+            r=np.array([0.05, 0.03]), mbar=np.array([0.4, 0.3]),
+            sigma=np.array([0.2, 0.25]), d=1.0, horizon=1.0)
     with pytest.raises(ValueError, match=message):
         build(model, exp_two, t_nodes, y_nodes)
 
