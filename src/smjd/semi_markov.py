@@ -14,7 +14,8 @@ Two samplers are provided: a renewal-style direct sampler (draw a holding
 time, then a target state) and a thinning sampler that realizes the driving
 Poisson-measure representation.  The direct sampler runs as one array pass
 over a whole ensemble, on blocks of uniforms per path, and consumes exactly
-the 2E + 1 uniforms of a per-event loop for a path with E events.  Thinning
+the 2E + 1 uniforms of a per-event loop for a path with E events; its first
+block is sized from the model's event rate, so most paths take one.  Thinning
 proposes against a hazard majorant: for nondecreasing hazards (exponential,
 Weibull with shape >= 1) a piecewise-constant one, the hazard at the end of
 each age window of fixed length (Lewis & Shedler 1979); for custom
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -232,6 +234,24 @@ class RegimeModel:
     @property
     def n_states(self) -> int:
         return self.kernel.shape[0]
+
+    @cached_property
+    def event_rate(self) -> float:
+        """Estimated regime events per unit time, 1 / sum_i pi_i med_i with
+        pi the kernel's stationary law and med_i state i's median holding
+        time; 0 for one state or a median that is not finite."""
+        M = self.n_states
+        if M == 1:
+            return 0.0
+        # pi is each row of q**(2**64) for the aperiodic q = (kernel + I) / 2,
+        # squared by einsum: a first BLAS or LAPACK call grows RSS by ~1 MB
+        q = (self.kernel + np.eye(M)) / 2.0
+        for _ in range(64):
+            q = np.einsum("ij,jk->ik", q, q)
+            q /= q.sum(axis=1, keepdims=True)
+        med = np.array([float(d.inverse_cdf(0.5)) for d in self.holding])
+        sojourn = float(np.sum(q[0] * med))
+        return 1.0 / sojourn if 0.0 < sojourn < math.inf else 0.0
 
 
 def _irreducible(kernel: np.ndarray) -> bool:
@@ -551,8 +571,15 @@ def _next_state(kernel_cdf: np.ndarray, i: int,
 # Samplers
 # ---------------------------------------------------------------------------
 
-_FIRST_BLOCK = 8  # sojourns per path in the direct sampler's first block
-_BLOCK_SOJOURNS = 1 << 18  # cap on the sojourns of one later block
+_FIRST_BLOCK = 8  # floor on the sojourns per path of the first block
+_BLOCK_SOJOURNS = 1 << 18  # cap on the sojourns of one block
+_BLOCK_MARGIN = 1.25  # a block asks for this many times the sojourns expected
+
+
+def _check_origin(origin: RegimeState, M: int) -> None:
+    if not 0 <= origin.theta < M:
+        raise ValueError(f"origin state {origin.theta} is outside 0..{M - 1} "
+                         f"of a {M}-state model")
 
 
 def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
@@ -579,17 +606,25 @@ def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
       loop's ``t += tau``, cut at the horizon or at the first non-finite
       time.
 
-    Only paths that reach the end of a block before the cut draw another,
-    sized from their pace so far.  Raises AgeBeyondSupport before any draw
-    when the origin's age is past its law's support.
+    The first block holds the sojourns the model's event rate puts in the
+    horizon, within [``_FIRST_BLOCK``, cap]; only paths that reach the end
+    of a block before the cut draw another, sized from their pace so far.
+    Block sizes set how many uniforms are drawn ahead, never which ones a
+    path uses.  Raises ValueError for an origin state outside the model and
+    AgeBeyondSupport for an origin age past its law's support, before any
+    draw.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError("horizon must be positive")
     M = model.n_states
+    _check_origin(origin, M)
     rows = np.arange(n if M > 1 else 0)
     if rows.size and origin.y > 0.0:
         _age_cdf(model, origin.theta, origin.y)
-    state, t, age, k = origin.theta, 0.0, origin.y, _FIRST_BLOCK
+    state, t, age = origin.theta, 0.0, origin.y
+    if rows.size:  # the sojourns the event rate puts in the horizon
+        k = max(_FIRST_BLOCK, math.ceil(min(
+            _BLOCK_MARGIN * horizon * model.event_rate, _BLOCK_SOJOURNS // n)))
     counts = np.zeros(n, dtype=np.intp)
     blocks, width = [], 0
     while rows.size:
@@ -626,7 +661,7 @@ def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
         with np.errstate(divide="ignore"):  # next block: from the pace so far
             pace = float(np.mean((horizon - t) / t)) * width
         cap = max(_BLOCK_SOJOURNS // rows.size, 1)
-        k, age = int(min(max(2 * k, 1.25 * pace), cap)), 0.0
+        k, age = int(min(max(2 * k, _BLOCK_MARGIN * pace), cap)), 0.0
     times = np.zeros((n, width))
     chain = np.full((n, width + 1), origin.theta, dtype=np.intp)
     for r, c, tt, ch in blocks:
@@ -668,6 +703,8 @@ def sample_regime_paths(model: RegimeModel, origin: RegimeState,
     Path p is the one :func:`simulate_regime_direct` draws from that
     stream; all ``n`` are sampled into one table by :func:`_direct_paths`.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     rngs = [stream(seed, tag, p) for p in range(n)]
 
     def draw(rows, k):
@@ -713,6 +750,7 @@ def simulate_regime_thinning(model: RegimeModel, origin: RegimeState,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    _check_origin(origin, model.n_states)
     events: list[tuple[float, int]] = []
     t, i = 0.0, origin.theta
     if model.n_states == 1:
@@ -761,6 +799,7 @@ def simulate_ctmc(rates: Sequence[float], kernel: np.ndarray, origin: RegimeStat
     """
     events: list[tuple[float, int]] = []
     kernel = np.asarray(kernel, dtype=float)
+    _check_origin(origin, kernel.shape[0])
     t, i = 0.0, origin.theta
     if kernel.shape[0] == 1:
         return RegimePath(events, origin, horizon)

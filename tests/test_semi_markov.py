@@ -258,6 +258,34 @@ class TestSamplers:
         counts = [len(p.events) for p in ta]
         assert np.mean(counts) > 0
 
+    @pytest.mark.parametrize("theta", [-1, 3])
+    @pytest.mark.parametrize("sampler", ["direct", "table", "thinning",
+                                         "ctmc"])
+    def test_origin_state_outside_the_model_is_refused(
+            self, weibull3_model, sampler, theta):
+        rng = stream(73, "origin")
+        before = repr(rng.bit_generator.state)
+        origin = RegimeState(theta, 0.2)
+        call = {
+            "direct": lambda: simulate_regime_direct(weibull3_model, origin,
+                                                     5.0, rng),
+            "table": lambda: sample_regime_paths(weibull3_model, origin, 5.0,
+                                                 4, 73),
+            "thinning": lambda: simulate_regime_thinning(weibull3_model,
+                                                         origin, 5.0, rng),
+            "ctmc": lambda: simulate_ctmc([1.0, 2.0, 3.0],
+                                          weibull3_model.kernel, origin, 5.0,
+                                          rng),
+        }[sampler]
+        with pytest.raises(ValueError, match=rf"origin state {theta} is "
+                           r"outside 0\.\.2 of a 3-state model"):
+            call()
+        assert repr(rng.bit_generator.state) == before
+
+    def test_negative_path_count_is_refused(self, weibull3_model):
+        with pytest.raises(ValueError, match="n must be >= 0, got -2"):
+            sample_regime_paths(weibull3_model, RegimeState(0), 5.0, -2, 73)
+
     def test_thinning_vs_direct_holding_times(self, weibull3_model):
         def sojourn_sample(simulate, tag):
             rng = stream(17, tag)
@@ -608,6 +636,164 @@ class TestDirectSamplerMatchesLoop:
             _direct_reference, b) == (2, 0, 1.5)
         with pytest.raises(AgeBeyondSupport):
             sample_regime_paths(model, RegimeState(0, 1.5), 3.0, 4, 71)
+
+
+def _spy_blocks(monkeypatch):
+    """(paths, sojourns per path) of every block the direct sampler draws."""
+    blocks, inner = [], semi_markov._direct_paths
+
+    def spied(model, origin, horizon, n, draw):
+        def recorded(rows, k):
+            blocks.append((rows.size, k))
+            return draw(rows, k)
+        return inner(model, origin, horizon, n, recorded)
+
+    monkeypatch.setattr(semi_markov, "_direct_paths", spied)
+    return blocks
+
+
+def _force_first_block(monkeypatch, k):
+    """Open every direct-sampler path with ``k`` sojourns, or with as many
+    as one block may hold (``"cap"``); returns that count for ``n`` paths."""
+    rate = math.inf if k == "cap" else 0.0
+    if k != "cap":
+        monkeypatch.setattr(semi_markov, "_FIRST_BLOCK", k)
+    monkeypatch.setattr(RegimeModel, "event_rate", property(lambda _: rate))
+    return lambda n: (semi_markov._BLOCK_SOJOURNS // n if k == "cap" else k)
+
+
+class TestDirectSamplerBlocks:
+    """The first block's size, and that no block size changes a sample."""
+
+    CASES = [("weibull3", (0, 0.0), 50.0, 2000),
+             ("exp2", (0, 0.0), 1.0, 2000),
+             ("weibull3", (1, 0.3), 50.0, 2000),
+             ("custom", (1, 0.7), 10.0, 12)]
+
+    @staticmethod
+    def _model(name, exp2_model, weibull3_model, monkeypatch):
+        if name == "custom":  # custom laws invert one uniform at a time
+            monkeypatch.setattr(semi_markov, "_BLOCK_SOJOURNS", 1 << 9)
+        return {"exp2": exp2_model, "weibull3": weibull3_model,
+                "custom": _custom_model()}[name]
+
+    @pytest.mark.parametrize("k", [1, 8, "cap"])
+    @pytest.mark.parametrize("name,origin,horizon,n", CASES)
+    def test_block_size_never_changes_a_table(
+            self, exp2_model, weibull3_model, monkeypatch, name, origin,
+            horizon, n, k):
+        model = self._model(name, exp2_model, weibull3_model, monkeypatch)
+        origin = RegimeState(*origin)
+        want = sample_regime_paths(model, origin, horizon, n, 79, "blocks")
+        first = _force_first_block(monkeypatch, k)
+        blocks = _spy_blocks(monkeypatch)
+        got = sample_regime_paths(model, origin, horizon, n, 79, "blocks")
+        assert blocks[0] == (n, first(n))
+        for field in ("offsets", "times", "states", "theta0", "y0"):
+            assert getattr(got, field).tobytes() == getattr(
+                want, field).tobytes(), field
+
+    @pytest.mark.parametrize("k", [1, 8, "cap"])
+    @pytest.mark.parametrize("name,origin,horizon,n", CASES)
+    def test_block_size_never_changes_a_path_or_the_stream(
+            self, exp2_model, weibull3_model, monkeypatch, name, origin,
+            horizon, n, k):
+        model = self._model(name, exp2_model, weibull3_model, monkeypatch)
+        origin = RegimeState(*origin)
+        first = _force_first_block(monkeypatch, k)
+        blocks = _spy_blocks(monkeypatch)
+        a, b = stream(83, "blocks"), stream(83, "blocks")
+        for _ in range(4):
+            blocks.clear()
+            _assert_same_path(simulate_regime_direct(model, origin, horizon, a),
+                              _direct_reference(model, origin, horizon, b))
+            assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+            assert blocks[0] == (1, first(1))
+        assert a.random() == b.random()
+
+    def test_weibull_horizon_50_takes_one_block_per_path(
+            self, weibull3_model, monkeypatch):
+        blocks = _spy_blocks(monkeypatch)
+        rng = stream(89, "one-block")
+        for _ in range(300):
+            simulate_regime_direct(weibull3_model, RegimeState(0), 50.0, rng)
+        assert len(blocks) == 300
+        blocks.clear()
+        sample_regime_paths(weibull3_model, RegimeState(0), 50.0, 500, 89)
+        assert len(blocks) == 1
+
+    def test_event_rate_is_lazy_and_stationary(self, exp2_model):
+        assert "event_rate" not in vars(exp2_model)  # set-up pays nothing
+        sample_regime_paths(exp2_model, RegimeState(0), 1.0, 3, 97)
+        assert "event_rate" in vars(exp2_model)
+        # forced alternation: pi = (1/2, 1/2), medians ln 2 / rate
+        assert exp2_model.event_rate == pytest.approx(
+            1.0 / (0.5 * math.log(2.0) / 2.0 + 0.5 * math.log(2.0) / 3.0),
+            rel=1e-12)
+        rm = _exp3_model()  # pi from the balance equations and sum(pi) = 1
+        pi = np.linalg.lstsq(np.vstack([rm.kernel.T - np.eye(3), np.ones(3)]),
+                             [0.0, 0.0, 0.0, 1.0], rcond=None)[0]
+        assert rm.event_rate == pytest.approx(
+            1.0 / (pi @ (math.log(2.0) / np.array([0.7, 1.3, 2.0]))),
+            rel=1e-12)
+
+    @pytest.mark.parametrize("model,horizon,n,cap", [
+        ("weibull3", 50.0, 64, None),
+        ("exp2", 1.0, 64, None),
+        ("rare-fast", 50.0, 64, None),
+        ("fast", 5.0, 16, 1 << 10),  # the estimate, 1,804, is past the cap
+    ])
+    def test_blocks_stay_between_floor_and_cap(
+            self, exp2_model, weibull3_model, monkeypatch, model, horizon, n,
+            cap):
+        if cap is not None:
+            monkeypatch.setattr(semi_markov, "_BLOCK_SOJOURNS", cap)
+        fast = ExponentialHolding(200.0)
+        rm = {"weibull3": weibull3_model, "exp2": exp2_model,
+              # state 2 is entered about once in 200 switches, and left
+              # 10,000 times faster than the others
+              "rare-fast": RegimeModel(
+                  kernel=np.array([[0.0, 0.995, 0.005],
+                                   [0.995, 0.0, 0.005],
+                                   [0.5, 0.5, 0.0]]),
+                  holding=(ExponentialHolding(1.0), ExponentialHolding(1.0),
+                           ExponentialHolding(1e4))),
+              "fast": RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                  holding=(fast, fast))}[model]
+        blocks = _spy_blocks(monkeypatch)
+        sample_regime_paths(rm, RegimeState(0), horizon, n, 101)
+        rows, k = blocks[0]
+        assert rows == n and k == min(
+            max(semi_markov._FIRST_BLOCK,
+                math.ceil(1.25 * horizon * rm.event_rate)),
+            semi_markov._BLOCK_SOJOURNS // n)
+        for rows, k in blocks:
+            assert (semi_markov._FIRST_BLOCK <= k
+                    <= semi_markov._BLOCK_SOJOURNS // rows)
+
+    def test_single_state_model_draws_nothing(self, monkeypatch):
+        blocks = _spy_blocks(monkeypatch)
+        rng = stream(103, "single")
+        before = repr(rng.bit_generator.state)
+        path = simulate_regime_direct(_single_model(), RegimeState(0, 0.4),
+                                      5.0, rng)
+        paths = sample_regime_paths(_single_model(), RegimeState(0), 5.0, 6,
+                                    103)
+        assert path.events == [] and paths.times.size == 0
+        assert blocks == [] and repr(rng.bit_generator.state) == before
+
+    def test_defective_median_opens_with_the_floor(self, monkeypatch):
+        # the cdf stays below 0.4, so the median is infinite
+        stuck = CustomHolding(
+            pdf=lambda y: 0.4 * np.exp(-np.asarray(y, dtype=float)),
+            cdf=lambda y: 0.4 * -np.expm1(-np.asarray(y, dtype=float)),
+            hazard_bound_value=1.0, window=10.0)
+        model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            holding=(ExponentialHolding(1.0), stuck))
+        blocks = _spy_blocks(monkeypatch)
+        sample_regime_paths(model, RegimeState(0), 50.0, 20, 107)
+        assert model.event_rate == 0.0
+        assert blocks[0] == (20, semi_markov._FIRST_BLOCK)
 
 
 # ---------------------------------------------------------------------------
