@@ -11,8 +11,8 @@ Coefficient call convention: scalar-state callables work element by
 element on arguments of one shape (times, states, controls, regime indices,
 marks) and return that shape.  The stepping kernel passes (n,) columns
 (states (n, r) when dim > 1); the Hamiltonian, the generator G and the
-adjoints pass whole ensemble grids, with a trailing mark axis for jump
-integrals.  The kernel calls the policy rule once per grid column on the
+adjoints pass whole ensemble grids, one call per mark node for a jump
+integral.  The kernel calls the policy rule once per grid column on the
 (n,) t, regime and age columns and the state; it keeps a returned float64
 (n,) array as it is, never writing into it, and copies anything else that
 broadcasts to (n,) (a Python scalar, a 0-d or integer array) to float.
@@ -41,7 +41,7 @@ own single-policy run gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -96,7 +96,7 @@ class MarkMeasure:
         elif self.density is not None:
             if self.support is None:
                 raise ValueError("continuous marks need a bounded support")
-            if abs(self.integrate(lambda g: np.ones_like(g)) - 1.0) > 1e-8:
+            if abs(self.integrate(lambda g: 1.0) - 1.0) > 1e-8:
                 raise ValueError("mark density must integrate to 1 on its support")
         else:
             raise ValueError("provide discrete atoms/weights or a density")
@@ -116,10 +116,14 @@ class MarkMeasure:
         g = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         return g, 0.5 * (hi - lo) * w * np.asarray(self.density(g), dtype=float)
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Moment oracle: integral of f against the mark distribution pi."""
-        g, w = self.nodes()
-        return float(np.sum(np.asarray(f(g), dtype=float) * w))
+    def integrate(self, f: Callable[[float], float | np.ndarray]):
+        """Integral of f against pi: sum_k w_k f(gamma_k) over :meth:`nodes`,
+        added node by node from 0.0.  ``f`` takes one node and may return an
+        array; a scalar integral is returned as a float."""
+        total = 0.0
+        for g, w in zip(*self.nodes()):
+            total = total + w * np.asarray(f(g), dtype=float)
+        return float(total) if np.ndim(total) == 0 else total
 
     @cached_property
     def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,54 +210,27 @@ class ObjectiveSpec:
 # Paths
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Ensemble:
-    """Vectorized ensemble of paths on padded per-path grids.
-
-    Columns beyond a path's own grid repeat the final node with zero-length
-    steps, so reductions over columns are safe without masking.  ``t``,
-    ``theta``, ``y``, ``dW`` and the jump fields are the read-only arrays of
-    the :class:`NoisePlan` the ensemble was stepped on; ``x`` and ``u`` are
-    its own.
-    """
-
-    t: np.ndarray           # (n, K)
-    x: np.ndarray           # (n, K) or (n, K, r)
-    theta: np.ndarray       # (n, K) int
-    y: np.ndarray           # (n, K)
-    u: np.ndarray           # (n, K) or (n, K, m)
-    dW: np.ndarray          # (n, K-1) or (n, K-1, r) Brownian increments
-    jump_mask: np.ndarray   # (n, K) bool: asset jump applied at this node
-    jump_marks: np.ndarray  # (n, K) mark value where jump_mask (else 0)
-    horizon: float
-    regime_paths: RegimePaths
-
-    @property
-    def n_paths(self) -> int:
-        return self.t.shape[0]
-
-
 @dataclass(frozen=True, eq=False)
 class NoisePlan:
     """Every random draw of an ensemble, fixed before any policy runs.
 
-    Row p holds path p's event grid ``t`` (padded like :class:`Ensemble`),
-    its Brownian increments ``dW``, its asset jumps (``jump_mask``,
+    Row p holds path p's event grid ``t``, padded by repeating its final
+    node with zero-length steps (so column reductions need no mask), its
+    Brownian increments ``dW``, its asset jumps (``jump_mask``,
     ``jump_marks``) and its cadlag regime values ``theta`` and ``y``.  None
     of them depends on the control, so any number of policies can be
     stepped on one plan with :func:`step_plan`; the arrays are read-only
-    and shared by every ensemble stepped on it.  ``marks`` is the mark
-    measure the jumps were drawn from and :attr:`dim` the state dimension
-    of ``dW``; :func:`step_plan` refuses dynamics with any other.
+    and shared by every :class:`Ensemble` stepped on it.  ``marks`` is the
+    mark measure the jumps were drawn from and :attr:`dim` the state
+    dimension of ``dW``; :func:`step_plan` refuses dynamics with any other.
     """
 
-    t: np.ndarray
-    dW: np.ndarray
-    jump_mask: np.ndarray
-    jump_marks: np.ndarray
-    theta: np.ndarray
-    y: np.ndarray
-    horizon: float
+    t: np.ndarray           # (n, K)
+    dW: np.ndarray          # (n, K-1) or (n, K-1, r) Brownian increments
+    jump_mask: np.ndarray   # (n, K) bool: asset jump applied at this node
+    jump_marks: np.ndarray  # (n, K) mark value where jump_mask (else 0)
+    theta: np.ndarray       # (n, K) int
+    y: np.ndarray           # (n, K)
     regime_paths: RegimePaths
     marks: MarkMeasure | None
 
@@ -261,6 +238,19 @@ class NoisePlan:
     def dim(self) -> int:
         """State dimension the Brownian increments were drawn for."""
         return 1 if self.dW.ndim == 2 else self.dW.shape[2]
+
+
+@dataclass(frozen=True, eq=False)
+class Ensemble(NoisePlan):
+    """A :class:`NoisePlan` plus the paths ``x`` and ``u`` of one policy
+    stepped on it; every plan field is the plan's own object."""
+
+    x: np.ndarray           # (n, K) or (n, K, r)
+    u: np.ndarray           # (n, K) or (n, K, m)
+
+    @property
+    def n_paths(self) -> int:
+        return self.t.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +342,7 @@ def _draw_plan(dyn, regime_paths, dt, rngs) -> NoisePlan:
     for a in (t, dW, jump_mask, jump_marks, theta, y):
         a.flags.writeable = False
     return NoisePlan(t=t, dW=dW, jump_mask=jump_mask, jump_marks=jump_marks,
-                     theta=theta, y=y, horizon=horizon,
-                     regime_paths=paths, marks=dyn.marks)
+                     theta=theta, y=y, regime_paths=paths, marks=dyn.marks)
 
 
 def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
@@ -430,12 +419,10 @@ def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
 
 
 def _ensemble(plan: NoisePlan, x: np.ndarray, u: np.ndarray) -> Ensemble:
-    """The ensemble of paths x, u stepped on ``plan``; it shares the plan's
-    arrays."""
-    return Ensemble(t=plan.t, x=x, theta=plan.theta, y=plan.y, u=u,
-                    dW=plan.dW, jump_mask=plan.jump_mask,
-                    jump_marks=plan.jump_marks, horizon=plan.horizon,
-                    regime_paths=plan.regime_paths)
+    """The ensemble of paths x, u stepped on ``plan``: every plan field is
+    the plan's own object."""
+    return Ensemble(x=x, u=u, **{f.name: getattr(plan, f.name)
+                                 for f in fields(NoisePlan)})
 
 
 def step_plan(dyn: ControlledDynamics, policy: ControlPolicy,
@@ -537,13 +524,12 @@ def coefficient_regularity_probe(dyn: ControlledDynamics, x_box, n_samples: int,
     d2 = ((b - dyn.drift(ts, ys_, us, ii)) ** 2
           + (s - dyn.vol(ts, ys_, us, ii)) ** 2)
     if dyn.jump is not None:
-        # jump sizes at every (sample, mark node) pair, integrated against pi
-        gam, w = dyn.marks.nodes()
-        g_at = lambda xv: dyn.jump(*np.broadcast_arrays(
-            *(a[:, None] for a in (ts, xv, us, ii)), gam))
-        gx = g_at(xs)
-        num = num + dyn.marks.rate * np.sum(gx ** 2 * w, axis=1)
-        d2 = d2 + dyn.marks.rate * np.sum((gx - g_at(ys_)) ** 2 * w, axis=1)
+        def squares(gam):  # |g(x)|^2 and |g(x) - g(y)|^2 at one mark node
+            gx, gy = (np.asarray(dyn.jump(ts, xv, us, ii, np.full_like(ts, gam)),
+                                 dtype=float) for xv in (xs, ys_))
+            return np.stack((gx ** 2, (gx - gy) ** 2))
+        g2, dg2 = dyn.marks.rate * dyn.marks.integrate(squares)
+        num, d2 = num + g2, d2 + dg2
     ratio1 = num / (1.0 + xs ** 2)
     c1 = float(ratio1.max())
     dx2 = (xs - ys_) ** 2

@@ -5,7 +5,8 @@ with adjoint variables (p, q, eta):
 
     H = f1 + b p + sigma q + lam int g (eta - p) dpi,
 
-with the mark integral taken on the mark measure's quadrature nodes
+with the mark integral taken by ``MarkMeasure.integrate``, one call per
+quadrature node, as are the jump terms of G and of the value adjoint
 (``lam`` is the jump rate).  :func:`hamiltonian` is the one place this
 formula is written.  It takes scalar-state points ``(t, x, u, i, y)`` that
 broadcast against each other and against the adjoint's ``p`` and ``q``,
@@ -29,6 +30,7 @@ both fed through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -125,12 +127,11 @@ def hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
     val += np.asarray(dyn.drift(t, x, u, i), dtype=float) * p
     val += np.asarray(dyn.vol(t, x, u, i), dtype=float) * q
     if dyn.jump is not None:
-        acc = np.zeros_like(val)
-        for gk, wk in zip(*dyn.marks.nodes()):
-            g = np.asarray(dyn.jump(t, x, u, i, np.full_like(x, gk)), dtype=float)
-            eta = 0.0 if adj.eta is None else np.asarray(adj.eta(gk), dtype=float)
-            acc += wk * (g * (eta - p))
-        val += dyn.marks.rate * acc
+        def jump_term(gam):
+            g = np.asarray(dyn.jump(t, x, u, i, np.full_like(x, gam)), dtype=float)
+            eta = 0.0 if adj.eta is None else np.asarray(adj.eta(gam), dtype=float)
+            return g * (eta - p)
+        val += dyn.marks.rate * dyn.marks.integrate(jump_term)
     return float(val[0]) if scalar else val
 
 
@@ -432,15 +433,11 @@ def generator_G(V: ValueFunctionStub, t, x, i, y, u, dyn: ControlledDynamics,
             V.v(ta[sel], xa[sel], np.full_like(ia[sel], j),
                 np.zeros_like(ya[sel])), dtype=float) - here[sel])
     if dyn.jump is not None:
-        # every point paired with every quadrature node of the marks, along
-        # a trailing axis
-        gam, w = dyn.marks.nodes()
-        tn, xn, un, iN, yn, gn = np.broadcast_arrays(
-            *(a[..., None] for a in (ta, xa, ua, ia, ya)), gam)
-        x_jump = xn + np.asarray(dyn.jump(tn, xn, un, iN, gn), dtype=float)
-        shifted = (np.asarray(V.v(tn, x_jump, iN, yn), dtype=float)
-                   - here[..., None])
-        val = val + dyn.marks.rate * np.sum(shifted * w, axis=-1)
+        def shifted(gam):
+            x_jump = xa + np.asarray(dyn.jump(ta, xa, ua, ia,
+                                              np.full_like(xa, gam)), dtype=float)
+            return np.asarray(V.v(ta, x_jump, ia, ya), dtype=float) - here
+        val = val + dyn.marks.rate * dyn.marks.integrate(shifted)
     return float(val[0]) if scalar_in else val
 
 
@@ -539,12 +536,16 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
                              - vx_here[rows, cols])
 
     # asset-jump slot, eta(gamma) = V_x(x + g(x, gamma)) - V_x(x) frozen at
-    # the left nodes; computed once per mark node, where the Hamiltonian
-    # asks for it
+    # the left nodes; computed once per mark node, for the compensators and
+    # the Hamiltonian alike
     eta = eta_jump = eta_comp = eta_sq = None
     if dyn.jump is not None:
-        eta_at = {}
-        eta = eta_at.__getitem__
+        @cache
+        def eta(gam):
+            g = np.asarray(dyn.jump(tl, xl, ul, thl, np.full_like(tl, gam)),
+                           dtype=float)
+            return np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float) - vx_here
+
         eta_jump = np.zeros((n, K - 1))
         rows, cols = np.nonzero(ens.jump_mask[:, 1:])
         te, xe, ie, ye = (a[rows, cols] for a in (t, x, th, y))
@@ -553,17 +554,8 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
         eta_jump[rows, cols] = (
             np.asarray(V.v_x(te, xe + g, ie, ye), dtype=float)
             - np.asarray(V.v_x(te, xe, ie, ye), dtype=float))
-        eta_comp = np.zeros((n, K - 1))
-        eta_sq = np.zeros((n, K - 1))
-        for gk, wk in zip(*dyn.marks.nodes()):
-            g = np.asarray(dyn.jump(tl, xl, ul, thl, np.full_like(tl, gk)),
-                           dtype=float)
-            ev = eta_at[gk] = (np.asarray(V.v_x(tl, xl + g, thl, yl),
-                                          dtype=float) - vx_here)
-            eta_comp += wk * ev
-            eta_sq += wk * ev ** 2
-        eta_comp *= dyn.marks.rate
-        eta_sq *= dyn.marks.rate
+        eta_comp = dyn.marks.rate * dyn.marks.integrate(eta)
+        eta_sq = dyn.marks.rate * dyn.marks.integrate(lambda gam: eta(gam) ** 2)
 
     grad_H = grad_x_hamiltonian(tl, xl, ul, thl, yl,
                                 AdjointState(p[:, :-1], q[:, :-1], eta),

@@ -34,6 +34,7 @@ they are identical to ``Generator.choice``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -281,12 +282,19 @@ def _spot_check_bound(dist: CustomHolding, state: int, n_grid: int = 257) -> Non
 
 @dataclass(frozen=True)
 class RegimeState:
-    """Current regime index (0-based) and age since the last regime jump."""
+    """Current regime index (0-based) and age since the last regime jump;
+    an integral index is stored as int, a bool or any other raises
+    ValueError."""
 
     theta: int
     y: float = 0.0
 
     def __post_init__(self):
+        theta = self.theta
+        if (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
+                or not float(theta).is_integer()):
+            raise ValueError(f"regime state {theta!r} is not an integer")
+        object.__setattr__(self, "theta", int(theta))
         if self.y < 0:
             raise ValueError("age must be nonnegative")
 
@@ -795,13 +803,22 @@ def simulate_ctmc(rates: Sequence[float], kernel: np.ndarray, origin: RegimeStat
     """Plain continuous-time Markov chain sampler (exponential waits).
 
     Independent code path used to cross-check the semi-Markov machinery in
-    the exponential-holding special case.
+    the exponential-holding special case.  ``rates`` other than M finite
+    positive numbers raise ValueError naming them, before any draw.
     """
     events: list[tuple[float, int]] = []
     kernel = np.asarray(kernel, dtype=float)
-    _check_origin(origin, kernel.shape[0])
+    M = kernel.shape[0]
+    _check_origin(origin, M)
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != (M,):
+        raise ValueError(f"rates: {rates.size} given for a {M}-state kernel")
+    bad = np.flatnonzero(~(np.isfinite(rates) & (rates > 0)))
+    if bad.size:
+        raise ValueError(f"rates[{bad[0]}] = {rates[bad[0]]} must be finite "
+                         "and > 0")
     t, i = 0.0, origin.theta
-    if kernel.shape[0] == 1:
+    if M == 1:
         return RegimePath(events, origin, horizon)
     kernel_cdf = _cdf_table(kernel)
     while True:

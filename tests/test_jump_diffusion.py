@@ -1,13 +1,14 @@
 """Controlled paths: Euler stepping, event-grid exactness, objectives."""
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from smjd.errors import NonFinitePath
-from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, MarkMeasure,
-                                 ObjectiveSpec, _draw_plan, build_plan,
+from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
+                                 MarkMeasure, NoisePlan, ObjectiveSpec,
+                                 _draw_plan, build_plan,
                                  coefficient_regularity_probe, objective_paths,
                                  running_cost_paths, simulate_ensemble,
                                  step_plan)
@@ -73,6 +74,21 @@ class TestMarkMeasure:
         assert mm.integrate(lambda g: g) == pytest.approx(0.1, rel=1e-10)
         assert mm.integrate(lambda g: g ** 2) == pytest.approx(
             0.2 ** 2 / 3.0, rel=1e-10)
+
+    @pytest.mark.parametrize("mm", [
+        MarkMeasure(rate=1.0, atoms=np.array([-0.1, 0.05, 0.2]),
+                    weights=np.array([0.3, 0.4, 0.3])),
+        MarkMeasure(rate=1.0, density=lambda g: np.full_like(g, 5.0),
+                    support=(0.0, 0.2))], ids=["atoms", "density"])
+    def test_array_integral_equals_scalar_integrals_bit_for_bit(self, mm):
+        x = np.linspace(-1.0, 2.0, 7)
+        f = lambda g: np.stack((np.sin(x + g), x * g ** 2, np.exp(g) - x))
+        got = mm.integrate(f)
+        assert got.shape == (3, 7)
+        want = np.array([[mm.integrate(lambda g: f(g)[r, c])
+                          for c in range(7)] for r in range(3)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert type(mm.integrate(lambda g: g)) is float
 
     def test_discrete_draws_equal_choice_on_every_call(self):
         atoms, weights = np.array([-0.1, 0.05, 0.2]), np.array([0.3, 0.4, 0.3])
@@ -269,9 +285,14 @@ class TestNoisePlan:
             for name in self.FIELDS:
                 assert np.array_equal(getattr(planned, name),
                                       getattr(plain, name)), name
-            assert planned.t is plan.t and planned.dW is plan.dW
+            for f in fields(NoisePlan):
+                assert getattr(planned, f.name) is getattr(plan, f.name), f.name
         assert plan.jump_mask.sum() > 0
         assert len(np.unique(plan.theta)) == 2
+
+    def test_ensemble_is_its_plan_plus_x_and_u(self):
+        plan_fields = [f.name for f in fields(NoisePlan)]
+        assert [f.name for f in fields(Ensemble)] == plan_fields + ["x", "u"]
 
     @pytest.mark.parametrize("field", ["dim", "marks"])
     def test_mismatched_plan_raises(self, exp2_model, field):
@@ -651,6 +672,41 @@ class TestRegularityProbe:
                                            stream(1, "probe"))
         assert rep.c2_hat == pytest.approx(4.0, rel=0.05)
         assert not rep.growth_flag
+
+    @pytest.mark.parametrize("marks, nodes", [
+        (MarkMeasure(rate=1.5, atoms=np.array([-0.1, 0.2]),
+                     weights=np.array([0.3, 0.7])),
+         ([-0.1, 0.2], [0.3, 0.7])),
+        (MarkMeasure(rate=1.5, density=lambda g: np.full_like(g, 5.0),
+                     support=(0.0, 0.2)),
+         (0.1 * np.polynomial.legendre.leggauss(64)[0] + 0.1,
+          0.5 * np.polynomial.legendre.leggauss(64)[1]))],
+        ids=["atoms", "density"])
+    def test_jump_only_constants_by_hand(self, marks, nodes):
+        # zero drift and vol: c1 and c2 are the jump terms alone, rebuilt
+        # here from the same stream's samples and the law's nodes
+        jump = lambda t, x, u, i, g: (1.0 + i) * g * x + 0.1 * np.sin(t + u)
+        dyn = ControlledDynamics(dim=1,
+                                 drift=lambda t, x, u, i: np.zeros_like(x),
+                                 vol=lambda t, x, u, i: np.zeros_like(x),
+                                 jump=jump, marks=marks)
+        rep = coefficient_regularity_probe(dyn, (-2.0, 2.0), 400,
+                                           stream(5, "probe"), u_box=(0.0, 1.0),
+                                           states=[0, 1])
+        rng = stream(5, "probe")
+        xs, ys = rng.uniform(-2.0, 2.0, 400), rng.uniform(-2.0, 2.0, 400)
+        ts, us = rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 1.0, 400)
+        ii = rng.choice(np.array([0, 1]), 400)
+        g2 = sum(w * jump(ts, xs, us, ii, gam) ** 2 for gam, w in zip(*nodes))
+        dg2 = sum(w * (jump(ts, xs, us, ii, gam) - jump(ts, ys, us, ii, gam)) ** 2
+                  for gam, w in zip(*nodes))
+        c1 = np.max(1.5 * g2 / (1.0 + xs ** 2))
+        c2 = np.max(1.5 * dg2 / (xs - ys) ** 2)
+        assert rep.c1_hat == pytest.approx(c1, rel=1e-12)
+        assert rep.c2_hat == pytest.approx(c2, rel=1e-12)
+        # g(x) - g(y) = (1 + i) gamma (x - y): c2 is lam 4 int gamma^2 dpi
+        assert rep.c2_hat == pytest.approx(
+            1.5 * 4.0 * marks.integrate(lambda g: g ** 2), rel=1e-12)
 
     def test_quadratic_drift_flags_growth(self):
         dyn = ControlledDynamics(dim=1,

@@ -330,6 +330,34 @@ class TestGeneratorG:
                          for k in range(4)], axis=1)
         assert np.array_equal(grid.view(np.int64), cols.view(np.int64))
 
+    @pytest.mark.parametrize("marks, nodes", [
+        (MarkMeasure(rate=1.5, atoms=np.array([-0.1, 0.2]),
+                     weights=np.array([0.3, 0.7])),
+         ([-0.1, 0.2], [0.3, 0.7])),
+        (MarkMeasure(rate=1.5, density=lambda g: np.full_like(g, 5.0),
+                     support=(0.0, 0.2)),
+         (0.1 * np.polynomial.legendre.leggauss(64)[0] + 0.1,
+          0.5 * np.polynomial.legendre.leggauss(64)[1]))],
+        ids=["atoms", "density"])
+    def test_jump_term_by_hand(self, exp2_model, marks, nodes):
+        # jump-only dynamics and a V of x alone: G V is the jump term
+        # lam sum_k w_k (V(x + g_k) - V(x)); the regime-switch term is 0
+        jump = lambda t, x, u, i, g: (1.0 + i) * g * x + 0.05 * u
+        dyn = ControlledDynamics(dim=1,
+                                 drift=lambda t, x, u, i: np.zeros_like(x),
+                                 vol=lambda t, x, u, i: np.zeros_like(x),
+                                 jump=jump, marks=marks)
+        zero = lambda t, x, i, y: np.zeros_like(np.asarray(x, dtype=float))
+        V = ValueFunctionStub(v=lambda t, x, i, y: np.sin(x) + x ** 2,
+                              dt=zero, dxx=zero, dx=zero, dy=zero)
+        rng = np.random.default_rng(4)
+        t, x, u, y = (rng.uniform(0.0, 1.0, (5, 3)) for _ in range(4))
+        i = rng.integers(0, 2, (5, 3))
+        got = generator_G(V, t, x, i, y, u, dyn, exp2_model)
+        want = 1.5 * sum(w * (V.v(t, x + jump(t, x, u, i, gam), i, y)
+                              - V.v(t, x, i, y)) for gam, w in zip(*nodes))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
     def test_dynkin_gap_for_martingale(self, single_regime):
         dyn = ControlledDynamics(dim=1,
                                  drift=lambda t, x, u, i: 0.3 * x,

@@ -282,6 +282,60 @@ class TestSamplers:
             call()
         assert repr(rng.bit_generator.state) == before
 
+    @pytest.mark.parametrize("theta", [1.5, True, np.True_, float("nan")],
+                             ids=["1.5", "True", "np.True_", "nan"])
+    @pytest.mark.parametrize("sampler", ["direct", "table", "thinning",
+                                         "ctmc"])
+    def test_non_integer_origin_state_is_refused(self, weibull3_model,
+                                                 sampler, theta):
+        rng = stream(73, "origin")
+        before = repr(rng.bit_generator.state)
+        call = {
+            "direct": lambda o: simulate_regime_direct(weibull3_model, o, 5.0,
+                                                       rng),
+            "table": lambda o: sample_regime_paths(weibull3_model, o, 5.0, 2,
+                                                   1),
+            "thinning": lambda o: simulate_regime_thinning(weibull3_model, o,
+                                                           5.0, rng),
+            "ctmc": lambda o: simulate_ctmc([1.0, 2.0, 3.0],
+                                            weibull3_model.kernel, o, 5.0,
+                                            rng),
+        }[sampler]
+        with pytest.raises(ValueError, match=rf"regime state {theta!r} is "
+                           "not an integer"):
+            call(RegimeState(theta, 0.2))
+        assert repr(rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize("theta", [1, 1.0, np.int64(1), np.float64(1.0)],
+                             ids=["int", "float", "np.int64", "np.float64"])
+    def test_integral_origin_state_is_stored_as_int(self, weibull3_model,
+                                                    theta):
+        origin = RegimeState(theta, 0.2)
+        assert type(origin.theta) is int and origin.theta == 1
+        paths = sample_regime_paths(weibull3_model, origin, 5.0, 3, 11)
+        want = sample_regime_paths(weibull3_model, RegimeState(1, 0.2), 5.0,
+                                   3, 11)
+        for a, b in ((paths.times, want.times), (paths.states, want.states),
+                     (paths.theta0, want.theta0)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rates, message", [
+        ([1.0, 2.0], r"rates: 2 given for a 3-state kernel"),
+        ([1.0, 2.0, 3.0, 4.0], r"rates: 4 given for a 3-state kernel"),
+        ([1.0, -2.0, 3.0], r"rates\[1\] = -2\.0 must be finite and > 0"),
+        ([1.0, 2.0, 0.0], r"rates\[2\] = 0\.0 must be finite and > 0"),
+        ([np.inf, 2.0, 3.0], r"rates\[0\] = inf must be finite and > 0"),
+        ([1.0, np.nan, 3.0], r"rates\[1\] = nan must be finite and > 0"),
+    ])
+    def test_ctmc_refuses_bad_rates_before_any_draw(self, weibull3_model,
+                                                    rates, message):
+        rng = stream(1, "ctmc-rates")
+        before = repr(rng.bit_generator.state)
+        with pytest.raises(ValueError, match=message):
+            simulate_ctmc(rates, weibull3_model.kernel, RegimeState(0), 50.0,
+                          rng)
+        assert repr(rng.bit_generator.state) == before
+
     def test_negative_path_count_is_refused(self, weibull3_model):
         with pytest.raises(ValueError, match="n must be >= 0, got -2"):
             sample_regime_paths(weibull3_model, RegimeState(0), 5.0, -2, 73)
