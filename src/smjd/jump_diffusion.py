@@ -108,7 +108,11 @@ class MarkMeasure:
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature points and weights of pi: the atoms and their weights,
         or the Gauss-Legendre(64) points of the support with weights
-        0.5 (hi - lo) w density."""
+        0.5 (hi - lo) w density, built once per measure."""
+        return self._quadrature
+
+    @cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         if self.discrete:
             return self.atoms, self.weights
         lo, hi = self.support

@@ -21,7 +21,9 @@ Two worked problems drive the verification experiments:
 
 Every phi/psi builder calls one of two estimators of these functionals:
 Monte Carlo over regime paths (``_fk_moments``), for any holding law, in
-``rs_phi_functional`` and ``ql_phi_psi`` (the CLI's builders); and
+``rs_phi_functional`` and ``ql_phi_psi`` (the CLI's builders), which read
+one table of paths from every (regime, age) start node of the grid,
+sampled in one direct-sampler pass (``_start_node_paths``); and
 powers of one step exponential on a uniform t grid (``_expm_functional``),
 exact and age-free but for exponential holding times only, in
 ``rs_phi_markov`` and ``ql_phi_psi_markov``, the oracles the tests check
@@ -46,10 +48,10 @@ from .errors import (DegenerateVol, FixedPointDiverged, InvalidParameter,
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, ObjectiveSpec)
 from .maximum_principle import AdjointPath
+from .rng import stream
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
-                          RegimePaths, RegimeState, _per_state,
-                          intensity_matrix, regime_switch_sum,
-                          sample_regime_paths)
+                          RegimePaths, _direct_paths, _per_state,
+                          _stream_draw, intensity_matrix, regime_switch_sum)
 
 __all__ = [
     "RiskSensitiveModel", "QuadraticLossModel", "RegimeFunctional",
@@ -312,46 +314,43 @@ def _sojourn_cumulative(paths: Sequence[RegimePath], c_states: np.ndarray,
     return cum
 
 
-def _sampled_states(paths: Sequence[RegimePath], v_nodes: np.ndarray):
-    """Regime index and age at the elapsed-time nodes, per path: the cadlag
-    values, as ``RegimePath.state_at(v_nodes, side="right")`` gives them."""
-    paths = RegimePaths.of(paths)
-    return paths._cadlag(v_nodes, np.searchsorted(v_nodes, paths.times))
-
-
-def _check_regime_count(model, regime_model: RegimeModel):
-    """Refuse a portfolio model whose regime count differs from the regime
-    model's state count."""
+def _check_grid(model, regime_model: RegimeModel, t_nodes, y_nodes):
+    """A functional builder's (t, age) grid as float arrays (ages default to
+    [0]).  Refuses a regime count mismatch, a t grid of fewer than two nodes
+    or that does not end at the horizon, t or y nodes that are not strictly
+    increasing, and an empty or negative age grid."""
     if model.n_regimes != regime_model.n_states:
         raise ValueError(
             f"model regime count {model.n_regimes} != regime model state "
             f"count {regime_model.n_states}")
-
-
-def _check_grid(model, regime_model: RegimeModel, t_nodes, y_nodes):
-    """A functional builder's (t, age) grid as float arrays (ages default to
-    [0]).  Refuses a regime count mismatch, a t grid that does not end at
-    the horizon, and t or y nodes that are not strictly increasing."""
-    _check_regime_count(model, regime_model)
     t_nodes = np.asarray(t_nodes, dtype=float)
     y_nodes = np.asarray([0.0] if y_nodes is None else y_nodes, dtype=float)
+    if t_nodes.size < 2:
+        raise ValueError(f"t grid needs at least two nodes, got {t_nodes.size}")
     if abs(t_nodes[-1] - model.horizon) > 1e-12:
         raise ValueError("t grid must end at the horizon")
     for name, nodes in (("t", t_nodes), ("y", y_nodes)):
         if not np.all(np.diff(nodes) > 0):
             raise ValueError(f"{name} nodes must be strictly increasing")
+    if not (y_nodes.size and y_nodes[0] >= 0.0):
+        raise ValueError("y grid needs at least one node, and ages >= 0")
     return t_nodes, y_nodes
 
 
 def _start_node_paths(regime_model: RegimeModel, y_nodes: np.ndarray,
                       tau: float, n_paths: int, seed: int, prefix: str):
-    """paths[i][b]: ``n_paths`` regime paths of length ``tau`` from the
-    start node (i, y_b), on the streams tagged ``prefix/i/b``.  By time
-    homogeneity one set serves every t node."""
-    return [[sample_regime_paths(regime_model, RegimeState(i, float(y0)),
-                                 float(tau), n_paths, seed, f"{prefix}/{i}/{b}")
-             for b, y0 in enumerate(y_nodes)]
-            for i in range(regime_model.n_states)]
+    """One table of ``n_paths`` regime paths of length ``tau`` from each
+    start node (i, y_b), node-major: row (i n_y + b) n_paths + p is path p
+    of node (i, b), on stream (seed, ``prefix/i/b``, p).  By time
+    homogeneity one table serves every t node."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    M, n_y = regime_model.n_states, len(y_nodes)
+    tags = [f"{prefix}/{i}/{b}" for i in range(M) for b in range(n_y)]
+    rngs = [stream(seed, tag, p) for tag in tags for p in range(n_paths)]
+    return _direct_paths(regime_model, np.repeat(np.arange(M), n_y * n_paths),
+                         np.tile(np.repeat(y_nodes, n_paths), M), float(tau),
+                         _stream_draw(rngs))
 
 
 def _fk_moments(cum: np.ndarray, scale, variant: str):
@@ -367,15 +366,14 @@ def _fk_moments(cum: np.ndarray, scale, variant: str):
     return mean, np.abs(scale) * vals.std(axis=-2, ddof=1) / np.sqrt(n)
 
 
-def _fk_grid(cumulative, shape: tuple, scale, variant: str):
-    """Monte Carlo values and SEs of ``shape`` (rates..., n_t, M, n_y): start
-    node (i, b) holds the :func:`_fk_moments` of ``cumulative(i, b)``, its
-    integrals per path and t node."""
-    values, se = np.empty(shape), np.empty(shape)
-    for i, b in np.ndindex(shape[-2:]):
-        values[..., i, b], se[..., i, b] = _fk_moments(cumulative(i, b), scale,
-                                                       variant)
-    return values, se
+def _fk_grid(cum: np.ndarray, nodes: tuple, scale, variant: str):
+    """Values and SEs (rates..., n_t, M, n_y): the :func:`_fk_moments` of
+    each start node's rows of ``cum`` (rates..., paths, n_t), the integrals
+    over a :func:`_start_node_paths` table of the ``nodes`` (M, n_y);
+    ``scale`` broadcasts against (rates..., M, n_y, n_t)."""
+    cum = cum.reshape(cum.shape[:-2] + nodes + (-1, cum.shape[-1]))
+    return tuple(np.ascontiguousarray(np.moveaxis(a, -1, -3))
+                 for a in _fk_moments(cum, scale, variant))
 
 
 def _uniform_step(t_nodes: np.ndarray) -> float:
@@ -501,9 +499,8 @@ def rs_phi_functional(model: RiskSensitiveModel, regime_model: RegimeModel,
     taus = model.horizon - t_nodes
     paths = _start_node_paths(regime_model, y_nodes, taus[0], n_paths, seed,
                               "rsphi")
-    values, se = _fk_grid(
-        lambda i, b: _sojourn_cumulative(paths[i][b], a, taus),
-        (len(t_nodes), regime_model.n_states, len(y_nodes)), 1.0, variant)
+    values, se = _fk_grid(_sojourn_cumulative(paths, a, taus),
+                          (regime_model.n_states, len(y_nodes)), 1.0, variant)
     return RegimeFunctional(t_nodes, y_nodes, values, se, n_paths)
 
 
@@ -677,8 +674,9 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
 
     phi(t,i,y) = -2 E[exp(int_t^T c_phi ds)] and psi = 2d E[exp(int c_psi)]
     with multiplicative rates c_phi = 2r + k (sigma mbar + rate int g dpi)
-    and c_psi = r + the same k-term, where k = Lam_t / Lam.  One set of
-    regime paths per start node (i, y) serves every t node.
+    and c_psi = r + the same k-term, where k = Lam_t / Lam.  One table,
+    ``n_paths`` regime paths from each start node (i, y), serves every t
+    node.
 
     When k is free of phi (the consistent variant, or no jumps), the rates
     are per-regime constants: one exact pass over the sojourns gives both
@@ -708,15 +706,15 @@ def ql_phi_psi(model: QuadraticLossModel, regime_model: RegimeModel,
     shape = (2, n_t, M, n_y)
     if not feedback:
         rates = np.stack(_ql_rates(model, np.arange(M), -2.0))
-        vals, se = _fk_grid(
-            lambda i, b: _sojourn_cumulative(paths[i][b], rates, taus), shape,
-            scale, "literal")
+        vals, se = _fk_grid(_sojourn_cumulative(paths, rates, taus), (M, n_y),
+                            scale[..., None, None], "literal")
     else:
         # th[j, k, p], yy[j, k, p]: regime and age of path p from start node
-        # k = (i, b), flattened, at elapsed time t_j - t_0
-        th, yy = (np.stack(a, axis=1).T for a in zip(*(
-            _sampled_states(paths[i][b], t_nodes - t_nodes[0])
-            for i, b in np.ndindex(M, n_y))))
+        # k = (i, b), flattened, at elapsed time t_j - t_0, viewed on a
+        # C-ordered (p, k, j) copy: the layout sets the order of the sums
+        v = t_nodes - t_nodes[0]
+        th, yy = (a.reshape(M * n_y, n_paths, n_t).transpose(1, 0, 2).copy().T
+                  for a in paths._cadlag(v, np.searchsorted(v, paths.times)))
         node_i = np.repeat(np.arange(M), n_y)
         vals = np.empty(shape)
         vals[...] = scale[..., None, None]  # the exact terminal column

@@ -24,7 +24,8 @@ compare them with two-sample statistics.
 
 An ensemble is one :class:`RegimePaths` table (flat event arrays with
 per-path offsets and origins), which the sampler returns and the noise
-plan, the Dynkin statistics and the regime functionals read.
+plan, the Dynkin statistics and the regime functionals read.  The direct
+sampler may start each path of a table at its own (state, age) origin.
 
 Categorical draws (next states, discrete marks) read a cumulative table
 built once, as ``Generator.choice`` builds it, with one uniform per draw:
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -533,20 +534,20 @@ def _age_cdf(model: RegimeModel, i: int, age: float) -> float:
 
 
 def _holding_times(model: RegimeModel, i: np.ndarray, u: np.ndarray,
-                   age: float = 0.0) -> np.ndarray:
-    """Holding times of the states ``i`` for the uniforms ``u`` (same shape),
-    each conditioned on survival to ``age``: one inverse-cdf call per state.
-
-    Inverse-cdf for exponential/Weibull; bisection to 1e-10 for custom
-    distributions, one element at a time.  With age > 0 the residual law
-    (F(age+t) - F(age)) / (1 - F(age)) is sampled.
-    """
+                   age=None, F_age=None, skip: tuple = ()) -> np.ndarray:
+    """Holding times of the states ``i`` for the uniforms ``u`` (same shape):
+    one inverse-cdf call per state (a root find per element for a custom
+    law), NaN for the states in ``skip``.  With the arrays ``age`` and
+    ``F_age`` = F(age | i), the residual law (F(age+t) - F(age)) / (1 -
+    F(age)) is sampled."""
     def invert(s, mask):
+        if s in skip:
+            return np.nan
         dist = model.holding[s]
-        if age == 0.0:
+        if age is None:
             return dist.inverse_cdf(u[mask])
-        F_age = _age_cdf(model, s, age)
-        return dist.inverse_cdf(F_age + u[mask] * (1.0 - F_age)) - age
+        F = F_age[mask]
+        return dist.inverse_cdf(F + u[mask] * (1.0 - F)) - age[mask]
     return _per_state(model.n_states, i, invert)
 
 
@@ -555,7 +556,9 @@ def sample_holding_time(model: RegimeModel, i: int, rng: np.random.Generator,
     """Draw a holding time for state i, conditioned on survival to ``age``,
     from one ``rng.random()`` (see :func:`_holding_times`)."""
     u = rng.random()
-    return float(_holding_times(model, np.array([i]), np.array([u]), age)[0])
+    F_age = _age_cdf(model, i, age) if age != 0.0 else 0.0
+    return float(_holding_times(model, np.array([i]), np.array([u]),
+                                np.array([age]), np.array([F_age]))[0])
 
 
 def _cdf_table(p: np.ndarray) -> np.ndarray:
@@ -590,9 +593,10 @@ def _check_origin(origin: RegimeState, M: int) -> None:
                          f"of a {M}-state model")
 
 
-def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
-                  n: int, draw) -> RegimePaths:
-    """``n`` direct-sampler paths, drawn as one array pass.
+def _direct_paths(model: RegimeModel, theta0: np.ndarray, y0: np.ndarray,
+                  horizon: float, draw) -> RegimePaths:
+    """Direct-sampler paths, drawn as one array pass: path p starts in state
+    ``theta0[p]`` at age ``y0[p]``.
 
     ``draw(rows, k)`` returns the next 2k uniforms of each path in ``rows``
     as a (len(rows), 2k) table, in the order 2k ``random()`` calls would
@@ -609,7 +613,9 @@ def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
       prefixes by doubling, log2(k) gathers, and the prefixes are applied
       to each path's entry state;
     - the holding times, one inverse-cdf call per state (the residual law
-      for an aged origin's first sojourn);
+      for the first sojourn from an origin age above 0).  A custom law is a
+      root find per uniform, so it inverts one column at a time, on the
+      paths not yet cut at the horizon;
     - the event times: a cumulative sum along each row, sequential like the
       loop's ``t += tau``, cut at the horizon or at the first non-finite
       time.
@@ -618,21 +624,24 @@ def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
     horizon, within [``_FIRST_BLOCK``, cap]; only paths that reach the end
     of a block before the cut draw another, sized from their pace so far.
     Block sizes set how many uniforms are drawn ahead, never which ones a
-    path uses.  Raises ValueError for an origin state outside the model and
-    AgeBeyondSupport for an origin age past its law's support, before any
-    draw.
+    path uses.  The callers check the origin states; the first origin age
+    past its law's support raises AgeBeyondSupport, before any draw.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    M = model.n_states
-    _check_origin(origin, M)
+    M, n = model.n_states, len(theta0)
     rows = np.arange(n if M > 1 else 0)
-    if rows.size and origin.y > 0.0:
-        _age_cdf(model, origin.theta, origin.y)
-    state, t, age = origin.theta, 0.0, origin.y
+    old = np.flatnonzero(y0 > 0.0) if rows.size else rows  # aged origins
+    if old.size:  # F(age) once per distinct (state, age), in row order
+        F = cache(lambda i, age: _age_cdf(model, i, age))
+        F_old = np.array([F(i, age) for i, age in zip(theta0[old].tolist(),
+                                                      y0[old].tolist())])
+    lazy = tuple(s for s, dist in enumerate(model.holding)
+                 if isinstance(dist, CustomHolding))
     if rows.size:  # the sojourns the event rate puts in the horizon
         k = max(_FIRST_BLOCK, math.ceil(min(
             _BLOCK_MARGIN * horizon * model.event_rate, _BLOCK_SOJOURNS // n)))
+    state, t = theta0, 0.0
     counts = np.zeros(n, dtype=np.intp)
     blocks, width = [], 0
     while rows.size:
@@ -651,11 +660,17 @@ def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
         chain = np.empty((rows.size, k + 1), dtype=np.intp)
         chain[:, 0] = state
         chain[:, 1:] = flat[at[..., 0] + chain[:, :1]]
-        tau = np.empty((rows.size, k))
-        j0 = 1 if age > 0.0 else 0  # an aged first sojourn has its own law
-        if j0:
-            tau[:, 0] = _holding_times(model, chain[:, 0], u[:, 0], age)
-        tau[:, j0:] = _holding_times(model, chain[:, j0:k], u[:, 2 * j0::2])
+        tau = _holding_times(model, chain[:, :k], u[:, ::2], skip=lazy)
+        if width == 0 and old.size:
+            tau[old, 0] = _holding_times(model, chain[old, 0], u[old, 0],
+                                         y0[old], F_old)
+        if lazy:  # NaN marks a custom sojourn still to invert
+            start = np.zeros(rows.size) + t  # each path's time so far
+            for j in range(k):
+                due = np.flatnonzero(np.isnan(tau[:, j]) & (start < horizon))
+                tau[due, j] = _holding_times(model, chain[due, j],
+                                             u[due, 2 * j])
+                start = start + tau[:, j]
         tau[:, 0] += t
         times = tau.cumsum(axis=1)
         cut = ~(times < horizon)  # NaN and inf included; none is -inf
@@ -669,17 +684,27 @@ def _direct_paths(model: RegimeModel, origin: RegimeState, horizon: float,
         with np.errstate(divide="ignore"):  # next block: from the pace so far
             pace = float(np.mean((horizon - t) / t)) * width
         cap = max(_BLOCK_SOJOURNS // rows.size, 1)
-        k, age = int(min(max(2 * k, _BLOCK_MARGIN * pace), cap)), 0.0
+        k = int(min(max(2 * k, _BLOCK_MARGIN * pace), cap))
     times = np.zeros((n, width))
-    chain = np.full((n, width + 1), origin.theta, dtype=np.intp)
+    chain = np.repeat(theta0[:, None], width + 1, axis=1)
     for r, c, tt, ch in blocks:
         times[r, c:c + tt.shape[1]] = tt
         chain[r, c + 1:c + tt.shape[1] + 1] = ch[:, 1:]
     _check_events(times, chain, counts, horizon)
     live = np.arange(width) < counts[:, None]
     return RegimePaths(np.concatenate(([0], counts.cumsum())), times[live],
-                       chain[:, 1:][live], np.full(n, origin.theta, np.intp),
-                       np.full(n, origin.y, float), horizon)
+                       chain[:, 1:][live], theta0, y0, horizon)
+
+
+def _stream_draw(rngs: Sequence[np.random.Generator]):
+    """The ``draw`` of :func:`_direct_paths` in which path p reads its
+    uniforms from ``rngs[p]``."""
+    def draw(rows, k):
+        u = np.empty((rows.size, 2 * k))
+        for row, p in zip(u, rows.tolist()):
+            rngs[p].random(out=row)
+        return u
+    return draw
 
 
 def simulate_regime_direct(model: RegimeModel, origin: RegimeState,
@@ -693,9 +718,11 @@ def simulate_regime_direct(model: RegimeModel, origin: RegimeState,
     :func:`_direct_paths` from blocks of uniforms; the state of ``rng`` is
     then restored and the used count drawn again.
     """
+    _check_origin(origin, model.n_states)
     bits = rng.bit_generator
     start = bits.state
-    paths = _direct_paths(model, origin, horizon, 1,
+    paths = _direct_paths(model, np.array([origin.theta]),
+                          np.array([origin.y], dtype=float), horizon,
                           lambda rows, k: rng.random((1, 2 * k)))
     bits.state = start
     if model.n_states > 1:
@@ -713,15 +740,11 @@ def sample_regime_paths(model: RegimeModel, origin: RegimeState,
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rngs = [stream(seed, tag, p) for p in range(n)]
-
-    def draw(rows, k):
-        u = np.empty((rows.size, 2 * k))
-        for row, p in zip(u, rows.tolist()):
-            rngs[p].random(out=row)
-        return u
-
-    return _direct_paths(model, origin, horizon, n, draw)
+    _check_origin(origin, model.n_states)
+    return _direct_paths(model, np.full(n, origin.theta, np.intp),
+                         np.full(n, origin.y, float), horizon,
+                         _stream_draw([stream(seed, tag, p)
+                                       for p in range(n)]))
 
 
 def _majorant_step(dist: HoldingDistribution) -> float:

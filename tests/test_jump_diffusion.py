@@ -122,6 +122,29 @@ class TestMarkMeasure:
             assert drawn.tobytes() == inline.tobytes()
 
 
+    def test_quadrature_nodes_are_built_once(self):
+        calls = []
+
+        def density(g):  # triangular on [0, 0.2]
+            calls.append(np.shape(g))
+            return 50.0 * g
+
+        mm = MarkMeasure(rate=1.0, density=density, support=(0.0, 0.2))
+        values = [mm.integrate(lambda g: g ** k) for k in (1, 2, 1, 3)]
+        assert calls == [(64,)]  # the construction's check of the mass
+        assert mm.nodes()[0] is mm.nodes()[0]
+        # the same nodes, weights and sums as building them on every call
+        x, w = np.polynomial.legendre.leggauss(64)
+        g = 0.1 * x + 0.1
+        wk = 0.1 * w * (50.0 * g)
+        assert mm.nodes()[0].tobytes() == g.tobytes()
+        assert mm.nodes()[1].tobytes() == wk.tobytes()
+        for k, got in zip((1, 2, 1, 3), values):
+            want = 0.0
+            for gk, wj in zip(g, wk):
+                want = want + wj * np.asarray(gk ** k, dtype=float)
+            assert got == float(want)
+
 # ---------------------------------------------------------------------------
 # path simulation
 # ---------------------------------------------------------------------------
@@ -560,6 +583,26 @@ class TestPlanBytes:
                     == (Z * np.sqrt(np.diff(grid))).tobytes())
             n_jumps += count
         assert n_jumps > 0
+
+    def test_a_row_draws_from_its_stream_in_any_chunk(self, weibull3_model):
+        """Row p of ``build_plan`` draws from stream (seed, tag, p) and reads
+        only regime path p: planned alone or with any run of consecutive
+        paths, each on its own stream, it is the same row."""
+        dyn = _jump_dyn()
+        regimes = sample_regime_paths(weibull3_model, RegimeState(1, 0.3), 1.0,
+                                      24, 43)
+        plan = build_plan(dyn, regimes, 0.05, 43, "chunks")
+        for a, b in ((0, 24), (0, 1), (5, 6), (3, 11), (11, 24)):
+            part = _draw_plan(dyn, regimes[a:b], 0.05,
+                              [stream(43, "chunks", p) for p in range(a, b)])
+            for name in ("t", "dW", "jump_mask", "jump_marks", "theta", "y"):
+                got, full = getattr(part, name), getattr(plan, name)[a:b]
+                K = got.shape[1]
+                assert got.dtype == full.dtype, name
+                assert got.tobytes() == full[:, :K].copy().tobytes(), name
+                # past the part's width the full plan holds padding only
+                pad = got[:, -1:] if name in ("t", "theta", "y") else 0
+                assert np.all(full[:, K:] == pad), name
 
 
 # ---------------------------------------------------------------------------

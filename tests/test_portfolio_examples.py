@@ -515,6 +515,86 @@ class TestQlPhiPsi:
                        np.linspace(0.0, 1.0, 11), _Y1, 32, 3)
 
 
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestStartNodeTable:
+    """The Monte Carlo builders' one table of paths from every start node."""
+
+    def test_path_p_of_node_ib_draws_from_its_stream(self, weibull3_model):
+        rm, y_nodes, n = weibull3_model, np.array([0.0, 0.4, 1.1]), 5
+        table = portfolio_examples._start_node_paths(rm, y_nodes, 0.8, n, 17,
+                                                     "key")
+        assert len(table) == 3 * 3 * n and table.horizon == 0.8
+        for i, b, p in np.ndindex(3, 3, n):
+            want = simulate_regime_direct(rm, RegimeState(i, y_nodes[b]), 0.8,
+                                          stream(17, f"key/{i}/{b}", p))
+            got = table[(i * 3 + b) * n + p]
+            assert got == want  # events, origin and horizon
+            assert got._times.tobytes() == want._times.tobytes()
+            assert got._states.tobytes() == want._states.tobytes()
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    @pytest.mark.parametrize("builder", ["rs-integral", "rs-literal",
+                                         "ql-consistent", "ql-literal"])
+    def test_fewer_than_one_path_is_refused(self, exp_two, rs_two, builder,
+                                            n_paths):
+        # at n_paths 0 these returned all-NaN functionals, and the literal
+        # QL sweep raised FixedPointDiverged ("still moves by nan")
+        kind, variant = builder.split("-")
+        args = (exp_two, np.linspace(0.0, 1.0, 6), _Y1, n_paths, 3)
+        with pytest.raises(ValueError, match=rf"n_paths must be >= 1, got "
+                                             rf"{n_paths}"):
+            if kind == "rs":
+                rs_phi_functional(rs_two, *args, variant=variant)
+            else:
+                ql_phi_psi(_ql_jump_model(variant), *args)
+
+    @pytest.mark.parametrize("y_nodes", [[-0.5, 0.0], []], ids=["negative",
+                                                                "empty"])
+    @pytest.mark.parametrize("kind", ["rs", "ql"])
+    def test_negative_or_empty_age_grid_is_refused(self, exp_two, rs_two,
+                                                   kind, y_nodes):
+        args = (exp_two, np.linspace(0.0, 1.0, 6), np.array(y_nodes), 4, 3)
+        with pytest.raises(ValueError, match="y grid needs at least one "
+                                             "node, and ages >= 0"):
+            if kind == "rs":
+                rs_phi_functional(rs_two, *args)
+            else:
+                ql_phi_psi(_ql_jump_model("literal"), *args)
+
+    # SHA-256 of the values and SEs (phi, psi, then their SEs for QL) at
+    # 2,000 paths per start node, generated before the start nodes shared
+    # one table; the sums over paths must keep their order to keep the bits
+    PINS = {
+        "ql-literal":
+            "cfe7c3fb491e0908a64109d92f6ced1e1b13a5ed78c32ac4f3eb837f06987acb",
+        "ql-consistent":
+            "8e68d297839a592cfbda16b9019f390a3c36ea7a816aec3c2e72ebc161fd3ef6",
+        "rs-integral":
+            "c34c51320e403fa976166d28a34111e18be6d2585c68c6ea5bb81f7dd34491d9",
+        "rs-literal":
+            "e31bb34bcf64df2e874c013ab73ce2a05a0c6da1c64900c6495ae2608e30e7e4",
+    }
+
+    @pytest.mark.parametrize("builder", sorted(PINS))
+    def test_2000_path_functionals_are_pinned(self, rs_two, builder):
+        rm = _weibull_exp()
+        grid = (np.linspace(0.0, 1.0, 11), np.array([0.0, 0.5, 1.0]), 2000)
+        kind, variant = builder.split("-")
+        if kind == "ql":
+            phi, psi, _ = ql_phi_psi(_ql_jump_model(variant), rm, *grid, 11)
+            got = _digest(phi.values, psi.values, phi.se, psi.se)
+        else:
+            f = rs_phi_functional(rs_two, rm, *grid, 13, variant=variant)
+            got = _digest(f.values, f.se)
+        assert got == self.PINS[builder]
+
+
 def _bilinear_reference(f, t, i, y):
     """Clamped bilinear interpolation with np.clip and explicit broadcasts."""
     t, i, y = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
@@ -899,14 +979,19 @@ class TestStepPowers:
             assert np.all(fn.values[-1] == read)
 
     def test_one_node_grid(self):
+        # every builder refuses a t grid of one node by name (the Markov
+        # builders returned the terminal column, the Monte Carlo ones raised
+        # the sampler's "horizon must be positive")
         rm, rs, ql = _three_state()
-        T = np.array([1.0])
-        phi, psi = ql_phi_psi_markov(ql, rm, T, np.array([0.0, 0.5]))
-        assert phi.values.shape == (1, 3, 2)
-        assert np.all(phi.values == -2.0) and np.all(psi.values == 3.0)
-        fn = rs_phi_markov(rs, rm, T, variant="literal")
-        assert np.all(fn(np.array([0.0, 1.0]), np.array([0, 2]),
-                         np.zeros(2)) == 1.0)
+        T, y = np.array([1.0]), np.array([0.0, 0.5])
+        calls = (lambda: ql_phi_psi_markov(ql, rm, T, y),
+                 lambda: rs_phi_markov(rs, rm, T, variant="literal"),
+                 lambda: ql_phi_psi(ql, rm, T, y, 8, 1),
+                 lambda: rs_phi_functional(rs, rm, T, y, 8, 1))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"t grid needs at least two "
+                                                 r"nodes, got 1"):
+                call()
 
     def test_one_expm_call_of_r_slices_per_builder(self, monkeypatch):
         rm, rs, ql = _three_state()

@@ -696,11 +696,11 @@ def _spy_blocks(monkeypatch):
     """(paths, sojourns per path) of every block the direct sampler draws."""
     blocks, inner = [], semi_markov._direct_paths
 
-    def spied(model, origin, horizon, n, draw):
+    def spied(model, theta0, y0, horizon, draw):
         def recorded(rows, k):
             blocks.append((rows.size, k))
             return draw(rows, k)
-        return inner(model, origin, horizon, n, recorded)
+        return inner(model, theta0, y0, horizon, recorded)
 
     monkeypatch.setattr(semi_markov, "_direct_paths", spied)
     return blocks
@@ -848,6 +848,111 @@ class TestDirectSamplerBlocks:
         sample_regime_paths(model, RegimeState(0), 50.0, 20, 107)
         assert model.event_rate == 0.0
         assert blocks[0] == (20, semi_markov._FIRST_BLOCK)
+
+
+def _count_inversions(monkeypatch):
+    """A one-element list holding the number of custom-law root finds."""
+    calls, inner = [0], CustomHolding._invert_one
+
+    def counted(self, target):
+        calls[0] += 1
+        return inner(self, target)
+
+    monkeypatch.setattr(CustomHolding, "_invert_one", counted)
+    return calls
+
+
+class TestOriginTable:
+    """One direct-sampler pass over paths that start at their own origins."""
+
+    @staticmethod
+    def _gamma2():
+        gam = st.gamma(2.0, scale=0.5)
+        law = CustomHolding(pdf=gam.pdf, cdf=gam.cdf, hazard_bound_value=10.0,
+                            window=10.0)
+        return RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                           holding=(law, law))
+
+    @pytest.mark.parametrize("age", [0.0, 1.0])
+    def test_custom_law_inverts_only_the_sojourns_it_uses(self, monkeypatch,
+                                                          age):
+        # 50 paths of horizon 10 inverted 782 (age 0, event rate included)
+        # and 810 (age 1) uniforms for 530 and 546 sojourns used, before
+        # the columns past each path's cut were skipped
+        model = self._gamma2()
+        model.event_rate  # its two medians are root finds too
+        calls = _count_inversions(monkeypatch)
+        paths = sample_regime_paths(model, RegimeState(0, age), 10.0, 50, 3)
+        used = len(paths) + paths.times.size  # E + 1 sojourns per path
+        assert used == {0.0: 530, 1.0: 546}[age]
+        assert calls[0] == used
+        for p in (0, 17, 49):
+            _assert_same_path(paths[p], _direct_reference(
+                model, RegimeState(0, age), 10.0, stream(3, "regime", p)))
+
+    def test_mixed_origins_equal_their_own_samples(self, weibull3_model,
+                                                   monkeypatch):
+        # rows from four origins, interleaved, each on its own stream;
+        # custom rows pay one root find per sojourn used, an aged first
+        # sojourn included
+        origins = [(0, 0.0), (1, 0.3), (2, 1.1), (1, 0.0)]
+        for model in (weibull3_model, self._gamma2()):
+            model.event_rate
+            M = model.n_states
+            rows = [RegimeState(i % M, y) for i, y in origins] * 3
+            rngs = [stream(113, "mixed", p) for p in range(len(rows))]
+            calls = _count_inversions(monkeypatch)
+            table = semi_markov._direct_paths(
+                model, np.array([o.theta for o in rows]),
+                np.array([o.y for o in rows]), 4.0,
+                semi_markov._stream_draw(rngs))
+            custom = isinstance(model.holding[0], CustomHolding)
+            assert calls[0] == (len(table) + table.times.size) * custom
+            for p, origin in enumerate(rows):
+                want = simulate_regime_direct(model, origin, 4.0,
+                                              stream(113, "mixed", p))
+                assert table[p] == want
+                _assert_same_path(table[p], want.events)
+
+    def test_age_cdf_once_per_distinct_origin_in_row_order(
+            self, weibull3_model, monkeypatch):
+        calls, inner = [], semi_markov._age_cdf
+
+        def counted(model, i, age):
+            calls.append((i, age))
+            return inner(model, i, age)
+
+        monkeypatch.setattr(semi_markov, "_age_cdf", counted)
+        theta0 = np.repeat([2, 0, 1, 0], 5)
+        y0 = np.repeat([0.4, 0.0, 0.4, 1.1], 5)
+        semi_markov._direct_paths(weibull3_model, theta0, y0, 2.0,
+                                  semi_markov._stream_draw(
+                                      [stream(127, "cdf", p)
+                                       for p in range(20)]))
+        assert calls == [(2, 0.4), (1, 0.4), (0, 1.1)]
+
+    def test_first_origin_past_its_support_is_named(self):
+        def uniform(width):
+            return CustomHolding(
+                pdf=lambda y: np.where((np.asarray(y) >= 0)
+                                       & (np.asarray(y) <= width),
+                                       1.0 / width, 0.0),
+                cdf=lambda y: np.clip(np.asarray(y, dtype=float) / width,
+                                      0.0, 1.0),
+                hazard_bound_value=1e6, window=0.999 * width)
+
+        model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            holding=(uniform(2.0), uniform(1.0)))
+        rng = stream(131, "support")
+        before = repr(rng.bit_generator.state)
+        # node order (0, 0.5), (0, 2.5), (1, 0.5), (1, 2.5): (1, 2.5) is
+        # past its support too, (0, 2.5) comes first
+        with pytest.raises(AgeBeyondSupport) as exc:
+            semi_markov._direct_paths(
+                model, np.repeat([0, 1], 2), np.tile([0.5, 2.5], 2), 1.0,
+                semi_markov._stream_draw([rng] * 4))
+        assert (exc.value.state, exc.value.age) == (0, 2.5)
+        assert repr(rng.bit_generator.state) == before
 
 
 # ---------------------------------------------------------------------------
