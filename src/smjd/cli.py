@@ -44,7 +44,7 @@ from .errors import (AgeBeyondSupport, ConfigError, DegenerateVol,
 from .jump_diffusion import MarkMeasure, objective_paths, simulate_ensemble
 from .maximum_principle import ValueFunctionStub, hjb_residual, \
     hjb_terminal_mismatch
-from .jump_diffusion import ControlledDynamics, ControlPolicy, ObjectiveSpec
+from .jump_diffusion import ControlledDynamics, ObjectiveSpec
 from .portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
                                  ql_adjoint, ql_phi_psi, ql_policy,
                                  ql_dynamics, ql_objective, ql_u_coefficient,
@@ -54,7 +54,7 @@ from .portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                           WeibullHolding, dynkin_statistics,
                           sample_regime_paths)
-from .verification import (default_perturbation_family,
+from .verification import (PerturbationFamily, default_perturbation_family,
                            markov_reduction_experiment, sufficiency_experiment,
                            sufficiency_plan)
 
@@ -193,6 +193,8 @@ def _top_schema(command: str) -> dict:
 
 def validate_config(cfg: dict, command: str) -> dict:
     """Schema-check the config and return a copy with defaults applied."""
+    for bad in _non_finite(cfg):
+        raise ConfigError(f"config invalid at {bad}: not a finite number")
     validator = jsonschema.Draft202012Validator(_top_schema(command))
     errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
     if errors:
@@ -215,6 +217,16 @@ def validate_config(cfg: dict, command: str) -> dict:
         model.setdefault("negative_control_shift", 0.1)
     _check_cross_fields(resolved)
     return resolved
+
+
+def _non_finite(node, path: str = "$"):
+    """Yield the JSON path of each NaN or infinite number in ``node``."""
+    if isinstance(node, float) and not np.isfinite(node):
+        yield path
+    for key, value in (node.items() if isinstance(node, dict) else ()):
+        yield from _non_finite(value, f"{path}.{key}")
+    for key, value in enumerate(node if isinstance(node, list) else ()):
+        yield from _non_finite(value, f"{path}[{key}]")
 
 
 def _check_cross_fields(cfg: dict) -> None:
@@ -447,8 +459,8 @@ def _verify_common(cfg, seed, kind):
                                     seed, u_coefficient_fn=u_fn,
                                     foc_tol=num["foc_tol"])
 
-    scaled = ControlPolicy(rule=lambda t, x, i, y: 1.5 * base.rule(t, x, i, y),
-                           control_set=base.control_set)
+    scaled = next(PerturbationFamily(base, "scale", (0.5,)).policies(  # 1.5 u
+        seed, num["n_paths"]))[2]
     neg_families = default_perturbation_family(scaled, relative, m["horizon"])
     neg = sufficiency_experiment(dyn, objective, neg_families, plan, m["x0"],
                                  seed)

@@ -12,8 +12,8 @@ element on arguments of one shape (times, states, controls, regime indices,
 marks) and return that shape.  The stepping kernel passes (n,) columns
 (states (n, r) when dim > 1); the Hamiltonian, the generator G and the
 adjoints pass whole ensemble grids, one call per mark node for a jump
-integral.  The kernel calls the policy rule once per grid column on the
-(n,) t, regime and age columns and the state; it keeps a returned float64
+integral.  The kernel steps through the policy's column law
+(:meth:`ControlPolicy.law`) on the state; it keeps a returned float64
 (n,) array as it is, never writing into it, and copies anything else that
 broadcasts to (n,) (a Python scalar, a 0-d or integer array) to float.
 The running cost is called once on all n*K grid points, flattened.
@@ -30,7 +30,7 @@ sees the same draws, so shared-noise coupling holds by construction.
 Stacked call convention: the kernel also steps P policies at once on one
 plan (the sufficiency sweep's perturbation family).  States are then
 (P, n) ((P, n, r) when dim > 1) and controls (P, n), while the t, regime,
-age and mark columns stay (n,): the rule is called once per column on the
+age and mark columns stay (n,): the law is called once per column on the
 stacked states, and the drift, vol and jump coefficients once per column
 for all P.  So rules and coefficients used in a stacked pass must
 broadcast a leading policy axis against the (n,) columns (for dim > 1,
@@ -57,6 +57,8 @@ __all__ = [
     "running_cost_paths", "objective_paths", "coefficient_regularity_probe",
     "RegularityReport",
 ]
+
+_BLOCK_FLOATS = 2 ** 16  # floats in the (n, B) column blocks a policy binds
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +192,20 @@ class ControlPolicy:
     """Markov control rule u(t, x, i, y), evaluated with left-limit arguments.
 
     ``control_set`` is an optional (lo, hi) box used by admissibility checks
-    and Hamiltonian maximization; None means all of R^m.
+    and Hamiltonian maximization; None means all of R^m.  Optional ``bind(t,
+    i, y)`` computes the rule's state-free factors on (n, B) column blocks
+    once and returns ``law(j, x)``, equal bit for bit to ``rule(t[:, j], x,
+    i[:, j], y[:, j])``; it may raise what the rule raises on the block.
     """
 
     rule: Callable
     control_set: tuple[float, float] | None = None
+    bind: Callable | None = None
+
+    def law(self, t, i, y) -> Callable:
+        """``bind``'s column law, or without it one rule call per column."""
+        return self.bind(t, i, y) if self.bind else (
+            lambda j, x: self.rule(t[:, j], x, i[:, j], y[:, j]))
 
 
 @dataclass(frozen=True)
@@ -349,17 +360,18 @@ def _draw_plan(dyn, regime_paths, dt, rngs) -> NoisePlan:
                      theta=theta, y=y, regime_paths=paths, marks=dyn.marks)
 
 
-def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
-          x0, stack: int | None = None, keep: bool = True):
-    """Step every path of ``plan`` under ``policy``; returns (x, u, failures).
-
-    One policy (``stack`` None): states are (n,) ((n, r) when dim > 1), x
-    and u the (n, K) paths, and the first non-finite state raises
-    NonFinitePath.  ``stack`` = P steps P policies at once on states (P, n)
-    ((P, n, r)): ``policy.rule`` is the stacked rule of all P, x and u are
-    (P, n, K) paths, or, without ``keep``, x the final states and u None.
-    Row p's failure is its first NonFinitePath, or None; a failed row goes
-    on from x0 so the others are stepped on finite values.
+def _step(dyn: ControlledDynamics, bind: Callable, plan: NoisePlan, x0,
+          stack: int | None = None, keep: bool = True):
+    """Step every path of ``plan`` under the policy that ``bind`` binds to
+    blocks of ``_BLOCK_FLOATS // n`` columns (:meth:`ControlPolicy.law`:
+    a policy with only a rule is called column by column); returns (x, u,
+    failures).  One policy (``stack`` None): states are (n,) ((n, r) when
+    dim > 1), x and u the (n, K) paths, and the first non-finite state
+    raises NonFinitePath.  ``stack`` = P steps P policies, bound together,
+    on states (P, n) ((P, n, r)): x and u are (P, n, K) paths, or, without
+    ``keep``, x the final states and u None.  Row p's failure is
+    its first NonFinitePath, or None; a failed row goes on from x0 so the
+    others are stepped on finite values.
     """
     t, dW, theta, y = plan.t, plan.dW, plan.theta, plan.y
     jump_mask, jump_marks = plan.jump_mask, plan.jump_marks
@@ -380,7 +392,10 @@ def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
         us = np.empty(shape + (K,))
     failures = [None] * (stack or 0)
     u_prev = np.zeros(shape)
+    B = max(1, _BLOCK_FLOATS // n)
     for k in range(K):
+        if k % B == 0:
+            law = bind(*(a[:, k:k + B] for a in (t, theta, y)))
         tk = t[:, k]
         jm_k = jump_mask[:, k]
         if k > 0 and jm_k.any():
@@ -391,7 +406,7 @@ def _step(dyn: ControlledDynamics, policy: ControlPolicy, plan: NoisePlan,
                             theta[idx, k - 1], jump_marks[idx, k])
             x = x.copy()
             x[at(idx)] = x[at(idx)] + gval
-        uk = policy.rule(tk, x, theta[:, k], y[:, k])
+        uk = law(k % B, x)
         if type(uk) is not np.ndarray or uk.dtype != float or uk.shape != shape:
             uk = np.broadcast_to(np.asarray(uk, dtype=float), shape).astype(float)
         if keep:
@@ -443,7 +458,7 @@ def step_plan(dyn: ControlledDynamics, policy: ControlPolicy,
         if not same:
             raise ValueError(f"plan was built for another {field}: "
                              f"{getattr(plan, field)!r}, not {want!r}")
-    return _ensemble(plan, *_step(dyn, policy, plan, x0)[:2])
+    return _ensemble(plan, *_step(dyn, policy.law, plan, x0)[:2])
 
 
 def simulate_ensemble(dyn: ControlledDynamics, policy: ControlPolicy,

@@ -233,8 +233,8 @@ class RegimeFunctional:
     node and ``n_paths`` the sample size.  A call clamps t and y to the
     grid, finds each query's lower node and weight on both axes (the node
     gaps are built once per functional) and sums the four corners at
-    regime i.  It returns the leading axes, then the broadcast (t, i, y)
-    shape, at least 1-D.
+    regime i, or the two of weight 1 on a one-node axis.  It returns the
+    leading axes, then the broadcast (t, i, y) shape, at least 1-D.
     """
 
     t_nodes: np.ndarray
@@ -244,42 +244,41 @@ class RegimeFunctional:
     n_paths: int
 
     def __call__(self, t, i, y):
-        parts = []
-        for (nodes, inner, gaps), q in zip(self._axes, (t, y)):
-            # np.atleast_1d(np.asarray(q, dtype=float)) in one C call
-            q = np.array(q, dtype=float, copy=None, ndmin=1)
-            if len(nodes) == 1:
-                w = np.zeros(q.shape)
-                parts.append((np.zeros(q.shape, dtype=int), 1 - w, w))
-                continue
-            # np.clip without its Python-level dispatch; this argument order
-            # gives np.clip's result bit for bit, signed zeros and NaN included
-            qc = np.minimum(nodes[-1], np.maximum(nodes[0], q))
-            # interior nodes at or below qc: the lower index, in 0..len - 2
-            idx = inner.searchsorted(qc, side="right")
-            w = (qc - nodes[idx]) / gaps[idx]
-            parts.append((idx, 1 - w, w))
-        (it, wt0, wt1), (iy, wy0, wy1) = parts
         i = np.array(i, dtype=int, copy=None, ndmin=1)
         *lead, n_t, M, n_y = self.values.shape
         if i.size and (i.min() < 0 or i.max() >= M):
             raise IndexError(f"regime index outside 0..{M - 1}")
-        # flat positions of the lower corners and the steps to the upper t
-        # and y neighbours (0 on a one-node axis)
-        v = self.values.reshape(*lead, -1)
-        dt = M * n_y * (n_t > 1)
-        k00 = it * (M * n_y) + iy + i * n_y
-        k01 = k00 + int(n_y > 1)
-        return (wt0 * wy0 * v.take(k00, axis=-1)
-                + wt1 * wy0 * v.take(k00 + dt, axis=-1)
-                + wt0 * wy1 * v.take(k01, axis=-1)
-                + wt1 * wy1 * v.take(k01 + dt, axis=-1))
+        # lower corner's flat position k; (weight, offset from k) per corner
+        k, corners = i * n_y, [(None, 0)]
+        for axis, q, step in zip(self._axes, (t, y), (M * n_y, 1)):
+            if axis is None:  # one node: the query sets only the shape
+                k = np.broadcast_to(k, np.broadcast(k, q).shape)
+                continue
+            nodes, gaps, inner = axis
+            # np.clip in float64 without its Python-level dispatch; this
+            # argument order gives np.clip's result bit for bit, signed
+            # zeros and NaN included
+            qc = np.minimum(nodes[-1], np.maximum(nodes[0], q, dtype=float))
+            # interior nodes at or below qc: the lower index, in 0..len - 2
+            idx = inner.searchsorted(qc, side="right")
+            w = (qc - nodes[idx]) / gaps[idx]
+            k = k + idx * step
+            corners = [(a if c is None else c * a, e + d)
+                       for a, d in ((1 - w, 0), (w, step)) for c, e in corners]
+        v, out = np.asarray(self.values, float).reshape(*lead, -1), None
+        for w, d in corners:  # in place: one corner's temporaries at a time
+            term = v.take(k + d, axis=-1)
+            if w is not None:
+                term *= w
+            out = term if out is None else np.add(out, term, out=out)
+        return out
 
     @cached_property
     def _axes(self) -> tuple:
-        """(nodes, interior nodes, node gaps) of the t and of the y axis."""
-        return tuple((nodes, nodes[1:-1], np.diff(nodes))
-                     for nodes in (self.t_nodes, self.y_nodes))
+        """Per axis, t then y, (nodes, node gaps, interior nodes), or None
+        for one node."""
+        return tuple(None if len(a) == 1 else (a, np.diff(a), a[1:-1])
+                     for a in (self.t_nodes, self.y_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,12 @@ def rs_optimal_control(model: RiskSensitiveModel, t, x, i):
 
 
 def rs_policy(model: RiskSensitiveModel) -> ControlPolicy:
-    return ControlPolicy(rule=lambda t, x, i, y: rs_optimal_control(model, t, x, i))
+    def bind(t, i, y):  # the fraction, the rule at x = 1, once per block
+        frac = rs_optimal_control(model, t, 1.0, i)
+        return lambda j, x: frac[:, j] * x
+
+    return ControlPolicy(
+        rule=lambda t, x, i, y: rs_optimal_control(model, t, x, i), bind=bind)
 
 
 def rs_dynamics(model: RiskSensitiveModel) -> ControlledDynamics:
@@ -777,15 +781,19 @@ def ql_optimal_control(model: QuadraticLossModel, t, x, i, y, functionals):
     ``functionals`` is the (phi, psi) pair, which must share one
     (t, regime, y) grid (ValueError otherwise), or the two stacked in one
     :class:`RegimeFunctional`, as :func:`ql_policy` stacks them once per
-    policy (a pair is stacked on every call).  Per call: one interpolation
-    of phi and psi together, SingularPhi when phi is numerically zero
-    there, and the slope Lam_t / Lam of :func:`ql_lambda_factors` at the
-    queried regimes and phi values.
+    policy (a pair is stacked on every call); see :func:`_ql_slope_offset`.
     """
-    pv, sv = _ql_table(functionals)(t, i, y)
+    slope, offset = _ql_slope_offset(model, _ql_table(functionals), t, i, y)
+    return slope * (x + offset)
+
+
+def _ql_slope_offset(model, table: RegimeFunctional, t, i, y) -> tuple:
+    """The hedging rule's slope Lam_t / Lam and offset psi / phi at (t, i,
+    y), from one read of ``table``; SingularPhi where phi is about 0."""
+    pv, sv = table(t, i, y)
     if (np.abs(pv) < _SINGULAR_TOL).any():
         raise SingularPhi("phi is numerically zero at a queried node")
-    return np.divide(*_ql_factors(model, i, pv)) * (x + sv / pv)
+    return np.divide(*_ql_factors(model, i, pv)), sv / pv
 
 
 def _ql_table(functionals) -> RegimeFunctional:
@@ -807,11 +815,23 @@ def _ql_table(functionals) -> RegimeFunctional:
 
 def ql_policy(model: QuadraticLossModel, functionals) -> ControlPolicy:
     """The hedging rule as a policy; the grid check (ValueError for (phi,
-    psi) on different grids) and the stacked table are built once here,
-    and each grid column makes one :func:`ql_optimal_control` call."""
+    psi) on different grids) and the stacked table are built once here;
+    bound to a plan, it reads the rule's slope and offset once per block.
+    A block with a singular node is stepped by the rule column by column,
+    so its error is raised at the column the rule raises it at."""
     table = _ql_table(functionals)
-    return ControlPolicy(
-        rule=lambda t, x, i, y: ql_optimal_control(model, t, x, i, y, table))
+
+    def rule(t, x, i, y):
+        return ql_optimal_control(model, t, x, i, y, table)
+
+    def bind(t, i, y):
+        try:
+            slope, offset = _ql_slope_offset(model, table, t, i, y)
+        except (SingularPhi, SingularDenominator):
+            return ControlPolicy(rule).law(t, i, y)
+        return lambda j, x: slope[:, j] * (x + offset[:, j])
+
+    return ControlPolicy(rule, bind=bind)
 
 
 def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,

@@ -285,7 +285,7 @@ def _spot_check_bound(dist: CustomHolding, state: int, n_grid: int = 257) -> Non
 class RegimeState:
     """Current regime index (0-based) and age since the last regime jump;
     an integral index is stored as int, a bool or any other raises
-    ValueError."""
+    ValueError, and so does an age that is not a finite number >= 0."""
 
     theta: int
     y: float = 0.0
@@ -296,8 +296,8 @@ class RegimeState:
                 or not float(theta).is_integer()):
             raise ValueError(f"regime state {theta!r} is not an integer")
         object.__setattr__(self, "theta", int(theta))
-        if self.y < 0:
-            raise ValueError("age must be nonnegative")
+        if not 0.0 <= self.y < math.inf:
+            raise ValueError(f"age {self.y!r} is not a finite number >= 0")
 
 
 @dataclass

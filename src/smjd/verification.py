@@ -9,7 +9,7 @@ Three experiments:
   zero gap and small true gaps are resolvable.  The plan, built once by
   ``sufficiency_plan``, can serve several sweeps.  The base policy is
   stepped by ``step_plan``; the perturbed policies are stepped together in
-  one stacked pass of the kernel (states (P, n), one base-rule call per
+  one stacked pass of the kernel (states (P, n), one base-law call per
   grid column), each member's perturbation being data applied to the base
   controls.  The pass rule is one-sided: dJ >= -2 SE.
 
@@ -126,18 +126,21 @@ class PerturbationFamily:
 
     def _member(self, term: np.ndarray, idx: int,
                 n_paths: int) -> ControlPolicy:
-        base_rule = self.base.rule
+        def checked(t):
+            if (self.kind == "random"
+                    and (m := np.shape(np.atleast_1d(t))[0]) != n_paths):
+                raise ValueError(
+                    f"perturbation {self.kind}[{idx}] holds one constant "
+                    f"per path of {n_paths} paths; called on {m}")
+            return t
 
-        def rule(t, x, i, y):
-            if self.kind == "random":
-                m = np.shape(np.atleast_1d(t))[0]
-                if m != n_paths:
-                    raise ValueError(
-                        f"perturbation {self.kind}[{idx}] holds one constant "
-                        f"per path of {n_paths} paths; called on {m}")
-            return self.perturb(term, base_rule(t, x, i, y), t, x)
+        def bind(t, i, y):
+            law = self.base.law(checked(t), i, y)
+            return lambda j, x: self.perturb(term, law(j, x), t[:, j], x)
 
-        return ControlPolicy(rule=rule, control_set=self.base.control_set)
+        return ControlPolicy(rule=lambda t, x, i, y: self.perturb(
+            term, self.base.rule(checked(t), x, i, y), t, x),
+            control_set=self.base.control_set, bind=bind)
 
 
 def default_perturbation_family(base: ControlPolicy, relative: bool,
@@ -303,7 +306,7 @@ def _member_objectives(dyn, objective, members, plan, x0):
 
     The members are stepped as one stack of policies, in chunks of rows
     whose stored paths fit in ``_STACK_BYTES`` when the objective has a
-    running cost.  Each column makes one call of the base rule on the
+    running cost.  Each column makes one call of the base law on the
     stacked states, and each family perturbs its rows with one expression,
     so every member's controls and states are the floating-point operations
     of its own policy.  Each row is then reduced by ``objective_paths``'
@@ -316,8 +319,8 @@ def _member_objectives(dyn, objective, members, plan, x0):
     out = []
     for a in range(0, len(members), rows):
         chunk = members[a:a + rows]
-        x, u, failures = _step(dyn, ControlPolicy(_stacked_rule(chunk, n)),
-                               plan, x0, stack=len(chunk), keep=keep)
+        x, u, failures = _step(dyn, _stacked_bind(chunk, n), plan, x0,
+                               stack=len(chunk), keep=keep)
         for p, exc in enumerate(failures):
             if exc is not None:
                 out.append(exc)
@@ -330,11 +333,11 @@ def _member_objectives(dyn, objective, members, plan, x0):
     return out
 
 
-def _stacked_rule(members, n: int):
-    """The rule of a stack of members of families of one base policy: one
-    base-rule call on the stacked states (rows, n), then one
+def _stacked_bind(members, n: int):
+    """The binder of a stack of members of families of one base policy: per
+    column, one base-law call on the stacked states (rows, n), then one
     :meth:`PerturbationFamily.perturb` per run of one family's rows."""
-    base_rule = members[0][0].base.rule
+    base = members[0][0].base
     shape = (len(members), n)
     runs, a = [], 0
     for _, group in groupby(members, key=lambda m: id(m[0])):
@@ -343,13 +346,17 @@ def _stacked_rule(members, n: int):
         runs.append((group[0][0], terms, slice(a, a + len(terms))))
         a += len(terms)
 
-    def rule(t, x, i, y):
-        u = np.broadcast_to(base_rule(t, x, i, y), shape)
-        parts = [fam.perturb(terms, u[rows], t, x[rows])
-                 for fam, terms, rows in runs]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def bind(t, i, y):
+        law = base.law(t, i, y)
 
-    return rule
+        def stacked(j, x):
+            u = np.broadcast_to(law(j, x), shape)
+            parts = [fam.perturb(terms, u[rows], t[:, j], x[rows])
+                     for fam, terms, rows in runs]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return stacked
+
+    return bind
 
 
 # ---------------------------------------------------------------------------

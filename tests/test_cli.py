@@ -129,6 +129,25 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error" in err and field in err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("$.numerics.dt", lambda c: c["numerics"].update(dt=float("nan"))),
+        ("$.model.x0", lambda c: c["model"].update(x0=float("nan"))),
+        ("$.model.y0", lambda c: c["model"].update(y0=float("nan"))),
+        ("$.model.d", lambda c: c["model"].update(d=float("inf"))),
+    ])
+    def test_non_finite_number_exits_2_naming_field(self, tmp_path, capsys,
+                                                    field, edit):
+        # json reads NaN and Infinity; the schema bounds let them through
+        cfg = _rs_config(experiment="ql-verify", model=_ql_model())
+        edit(cfg)
+        path = _write(tmp_path, cfg)
+        assert ("NaN" in path.read_text()) != (field == "$.model.d")
+        rc = _run("ql-verify", path, tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{field}: not a finite" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "rs-verify", "ql-verify",
                                          "reduce-markov"])
     def test_dt_without_a_step_exits_2(self, tmp_path, capsys, command):
@@ -436,3 +455,9 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.txt").exists()
+
+    def test_package_runs_as_a_module(self):
+        proc = subprocess.run([sys.executable, "-m", "smjd", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: smjd")

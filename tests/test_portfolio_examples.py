@@ -7,9 +7,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from smjd import portfolio_examples
-from smjd.errors import (DegenerateVol, FixedPointDiverged,
+from smjd.errors import (DegenerateVol, FixedPointDiverged, NonFinitePath,
                          SingularDenominator, SingularPhi)
-from smjd.jump_diffusion import ControlPolicy, MarkMeasure, simulate_ensemble
+from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy,
+                                 MarkMeasure, simulate_ensemble)
 from smjd.maximum_principle import adjoint_residual
 from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                      RiskSensitiveModel, _sojourn_cumulative,
@@ -661,22 +662,39 @@ class TestRegimeFunctional:
             with pytest.raises(IndexError, match="regime"):
                 f(0.5, regime, 0.0)
 
+    @pytest.mark.parametrize("t_axis", ["uniform", "non-uniform"])
     @pytest.mark.parametrize("n_t, n_y", [(11, 4), (1, 4), (11, 1), (1, 1)])
-    def test_grid_query_keeps_its_shape_bit_for_bit(self, n_t, n_y):
-        # an (n, K) query equals the flattened call, on one-node grids too
+    def test_grid_query_keeps_its_shape_bit_for_bit(self, n_t, n_y, t_axis):
+        # an (n, K) query equals the flattened call and the reference, on
+        # one-node grids too, for queries on the nodes, clamped ones and
+        # NaN and infinite ones (NaN reads NaN on an axis of several nodes)
         rng = np.random.default_rng(5)
         values = rng.normal(size=(n_t, 2, n_y))
-        f = RegimeFunctional(np.linspace(0.0, 1.0, n_t),
-                             np.linspace(0.0, 1.5, n_y), values,
+        t_nodes = np.linspace(0.0, 1.0, n_t)
+        if t_axis == "non-uniform":
+            t_nodes = t_nodes ** 2
+        f = RegimeFunctional(t_nodes, np.linspace(0.0, 1.5, n_y), values,
                              np.zeros_like(values), 0)
-        t = rng.uniform(-0.2, 1.2, (7, 5))
-        y = rng.uniform(-0.2, 1.7, (7, 5))
+        special = [-0.3, 1.3, -np.inf, np.inf, np.nan, -0.0]
+
+        def queries(nodes, lo, hi):
+            q = np.concatenate((nodes, special))
+            return np.concatenate((q, rng.uniform(lo, hi, 35 - q.size)))
+
+        t = queries(t_nodes, -0.2, 1.2).reshape(7, 5)
+        y = rng.permutation(queries(f.y_nodes, -0.2, 1.7)).reshape(7, 5)
         i = rng.integers(0, 2, (7, 5))
         flat = f(t.ravel(), i.ravel(), y.ravel())
         for got in (f(t, i, y), f(t[:1], i, y), f(t, 1, y[:, :1])):
             assert got.shape == (7, 5)
         got = f(t, i, y)
         assert np.array_equal(got.ravel().view(np.int64), flat.view(np.int64))
+        ref = _bilinear_reference(f, t, i, y)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert nan.any() == (n_t > 1 or n_y > 1)
+        assert np.array_equal(got[~nan].view(np.int64),
+                              ref[~nan].view(np.int64))
 
 
 class TestQlControl:
@@ -745,6 +763,25 @@ class TestQlControl:
                               paths, x0=0.9, dt=0.1, seed=19)
         assert [bool(np.any(i == 1)) for i in columns] == (
             [False] * (len(columns) - 1) + [True])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("blows_up", [False, True])
+    def test_bound_policy_raises_the_rules_first_fault(
+            self, ql_nojump_single, single_regime, blows_up):
+        # phi is 0 from t = 0.8 on, in the one block of this plan; a state
+        # that overflows near t = 0.5 fails first, bound or rule by rule
+        phi, psi = _random_functionals(np.random.default_rng(23), 11, 1, 1)
+        phi.values[8:] = 0.0
+        policy = ql_policy(ql_nojump_single, (phi, psi))
+        dyn, x0 = ql_dynamics(ql_nojump_single), 0.9
+        if blows_up:
+            dyn, x0 = ControlledDynamics(
+                dim=1, drift=lambda t, x, u, i: x ** 3,
+                vol=lambda t, x, u, i: np.zeros_like(x)), 50.0
+        for pol in (policy, ControlPolicy(rule=policy.rule)):
+            with pytest.raises(NonFinitePath if blows_up else SingularPhi):
+                simulate_ensemble(dyn, pol, _paths(single_regime, 4, 1.0, 29),
+                                  x0=x0, dt=0.1, seed=29)
 
     def test_policy_refuses_functionals_on_different_grids(
             self, ql_nojump_single, single_regime):

@@ -306,6 +306,12 @@ class TestSamplers:
             call(RegimeState(theta, 0.2))
         assert repr(rng.bit_generator.state) == before
 
+    @pytest.mark.parametrize("age", [-0.5, float("nan"), float("inf")])
+    def test_age_that_is_not_finite_and_nonnegative_is_refused(self, age):
+        with pytest.raises(ValueError, match=rf"age {age!r} is not a finite "
+                           "number >= 0"):
+            RegimeState(0, age)
+
     @pytest.mark.parametrize("theta", [1, 1.0, np.int64(1), np.float64(1.0)],
                              ids=["int", "float", "np.int64", "np.float64"])
     def test_integral_origin_state_is_stored_as_int(self, weibull3_model,

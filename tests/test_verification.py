@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from smjd import verification
+from smjd import jump_diffusion, verification
 from smjd.cli import build_model
 from smjd.errors import AdmissibilityFailure, NonFinitePath
 from smjd.jump_diffusion import (ControlPolicy, ControlledDynamics,
-                                 MarkMeasure, ObjectiveSpec, build_plan,
-                                 objective_paths, simulate_ensemble,
-                                 step_plan)
+                                 MarkMeasure, ObjectiveSpec, _step,
+                                 build_plan, objective_paths,
+                                 simulate_ensemble, step_plan)
 from smjd.maximum_principle import ValueFunctionStub
 from smjd.portfolio_examples import (QuadraticLossModel, RiskSensitiveModel,
                                      ql_dynamics, ql_objective, ql_phi_psi,
@@ -374,6 +374,84 @@ class TestStackedSweep:
         P = sum(len(f.magnitudes) for f in fams)
         # the base ensemble, then one stacked call per column
         assert shapes == [((n,),) * 4] * K + [((n,), (P, n), (n,), (n,))] * K
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestBoundLaws:
+    """A policy bound to a plan gives the bits of its per-column rule, on a
+    plan with regime events, asset jumps, padded rows and several column
+    blocks."""
+
+    n_paths = 30
+
+    @pytest.fixture
+    def plan(self, exp2_model, monkeypatch):
+        # 7 columns a block: the plan spans several blocks, the last short
+        monkeypatch.setattr(jump_diffusion, "_BLOCK_FLOATS", 7 * self.n_paths)
+        dyn = ql_dynamics(_ql_jump_model("consistent"))
+        plan = sufficiency_plan(dyn, exp2_model, 0, 0.0, 1.0, self.n_paths,
+                                0.05, 17)
+        K = plan.t.shape[1]
+        assert K > 14 and K % 7
+        assert plan.jump_mask.any()
+        assert (plan.theta[:, 1:] != plan.theta[:, :-1]).any()
+        assert (np.diff(plan.t, axis=1) == 0).any()  # padded rows
+        return dyn, plan
+
+    @staticmethod
+    def _cases(name, exp2_model):
+        """(binder, stack, rule-only policies) of ``name``: each row of the
+        binder's run must step like its rule-only policy, column by column."""
+        n = TestBoundLaws.n_paths
+        if name == "stacked":
+            fams = _all_kinds(_ql_jump_problem(exp2_model, "literal")[2], True)
+            members = [(fam, idx, term) for fam in fams
+                       for idx, term in enumerate(fam.terms(17, n))]
+            return [(verification._stacked_bind(members, n), len(members),
+                     [ControlPolicy(pol.rule) for fam in fams
+                      for _, _, pol in fam.policies(17, n)])]
+        if name == "rs":
+            pairs = [(_rs_problem()[2], None)]
+        elif name == "ql-no-jumps":
+            model = QuadraticLossModel(r=np.array([0.05, 0.03]),
+                                       mbar=np.array([0.4, 0.3]),
+                                       sigma=np.array([0.2, 0.25]), d=1.0,
+                                       horizon=1.0)
+            pairs = [(ql_policy(model, ql_phi_psi_markov(
+                model, exp2_model, np.linspace(0.0, 1.0, 21),
+                np.array([0.0, 0.5, 1.0]))), None)]
+        elif name.startswith("ql-"):
+            pairs = [(_ql_jump_problem(exp2_model, name[3:])[2], None)]
+        else:
+            base = _ql_jump_problem(exp2_model, "consistent")[2]
+            if name == "negative-control":  # the CLI's 1.5x candidate
+                scaled = PerturbationFamily(base, "scale", (0.5,))
+                pairs = [(next(scaled.policies(17, n))[2],
+                          lambda t, x, i, y: 1.5 * base.rule(t, x, i, y))]
+            else:
+                [fam] = [f for f in _all_kinds(base, True) if f.kind == name]
+                pairs = [(pol, None) for _, _, pol in fam.policies(17, n)]
+        for pol, _ in pairs:
+            assert pol.bind is not None
+        return [(pol.law, None, [ControlPolicy(rule or pol.rule)])
+                for pol, rule in pairs]
+
+    @pytest.mark.parametrize("name", [
+        "ql-consistent", "ql-literal", "ql-no-jumps", "rs", "negative-control",
+        "shift", "scale", "window", "random", "stacked"])
+    def test_bound_law_steps_like_the_rule(self, plan, exp2_model, name):
+        dyn, plan = plan
+        for bind, stack, rules in self._cases(name, exp2_model):
+            x, u, _ = _step(dyn, bind, plan, 0.5, stack=stack)
+            rows = [(x, u)] if stack is None else list(zip(x, u))
+            assert len(rows) == len(rules)
+            for got, rule in zip(rows, rules):
+                want = _step(dyn, rule.law, plan, 0.5)[:2]
+                for a, b in zip(got, want):
+                    assert np.array_equal(_bits(a), _bits(b))
 
 
 class TestSweepFailures:
