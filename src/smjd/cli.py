@@ -61,6 +61,7 @@ from .verification import (PerturbationFamily, default_perturbation_family,
 COMMANDS = ("simulate", "rs-verify", "ql-verify", "dynkin", "hjb",
             "reduce-markov", "policy-eval")
 _PLAN_COMMANDS = ("simulate", "rs-verify", "ql-verify", "reduce-markov")
+_MAX_NODES = np.iinfo(np.intp).max // 8  # float64s one array can hold
 
 SEED_ENV = "SMJD_SEED"
 SEED_MAX = 2 ** 64 - 1  # seeds are unsigned 64-bit, in the config and outside
@@ -234,8 +235,8 @@ def _check_cross_fields(cfg: dict) -> None:
     the schema cannot express: kernel rows, per-regime arrays and regime
     indices must match the kernel's state count, jump atoms and weights
     must pair up, an age grid of several nodes needs a positive y_max, a
-    noise plan's dt a step on [0, horizon], and policy queries t in
-    [0, horizon], y >= 0."""
+    noise plan's dt a step on [0, horizon] and at most an array's nodes,
+    and policy queries t in [0, horizon], y >= 0."""
     def bad(path, msg):
         raise ConfigError(f"config invalid at {path}: {msg}")
 
@@ -250,8 +251,12 @@ def _check_cross_fields(cfg: dict) -> None:
             bad(f"$.regime.kernel[{k}]", f"{len(row)} entries in a row of "
                 f"a {M}-state kernel")
     m = cfg["model"]
-    if (cfg["experiment"] in _PLAN_COMMANDS
-            and round(m["horizon"] / num["dt"]) < 1):
+    steps = m["horizon"] / num["dt"]  # inf for a subnormal dt
+    if (cfg["experiment"] in _PLAN_COMMANDS + ("dynkin",)
+            and (steps > _MAX_NODES or round(steps) + 1 > _MAX_NODES)):
+        bad("$.numerics.dt", f"{num['dt']} gives more grid nodes on "
+            f"[0, {m['horizon']}] than an array holds ({_MAX_NODES})")
+    if cfg["experiment"] in _PLAN_COMMANDS and round(steps) < 1:
         bad("$.numerics.dt",
             f"{num['dt']} gives no step on [0, {m['horizon']}]")
     if not 0 <= m["i0"] < M:

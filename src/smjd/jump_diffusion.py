@@ -15,8 +15,9 @@ adjoints pass whole ensemble grids, one call per mark node for a jump
 integral.  The kernel steps through the policy's column law
 (:meth:`ControlPolicy.law`) on the state; it keeps a returned float64
 (n,) array as it is, never writing into it, and copies anything else that
-broadcasts to (n,) (a Python scalar, a 0-d or integer array) to float.
-The running cost is called once on all n*K grid points, flattened.
+broadcasts to (n,) (a Python scalar, a 0-d or integer array) to float;
+it calls the coefficients through :meth:`ControlledDynamics.laws`.  The
+running cost is called once on all n*K grid points, flattened.
 
 Simulation has two parts.  :func:`build_plan` fixes every path's noise --
 jump times and marks, the event grid, the Brownian increments and the
@@ -169,6 +170,13 @@ class ControlledDynamics:
     The ``*_dx`` fields are optional analytic x-derivatives with the same
     signatures; when present, Hamiltonian gradients use them instead of
     finite differences.
+
+    Optional ``bind(t, i, nodes)`` computes the state-free factors once on
+    (n, B) column blocks of a plan's t, theta and jump nodes (times, left
+    regimes, marks: :attr:`NoisePlan.jump_nodes`); its laws ``drift(j, x,
+    u)``, ``vol(j, x, u)`` and ``jump(s, x, u)`` equal bit for bit the raw
+    calls at column j and at the nodes s selects (x, u at their rows).  A
+    copy with other coefficients sets ``bind=None``.
     """
 
     dim: int
@@ -179,12 +187,21 @@ class ControlledDynamics:
     drift_dx: Callable | None = None
     vol_dx: Callable | None = None
     jump_dx: Callable | None = None
+    bind: Callable | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("state dimension must be >= 1")
         if (self.jump is None) != (self.marks is None):
             raise ValueError("jump coefficient and mark measure go together")
+
+    def laws(self, t, i, nodes) -> tuple:
+        """``bind``'s (drift, vol, jump) laws, or raw coefficient calls."""
+        nt, ni, nm = nodes
+        return self.bind(t, i, nodes) if self.bind else (
+            lambda j, x, u: self.drift(t[:, j], x, u, i[:, j]),
+            lambda j, x, u: self.vol(t[:, j], x, u, i[:, j]),
+            lambda s, x, u: self.jump(nt[s], x, u, ni[s], nm[s]))
 
 
 @dataclass(frozen=True)
@@ -253,6 +270,16 @@ class NoisePlan:
     def dim(self) -> int:
         """State dimension the Brownian increments were drawn for."""
         return 1 if self.dW.ndim == 2 else self.dW.shape[2]
+
+    @cached_property
+    def jump_nodes(self) -> tuple:
+        """(rows, cols, t, theta[row, col - 1], mark) of the jumps the kernel
+        applies (columns >= 1), by column; theta at col - 1 is the left
+        limit, as every regime event is a grid node."""
+        cols, rows = np.nonzero(self.jump_mask[:, 1:].T)
+        cols += 1
+        return (rows, cols, self.t[rows, cols], self.theta[rows, cols - 1],
+                self.jump_marks[rows, cols])
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +391,8 @@ def _step(dyn: ControlledDynamics, bind: Callable, plan: NoisePlan, x0,
           stack: int | None = None, keep: bool = True):
     """Step every path of ``plan`` under the policy that ``bind`` binds to
     blocks of ``_BLOCK_FLOATS // n`` columns (:meth:`ControlPolicy.law`:
-    a policy with only a rule is called column by column); returns (x, u,
+    a policy with only a rule is called column by column) and the dynamics'
+    laws on them (:meth:`ControlledDynamics.laws`); returns (x, u,
     failures).  One policy (``stack`` None): states are (n,) ((n, r) when
     dim > 1), x and u the (n, K) paths, and the first non-finite state
     raises NonFinitePath.  ``stack`` = P steps P policies, bound together,
@@ -374,7 +402,6 @@ def _step(dyn: ControlledDynamics, bind: Callable, plan: NoisePlan, x0,
     others are stepped on finite values.
     """
     t, dW, theta, y = plan.t, plan.dW, plan.theta, plan.y
-    jump_mask, jump_marks = plan.jump_mask, plan.jump_marks
     n, K = t.shape
     scalar = dyn.dim == 1
     dts = np.diff(t, axis=1)
@@ -393,20 +420,25 @@ def _step(dyn: ControlledDynamics, bind: Callable, plan: NoisePlan, x0,
     failures = [None] * (stack or 0)
     u_prev = np.zeros(shape)
     B = max(1, _BLOCK_FLOATS // n)
+    # column k's jumps are the nodes cut[k]:cut[k + 1]
+    rows, cols, *nodes = plan.jump_nodes
+    cut = cols.searchsorted(np.arange(K + 1)).tolist()
     for k in range(K):
-        if k % B == 0:
-            law = bind(*(a[:, k:k + B] for a in (t, theta, y)))
-        tk = t[:, k]
-        jm_k = jump_mask[:, k]
-        if k > 0 and jm_k.any():
-            idx = np.nonzero(jm_k)[0]
-            # left-limit regime: every regime event is a grid node, so none
-            # lies strictly between nodes k - 1 and k
-            gval = dyn.jump(tk[idx], x[at(idx)], u_prev[..., idx],
-                            theta[idx, k - 1], jump_marks[idx, k])
+        j = k % B
+        if j == 0:
+            tb, ib, yb = (a[:, k:k + B] for a in (t, theta, y))
+            law = bind(tb, ib, yb)
+            a0 = cut[k]
+            drift, vol, jump = dyn.laws(tb, ib, [v[a0:cut[min(k + B, K)]]
+                                                 for v in nodes])
+        if cut[k] < cut[k + 1]:
+            idx = rows[cut[k]:cut[k + 1]]
+            x_idx = x[at(idx)]
+            gval = jump(slice(cut[k] - a0, cut[k + 1] - a0), x_idx,
+                        u_prev[..., idx])
             x = x.copy()
-            x[at(idx)] = x[at(idx)] + gval
-        uk = law(k % B, x)
+            x[at(idx)] = x_idx + gval
+        uk = law(j, x)
         if type(uk) is not np.ndarray or uk.dtype != float or uk.shape != shape:
             uk = np.broadcast_to(np.asarray(uk, dtype=float), shape).astype(float)
         if keep:
@@ -414,8 +446,7 @@ def _step(dyn: ControlledDynamics, bind: Callable, plan: NoisePlan, x0,
         if k == K - 1:
             break
         delta = dts[:, k]
-        b = dyn.drift(tk, x, uk, theta[:, k])
-        s = dyn.vol(tk, x, uk, theta[:, k])
+        b, s = drift(j, x, uk), vol(j, x, uk)
         if scalar:
             x = x + b * delta + s * dW[:, k]
         else:

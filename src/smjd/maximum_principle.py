@@ -157,7 +157,8 @@ def grad_x_hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics
     if mode == "analytic" and missing:
         raise ValueError("analytic x-gradient needs " + ", ".join(missing))
     if mode == "analytic" or (mode == "auto" and not missing):
-        d_dyn = replace(dyn, drift=dyn.drift_dx, vol=dyn.vol_dx, jump=dyn.jump_dx)
+        d_dyn = replace(dyn, drift=dyn.drift_dx, vol=dyn.vol_dx,
+                        jump=dyn.jump_dx, bind=None)
         d_obj = (None if objective is None or objective.running is None
                  else replace(objective, running=objective.running_dx))
         return hamiltonian(t, x, u, i, y, adj, d_dyn, d_obj)

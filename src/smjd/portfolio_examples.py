@@ -203,20 +203,31 @@ def _check_market(model, names: tuple):
         raise InvalidParameter("horizon", "horizon must be positive")
 
 
-def _wealth_dynamics(model, jump=None) -> ControlledDynamics:
-    """dX = (r X + u sigma mbar) dt + u sigma dW (+ the asset jump ``jump``
-    on ``model.marks``), the wealth of both worked problems."""
+def _wealth_dynamics(model, jumps: bool = False) -> ControlledDynamics:
+    """dX = (r X + u sigma mbar) dt + u sigma dW (+ u g(i, mark) on
+    ``model.marks`` with ``jumps``), the wealth of both worked problems;
+    bound to a plan, it gathers r, sigma, mbar and g once per block."""
     r, s, m = model.r, model.sigma, model.mbar
+
+    def bind(t, i, nodes):
+        ri, si, mi = (v[i.T.copy()] for v in (r, s, m))  # (B, n) rows
+        g = model.jump_sizes(*nodes[1:]) if jumps else None
+        return (lambda j, x, u: ri[j] * x + u * si[j] * mi[j],
+                lambda j, x, u: u * si[j],
+                lambda q, x, u: np.asarray(u, dtype=float) * g[q])
+
     return ControlledDynamics(
         dim=1,
         drift=lambda t, x, u, i: r[i] * x + u * s[i] * m[i],
         vol=lambda t, x, u, i: u * s[i],
-        jump=jump,
-        marks=None if jump is None else model.marks,
+        jump=(lambda t, x, u, i, gam: np.asarray(u, dtype=float)
+              * model.jump_sizes(i, gam)) if jumps else None,
+        marks=model.marks if jumps else None,
         drift_dx=lambda t, x, u, i: r[i] * np.ones_like(x),
         vol_dx=lambda t, x, u, i: np.zeros_like(x),
-        jump_dx=(None if jump is None else
-                 lambda t, x, u, i, gam: np.zeros_like(np.asarray(x, dtype=float))),
+        jump_dx=(lambda t, x, u, i, gam: np.zeros_like(
+            np.asarray(x, dtype=float))) if jumps else None,
+        bind=bind,
     )
 
 
@@ -575,16 +586,12 @@ def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of, p)
     tl, xl, thl, yl = t[:, :-1], x[:, :-1], th[:, :-1], y[:, :-1]
     dts = np.diff(t, axis=1)
     p_here = p[:, :-1]
-    diffs = {}  # change of p on a switch to j; both sums use the same masks
 
-    def jump_to(j, mask):
-        if j not in diffs:
-            diffs[j] = p_of(tl[mask], xl[mask], j, 0.0) - p_here[mask]
-        return diffs[j]
+    def jump_to(j, mask):  # change of p on a switch to j, and its square
+        diff = p_of(tl[mask], xl[mask], j, 0.0) - p_here[mask]
+        return np.stack((diff, diff ** 2))
 
-    etc = regime_switch_sum(regime_model, thl, yl, jump_to)
-    ets = regime_switch_sum(regime_model, thl, yl,
-                            lambda j, mask: jump_to(j, mask) ** 2)
+    etc, ets = regime_switch_sum(regime_model, thl, yl, jump_to)
     switched = th[:, 1:] != thl
     rows, cols = np.nonzero(switched)
     if rows.size:
@@ -654,9 +661,7 @@ def _ql_rates(model: QuadraticLossModel, i, phi_value) -> tuple:
 
 
 def ql_dynamics(model: QuadraticLossModel) -> ControlledDynamics:
-    return _wealth_dynamics(model, None if model.marks is None else (
-        lambda t, x, u, i, gam: np.asarray(u, dtype=float)
-        * model.jump_sizes(i, gam)))
+    return _wealth_dynamics(model, model.marks is not None)
 
 
 def ql_objective(model: QuadraticLossModel) -> ObjectiveSpec:
@@ -867,13 +872,9 @@ def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
         eta_comp = rate * ul * phil * m1[thl]
         eta_sq = rate * (ul * phil) ** 2 * m2[thl]
         eta_jump = np.zeros((n, K - 1))
-        jm = ens.jump_mask[:, 1:]
-        rows, cols = np.nonzero(jm)
-        if rows.size:
-            eta_jump[rows, cols] = (u[rows, cols] * phiv[rows, cols + 1]
-                                    * model.jump_sizes(
-                                        th[rows, cols],
-                                        ens.jump_marks[rows, cols + 1]))
+        rows, cols, _, th_left, marks = ens.jump_nodes
+        eta_jump[rows, cols - 1] = (u[rows, cols - 1] * phiv[rows, cols]
+                                    * model.jump_sizes(th_left, marks))
     return AdjointPath(p=p, q=q, eta_jump=eta_jump, eta_comp=eta_comp,
                        eta_sq_comp=eta_sq, etatilde_jump=etj,
                        etatilde_comp=etc, etatilde_sq_comp=ets, grad_H=grad_H)

@@ -255,6 +255,11 @@ class RegimeModel:
         sojourn = float(np.sum(q[0] * med))
         return 1.0 / sojourn if 0.0 < sojourn < math.inf else 0.0
 
+    @cached_property
+    def _custom_states(self) -> tuple:  # the states with a custom law
+        return tuple(s for s, dist in enumerate(self.holding)
+                     if isinstance(dist, CustomHolding))
+
 
 def _irreducible(kernel: np.ndarray) -> bool:
     adj = kernel > 0
@@ -484,6 +489,8 @@ def regime_switch_sum(model: RegimeModel, i, y, change):
     such as phi(j, 0) - phi(i, y), at the points that index ``sel`` picks
     out of arrays shaped like the query: the boolean mask of the points with
     kernel[i, j] > 0, or ``...`` (every point) when ``i`` is one state.
+    ``change`` may carry leading axes in front of the points, the same for
+    every j, to sum several quantities in one pass; the term keeps them.
     The term appears in the (state, age) generator, in the generator of
     (t, X, theta, Y) and in the regime-jump compensators of the adjoints.
     """
@@ -497,7 +504,14 @@ def regime_switch_sum(model: RegimeModel, i, y, change):
         mask = w != 0.0
         if mask.any():
             sel = ... if one else mask
-            acc[sel] += w[sel] * change(j, sel)
+            term = w[sel] * change(j, sel)
+            lead = term.shape[:term.ndim - (y.ndim if one else 1)]
+            if acc.ndim < len(lead) + y.ndim:  # change's leading axes
+                acc = np.zeros(lead + y.shape)
+            rows = acc.reshape((-1,) + y.shape)  # leading axes flat
+            parts = term.reshape((-1,) + term.shape[len(lead):])
+            for r, part in enumerate(parts):  # a mask indexes one row far
+                rows[r, ...][sel] += part     # faster than acc[..., mask]
     return acc * (hazard_rate(model, i, y) if one else _per_state(
         model.n_states, i, lambda s, mask: hazard_rate(model, s, y[mask])))
 
@@ -636,8 +650,7 @@ def _direct_paths(model: RegimeModel, theta0: np.ndarray, y0: np.ndarray,
         F = cache(lambda i, age: _age_cdf(model, i, age))
         F_old = np.array([F(i, age) for i, age in zip(theta0[old].tolist(),
                                                       y0[old].tolist())])
-    lazy = tuple(s for s, dist in enumerate(model.holding)
-                 if isinstance(dist, CustomHolding))
+    lazy = model._custom_states
     if rows.size:  # the sojourns the event rate puts in the horizon
         k = max(_FIRST_BLOCK, math.ceil(min(
             _BLOCK_MARGIN * horizon * model.event_rate, _BLOCK_SOJOURNS // n)))
@@ -685,11 +698,14 @@ def _direct_paths(model: RegimeModel, theta0: np.ndarray, y0: np.ndarray,
             pace = float(np.mean((horizon - t) / t)) * width
         cap = max(_BLOCK_SOJOURNS // rows.size, 1)
         k = int(min(max(2 * k, _BLOCK_MARGIN * pace), cap))
-    times = np.zeros((n, width))
-    chain = np.repeat(theta0[:, None], width + 1, axis=1)
-    for r, c, tt, ch in blocks:
-        times[r, c:c + tt.shape[1]] = tt
-        chain[r, c + 1:c + tt.shape[1] + 1] = ch[:, 1:]
+    if len(blocks) == 1 and blocks[0][0].size == n:  # one block: no copy
+        times, chain = blocks[0][2:]
+    else:
+        times = np.zeros((n, width))
+        chain = np.repeat(theta0[:, None], width + 1, axis=1)
+        for r, c, tt, ch in blocks:
+            times[r, c:c + tt.shape[1]] = tt
+            chain[r, c + 1:c + tt.shape[1] + 1] = ch[:, 1:]
     _check_events(times, chain, counts, horizon)
     live = np.arange(width) < counts[:, None]
     return RegimePaths(np.concatenate(([0], counts.cumsum())), times[live],
@@ -726,8 +742,8 @@ def simulate_regime_direct(model: RegimeModel, origin: RegimeState,
                           lambda rows, k: rng.random((1, 2 * k)))
     bits.state = start
     if model.n_states > 1:
-        rng.random(2 * int(paths.offsets[1]) + 1)
-    return paths[0]
+        rng.random(2 * paths.times.size + 1)
+    return RegimePath._from_arrays(paths.times, paths.states, origin, horizon)
 
 
 def sample_regime_paths(model: RegimeModel, origin: RegimeState,

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from smjd.cli import main
@@ -160,6 +161,23 @@ class TestConfigValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "$.numerics.dt" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "ql-verify", "dynkin"])
+    @pytest.mark.parametrize("dt", [1e-300, 5e-324])
+    def test_dt_with_too_many_nodes_exits_2(self, tmp_path, capsys, monkeypatch,
+                                            command, dt):
+        # 1e300 steps, or inf for a subnormal dt: refused before a grid
+        # is allocated
+        monkeypatch.setattr(np, "linspace", None)
+        cfg = _rs_config(experiment=command)
+        if command == "ql-verify":
+            cfg["model"] = _ql_model()
+        cfg["numerics"]["dt"] = dt
+        rc = _run(command, _write(tmp_path, cfg), tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "$.numerics.dt" in err
+        assert "grid nodes" in err and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "rs-verify", "dynkin"])
     def test_start_age_past_support_exits_2(self, tmp_path, capsys, command):

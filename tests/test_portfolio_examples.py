@@ -1,17 +1,20 @@
 """Closed-form rules, functionals, and adjoints for both portfolio problems."""
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from smjd import portfolio_examples
+from smjd import jump_diffusion, maximum_principle, portfolio_examples
 from smjd.errors import (DegenerateVol, FixedPointDiverged, NonFinitePath,
                          SingularDenominator, SingularPhi)
 from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy,
-                                 MarkMeasure, simulate_ensemble)
-from smjd.maximum_principle import adjoint_residual
+                                 MarkMeasure, _step, build_plan,
+                                 simulate_ensemble, step_plan)
+from smjd.maximum_principle import (AdjointState, adjoint_residual,
+                                    grad_x_hamiltonian)
 from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                      RiskSensitiveModel, _sojourn_cumulative,
                                      ql_adjoint, ql_dynamics,
@@ -825,6 +828,85 @@ class TestQlControl:
             QuadraticLossModel(r=np.array([0.05]), mbar=np.array([0.4]),
                                sigma=np.array([0.2]), d=1.0, horizon=1.0,
                                marks=marks, jump_coeff=lambda i, g: g)
+
+
+class TestBoundDynamics:
+    """The wealth dynamics bound to a plan give the bits of their raw
+    coefficients at every column, on (n,) and stacked (P, n) states, and
+    step like their unbound copy."""
+
+    n_paths, block = 30, 6
+
+    @pytest.fixture(params=["rs", "ql-jumps"])
+    def case(self, request, rs_two, exp_two, monkeypatch):
+        # 6 columns a block: the plan spans several blocks, the last short
+        monkeypatch.setattr(jump_diffusion, "_BLOCK_FLOATS",
+                            self.block * self.n_paths)
+        dyn = (rs_dynamics(rs_two) if request.param == "rs"
+               else ql_dynamics(_ql_jump_model("consistent")))
+        plan = build_plan(dyn, sample_regime_paths(
+            exp_two, RegimeState(0, 0.0), 1.0, self.n_paths, 5), 0.05, 11)
+        K = plan.t.shape[1]
+        assert K > 2 * self.block and K % self.block
+        assert (plan.theta[:, 1:] != plan.theta[:, :-1]).any()
+        if dyn.jump is not None:  # jumps in several columns and blocks
+            cols = np.nonzero(plan.jump_mask[:, 1:].any(axis=0))[0] + 1
+            assert cols.size > 5 and len(set(cols // self.block)) > 1
+        assert dyn.bind is not None
+        return dyn, plan
+
+    def test_laws_equal_raw_calls_at_every_column(self, case):
+        dyn, plan = case
+        rng = np.random.default_rng(3)
+        n, K = plan.t.shape
+        t, th = plan.t, plan.theta
+        rows, cols, *nodes = plan.jump_nodes
+        for k0 in range(0, K, self.block):
+            tb, ib = t[:, k0:k0 + self.block], th[:, k0:k0 + self.block]
+            a, b = cols.searchsorted([k0, k0 + self.block])
+            drift, vol, jump = dyn.laws(tb, ib, [v[a:b] for v in nodes])
+            for j in range(tb.shape[1]):
+                k = k0 + j
+                idx = np.nonzero(plan.jump_mask[:, k])[0] if k else []
+                lo, hi = cols[a:b].searchsorted([k, k + 1])
+                assert np.array_equal(rows[a:b][lo:hi], idx)
+                for lead in ((), (4,)):
+                    x, u = rng.normal(size=(2,) + lead + (n,))
+                    for law, raw in ((drift, dyn.drift), (vol, dyn.vol)):
+                        assert (law(j, x, u).tobytes()
+                                == raw(t[:, k], x, u, th[:, k]).tobytes())
+                    if len(idx):
+                        xj, uj = x[..., idx], u[..., idx]
+                        want = dyn.jump(t[idx, k], xj, uj, th[idx, k - 1],
+                                        plan.jump_marks[idx, k])
+                        got = jump(slice(lo, hi), xj, uj)
+                        assert got.tobytes() == want.tobytes()
+
+    def test_kernel_steps_like_the_unbound_dynamics(self, case):
+        dyn, plan = case
+        raw = replace(dyn, bind=None)
+        policy = ControlPolicy(lambda t, x, i, y: 0.3 * x + 0.1 * i - 0.05 * y)
+        scale = np.array([[0.2], [0.5], [-0.3]])
+
+        def stacked(t, i, y):  # three policies, one per row
+            return lambda j, x: scale * x + 0.1 * i[:, j]
+
+        bound, unbound = (step_plan(d, policy, plan, 0.5) for d in (dyn, raw))
+        assert bound.x.tobytes() == unbound.x.tobytes()
+        assert bound.u.tobytes() == unbound.u.tobytes()
+        for a, b in zip(_step(dyn, stacked, plan, 0.5, stack=3)[:2],
+                        _step(raw, stacked, plan, 0.5, stack=3)[:2]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_analytic_gradient_drops_the_bind(self, monkeypatch):
+        dyn = ql_dynamics(_ql_jump_model("consistent"))
+        seen, real = [], maximum_principle.hamiltonian
+        monkeypatch.setattr(maximum_principle, "hamiltonian",
+                            lambda *a: seen.append(a[6]) or real(*a))
+        grad_x_hamiltonian(0.1, 0.9, 0.3, 1, 0.2, AdjointState(p=1.0, q=0.5),
+                           dyn, mode="analytic")
+        [d_dyn] = seen
+        assert d_dyn.drift is dyn.drift_dx and d_dyn.bind is None
 
 
 class TestQlAdjoint:

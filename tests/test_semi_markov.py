@@ -18,7 +18,7 @@ from smjd.semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                               WeibullHolding,
                               apply_generator_L, dynkin_statistics,
                               hazard_rate, intensity_matrix,
-                              sample_holding_time, sample_regime_paths,
+                              regime_switch_sum, sample_holding_time, sample_regime_paths,
                               simulate_ctmc, simulate_regime_direct,
                               simulate_regime_thinning)
 
@@ -120,6 +120,29 @@ class TestIntensityMatrix:
         Q = intensity_matrix(model, y)
         assert np.max(np.abs(Q.sum(axis=1))) < 1e-12
         assert np.all(Q[~np.eye(3, dtype=bool)] >= 0)
+
+
+class TestRegimeSwitchSum:
+    @pytest.mark.parametrize("one_state", [True, False])
+    def test_stacked_changes_give_each_sums_bits(self, weibull3_model,
+                                                 one_state):
+        # a change and its square stacked on a leading axis: one pass gives
+        # the bits of the two one-quantity sums
+        rng = np.random.default_rng(4)
+        y = rng.uniform(0.0, 2.0, (5, 7))
+        i = 1 if one_state else rng.integers(0, 3, (5, 7))
+        to = rng.normal(size=(3, 5, 7))
+
+        def diff(j, sel):
+            return to[j][sel] - y[sel]
+
+        stacked = regime_switch_sum(weibull3_model, i, y, lambda j, sel: (
+            np.stack((diff(j, sel), diff(j, sel) ** 2))))
+        assert stacked.shape == (2, 5, 7)
+        for power, got in zip((1, 2), stacked):
+            want = regime_switch_sum(weibull3_model, i, y,
+                                     lambda j, sel: diff(j, sel) ** power)
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
