@@ -50,6 +50,7 @@ from .verification import (MarkovReductionReport, PerturbationFamily,
                            SufficiencyReport, default_perturbation_family,
                            dp_connection_experiment,
                            markov_reduction_experiment,
-                           sufficiency_experiment, sufficiency_plan)
+                           sufficiency_experiment, sufficiency_plan,
+                           sufficiency_sweeps)
 
 __version__ = "0.1.0"

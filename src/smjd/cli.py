@@ -55,8 +55,8 @@ from .semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                           WeibullHolding, dynkin_statistics,
                           sample_regime_paths)
 from .verification import (PerturbationFamily, default_perturbation_family,
-                           markov_reduction_experiment, sufficiency_experiment,
-                           sufficiency_plan)
+                           markov_reduction_experiment, sufficiency_plan,
+                           sufficiency_sweeps)
 
 COMMANDS = ("simulate", "rs-verify", "ql-verify", "dynkin", "hjb",
             "reduce-markov", "policy-eval")
@@ -460,15 +460,14 @@ def _verify_common(cfg, seed, kind):
     with _age_field("$.model.y0"):
         plan = sufficiency_plan(dyn, regime_model, m["i0"], m["y0"],
                                 m["horizon"], num["n_paths"], num["dt"], seed)
-    report = sufficiency_experiment(dyn, objective, families, plan, m["x0"],
-                                    seed, u_coefficient_fn=u_fn,
-                                    foc_tol=num["foc_tol"])
-
     scaled = next(PerturbationFamily(base, "scale", (0.5,)).policies(  # 1.5 u
         seed, num["n_paths"]))[2]
     neg_families = default_perturbation_family(scaled, relative, m["horizon"])
-    neg = sufficiency_experiment(dyn, objective, neg_families, plan, m["x0"],
-                                 seed)
+    # both sweeps in one stacked pass; only the candidate's base is stepped
+    # on its own, for the u-coefficient
+    report, neg = sufficiency_sweeps(
+        dyn, objective, [(families, u_fn), (neg_families, None)], plan,
+        m["x0"], seed, foc_tol=num["foc_tol"])
     detected = any(not r.passed for r in neg.results)
 
     passed = report.passed and detected

@@ -29,11 +29,12 @@ sees the same draws, so shared-noise coupling holds by construction.
 :func:`simulate_ensemble` is ``build_plan`` then ``step_plan``.
 
 Stacked call convention: the kernel also steps P policies at once on one
-plan (the sufficiency sweep's perturbation family).  States are then
-(P, n) ((P, n, r) when dim > 1) and controls (P, n), while the t, regime,
-age and mark columns stay (n,): the law is called once per column on the
-stacked states, and the drift, vol and jump coefficients once per column
-for all P.  So rules and coefficients used in a stacked pass must
+plan (the sufficiency sweeps' perturbation families and bases).  States
+are then (P, n) ((P, n, r) when dim > 1) and controls (P, n), while the t,
+regime, age and mark columns stay (n,): the stack's law is called once per
+column, making one law call per distinct base policy on its rows' stacked
+states, and the drift, vol and jump coefficients are called once per
+column for all P.  So rules and coefficients used in a stacked pass must
 broadcast a leading policy axis against the (n,) columns (for dim > 1,
 index state coordinates as ``x[..., j]``); every library rule and
 coefficient does.  Elementwise expressions then give each row the bits its

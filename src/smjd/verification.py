@@ -7,11 +7,14 @@ Three experiments:
   coupling: every policy is stepped on one noise plan (identical regime,
   Brownian, and jump draws), so the zero perturbation gives a bit-identical
   zero gap and small true gaps are resolvable.  The plan, built once by
-  ``sufficiency_plan``, can serve several sweeps.  The base policy is
-  stepped by ``step_plan``; the perturbed policies are stepped together in
-  one stacked pass of the kernel (states (P, n), one base-law call per
-  grid column), each member's perturbation being data applied to the base
-  controls.  The pass rule is one-sided: dJ >= -2 SE.
+  ``sufficiency_plan``, can serve several sweeps, and ``sufficiency_sweeps``
+  steps several sweeps at once (the CLI's candidate and negative control).
+  Only a base whose u-coefficient is wanted is stepped by ``step_plan``;
+  the other bases and every perturbed policy of every sweep are the rows
+  of one stacked pass of the kernel (states (P, n), one law call per grid
+  column per distinct base), each member's perturbation being data bound
+  per column block and applied to its base's controls.  The pass rule is
+  one-sided: dJ >= -2 SE.
 
 * ``markov_reduction_experiment`` reruns an exponential-holding pipeline
   with an independent plain Markov-chain sampler and checks agreement of
@@ -34,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityFailure, NonFinitePath
+from .errors import AdmissibilityFailure, InvalidParameter, NonFinitePath
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              NoisePlan, ObjectiveSpec, _ensemble, _step,
                              _with_terminal, build_plan, objective_paths,
@@ -48,7 +51,8 @@ from .semi_markov import (ExponentialHolding, RegimeModel, RegimePaths,
 
 __all__ = [
     "PerturbationFamily", "PerturbationResult", "SufficiencyReport",
-    "sufficiency_plan", "sufficiency_experiment", "MarkovReductionReport",
+    "sufficiency_plan", "sufficiency_experiment", "sufficiency_sweeps",
+    "MarkovReductionReport",
     "markov_reduction_experiment", "DpConnectionReport",
     "dp_connection_experiment", "default_perturbation_family",
 ]
@@ -73,11 +77,15 @@ class PerturbationFamily:
         ValueError when called on any other number of paths (the per-path
         simulator included).
 
+    ``magnitudes`` must be nonempty and finite, a window needs start <=
+    end, and "scale" has no relative form (InvalidParameter naming each).
+
     A perturbation is data: :meth:`terms` holds one row per member, and
-    :meth:`perturb` turns base controls of shape (rows, n) into the
-    members' controls with one vectorized expression per kind.  The
-    stacked sufficiency pass applies it to all members at once; each policy
-    of :meth:`policies` is a one-row view of the same term.
+    :meth:`perturb`, the reference rule, turns base controls of shape
+    (rows, n) into the members' controls with one vectorized expression per
+    kind.  The stacked sufficiency pass binds the same terms per column
+    block (multiplier, additive term, window bumps), and so does the bind
+    of each policy of :meth:`policies`, whose rule is :meth:`perturb`.
     """
 
     base: ControlPolicy
@@ -91,6 +99,18 @@ class PerturbationFamily:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.kind == "window" and self.window is None:
             raise ValueError("window perturbations need a (start, end) window")
+        d = np.asarray(self.magnitudes, dtype=float)
+        for field, bad, need in (
+                ("magnitudes", not d.size or not np.isfinite(d).all(),
+                 "must be nonempty and finite"),
+                ("window", self.window is not None
+                 and not self.window[0] <= self.window[1],
+                 "must have start <= end"),
+                ("relative", self.relative and self.kind == "scale",
+                 "must be False for a scale family")):
+            if bad:
+                raise InvalidParameter(field, f"{field} {need}, got "
+                                       f"{getattr(self, field)!r}")
 
     def terms(self, seed: int, n_paths: int) -> np.ndarray:
         """One row per magnitude: delta for "shift" and "window" and
@@ -134,13 +154,11 @@ class PerturbationFamily:
                     f"per path of {n_paths} paths; called on {m}")
             return t
 
-        def bind(t, i, y):
-            law = self.base.law(checked(t), i, y)
-            return lambda j, x: self.perturb(term, law(j, x), t[:, j], x)
-
+        bind = _stacked_bind([(self, idx, term)])
         return ControlPolicy(rule=lambda t, x, i, y: self.perturb(
             term, self.base.rule(checked(t), x, i, y), t, x),
-            control_set=self.base.control_set, bind=bind)
+            control_set=self.base.control_set,
+            bind=lambda t, i, y: bind(checked(t), i, y))
 
 
 def default_perturbation_family(base: ControlPolicy, relative: bool,
@@ -239,60 +257,95 @@ def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
                            plan: NoisePlan, x0, seed: int,
                            u_coefficient_fn: Callable[[Ensemble], float] | None = None,
                            foc_tol: float = 1e-8) -> SufficiencyReport:
-    """Estimate dJ = J(base) - J(perturbed) for every family member.
+    """Estimate dJ = J(base) - J(perturbed) for every family member: the
+    one-sweep call of :func:`sufficiency_sweeps`."""
+    return sufficiency_sweeps(dyn, objective, [(families, u_coefficient_fn)],
+                              plan, x0, seed, foc_tol)[0]
 
-    The base policy and every perturbation are stepped on ``plan`` (usually
-    from :func:`sufficiency_plan`), whose paths set ``n_paths``: the
-    comparison is a common-random-number estimate by construction and dJ
-    for the zero perturbation is exactly 0.  ``seed`` keys the "random"
-    perturbations' streams.  The base policy is stepped by ``step_plan``;
-    the members of all families are stepped together in one stacked kernel
-    pass, which gives every member the bits its own ``step_plan`` run would
-    (see :func:`_member_objectives`).  Every family must perturb one base
-    policy and the plan must hold at least 2 paths (ValueError).  The first
-    member, in family order, whose simulation blows up or whose objective
-    is non-finite raises AdmissibilityFailure naming it.
+
+def sufficiency_sweeps(dyn: ControlledDynamics, objective: ObjectiveSpec,
+                       sweeps: Sequence[tuple], plan: NoisePlan, x0,
+                       seed: int, foc_tol: float = 1e-8
+                       ) -> list[SufficiencyReport]:
+    """One :class:`SufficiencyReport` per sweep (families, u_coefficient_fn
+    or None), every sweep stepped on ``plan``, whose paths set ``n_paths``:
+    a common-random-number estimate by construction, with dJ exactly 0 for
+    the zero perturbation.  ``seed`` keys the "random" perturbations.
+
+    A base whose u-coefficient is wanted is stepped by ``step_plan``; every
+    other base (as an identity row, a zero scale) and every member of every
+    sweep are rows of one stacked kernel pass, each row the bits of its own
+    ``step_plan`` run (see :func:`_member_objectives`).  A sweep needs a
+    family, all of one base, and the plan 2 paths (ValueError).  Sweep by
+    sweep, a base that blows up raises its NonFinitePath, a non-finite base
+    objective AdmissibilityFailure, and so does the first member, in family
+    order, that blows up or has a non-finite objective, naming it.
     """
     n_paths = len(plan.regime_paths)
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    base = families[0].base
-    if any(fam.base != base for fam in families):
-        raise ValueError("every family must perturb the same base policy")
-    ens_hat = step_plan(dyn, base, plan, x0)
-    J_hat = objective_paths(ens_hat, objective)
+    members, heads = [], []
+    for families, u_fn in sweeps:
+        if not families:
+            raise InvalidParameter("families", "families must hold at "
+                                   "least one perturbation family")
+        base = families[0].base
+        if any(fam.base != base for fam in families):
+            raise ValueError("every family must perturb the same base policy")
+        if u_fn is None:  # the head is the identity row's index
+            head, u_max = len(members), None
+            members.append((PerturbationFamily(base, "scale", (0.0,)), 0,
+                            np.ones(1)))
+        else:
+            ens_hat = step_plan(dyn, base, plan, x0)
+            head = _finite_base(objective_paths(ens_hat, objective))
+            u_max = float(u_fn(ens_hat))
+        members += [(fam, idx, term) for fam in families
+                    for idx, term in enumerate(fam.terms(seed, n_paths))]
+        heads.append((head, u_max, len(members)))
+    first = {}  # the rows of one base adjacent: one law call per base
+    order = sorted(range(len(members)), key=lambda r: first.setdefault(
+        id(members[r][0].base), r))
+    J = dict(zip(order, _member_objectives(
+        dyn, objective, [members[r] for r in order], plan, x0)))
+
+    reports, a = [], 0
+    for head, u_max, b in heads:
+        if u_max is None:
+            if isinstance(J[head], NonFinitePath):
+                raise J[head]
+            head, a = _finite_base(J[head]), head + 1
+        for r in range(a, b):
+            (fam, idx, _), J_u = members[r], J[r]
+            label, delta = f"{fam.kind}[{idx}]", float(fam.magnitudes[idx])
+            if isinstance(J_u, NonFinitePath):
+                raise AdmissibilityFailure(
+                    f"perturbation {label} (delta={delta}) produced a "
+                    f"non-finite path: {J_u}") from J_u
+            if not np.all(np.isfinite(J_u)):
+                raise AdmissibilityFailure(
+                    f"perturbation {label} (delta={delta}) has a non-finite "
+                    "objective")
+        gap = head - np.array([J[r] for r in range(a, b)])
+        dJ = gap.mean(axis=1).tolist()
+        se = (gap.std(axis=1, ddof=1) / np.sqrt(n_paths)).tolist()
+        reports.append(SufficiencyReport(
+            j_hat=float(np.mean(head)),
+            se_hat=float(np.std(head, ddof=1) / np.sqrt(n_paths)),
+            results=[PerturbationResult(f"{fam.kind}[{idx}]", fam.kind,
+                                        float(fam.magnitudes[idx]), d, e,
+                                        bool(d >= -2.0 * e))
+                     for (fam, idx, _), d, e in zip(members[a:b], dJ, se)],
+            u_coefficient_max=u_max, n_paths=n_paths, seed=seed,
+            foc_pass=None if u_max is None else u_max < foc_tol))
+        a = b
+    return reports
+
+
+def _finite_base(J_hat: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(J_hat)):
         raise AdmissibilityFailure("base policy objective is non-finite")
-
-    u_max = foc = None
-    if u_coefficient_fn is not None:
-        u_max = float(u_coefficient_fn(ens_hat))
-        foc = u_max < foc_tol
-
-    members = [(fam, idx, term) for fam in families
-               for idx, term in enumerate(fam.terms(seed, n_paths))]
-    results: list[PerturbationResult] = []
-    for (fam, idx, _), J_u in zip(members, _member_objectives(
-            dyn, objective, members, plan, x0)):
-        label, delta = f"{fam.kind}[{idx}]", float(fam.magnitudes[idx])
-        if isinstance(J_u, NonFinitePath):
-            raise AdmissibilityFailure(
-                f"perturbation {label} (delta={delta}) produced a "
-                f"non-finite path: {J_u}") from J_u
-        if not np.all(np.isfinite(J_u)):
-            raise AdmissibilityFailure(
-                f"perturbation {label} (delta={delta}) has a non-finite "
-                "objective")
-        gap = J_hat - J_u
-        dJ = float(np.mean(gap))
-        se = float(np.std(gap, ddof=1) / np.sqrt(n_paths))
-        results.append(PerturbationResult(label, fam.kind, delta, dJ, se,
-                                          bool(dJ >= -2.0 * se)))
-    return SufficiencyReport(
-        j_hat=float(np.mean(J_hat)),
-        se_hat=float(np.std(J_hat, ddof=1) / np.sqrt(n_paths)),
-        results=results, u_coefficient_max=u_max, foc_pass=foc,
-        n_paths=n_paths, seed=seed)
+    return J_hat
 
 
 # Bytes of the stored (x, u) paths of one stacked chunk when the objective
@@ -306,8 +359,9 @@ def _member_objectives(dyn, objective, members, plan, x0):
 
     The members are stepped as one stack of policies, in chunks of rows
     whose stored paths fit in ``_STACK_BYTES`` when the objective has a
-    running cost.  Each column makes one call of the base law on the
-    stacked states, and each family perturbs its rows with one expression,
+    running cost (a chunk may hold rows of several bases).  Each column
+    makes one law call per distinct base on its rows' stacked states, and
+    the perturbations are data bound per column block (:func:`_stacked_bind`),
     so every member's controls and states are the floating-point operations
     of its own policy.  Each row is then reduced by ``objective_paths``'
     expressions on its own (n,) row.
@@ -319,7 +373,7 @@ def _member_objectives(dyn, objective, members, plan, x0):
     out = []
     for a in range(0, len(members), rows):
         chunk = members[a:a + rows]
-        x, u, failures = _step(dyn, _stacked_bind(chunk, n), plan, x0,
+        x, u, failures = _step(dyn, _stacked_bind(chunk), plan, x0,
                                stack=len(chunk), keep=keep)
         for p, exc in enumerate(failures):
             if exc is not None:
@@ -333,28 +387,74 @@ def _member_objectives(dyn, objective, members, plan, x0):
     return out
 
 
-def _stacked_bind(members, n: int):
-    """The binder of a stack of members of families of one base policy: per
-    column, one base-law call on the stacked states (rows, n), then one
-    :meth:`PerturbationFamily.perturb` per run of one family's rows."""
-    base = members[0][0].base
-    shape = (len(members), n)
-    runs, a = [], 0
-    for _, group in groupby(members, key=lambda m: id(m[0])):
-        group = list(group)
-        terms = np.array([term for _, _, term in group])
-        runs.append((group[0][0], terms, slice(a, a + len(terms))))
-        a += len(terms)
+def _stacked_bind(members):
+    """The binder of a stack of members (family, idx, term row).  Per column
+    block it binds the law of each run of rows of one base once, and the
+    perturbations as data: a multiplier (the scale term, else 1), an added
+    term (shift and random terms, else -0.0, which keeps every value's
+    bits) and the window rows' where(mask, term, 0.0).  Per column: one
+    law call per base, ``law * mul + add`` into one (P, n) array, then the
+    window bumps and the relative rows' ``term * x`` (masked in a window),
+    each row the bits of :meth:`PerturbationFamily.perturb`.  A one-member
+    stack takes and returns any leading shape: it binds the policies of
+    :meth:`PerturbationFamily.policies`.
+    """
+    P, one = len(members), len(members) == 1
+    pick = (lambda a: a[0]) if one else (lambda a: a)
+    rows_of = lambda a, b: ... if one else slice(a, b)
+    bases, bumps, a = [], [], 0
+    for base, run in groupby(members, key=lambda m: m[0].base):
+        b = a + len(list(run))
+        bases.append((base, rows_of(a, b)))
+        a = b
+    mul = np.ones((P, 1))
+    add = np.full((P, max(term.size for *_, term in members)), -0.0)
+    a = 0
+    for _, run in groupby(members, key=lambda m: id(m[0])):
+        run = list(run)
+        fam, terms = run[0][0], np.array([term for *_, term in run])
+        b = a + len(run)
+        if fam.kind == "scale":
+            mul[a:b] = terms
+        elif fam.kind == "window" or fam.relative:
+            bumps.append((fam, terms, rows_of(a, b)))
+        else:
+            add[a:b] = terms
+        a = b
+    mul, add = pick(mul), pick(add)
 
     def bind(t, i, y):
-        law = base.law(t, i, y)
+        n = t.shape[0]
+        laws = [(base.law(t, i, y), rows) for base, rows in bases]
+        # (rows, term, mask): term * x on the rows where the (B, n) mask
+        # holds; without a term, the mask holds the rows' (B, ...) bumps
+        cols = []
+        for fam, terms, rows in bumps:
+            mask = None
+            if fam.kind == "window":
+                mask = ((t >= fam.window[0]) & (t <= fam.window[1])).T
+                if not fam.relative:
+                    bump = np.where(mask[:, None], terms, 0.0)  # (B, R, n)
+                    cols.append((rows, None, bump[:, 0] if one else bump))
+                    continue
+            cols.append((rows, pick(terms), mask))
 
-        def stacked(j, x):
-            u = np.broadcast_to(law(j, x), shape)
-            parts = [fam.perturb(terms, u[rows], t[:, j], x[rows])
-                     for fam, terms, rows in runs]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return stacked
+        def law(j, x):
+            us = [(f(j, x[rows]), rows) for f, rows in laws]
+            out = np.empty(np.broadcast_shapes(np.shape(us[0][0]), (n,))
+                           if one else (P, n))
+            for u, rows in us:
+                np.multiply(u, mul[rows], out=out[rows])
+            out += add
+            for rows, term, mask in cols:
+                if term is None:
+                    out[rows] += mask[j]
+                elif mask is None:
+                    out[rows] += term * x[rows]
+                else:
+                    out[rows] += np.where(mask[j], term * x[rows], 0.0)
+            return out
+        return law
 
     return bind
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from smjd import jump_diffusion, verification
 from smjd.cli import main
 
 OUT_FILES = ("resolved_config.json", "results.csv", "report.json",
@@ -367,6 +368,29 @@ class TestOutputs:
         rep = json.loads((out / "report.json").read_text())
         assert len(rep["functions"]) == 3
         assert all(f["pass"] for f in rep["functions"])
+
+
+class TestVerifyPasses:
+    @pytest.mark.parametrize("command", ["rs-verify", "ql-verify"])
+    def test_one_base_pass_and_one_stacked_pass(self, tmp_path, monkeypatch,
+                                                command):
+        # the candidate's base, stepped alone for its u-coefficient, then
+        # one stacked pass: the candidate's 20 members, the negative
+        # control's identity row and its 20 members
+        calls = []
+        step = jump_diffusion._step
+
+        def counted(*args, stack=None, **kw):
+            calls.append(stack)
+            return step(*args, stack=stack, **kw)
+
+        monkeypatch.setattr(jump_diffusion, "_step", counted)
+        monkeypatch.setattr(verification, "_step", counted)
+        cfg = _rs_config(experiment=command)
+        if command == "ql-verify":
+            cfg["model"] = _ql_model()
+        assert _run(command, _write(tmp_path, cfg), tmp_path / "o") in (0, 1)
+        assert calls == [None, 41]
 
 
 class TestDeterminism:

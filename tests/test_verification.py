@@ -4,7 +4,8 @@ import pytest
 
 from smjd import jump_diffusion, verification
 from smjd.cli import build_model
-from smjd.errors import AdmissibilityFailure, NonFinitePath
+from smjd.errors import (AdmissibilityFailure, InvalidParameter,
+                         NonFinitePath)
 from smjd.jump_diffusion import (ControlPolicy, ControlledDynamics,
                                  MarkMeasure, ObjectiveSpec, _step,
                                  build_plan, objective_paths,
@@ -50,6 +51,28 @@ class TestPerturbationFamily:
         base = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         with pytest.raises(ValueError, match="window"):
             PerturbationFamily(base, "window", (0.1,))
+
+    @pytest.mark.parametrize("field, kw", [
+        ("magnitudes", dict(kind="shift", magnitudes=())),
+        ("magnitudes", dict(kind="shift", magnitudes=(0.1, float("nan")))),
+        ("magnitudes", dict(kind="random", magnitudes=(float("inf"),))),
+        ("window", dict(kind="window", magnitudes=(0.1,), window=(0.6, 0.3))),
+        ("window", dict(kind="window", magnitudes=(0.1,),
+                        window=(0.3, float("nan")))),
+        ("relative", dict(kind="scale", magnitudes=(0.1,), relative=True))])
+    def test_degenerate_family_is_refused_by_name(self, field, kw):
+        base = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
+        with pytest.raises(InvalidParameter, match=field) as info:
+            PerturbationFamily(base, **kw)
+        assert info.value.field == field
+
+    def test_sweep_without_families_is_refused(self, ql_setup,
+                                               single_regime):
+        model, dyn, pol, obj = ql_setup
+        plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 4, 0.05, 3)
+        with pytest.raises(InvalidParameter, match="families") as info:
+            sufficiency_experiment(dyn, obj, [], plan, 0.5, 3)
+        assert info.value.field == "families"
 
     def test_default_family_has_at_least_twenty_members(self):
         base = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
@@ -372,8 +395,101 @@ class TestStackedSweep:
         sufficiency_experiment(dyn, obj, fams, plan, 0.5, 17)
         n, K = plan.t.shape
         P = sum(len(f.magnitudes) for f in fams)
-        # the base ensemble, then one stacked call per column
+        # the base is the stack's identity row: one stacked call per column
+        assert shapes == [((n,), (P + 1, n), (n,), (n,))] * K
+        # a u-coefficient function reads the base ensemble, stepped first
+        shapes.clear()
+        sufficiency_experiment(dyn, obj, fams, plan, 0.5, 17,
+                               u_coefficient_fn=lambda ens: 0.0)
         assert shapes == [((n,),) * 4] * K + [((n,), (P, n), (n,), (n,))] * K
+
+
+class TestFusedSweeps:
+    """``sufficiency_sweeps`` steps several sweeps in one stacked pass; each
+    sweep's report equals, bit for bit, its own ``sufficiency_experiment``
+    run and the member-by-member report."""
+
+    def _compare(self, rm, dyn, obj, base, families_of, x0, n_paths=30,
+                 dt=0.05, seed=17):
+        """The candidate's sweep with a u-coefficient function and the 1.5x
+        negative control's without, as the CLI runs them."""
+        plan = sufficiency_plan(dyn, rm, 0, 0.0, 1.0, n_paths, dt, seed)
+        scaled = next(PerturbationFamily(base, "scale", (0.5,)).policies(
+            seed, n_paths))[2]
+        u_fn = lambda ens: float(np.max(np.abs(ens.u)))  # noqa: E731
+        sweeps = [(families_of(base), u_fn), (families_of(scaled), None)]
+        fused = verification.sufficiency_sweeps(dyn, obj, sweeps, plan, x0,
+                                                seed, foc_tol=1e9)
+        assert len(fused) == 2
+        for (fams, fn), rep in zip(sweeps, fused):
+            own = sufficiency_experiment(dyn, obj, fams, plan, x0, seed,
+                                         u_coefficient_fn=fn, foc_tol=1e9)
+            assert rep.to_dict() == own.to_dict()
+            reference = _reference_report(dyn, obj, fams, plan, x0, seed)
+            if fn is not None:
+                reference.u_coefficient_max = fn(step_plan(
+                    dyn, fams[0].base, plan, x0))
+                reference.foc_pass = True
+            assert rep.to_dict() == reference.to_dict()
+        assert fused[0].u_coefficient_max > 0 and fused[0].foc_pass
+        assert fused[1].u_coefficient_max is None
+
+    @pytest.mark.parametrize("variant", ["literal", "consistent"])
+    def test_ql_with_jumps_all_kinds(self, exp2_model, variant):
+        dyn, obj, base = _ql_jump_problem(exp2_model, variant)
+        self._compare(exp2_model, dyn, obj, base,
+                      lambda b: _all_kinds(b, False), 0.5)
+
+    def test_rs_default_family(self, exp2_model):
+        dyn, obj, base = _rs_problem()
+        self._compare(exp2_model, dyn, obj, base,
+                      lambda b: default_perturbation_family(b, True, 1.0),
+                      1.0, dt=0.01)
+
+    def test_dim2(self, exp2_model):
+        dyn, obj, base = _dim2_problem()
+        self._compare(exp2_model, dyn, obj, base,
+                      lambda b: _all_kinds(b, False), np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 4, 7])
+    def test_running_cost_chunk_splits_the_sweeps(self, exp2_model,
+                                                  monkeypatch,
+                                                  rows_per_chunk):
+        # 9 candidate rows, then the identity row and 9 negative-control
+        # rows: chunks of 4 and 7 rows hold rows of both sweeps
+        dyn, obj, base = _ql_jump_problem(exp2_model, "consistent")
+        obj = ObjectiveSpec(
+            running=lambda t, x, u, i, y: -0.2 * u ** 2 + 0.05 * (1 + i) * x,
+            terminal=obj.terminal)
+        K = sufficiency_plan(dyn, exp2_model, 0, 0.0, 1.0, 30, 0.05,
+                             17).t.shape[1]
+        monkeypatch.setattr(verification, "_STACK_BYTES",
+                            rows_per_chunk * 16 * 30 * K)
+        self._compare(exp2_model, dyn, obj, base,
+                      lambda b: _all_kinds(b, False), 0.5)
+
+    def test_sweeps_of_one_base_share_its_law_calls(self, exp2_model):
+        # two sweeps of one base, a third between them: the rows are
+        # grouped by base, one law call per column and base
+        dyn, obj, base = _ql_jump_problem(exp2_model, "consistent")
+        calls = []
+
+        def rule(t, x, i, y):
+            calls.append(x.shape)
+            return base.rule(t, x, i, y)
+
+        counted = ControlPolicy(rule=rule)
+        other = _rs_problem()[2]
+        plan = sufficiency_plan(dyn, exp2_model, 0, 0.0, 1.0, 30, 0.05, 17)
+        sweeps = [(_all_kinds(counted, False), None),
+                  (_all_kinds(other, False), None),
+                  ([PerturbationFamily(counted, "shift", (0.1, 0.2))], None)]
+        fused = verification.sufficiency_sweeps(dyn, obj, sweeps, plan, 0.5,
+                                                17)
+        assert calls == [(1 + 9 + 1 + 2, 30)] * plan.t.shape[1]
+        for (fams, _), rep in zip(sweeps, fused):
+            assert rep.to_dict() == sufficiency_experiment(
+                dyn, obj, fams, plan, 0.5, 17).to_dict()
 
 
 def _bits(a):
@@ -410,9 +526,32 @@ class TestBoundLaws:
             fams = _all_kinds(_ql_jump_problem(exp2_model, "literal")[2], True)
             members = [(fam, idx, term) for fam in fams
                        for idx, term in enumerate(fam.terms(17, n))]
-            return [(verification._stacked_bind(members, n), len(members),
+            return [(verification._stacked_bind(members), len(members),
                      [ControlPolicy(pol.rule) for fam in fams
                       for _, _, pol in fam.policies(17, n)])]
+        if name in ("multi-sweep", "signed-zeros"):
+            base = _ql_jump_problem(exp2_model, "consistent")[2]
+            if name == "multi-sweep":  # the CLI's two sweeps, both kinds
+                scaled = next(PerturbationFamily(base, "scale", (0.5,))
+                              .policies(17, n))[2]
+                sweeps = [(base, _all_kinds(base, False)),
+                          (scaled, _all_kinds(scaled, True))]
+            else:  # a base of -0.0 above x = 0.5 and +0.0 below it
+                base = ControlPolicy(rule=lambda t, x, i, y: -0.0 * (x - 0.5))
+                sweeps = [(base, [f for f in _all_kinds(base, relative)
+                                  if f.kind in ("scale", "window")])
+                          for relative in (False, True)]
+            members, rules = [], []
+            for sweep_base, fams in sweeps:  # identity row, then members
+                members.append((PerturbationFamily(sweep_base, "scale",
+                                                   (0.0,)), 0, np.ones(1)))
+                rules.append(ControlPolicy(sweep_base.rule))
+                members += [(fam, idx, term) for fam in fams
+                            for idx, term in enumerate(fam.terms(17, n))]
+                rules += [ControlPolicy(pol.rule) for fam in fams
+                          for _, _, pol in fam.policies(17, n)]
+            return [(verification._stacked_bind(members), len(members),
+                     rules)]
         if name == "rs":
             pairs = [(_rs_problem()[2], None)]
         elif name == "ql-no-jumps":
@@ -441,7 +580,8 @@ class TestBoundLaws:
 
     @pytest.mark.parametrize("name", [
         "ql-consistent", "ql-literal", "ql-no-jumps", "rs", "negative-control",
-        "shift", "scale", "window", "random", "stacked"])
+        "shift", "scale", "window", "random", "stacked", "multi-sweep",
+        "signed-zeros"])
     def test_bound_law_steps_like_the_rule(self, plan, exp2_model, name):
         dyn, plan = plan
         for bind, stack, rules in self._cases(name, exp2_model):
