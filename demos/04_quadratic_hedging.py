@@ -84,9 +84,7 @@ print(f"\nMax |Hamiltonian u-coefficient| along candidate paths: "
 r, d, T = 0.05, 1.0, 1.0
 det_dyn = ControlledDynamics(dim=1,
                              drift=lambda t, x, u, i: r * x,
-                             vol=lambda t, x, u, i: np.zeros_like(x),
-                             drift_dx=lambda t, x, u, i: r * np.ones_like(x),
-                             vol_dx=lambda t, x, u, i: np.zeros_like(x))
+                             vol=lambda t, x, u, i: np.zeros_like(x))
 det_obj = ObjectiveSpec(running=None,
                         terminal=lambda x, i, y: -(x - d) ** 2,
                         terminal_dx=lambda x, i, y: -2.0 * (x - d))

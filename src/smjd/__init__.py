@@ -31,8 +31,7 @@ from .semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                           simulate_regime_thinning)
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, NoisePlan, ObjectiveSpec, build_plan,
-                             coefficient_regularity_probe, objective_paths,
-                             simulate_ensemble, step_plan)
+                             objective_paths, simulate_ensemble, step_plan)
 from .maximum_principle import (AdjointPath, AdjointState, ValueFunctionStub,
                                 adjoint_from_value, adjoint_residual,
                                 argmax_hamiltonian, dynkin_check, generator_G,

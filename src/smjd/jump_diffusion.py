@@ -56,8 +56,7 @@ from .semi_markov import RegimePath, RegimePaths, _cdf_table
 __all__ = [
     "MarkMeasure", "ControlledDynamics", "ControlPolicy", "ObjectiveSpec",
     "Ensemble", "NoisePlan", "build_plan", "step_plan", "simulate_ensemble",
-    "running_cost_paths", "objective_paths", "coefficient_regularity_probe",
-    "RegularityReport",
+    "running_cost_paths", "objective_paths",
 ]
 
 _BLOCK_FLOATS = 2 ** 16  # floats in the (n, B) column blocks a policy binds
@@ -168,16 +167,12 @@ class ControlledDynamics:
     and ``vol`` returns the single diffusion coefficient; for dim > 1, x is
     (n, r), drift returns (n, r), vol returns (n, r, r) and jump (n, r).
 
-    The ``*_dx`` fields are optional analytic x-derivatives with the same
-    signatures; when present, Hamiltonian gradients use them instead of
-    finite differences.
-
     Optional ``bind(t, i, nodes)`` computes the state-free factors once on
     (n, B) column blocks of a plan's t, theta and jump nodes (times, left
     regimes, marks: :attr:`NoisePlan.jump_nodes`); its laws ``drift(j, x,
     u)``, ``vol(j, x, u)`` and ``jump(s, x, u)`` equal bit for bit the raw
     calls at column j and at the nodes s selects (x, u at their rows).  A
-    copy with other coefficients sets ``bind=None``.
+    copy with other coefficients must set ``bind=None``.
     """
 
     dim: int
@@ -185,9 +180,6 @@ class ControlledDynamics:
     vol: Callable
     jump: Callable | None = None
     marks: MarkMeasure | None = None
-    drift_dx: Callable | None = None
-    vol_dx: Callable | None = None
-    jump_dx: Callable | None = None
     bind: Callable | None = None
 
     def __post_init__(self):
@@ -230,12 +222,12 @@ class ControlPolicy:
 class ObjectiveSpec:
     """Running cost f1(t, x, u, i, y) and terminal cost f2(x, i, y).
 
-    ``running_dx``/``terminal_dx`` are optional analytic x-gradients.
+    ``terminal_dx`` is an optional analytic x-gradient of f2, read by the
+    adjoint residual's terminal check.
     """
 
     running: Callable | None
     terminal: Callable | None
-    running_dx: Callable | None = None
     terminal_dx: Callable | None = None
 
 
@@ -535,63 +527,3 @@ def _with_terminal(J: np.ndarray, objective: ObjectiveSpec, x, theta, y):
         J = J + np.asarray(objective.terminal(x, theta, y), dtype=float)
     return J
 
-
-# ---------------------------------------------------------------------------
-# Regularity probe
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RegularityReport:
-    """Empirical growth/Lipschitz constants with an unbounded-growth flag."""
-
-    c1_hat: float
-    c2_hat: float
-    growth_flag: bool
-    n_samples: int
-
-
-def coefficient_regularity_probe(dyn: ControlledDynamics, x_box, n_samples: int,
-                                 rng: np.random.Generator, u_box=(0.0, 0.0),
-                                 t_range=(0.0, 1.0), states=None) -> RegularityReport:
-    """Sample the coefficients and report empirical regularity constants.
-
-    c1_hat is the largest observed (|sigma|^2 + |b|^2 + lam * int |g|^2 dpi)
-    / (1 + |x|^2); c2_hat the largest squared difference ratio over point
-    pairs.  The growth flag trips when the c1 ratio keeps increasing with
-    the sample radius (outer-quartile max > 2x mid-quartile max).
-    """
-    if dyn.dim != 1:
-        raise NotImplementedError("probe supports scalar models")
-    states = np.arange(1) if states is None else np.asarray(states)
-    lo, hi = x_box
-    xs = rng.uniform(lo, hi, n_samples)
-    ys_ = rng.uniform(lo, hi, n_samples)
-    ts = rng.uniform(*t_range, n_samples)
-    us = rng.uniform(*u_box, n_samples)
-    ii = rng.choice(states, n_samples)
-
-    b, s = dyn.drift(ts, xs, us, ii), dyn.vol(ts, xs, us, ii)
-    num = b ** 2 + s ** 2
-    d2 = ((b - dyn.drift(ts, ys_, us, ii)) ** 2
-          + (s - dyn.vol(ts, ys_, us, ii)) ** 2)
-    if dyn.jump is not None:
-        def squares(gam):  # |g(x)|^2 and |g(x) - g(y)|^2 at one mark node
-            gx, gy = (np.asarray(dyn.jump(ts, xv, us, ii, np.full_like(ts, gam)),
-                                 dtype=float) for xv in (xs, ys_))
-            return np.stack((gx ** 2, (gx - gy) ** 2))
-        g2, dg2 = dyn.marks.rate * dyn.marks.integrate(squares)
-        num, d2 = num + g2, d2 + dg2
-    ratio1 = num / (1.0 + xs ** 2)
-    c1 = float(ratio1.max())
-    dx2 = (xs - ys_) ** 2
-    keep = dx2 > 1e-16
-    c2 = float(np.max(d2[keep] / dx2[keep])) if keep.any() else 0.0
-
-    r = np.abs(xs)
-    q = np.quantile(r, [0.25, 0.5, 0.75])
-    mid = ratio1[(r >= q[0]) & (r <= q[1])]
-    outer = ratio1[r >= q[2]]
-    growth = bool(mid.size and outer.size
-                  and outer.max() > 2.0 * max(mid.max(), 1e-300))
-    return RegularityReport(c1_hat=c1, c2_hat=c2, growth_flag=growth,
-                            n_samples=n_samples)

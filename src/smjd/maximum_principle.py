@@ -13,9 +13,8 @@ broadcast against each other and against the adjoint's ``p`` and ``q``,
 and returns an array of their broadcast shape, or a float when every
 argument is a scalar; ``adj.eta(gamma)`` gives eta at mark gamma for every
 point.  :func:`grad_x_hamiltonian` takes the same arguments and returns
-the x-gradient with the adjoints frozen: the Hamiltonian of the ``*_dx``
-coefficients (mode "analytic") or a central difference of the Hamiltonian
-(mode "fd").  The adjoint backward equation reads
+the x-gradient with the adjoints frozen, a central difference of the
+Hamiltonian.  The adjoint backward equation reads
 
     dp = -grad_x H dt + q' dW + compensated asset-jump terms (eta)
                             + compensated regime-jump terms (eta-tilde),
@@ -29,7 +28,7 @@ both fed through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -80,9 +79,9 @@ class AdjointPath:
     realized at the right node of each step (0 where no event);
     eta_comp / etatilde_comp hold the corresponding compensator rates
     (lam * int eta dpi and sum_j lam_ij(y) eta_tilde_j).  ``grad_H`` is the
-    x-gradient of the Hamiltonian at the left nodes; when None the residual
-    evaluator computes it numerically.  The *_sq_comp arrays are second
-    moments used by the integrability report.
+    x-gradient of the Hamiltonian at the left nodes; the residual evaluator
+    needs it and raises ValueError naming it when it is None.  The
+    *_sq_comp arrays are second moments used by the integrability report.
     """
 
     p: np.ndarray
@@ -136,32 +135,10 @@ def hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
 
 
 def grad_x_hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
-                       objective: ObjectiveSpec | None = None,
-                       mode: str = "auto"):
-    """x-gradient of the Hamiltonian with (p, q, eta) frozen; same call
-    convention as :func:`hamiltonian`.
-
-    mode="analytic" is the Hamiltonian of the derivative coefficients
-    attached to the dynamics/objective (``drift_dx``, ``vol_dx``,
-    ``jump_dx``, ``running_dx``); mode="fd" central differences with step
-    1e-5 * (1 + |x|); "auto" prefers analytic when available.  Forcing
-    "analytic" without one of the derivatives it needs raises ValueError
-    naming it.
-    """
-    needed = {"drift_dx": dyn.drift_dx, "vol_dx": dyn.vol_dx}
-    if dyn.jump is not None:
-        needed["jump_dx"] = dyn.jump_dx
-    if objective is not None and objective.running is not None:
-        needed["running_dx"] = objective.running_dx
-    missing = [name for name, dx in needed.items() if dx is None]
-    if mode == "analytic" and missing:
-        raise ValueError("analytic x-gradient needs " + ", ".join(missing))
-    if mode == "analytic" or (mode == "auto" and not missing):
-        d_dyn = replace(dyn, drift=dyn.drift_dx, vol=dyn.vol_dx,
-                        jump=dyn.jump_dx, bind=None)
-        d_obj = (None if objective is None or objective.running is None
-                 else replace(objective, running=objective.running_dx))
-        return hamiltonian(t, x, u, i, y, adj, d_dyn, d_obj)
+                       objective: ObjectiveSpec | None = None):
+    """x-gradient of the Hamiltonian with (p, q, eta) frozen, by central
+    differences with step 1e-5 * (1 + |x|); same call convention as
+    :func:`hamiltonian`."""
     h = 1e-5 * (1.0 + np.abs(x))
     return (hamiltonian(t, x + h, u, i, y, adj, dyn, objective)
             - hamiltonian(t, x - h, u, i, y, adj, dyn, objective)) / (2 * h)
@@ -527,10 +504,12 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
     vx_to = np.stack([np.asarray(V.v_x(tl, xl, np.full_like(thl, j),
                                        np.zeros_like(yl)), dtype=float)
                       for j in range(model.n_states)])
-    jump_to = lambda j, mask: vx_to[j][mask] - vx_here[mask]
-    etat_comp = regime_switch_sum(model, thl, yl, jump_to)
-    etat_sq = regime_switch_sum(model, thl, yl,
-                                lambda j, mask: jump_to(j, mask) ** 2)
+
+    def jump_to(j, mask):  # change of V_x on a switch to j, and its square
+        diff = vx_to[j][mask] - vx_here[mask]
+        return np.stack((diff, diff ** 2))
+
+    etat_comp, etat_sq = regime_switch_sum(model, thl, yl, jump_to)
     etat_jump = np.zeros((n, K - 1))
     rows, cols = np.nonzero(th[:, 1:] != thl)
     etat_jump[rows, cols] = (vx_to[th[rows, cols + 1], rows, cols]
@@ -560,7 +539,7 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
 
     grad_H = grad_x_hamiltonian(tl, xl, ul, thl, yl,
                                 AdjointState(p[:, :-1], q[:, :-1], eta),
-                                dyn, objective, mode="fd")
+                                dyn, objective)
     return AdjointPath(p=p, q=q, eta_jump=eta_jump, eta_comp=eta_comp,
                        etatilde_jump=etat_jump, etatilde_comp=etat_comp,
                        grad_H=grad_H, eta_sq_comp=eta_sq,

@@ -223,10 +223,6 @@ def _wealth_dynamics(model, jumps: bool = False) -> ControlledDynamics:
         jump=(lambda t, x, u, i, gam: np.asarray(u, dtype=float)
               * model.jump_sizes(i, gam)) if jumps else None,
         marks=model.marks if jumps else None,
-        drift_dx=lambda t, x, u, i: r[i] * np.ones_like(x),
-        vol_dx=lambda t, x, u, i: np.zeros_like(x),
-        jump_dx=(lambda t, x, u, i, gam: np.zeros_like(
-            np.asarray(x, dtype=float))) if jumps else None,
         bind=bind,
     )
 

@@ -498,7 +498,7 @@ def regime_switch_sum(model: RegimeModel, i, y, change):
     i, y = ((int(i), np.asarray(y, dtype=float)) if one else
             np.broadcast_arrays(np.asarray(i, dtype=int),
                                 np.asarray(y, dtype=float)))
-    acc = np.zeros(y.shape)
+    acc = None
     for j in range(model.n_states):
         w = model.kernel[i, j]
         mask = w != 0.0
@@ -506,12 +506,15 @@ def regime_switch_sum(model: RegimeModel, i, y, change):
             sel = ... if one else mask
             term = w[sel] * change(j, sel)
             lead = term.shape[:term.ndim - (y.ndim if one else 1)]
-            if acc.ndim < len(lead) + y.ndim:  # change's leading axes
+            if acc is None:  # change's leading axes
                 acc = np.zeros(lead + y.shape)
             rows = acc.reshape((-1,) + y.shape)  # leading axes flat
             parts = term.reshape((-1,) + term.shape[len(lead):])
             for r, part in enumerate(parts):  # a mask indexes one row far
                 rows[r, ...][sel] += part     # faster than acc[..., mask]
+    if acc is None:  # no term (one state, or no point): change's axes
+        acc = np.zeros(np.shape(change(0, np.zeros(y.shape, dtype=bool)))[:-1]
+                       + y.shape)
     return acc * (hazard_rate(model, i, y) if one else _per_state(
         model.n_states, i, lambda s, mask: hazard_rate(model, s, y[mask])))
 

@@ -83,9 +83,10 @@ class PerturbationFamily:
     A perturbation is data: :meth:`terms` holds one row per member, and
     :meth:`perturb`, the reference rule, turns base controls of shape
     (rows, n) into the members' controls with one vectorized expression per
-    kind.  The stacked sufficiency pass binds the same terms per column
-    block (multiplier, additive term, window bumps), and so does the bind
-    of each policy of :meth:`policies`, whose rule is :meth:`perturb`.
+    kind.  Each policy of :meth:`policies` applies it to its base's rule, or,
+    bound, to its base's column law.  The stacked sufficiency pass binds
+    the same terms per column block (multiplier, additive term, window
+    bumps), each row the bits of :meth:`perturb`.
     """
 
     base: ControlPolicy
@@ -154,11 +155,13 @@ class PerturbationFamily:
                     f"per path of {n_paths} paths; called on {m}")
             return t
 
-        bind = _stacked_bind([(self, idx, term)])
+        def bind(t, i, y):
+            law = self.base.law(checked(t), i, y)
+            return lambda j, x: self.perturb(term, law(j, x), t[:, j], x)
+
         return ControlPolicy(rule=lambda t, x, i, y: self.perturb(
             term, self.base.rule(checked(t), x, i, y), t, x),
-            control_set=self.base.control_set,
-            bind=lambda t, i, y: bind(checked(t), i, y))
+            control_set=self.base.control_set, bind=bind)
 
 
 def default_perturbation_family(base: ControlPolicy, relative: bool,
@@ -395,17 +398,13 @@ def _stacked_bind(members):
     bits) and the window rows' where(mask, term, 0.0).  Per column: one
     law call per base, ``law * mul + add`` into one (P, n) array, then the
     window bumps and the relative rows' ``term * x`` (masked in a window),
-    each row the bits of :meth:`PerturbationFamily.perturb`.  A one-member
-    stack takes and returns any leading shape: it binds the policies of
-    :meth:`PerturbationFamily.policies`.
+    each row the bits of :meth:`PerturbationFamily.perturb`.
     """
-    P, one = len(members), len(members) == 1
-    pick = (lambda a: a[0]) if one else (lambda a: a)
-    rows_of = lambda a, b: ... if one else slice(a, b)
+    P = len(members)
     bases, bumps, a = [], [], 0
     for base, run in groupby(members, key=lambda m: m[0].base):
         b = a + len(list(run))
-        bases.append((base, rows_of(a, b)))
+        bases.append((base, slice(a, b)))
         a = b
     mul = np.ones((P, 1))
     add = np.full((P, max(term.size for *_, term in members)), -0.0)
@@ -417,11 +416,10 @@ def _stacked_bind(members):
         if fam.kind == "scale":
             mul[a:b] = terms
         elif fam.kind == "window" or fam.relative:
-            bumps.append((fam, terms, rows_of(a, b)))
+            bumps.append((fam, terms, slice(a, b)))
         else:
             add[a:b] = terms
         a = b
-    mul, add = pick(mul), pick(add)
 
     def bind(t, i, y):
         n = t.shape[0]
@@ -435,14 +433,13 @@ def _stacked_bind(members):
                 mask = ((t >= fam.window[0]) & (t <= fam.window[1])).T
                 if not fam.relative:
                     bump = np.where(mask[:, None], terms, 0.0)  # (B, R, n)
-                    cols.append((rows, None, bump[:, 0] if one else bump))
+                    cols.append((rows, None, bump))
                     continue
-            cols.append((rows, pick(terms), mask))
+            cols.append((rows, terms, mask))
 
         def law(j, x):
             us = [(f(j, x[rows]), rows) for f, rows in laws]
-            out = np.empty(np.broadcast_shapes(np.shape(us[0][0]), (n,))
-                           if one else (P, n))
+            out = np.empty((P, n))
             for u, rows in us:
                 np.multiply(u, mul[rows], out=out[rows])
             out += add

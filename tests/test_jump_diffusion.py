@@ -8,8 +8,7 @@ import pytest
 from smjd.errors import NonFinitePath
 from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                                  MarkMeasure, NoisePlan, ObjectiveSpec,
-                                 _draw_plan, build_plan,
-                                 coefficient_regularity_probe, objective_paths,
+                                 _draw_plan, build_plan, objective_paths,
                                  running_cost_paths, simulate_ensemble,
                                  step_plan)
 from smjd.rng import stream
@@ -693,71 +692,6 @@ class TestObjective:
         ref = np.sum(0.5 * (vals[:, 1:] + vals[:, :-1]) * np.diff(ens.t, axis=1),
                      axis=1)
         assert J.tobytes() == ref.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# regularity probe
-# ---------------------------------------------------------------------------
-
-class TestRegularityProbe:
-    def test_zero_dynamics_zero_constants(self, frozen_dyn):
-        rep = coefficient_regularity_probe(frozen_dyn, (-5.0, 5.0), 200,
-                                           stream(0, "probe"))
-        assert rep.c1_hat == pytest.approx(0.0, abs=1e-14)
-        assert rep.c2_hat == pytest.approx(0.0, abs=1e-14)
-        assert not rep.growth_flag
-
-    def test_linear_drift_lipschitz_constant(self):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 2.0 * x,
-                                 vol=lambda t, x, u, i: np.zeros_like(x))
-        rep = coefficient_regularity_probe(dyn, (-5.0, 5.0), 3000,
-                                           stream(1, "probe"))
-        assert rep.c2_hat == pytest.approx(4.0, rel=0.05)
-        assert not rep.growth_flag
-
-    @pytest.mark.parametrize("marks, nodes", [
-        (MarkMeasure(rate=1.5, atoms=np.array([-0.1, 0.2]),
-                     weights=np.array([0.3, 0.7])),
-         ([-0.1, 0.2], [0.3, 0.7])),
-        (MarkMeasure(rate=1.5, density=lambda g: np.full_like(g, 5.0),
-                     support=(0.0, 0.2)),
-         (0.1 * np.polynomial.legendre.leggauss(64)[0] + 0.1,
-          0.5 * np.polynomial.legendre.leggauss(64)[1]))],
-        ids=["atoms", "density"])
-    def test_jump_only_constants_by_hand(self, marks, nodes):
-        # zero drift and vol: c1 and c2 are the jump terms alone, rebuilt
-        # here from the same stream's samples and the law's nodes
-        jump = lambda t, x, u, i, g: (1.0 + i) * g * x + 0.1 * np.sin(t + u)
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.zeros_like(x),
-                                 vol=lambda t, x, u, i: np.zeros_like(x),
-                                 jump=jump, marks=marks)
-        rep = coefficient_regularity_probe(dyn, (-2.0, 2.0), 400,
-                                           stream(5, "probe"), u_box=(0.0, 1.0),
-                                           states=[0, 1])
-        rng = stream(5, "probe")
-        xs, ys = rng.uniform(-2.0, 2.0, 400), rng.uniform(-2.0, 2.0, 400)
-        ts, us = rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 1.0, 400)
-        ii = rng.choice(np.array([0, 1]), 400)
-        g2 = sum(w * jump(ts, xs, us, ii, gam) ** 2 for gam, w in zip(*nodes))
-        dg2 = sum(w * (jump(ts, xs, us, ii, gam) - jump(ts, ys, us, ii, gam)) ** 2
-                  for gam, w in zip(*nodes))
-        c1 = np.max(1.5 * g2 / (1.0 + xs ** 2))
-        c2 = np.max(1.5 * dg2 / (xs - ys) ** 2)
-        assert rep.c1_hat == pytest.approx(c1, rel=1e-12)
-        assert rep.c2_hat == pytest.approx(c2, rel=1e-12)
-        # g(x) - g(y) = (1 + i) gamma (x - y): c2 is lam 4 int gamma^2 dpi
-        assert rep.c2_hat == pytest.approx(
-            1.5 * 4.0 * marks.integrate(lambda g: g ** 2), rel=1e-12)
-
-    def test_quadratic_drift_flags_growth(self):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: x ** 2,
-                                 vol=lambda t, x, u, i: np.zeros_like(x))
-        rep = coefficient_regularity_probe(dyn, (-10.0, 10.0), 3000,
-                                           stream(2, "probe"))
-        assert rep.growth_flag
 
 
 # ---------------------------------------------------------------------------

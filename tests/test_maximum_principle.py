@@ -117,53 +117,44 @@ class TestGradX:
         pytest.param(x, jumps, id=f"{x}-jumps" if jumps else str(x))
         for jumps in (False, True) for x in (-1.3, 0.2, 2.7)])
     def test_fd_matches_analytic_on_smooth_model(self, x, jumps):
-        jump_kw = {}
-        eta = None
+        # H = x^2 + 1.3 sin x - 0.4 (cos x + 2) + 2 sum_k w_k g_k (5 gamma_k
+        # - 1.3) with g = (x + u) gamma, so H_x = 2x + 1.3 cos x + 0.4 sin x
+        # + 2 sum_k w_k gamma_k (5 gamma_k - 1.3)
+        jump_kw, eta = {}, None
+        want = 2.0 * x + 1.3 * np.cos(x) + 0.4 * np.sin(x)
         if jumps:
+            atoms, weights = np.array([-0.05, 0.08]), np.array([0.4, 0.6])
             jump_kw = dict(
                 jump=lambda t, x_, u, i, gam: x_ * gam + u * gam,
-                jump_dx=lambda t, x_, u, i, gam: gam + np.zeros_like(x_),
-                marks=MarkMeasure(rate=2.0, atoms=np.array([-0.05, 0.08]),
-                                  weights=np.array([0.4, 0.6])))
+                marks=MarkMeasure(rate=2.0, atoms=atoms, weights=weights))
             eta = lambda gam: 5.0 * gam
+            want += 2.0 * np.sum(weights * atoms * (5.0 * atoms - 1.3))
         dyn = ControlledDynamics(
             dim=1,
             drift=lambda t, x_, u, i: np.sin(x_),
-            vol=lambda t, x_, u, i: np.cos(x_) + 2.0,
-            drift_dx=lambda t, x_, u, i: np.cos(x_),
-            vol_dx=lambda t, x_, u, i: -np.sin(x_), **jump_kw)
+            vol=lambda t, x_, u, i: np.cos(x_) + 2.0, **jump_kw)
         obj = ObjectiveSpec(running=lambda t, x_, u, i, y: x_ ** 2,
-                            terminal=None,
-                            running_dx=lambda t, x_, u, i, y: 2.0 * x_)
+                            terminal=None)
         adj = AdjointState(p=1.3, q=-0.4, eta=eta)
-        ga = grad_x_hamiltonian(0.1, x, 0.3, 0, 0.0, adj, dyn, obj,
-                                mode="analytic")
-        gf = grad_x_hamiltonian(0.1, x, 0.3, 0, 0.0, adj, dyn, obj,
-                                mode="fd")
-        assert gf == pytest.approx(ga, rel=1e-6, abs=1e-9)
+        gf = grad_x_hamiltonian(0.1, x, 0.3, 0, 0.0, adj, dyn, obj)
+        assert gf == pytest.approx(want, rel=1e-6, abs=1e-9)
 
-    @pytest.mark.parametrize("missing", ["drift_dx", "vol_dx", "jump_dx",
-                                         "running_dx"])
-    def test_forced_analytic_names_missing_derivative(self, missing):
-        coeffs = dict(
-            drift=lambda t, x, u, i: 0.05 * x, vol=lambda t, x, u, i: 0.2 * x,
-            jump=lambda t, x, u, i, gam: x * gam,
-            marks=MarkMeasure(rate=1.0, atoms=np.array([0.1]),
-                              weights=np.array([1.0])),
-            drift_dx=lambda t, x, u, i: np.full_like(x, 0.05),
-            vol_dx=lambda t, x, u, i: np.full_like(x, 0.2),
-            jump_dx=lambda t, x, u, i, gam: np.full_like(x, gam))
-        costs = dict(running=lambda t, x, u, i, y: x ** 2, terminal=None,
-                     running_dx=lambda t, x, u, i, y: 2.0 * x)
-        (costs if missing == "running_dx" else coeffs)[missing] = None
-        dyn, obj = ControlledDynamics(dim=1, **coeffs), ObjectiveSpec(**costs)
-        adj = AdjointState(p=1.0, q=0.5, eta=lambda gam: 0.0)
-        with pytest.raises(ValueError, match=f"needs {missing}$"):
-            grad_x_hamiltonian(0.1, 0.9, 0.3, 0, 0.0, adj, dyn, obj,
-                               mode="analytic")
-        # "auto" falls back to finite differences
-        assert np.isfinite(grad_x_hamiltonian(0.1, 0.9, 0.3, 0, 0.0, adj,
-                                              dyn, obj))
+    def test_step_is_relative_to_each_x(self):
+        # the bits of the central difference with step 1e-5 * (1 + |x|),
+        # taken per point of an array
+        dyn = ControlledDynamics(dim=1,
+                                 drift=lambda t, x, u, i: np.sin(x) * x,
+                                 vol=lambda t, x, u, i: np.exp(0.3 * x))
+        obj = ObjectiveSpec(running=lambda t, x, u, i, y: x ** 3 - u * x,
+                            terminal=None)
+        adj = AdjointState(p=0.7, q=-1.1)
+        x = np.array([-40.0, -1.5, 0.0, 0.3, 12.0])
+        args = (0.2, 0.4, 0, 0.0, adj, dyn, obj)
+        h = 1e-5 * (1.0 + np.abs(x))
+        want = (hamiltonian(0.2, x + h, *args[1:])
+                - hamiltonian(0.2, x - h, *args[1:])) / (2 * h)
+        got = grad_x_hamiltonian(0.2, x, *args[1:])
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +223,7 @@ class TestAdjointResidual:
         r, gamma = 0.05, 0.5
         dyn = ControlledDynamics(dim=1,
                                  drift=lambda t, x, u, i: r * x,
-                                 vol=lambda t, x, u, i: np.zeros_like(x),
-                                 drift_dx=lambda t, x, u, i: r * np.ones_like(x),
-                                 vol_dx=lambda t, x, u, i: np.zeros_like(x))
+                                 vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(
             running=None,
             terminal=lambda x, i, y: x ** gamma / gamma,
@@ -257,6 +246,17 @@ class TestAdjointResidual:
     def test_terminal_mismatch_zero_by_construction(self, single_regime):
         s = self._exponential_decay_case(single_regime, 4e-3)
         assert s.terminal_mismatch == pytest.approx(0.0, abs=1e-14)
+
+    def test_missing_gradient_is_refused_by_name(self, single_regime):
+        dyn = ControlledDynamics(dim=1,
+                                 drift=lambda t, x, u, i: 0.05 * x,
+                                 vol=lambda t, x, u, i: np.zeros_like(x))
+        policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
+        ens = simulate_ensemble(dyn, policy, _paths(single_regime, 3, 1.0, 2),
+                                x0=1.0, dt=0.1, seed=2)
+        p = np.ones_like(ens.x)
+        with pytest.raises(ValueError, match="grad_H"):
+            adjoint_residual(ens, AdjointPath(p=p, q=np.zeros_like(p)), dyn)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +462,28 @@ class TestAdjointFromValue:
         assert np.allclose(adj.p, 0.0, atol=1e-10)
         assert np.allclose(adj.q, 0.0, atol=1e-10)
 
+    def test_one_state_model_has_no_regime_jump_terms(self, single_regime):
+        # no switch can happen: the regime-jump slot and both of its
+        # compensators are zero on every (path, left node)
+        dyn = _const_dyn(b=0.1, s=0.2)
+        policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
+        ens = simulate_ensemble(dyn, policy, _paths(single_regime, 3, 1.0, 2),
+                                x0=1.0, dt=0.05, seed=2)
+        V = ValueFunctionStub(v=lambda t, x, i, y: -(x - 1.2) ** 2 * (1 + t))
+        adj = adjoint_from_value(V, ens, dyn, single_regime)
+        n, K = ens.t.shape
+        assert not np.allclose(adj.p, 0.0)
+        for a in (adj.etatilde_jump, adj.etatilde_comp,
+                  adj.etatilde_sq_comp):
+            assert a.shape == (n, K - 1)
+            assert not a.any()
+
     def test_deterministic_quadratic_consistency(self, single_regime):
         # value-induced adjoint satisfies the backward equation at O(dt)
         r, d, horizon = 0.05, 1.0, 1.0
         dyn = ControlledDynamics(dim=1,
                                  drift=lambda t, x, u, i: r * x,
-                                 vol=lambda t, x, u, i: np.zeros_like(x),
-                                 drift_dx=lambda t, x, u, i: r
-                                 * np.ones_like(x),
-                                 vol_dx=lambda t, x, u, i: np.zeros_like(x))
+                                 vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - d) ** 2,
                             terminal_dx=lambda x, i, y: -2.0 * (x - d))
@@ -522,15 +535,14 @@ class TestAdjointFromValue:
         eta = lambda gam: vx(xl + xl * gam) - vx(xl)
         frozen = grad_x_hamiltonian(
             tl, xl, ul, thl, yl,
-            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn, mode="fd")
+            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn)
         np.testing.assert_allclose(adj.grad_H, frozen, rtol=1e-12, atol=1e-14)
         # one node by a pointwise call
         k = 3
         pt = (tl[0, k], xl[0, k], ul[0, k], thl[0, k], yl[0, k])
         eta_pt = lambda gam: float(vx(xl + xl * gam)[0, k] - vx(xl)[0, k])
         g_pt = grad_x_hamiltonian(
-            *pt, AdjointState(adj.p[0, k], adj.q[0, k], eta_pt), dyn,
-            mode="fd")
+            *pt, AdjointState(adj.p[0, k], adj.q[0, k], eta_pt), dyn)
         assert adj.grad_H[0, k] == pytest.approx(g_pt, rel=1e-9)
         comp = rate * sum(w * eta(gam) for gam, w in zip(atoms, weights))
         np.testing.assert_allclose(adj.eta_comp, comp, rtol=1e-12,
@@ -561,7 +573,7 @@ class TestAdjointFromValue:
 
         fresh = grad_x_hamiltonian(
             tl, xl, ul, thl, yl,
-            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn, mode="fd")
+            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn)
         assert np.array_equal(adj.grad_H, fresh)
         comp, sq = np.zeros(grid), np.zeros(grid)
         for gam, w in zip(*dyn.marks.nodes()):

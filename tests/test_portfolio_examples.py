@@ -7,14 +7,13 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from smjd import jump_diffusion, maximum_principle, portfolio_examples
+from smjd import jump_diffusion, portfolio_examples
 from smjd.errors import (DegenerateVol, FixedPointDiverged, NonFinitePath,
                          SingularDenominator, SingularPhi)
 from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy,
                                  MarkMeasure, _step, build_plan,
                                  simulate_ensemble, step_plan)
-from smjd.maximum_principle import (AdjointState, adjoint_residual,
-                                    grad_x_hamiltonian)
+from smjd.maximum_principle import adjoint_residual
 from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                      RiskSensitiveModel, _sojourn_cumulative,
                                      ql_adjoint, ql_dynamics,
@@ -897,16 +896,6 @@ class TestBoundDynamics:
         for a, b in zip(_step(dyn, stacked, plan, 0.5, stack=3)[:2],
                         _step(raw, stacked, plan, 0.5, stack=3)[:2]):
             assert a.tobytes() == b.tobytes()
-
-    def test_analytic_gradient_drops_the_bind(self, monkeypatch):
-        dyn = ql_dynamics(_ql_jump_model("consistent"))
-        seen, real = [], maximum_principle.hamiltonian
-        monkeypatch.setattr(maximum_principle, "hamiltonian",
-                            lambda *a: seen.append(a[6]) or real(*a))
-        grad_x_hamiltonian(0.1, 0.9, 0.3, 1, 0.2, AdjointState(p=1.0, q=0.5),
-                           dyn, mode="analytic")
-        [d_dyn] = seen
-        assert d_dyn.drift is dyn.drift_dx and d_dyn.bind is None
 
 
 class TestQlAdjoint:

@@ -144,9 +144,22 @@ class TestRegimeSwitchSum:
                                      lambda j, sel: diff(j, sel) ** power)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("states", [1, 2])
+    @pytest.mark.parametrize("query", ["scalar-state", "states", "empty"])
+    def test_leading_axes_kept_with_or_without_a_term(
+            self, single_regime, exp2_model, states, query):
+        # one state adds no term, nor does an empty query: the change's
+        # leading axes are kept all the same
+        model = single_regime if states == 1 else exp2_model
+        shape = (0,) if query == "empty" else (3, 4)
+        y = np.linspace(0.0, 1.0, 12)[:int(np.prod(shape))].reshape(shape)
+        i = 0 if query == "scalar-state" else np.zeros(shape, dtype=int)
+        got = regime_switch_sum(model, i, y, lambda j, sel: np.stack(
+            (y[sel] + j, y[sel] - j)))
+        assert got.shape == (2,) + shape
+        if states == 1:
+            assert not got.any()
 
-# ---------------------------------------------------------------------------
-# model validation
 # ---------------------------------------------------------------------------
 
 class TestModelValidation:

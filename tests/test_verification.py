@@ -120,6 +120,19 @@ class TestPerturbationFamily:
         consts = stream(9, "perturb", 0).uniform(-0.25, 0.25, 8)
         assert np.array_equal(ens.u[:, 0], ens_base.u[:, 0] + consts)
 
+    def test_random_member_rule_refuses_another_path_count(self):
+        # the rule holds the same guard as the bound law
+        base = ControlPolicy(rule=lambda t, x, i, y: 0.1 * x)
+        [(_, _, pol)] = list(PerturbationFamily(base, "random",
+                                                (0.25,)).policies(9, 8))
+        z = np.zeros(3)
+        with pytest.raises(ValueError, match=r"random\[0\].*8 paths.*on 3"):
+            pol.rule(z, np.ones(3), z.astype(int), z)
+        u = pol.rule(np.zeros(8), np.ones(8), np.zeros(8, dtype=int),
+                     np.zeros(8))
+        consts = stream(9, "perturb", 0).uniform(-0.25, 0.25, 8)
+        assert np.array_equal(u, 0.1 + consts)
+
 
 def _cubic_plan(dyn, single_regime):
     """The 4-path, dt = 0.01 plan of seed 3 the failing sweeps step on."""
@@ -718,10 +731,7 @@ class TestDpConnection:
     def _problem(self, r, d):
         dyn = ControlledDynamics(dim=1,
                                  drift=lambda t, x, u, i: r * x,
-                                 vol=lambda t, x, u, i: np.zeros_like(x),
-                                 drift_dx=lambda t, x, u, i: r
-                                 * np.ones_like(x),
-                                 vol_dx=lambda t, x, u, i: np.zeros_like(x))
+                                 vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - d) ** 2,
                             terminal_dx=lambda x, i, y: -2.0 * (x - d))
