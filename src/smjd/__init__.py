@@ -26,20 +26,19 @@ from .semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                           RegimePath, RegimePaths, RegimeState, WeibullHolding,
                           apply_generator_L, dynkin_statistics, hazard_rate,
                           intensity_matrix, regime_switch_sum,
-                          sample_holding_time, sample_regime_paths,
-                          simulate_ctmc, simulate_regime_direct,
-                          simulate_regime_thinning)
+                          sample_regime_paths, simulate_ctmc,
+                          simulate_regime_direct, simulate_regime_thinning)
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, NoisePlan, ObjectiveSpec, build_plan,
                              objective_paths, simulate_ensemble, step_plan)
 from .maximum_principle import (AdjointPath, AdjointState, ValueFunctionStub,
                                 adjoint_from_value, adjoint_residual,
-                                argmax_hamiltonian, dynkin_check, generator_G,
-                                grad_x_hamiltonian, hamiltonian, hjb_residual,
+                                dynkin_check, generator_G, grad_x_hamiltonian,
+                                hamiltonian, hjb_residual,
                                 hjb_terminal_mismatch, integrability_report)
 from .portfolio_examples import (QuadraticLossModel, RegimeFunctional,
                                  RiskSensitiveModel, ql_adjoint,
-                                 ql_dynamics, ql_lambda_factors, ql_objective,
+                                 ql_dynamics, ql_objective,
                                  ql_optimal_control, ql_phi_psi, ql_policy,
                                  ql_phi_psi_markov, ql_u_coefficient,
                                  rs_adjoint, rs_dynamics, rs_objective,

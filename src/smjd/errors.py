@@ -45,7 +45,7 @@ class NonFinitePath(SmjdError):
 
 
 class UnboundedHamiltonian(SmjdError):
-    """The Hamiltonian is linear in u with nonzero slope on an unbounded set."""
+    """A supremum over the control was asked for on an unbounded set."""
 
 
 class InvalidParameter(SmjdError, ValueError):

@@ -82,15 +82,17 @@ class MarkMeasure:
     support: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("jump rate must be positive")
+        if not 0 < self.rate < np.inf:
+            raise ValueError(f"jump rate must be finite and > 0, got {self.rate}")
         if self.atoms is not None:
             atoms = np.asarray(self.atoms, dtype=float)
             weights = np.asarray(self.weights, dtype=float)
             if self.weights is None or weights.shape != atoms.shape:
                 raise InvalidParameter("weights", "discrete mark weights "
                                        "must pair up with the atoms")
-            if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
+            if not np.isfinite(atoms).all():
+                raise InvalidParameter("atoms", "mark atoms must be finite")
+            if abs(weights.sum() - 1.0) > 1e-12 or not np.all(weights >= 0):
                 raise InvalidParameter(
                     "weights", "discrete mark weights must be nonnegative "
                     "and sum to 1")
@@ -201,15 +203,13 @@ class ControlledDynamics:
 class ControlPolicy:
     """Markov control rule u(t, x, i, y), evaluated with left-limit arguments.
 
-    ``control_set`` is an optional (lo, hi) box used by admissibility checks
-    and Hamiltonian maximization; None means all of R^m.  Optional ``bind(t,
-    i, y)`` computes the rule's state-free factors on (n, B) column blocks
-    once and returns ``law(j, x)``, equal bit for bit to ``rule(t[:, j], x,
-    i[:, j], y[:, j])``; it may raise what the rule raises on the block.
+    Optional ``bind(t, i, y)`` computes the rule's state-free factors on
+    (n, B) column blocks once and returns ``law(j, x)``, equal bit for bit
+    to ``rule(t[:, j], x, i[:, j], y[:, j])``; it may raise what the rule
+    raises on the block.
     """
 
     rule: Callable
-    control_set: tuple[float, float] | None = None
     bind: Callable | None = None
 
     def law(self, t, i, y) -> Callable:
@@ -516,9 +516,11 @@ def running_cost_paths(ens: Ensemble, objective: ObjectiveSpec) -> np.ndarray:
 
 
 def objective_paths(ens: Ensemble, objective: ObjectiveSpec) -> np.ndarray:
-    """Per-path objective: running integral plus terminal cost."""
-    return _with_terminal(running_cost_paths(ens, objective), objective,
-                          ens.x[:, -1], ens.theta[:, -1], ens.y[:, -1])
+    """Per-path objective: running integral plus terminal cost.  A value
+    that is not finite is returned as it is, without a warning."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return _with_terminal(running_cost_paths(ens, objective), objective,
+                              ens.x[:, -1], ens.theta[:, -1], ens.y[:, -1])
 
 
 def _with_terminal(J: np.ndarray, objective: ObjectiveSpec, x, theta, y):

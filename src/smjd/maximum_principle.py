@@ -43,10 +43,9 @@ from .semi_markov import (RegimeModel, RegimeState, regime_switch_sum,
 
 __all__ = [
     "AdjointState", "AdjointPath", "ValueFunctionStub", "hamiltonian",
-    "grad_x_hamiltonian", "argmax_hamiltonian", "ArgmaxResult",
-    "adjoint_residual", "ResidualStats", "integrability_report",
-    "IntegrabilityReport", "generator_G", "dynkin_check", "hjb_residual",
-    "hjb_terminal_mismatch", "adjoint_from_value",
+    "grad_x_hamiltonian", "adjoint_residual", "ResidualStats", "generator_G",
+    "integrability_report", "IntegrabilityReport", "dynkin_check",
+    "hjb_residual", "hjb_terminal_mismatch", "adjoint_from_value",
 ]
 
 
@@ -153,62 +152,6 @@ def _box_argmax(fun, lo: float, hi: float) -> tuple[float, float]:
                           bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 32)]),
                           options={"xatol": 1e-12})
     return float(res.x), float(-res.fun)
-
-
-@dataclass
-class ArgmaxResult:
-    """Outcome of Hamiltonian maximization over the control set.
-
-    mode is "interior" for a proper maximizer, "stationary-line" when the
-    Hamiltonian is constant in u (linear with vanishing slope) and every
-    control is stationary; ``u_coefficient`` reports the detected linear
-    slope in u.
-    """
-
-    u_star: float | None
-    h_star: float
-    mode: str
-    u_coefficient: float
-
-
-def argmax_hamiltonian(t, x, i, y, adj: AdjointState, dyn: ControlledDynamics,
-                       objective: ObjectiveSpec | None,
-                       control_set: tuple[float, float] | None,
-                       stationarity: bool = False) -> ArgmaxResult:
-    """Maximize u -> H(t, x, u, ...) over a box, or detect the linear case.
-
-    Unbounded linear-in-u Hamiltonians raise UnboundedHamiltonian unless
-    ``stationarity`` is set, in which case a vanishing u-coefficient is
-    reported as a whole-line stationary set (the first-order convention
-    used by the worked examples).
-    """
-    fun = lambda uu: hamiltonian(t, x, uu, i, y, adj, dyn, objective)
-    # probe curvature on a symmetric stencil
-    scale = 1.0 + abs(float(x))
-    h0, hp, hm, h2p, h2m = fun(scale * np.array([0.0, 1.0, -1.0, 2.0, -2.0]))
-    slope = (hp - hm) / (2 * scale)
-    curv = (hp - 2 * h0 + hm) / scale ** 2
-    cubic_dev = abs(h2p - 2 * hp + 2 * hm - h2m)
-    linear = abs(curv) * scale ** 2 <= 1e-10 * (1 + abs(h0)) and cubic_dev <= 1e-8 * (1 + abs(h0))
-    if linear:
-        if abs(slope) <= 1e-10 * (1 + abs(h0) / scale):
-            return ArgmaxResult(None, float(h0), "stationary-line", float(slope))
-        if control_set is None:
-            raise UnboundedHamiltonian(
-                f"Hamiltonian is linear in u with slope {slope:.3g} on an "
-                "unbounded control set")
-        u_star = control_set[1] if slope > 0 else control_set[0]
-        return ArgmaxResult(float(u_star), fun(u_star), "interior", float(slope))
-    if control_set is None:
-        if curv < 0:
-            # concave: polish the stationary point from the quadratic fit
-            u0 = -slope / curv if curv != 0 else 0.0
-            res = minimize_scalar(lambda uu: -fun(uu),
-                                  bracket=(u0 - scale, u0, u0 + scale))
-            return ArgmaxResult(float(res.x), float(-res.fun), "interior", float(slope))
-        raise UnboundedHamiltonian("Hamiltonian not concave on an unbounded control set")
-    u_star, h_star = _box_argmax(fun, *control_set)
-    return ArgmaxResult(u_star, h_star, "interior", float(slope))
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +470,10 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
             return np.asarray(V.v_x(tl, xl + g, thl, yl), dtype=float) - vx_here
 
         eta_jump = np.zeros((n, K - 1))
-        rows, cols = np.nonzero(ens.jump_mask[:, 1:])
-        te, xe, ie, ye = (a[rows, cols] for a in (t, x, th, y))
-        g = np.asarray(dyn.jump(te, xe, u[rows, cols], ie,
-                                ens.jump_marks[rows, cols + 1]), dtype=float)
+        rows, cols, _, ie, marks = ens.jump_nodes
+        cols = cols - 1  # the step that ends in the jump, at its left node
+        te, xe, ye = (a[rows, cols] for a in (t, x, y))
+        g = np.asarray(dyn.jump(te, xe, u[rows, cols], ie, marks), dtype=float)
         eta_jump[rows, cols] = (
             np.asarray(V.v_x(te, xe + g, ie, ye), dtype=float)
             - np.asarray(V.v_x(te, xe, ie, ye), dtype=float))

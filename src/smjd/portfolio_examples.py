@@ -58,7 +58,7 @@ __all__ = [
     "rs_optimal_control", "rs_policy", "rs_dynamics", "rs_objective",
     "rs_phi_functional", "rs_phi_markov", "rs_adjoint",
     "rs_u_coefficient", "ql_phi_psi_markov",
-    "ql_lambda_factors", "ql_phi_psi", "ql_optimal_control", "ql_policy",
+    "ql_phi_psi", "ql_optimal_control", "ql_policy",
     "ql_dynamics", "ql_objective", "ql_adjoint", "ql_u_coefficient",
 ]
 
@@ -620,24 +620,11 @@ def _max_on_real_nodes(coef: np.ndarray, ens: Ensemble) -> float:
 # Quadratic-loss problem
 # ---------------------------------------------------------------------------
 
-def ql_lambda_factors(model: QuadraticLossModel, t, i, y,
-                      phi_value) -> tuple:
-    """Factors Lam_t and Lam of the hedging rule's slope, as
-    :class:`QuadraticLossModel` defines them per variant, read from its
-    table ``slope_terms``.  Vectorizes over the regime ``i`` and
-    ``phi_value`` (the factors do not depend on t or y given phi); scalar
-    arguments give floats.  SingularDenominator when |Lam| < 1e-12.
-    """
-    i = np.asarray(i, dtype=int)
-    shape = np.broadcast_shapes(i.shape, np.shape(phi_value))
-    if not shape:
-        return tuple(float(a) for a in _ql_factors(model, i, phi_value))
-    return tuple(a if a.shape == shape else np.broadcast_to(a, shape)
-                 for a in _ql_factors(model, i, phi_value))
-
-
 def _ql_factors(model: QuadraticLossModel, i, phi_value) -> tuple:
-    """:func:`ql_lambda_factors` in the shapes its gathers give."""
+    """Factors (Lam_t, Lam) of the hedging rule's slope per variant, read
+    from the model's table ``slope_terms`` (free of t and y given phi); each
+    has the shape of its gather over the regime ``i`` and ``phi_value``.
+    SingularDenominator when |Lam| < 1e-12."""
     lam_t, lam_0, lam_phi = model.slope_terms
     i = np.asarray(i, dtype=int)
     lam = lam_0[i] if lam_phi is None else lam_0[i] + phi_value * lam_phi[i]

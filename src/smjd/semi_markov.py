@@ -10,17 +10,19 @@ functions phi(state, age) as
 
 where hazard(i, y) = f(y|i) / (1 - F(y|i)).
 
-Two samplers are provided: a renewal-style direct sampler (draw a holding
-time, then a target state) and a thinning sampler that realizes the driving
-Poisson-measure representation.  The direct sampler runs as one array pass
-over a whole ensemble, on blocks of uniforms per path, and consumes exactly
-the 2E + 1 uniforms of a per-event loop for a path with E events; its first
-block is sized from the model's event rate, so most paths take one.  Thinning
-proposes against a hazard majorant: for nondecreasing hazards (exponential,
-Weibull with shape >= 1) a piecewise-constant one, the hazard at the end of
-each age window of fixed length (Lewis & Shedler 1979); for custom
-distributions the declared global bound.  The samplers agree in law; tests
-compare them with two-sample statistics.
+Three samplers are provided: a renewal-style direct sampler (draw a holding
+time, then a target state), a thinning sampler that realizes the driving
+Poisson-measure representation, and :func:`simulate_ctmc`, a plain
+continuous-time Markov chain that cross-checks the exponential case.  The
+direct sampler runs as one array pass over a whole ensemble, on blocks of
+uniforms per path, and consumes exactly the 2E + 1 uniforms of a per-event
+loop for a path with E events; its first block is sized from the model's
+event rate, so most paths take one.  Thinning proposes against a hazard
+majorant: for nondecreasing hazards (exponential, Weibull with shape >= 1)
+a piecewise-constant one, the hazard at the end of each age window of fixed
+length (Lewis & Shedler 1979); for custom distributions the declared global
+bound.  The samplers agree in law; tests compare them with two-sample
+statistics.
 
 An ensemble is one :class:`RegimePaths` table (flat event arrays with
 per-path offsets and origins), which the sampler returns and the noise
@@ -50,9 +52,9 @@ from .rng import stream
 __all__ = ["ExponentialHolding", "WeibullHolding", "CustomHolding",
            "RegimeModel", "RegimeState", "RegimePath", "RegimePaths",
            "hazard_rate", "regime_switch_sum", "intensity_matrix",
-           "sample_holding_time", "simulate_regime_direct",
-           "sample_regime_paths", "simulate_regime_thinning", "simulate_ctmc",
-           "apply_generator_L", "dynkin_statistics"]
+           "simulate_regime_direct", "sample_regime_paths",
+           "simulate_regime_thinning", "simulate_ctmc", "apply_generator_L",
+           "dynkin_statistics"]
 
 _CDF_ONE = 1.0 - 1e-15
 _INV_TOL = 1e-10  # absolute tolerance on the time axis for numeric inversion
@@ -69,14 +71,12 @@ class ExponentialHolding:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"exponential rate must be > 0, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(
+                f"exponential rate must be finite and > 0, got {self.rate}")
 
     def cdf(self, y):
         return -np.expm1(-self.rate * np.asarray(y, dtype=float))
-
-    def pdf(self, y):
-        return self.rate * np.exp(-self.rate * np.asarray(y, dtype=float))
 
     def hazard(self, y):
         return np.broadcast_to(self.rate, np.shape(y)).copy() if np.ndim(y) else self.rate
@@ -101,17 +101,13 @@ class WeibullHolding:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("Weibull shape and scale must be > 0")
+        for name in ("shape", "scale"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"Weibull {name} must be finite and > 0, got {v}")
 
     def cdf(self, y):
         z = np.asarray(y, dtype=float) / self.scale
         return -np.expm1(-np.power(z, self.shape))
-
-    def pdf(self, y):
-        z = np.asarray(y, dtype=float) / self.scale
-        k = self.shape
-        return (k / self.scale) * np.power(z, k - 1) * np.exp(-np.power(z, k))
 
     def hazard(self, y):
         return (self.shape / self.scale) * np.power(y / self.scale,
@@ -195,9 +191,10 @@ HoldingDistribution = ExponentialHolding | WeibullHolding | CustomHolding
 class RegimeModel:
     """Finite-state semi-Markov law: kernel plus per-state holding times.
 
-    Invariants checked at construction: rows of ``kernel`` sum to 1 within
-    1e-12 with exact zero diagonal, the kernel is irreducible, and custom
-    holding distributions respect their declared hazard bound on a spot grid.
+    Invariants checked at construction: entries of ``kernel`` are finite and
+    >= 0, its rows sum to 1 within 1e-12 with exact zero diagonal, the
+    kernel is irreducible, and custom holding distributions respect their
+    declared hazard bound on a spot grid.
     A single-state model (M=1, kernel [[0]]) is allowed as a degenerate case
     with no transitions.  ``kernel_cdf`` is the kernel's cumulative table.
     """
@@ -219,8 +216,9 @@ class RegimeModel:
                                    "need one holding distribution per state")
         if np.any(np.diag(kernel) != 0.0):
             raise InvalidParameter("kernel", "kernel diagonal must be exactly 0")
-        if np.any(kernel < 0):
-            raise InvalidParameter("kernel", "kernel entries must be >= 0")
+        if not np.all((kernel >= 0) & (kernel < math.inf)):
+            raise InvalidParameter("kernel",
+                                   "kernel entries must be finite and >= 0")
         if M > 1:
             rows = kernel.sum(axis=1)
             if np.any(np.abs(rows - 1.0) > 1e-12):
@@ -566,16 +564,6 @@ def _holding_times(model: RegimeModel, i: np.ndarray, u: np.ndarray,
         F = F_age[mask]
         return dist.inverse_cdf(F + u[mask] * (1.0 - F)) - age[mask]
     return _per_state(model.n_states, i, invert)
-
-
-def sample_holding_time(model: RegimeModel, i: int, rng: np.random.Generator,
-                        age: float = 0.0) -> float:
-    """Draw a holding time for state i, conditioned on survival to ``age``,
-    from one ``rng.random()`` (see :func:`_holding_times`)."""
-    u = rng.random()
-    F_age = _age_cdf(model, i, age) if age != 0.0 else 0.0
-    return float(_holding_times(model, np.array([i]), np.array([u]),
-                                np.array([age]), np.array([F_age]))[0])
 
 
 def _cdf_table(p: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .errors import AdmissibilityFailure, InvalidParameter, NonFinitePath
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              NoisePlan, ObjectiveSpec, _ensemble, _step,
                              _with_terminal, build_plan, objective_paths,
-                             simulate_ensemble, step_plan)
+                             running_cost_paths, simulate_ensemble, step_plan)
 from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
     adjoint_residual
 from .portfolio_examples import _fk_moments, _sojourn_cumulative
@@ -160,8 +160,7 @@ class PerturbationFamily:
             return lambda j, x: self.perturb(term, law(j, x), t[:, j], x)
 
         return ControlPolicy(rule=lambda t, x, i, y: self.perturb(
-            term, self.base.rule(checked(t), x, i, y), t, x),
-            control_set=self.base.control_set, bind=bind)
+            term, self.base.rule(checked(t), x, i, y), t, x), bind=bind)
 
 
 def default_perturbation_family(base: ControlPolicy, relative: bool,
@@ -367,7 +366,7 @@ def _member_objectives(dyn, objective, members, plan, x0):
     the perturbations are data bound per column block (:func:`_stacked_bind`),
     so every member's controls and states are the floating-point operations
     of its own policy.  Each row is then reduced by ``objective_paths``'
-    expressions on its own (n,) row.
+    expressions on its own (n,) row, under one errstate per chunk.
     """
     n, K = plan.t.shape
     keep = objective.running is not None
@@ -378,14 +377,16 @@ def _member_objectives(dyn, objective, members, plan, x0):
         chunk = members[a:a + rows]
         x, u, failures = _step(dyn, _stacked_bind(chunk), plan, x0,
                                stack=len(chunk), keep=keep)
-        for p, exc in enumerate(failures):
-            if exc is not None:
-                out.append(exc)
-            elif keep:
-                out.append(objective_paths(_ensemble(plan, x[p], u[p]),
-                                           objective))
-            else:  # objective_paths without a running cost
-                out.append(_with_terminal(np.zeros(n), objective, x[p],
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for p, exc in enumerate(failures):
+                if exc is not None:
+                    out.append(exc)
+                    continue
+                # without a running cost only the final states are kept
+                J = (running_cost_paths(_ensemble(plan, x[p], u[p]), objective)
+                     if keep else np.zeros(n))
+                out.append(_with_terminal(J, objective,
+                                          x[p][:, -1] if keep else x[p],
                                           plan.theta[:, -1], plan.y[:, -1]))
     return out
 

@@ -13,12 +13,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # Public functions and classes that no code under src/, demos/ or the
 # benchmark calls, each kept as library API for the reason given.
 UNCALLED_API = {
-    "argmax_hamiltonian": "Arrow-form concavity check (ROADMAP item 4)",
     "integrability_report": "adjoint integrability hypothesis (ROADMAP "
                             "item 4)",
     "dynkin_check": "dynamic-programming martingale check (ROADMAP item 3)",
-    "ql_lambda_factors": "the QL slope factors, documented in README",
-    "sample_holding_time": "a public one-draw holding-time sampler",
 }
 
 

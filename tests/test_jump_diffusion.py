@@ -58,6 +58,16 @@ class TestMarkMeasure:
         with pytest.raises(ValueError, match="weights"):
             MarkMeasure(rate=1.0, atoms=np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("kw, name", [
+        (dict(rate=np.inf), "rate"), (dict(atoms=[0.1, np.nan]), "atoms"),
+        (dict(atoms=[np.inf, 0.1]), "atoms"),
+        (dict(weights=[np.nan, 1.0]), "weights")],
+        ids=["rate", "nan-atom", "inf-atom", "nan-weight"])
+    def test_non_finite_parameters_are_refused(self, kw, name):
+        args = dict(rate=1.0, atoms=[0.1, 0.2], weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match=name):
+            MarkMeasure(**{**args, **kw})
+
     @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25]])
     def test_weights_of_another_length_are_refused(self, weights):
         # broadcast weights made integrate disagree with sample, which

@@ -7,10 +7,10 @@ from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, MarkMeasure,
                                  ObjectiveSpec, simulate_ensemble)
 from smjd.maximum_principle import (AdjointPath, AdjointState,
                                     ValueFunctionStub, adjoint_from_value,
-                                    adjoint_residual, argmax_hamiltonian,
-                                    dynkin_check, generator_G,
-                                    grad_x_hamiltonian, hamiltonian,
-                                    hjb_residual, hjb_terminal_mismatch,
+                                    adjoint_residual, dynkin_check,
+                                    generator_G, grad_x_hamiltonian,
+                                    hamiltonian, hjb_residual,
+                                    hjb_terminal_mismatch,
                                     integrability_report)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
@@ -155,61 +155,6 @@ class TestGradX:
                 - hamiltonian(0.2, x - h, *args[1:])) / (2 * h)
         got = grad_x_hamiltonian(0.2, x, *args[1:])
         assert np.array_equal(got, want)
-
-
-# ---------------------------------------------------------------------------
-# argmax_hamiltonian
-# ---------------------------------------------------------------------------
-
-class TestArgmax:
-    def test_quadratic_vertex(self):
-        obj = ObjectiveSpec(running=lambda t, x, u, i, y: -(u - 1.0) ** 2,
-                            terminal=None)
-        res = argmax_hamiltonian(0.0, 0.0, 0, 0.0, AdjointState(0.0, 0.0),
-                                 _const_dyn(), obj, control_set=(-10.0, 10.0))
-        assert res.u_star == pytest.approx(1.0, abs=1e-8)
-        assert res.h_star == pytest.approx(0.0, abs=1e-12)
-
-    def test_unbounded_quadratic_without_box(self):
-        obj = ObjectiveSpec(running=lambda t, x, u, i, y: -(u - 1.0) ** 2,
-                            terminal=None)
-        res = argmax_hamiltonian(0.0, 0.0, 0, 0.0, AdjointState(0.0, 0.0),
-                                 _const_dyn(), obj, control_set=None)
-        assert res.u_star == pytest.approx(1.0, abs=1e-6)
-
-    def test_stationary_line_when_u_slope_vanishes(self):
-        # linear-in-u drift with mbar*p + q = 0: every u is a maximizer
-        r, mbar, sigma = 0.05, 0.4, 0.2
-        p = 2.0
-        q = -mbar * p  # cancels the u-slope
-        dyn = ControlledDynamics(
-            dim=1,
-            drift=lambda t, x, u, i: r * x + u * mbar * sigma,
-            vol=lambda t, x, u, i: u * sigma)
-        res = argmax_hamiltonian(0.0, 1.0, 0, 0.0, AdjointState(p, q), dyn,
-                                 None, control_set=None, stationarity=True)
-        assert res.mode == "stationary-line"
-        assert res.u_star is None
-        assert abs(res.u_coefficient) < 1e-10
-        assert res.h_star == pytest.approx(r * 1.0 * p, rel=1e-10)
-
-    def test_unbounded_linear_raises(self):
-        dyn = ControlledDynamics(
-            dim=1,
-            drift=lambda t, x, u, i: 0.5 * u + np.zeros_like(x),
-            vol=lambda t, x, u, i: np.zeros_like(x))
-        with pytest.raises(UnboundedHamiltonian):
-            argmax_hamiltonian(0.0, 0.0, 0, 0.0, AdjointState(1.0, 0.0), dyn,
-                               None, control_set=None)
-
-    def test_linear_slope_picks_box_corner(self):
-        dyn = ControlledDynamics(
-            dim=1,
-            drift=lambda t, x, u, i: 0.5 * u + np.zeros_like(x),
-            vol=lambda t, x, u, i: np.zeros_like(x))
-        res = argmax_hamiltonian(0.0, 0.0, 0, 0.0, AdjointState(1.0, 0.0), dyn,
-                                 None, control_set=(-2.0, 3.0))
-        assert res.u_star == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +387,21 @@ class TestHjb:
                            0, 0.0, control_set=(-1.0, 1.0), forced_u=0.0)
         assert abs(res) > 1e-3
 
+    def test_supremum_over_the_control_box(self, single_regime):
+        # V = 0 leaves sup_u f1 = sup_u -(u - 1)^2: 0 at the vertex inside
+        # [-10, 10], -1 at the corner u = 2 of [2, 3] (bounded Brent stops
+        # within ~1e-7 of a bound); no box, no supremum
+        V = ValueFunctionStub(v=lambda t, x, i, y: np.zeros_like(x))
+        obj = ObjectiveSpec(running=lambda t, x, u, i, y: -(u - 1.0) ** 2,
+                            terminal=None)
+        args = (V, obj, _const_dyn(), single_regime, 0.2, 0.5, 0, 0.0)
+        assert hjb_residual(*args, (-10.0, 10.0)) == pytest.approx(
+            0.0, abs=1e-12)
+        assert hjb_residual(*args, (2.0, 3.0)) == pytest.approx(-1.0,
+                                                                abs=1e-6)
+        with pytest.raises(UnboundedHamiltonian):
+            hjb_residual(*args, None)
+
 
 # ---------------------------------------------------------------------------
 # adjoint_from_value
@@ -547,6 +507,23 @@ class TestAdjointFromValue:
         comp = rate * sum(w * eta(gam) for gam, w in zip(atoms, weights))
         np.testing.assert_allclose(adj.eta_comp, comp, rtol=1e-12,
                                    atol=1e-14)
+
+    def test_realized_jump_slot_is_the_v_x_change_at_each_applied_jump(self):
+        # step k ends in a jump at node k + 1: V_x(x- + g) - V_x(x-) from
+        # the left node's (t, x, u, theta, y) and the jump's mark; 0 elsewhere
+        V, ens, dyn, model = self._wealth_jump_setup()
+        adj = adjoint_from_value(V, ens, dyn, model)
+        want = np.zeros_like(adj.eta_jump)
+        hits = np.argwhere(ens.jump_mask)
+        assert len(hits) > 10 and (hits[:, 1] > 0).all()
+        for r, c in hits:
+            t, x, u, th, y = (a[r, c - 1] for a in (ens.t, ens.x, ens.u,
+                                                    ens.theta, ens.y))
+            g = dyn.jump(t, x, u, th, ens.jump_marks[r, c])
+            want[r, c - 1] = V.v_x(t, x + g, th, y) - V.v_x(t, x, th, y)
+        assert want.astype(bool).sum() == len(hits)
+        assert not adj.eta_jump[want == 0.0].any()
+        np.testing.assert_allclose(adj.eta_jump, want, rtol=1e-12, atol=0.0)
 
     def test_eta_is_computed_once_per_mark_node(self):
         # the compensator and both shifted Hamiltonians of the fd gradient

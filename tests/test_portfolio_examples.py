@@ -1,5 +1,6 @@
 """Closed-form rules, functionals, and adjoints for both portfolio problems."""
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,9 @@ from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy,
                                  simulate_ensemble, step_plan)
 from smjd.maximum_principle import adjoint_residual
 from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
-                                     RiskSensitiveModel, _sojourn_cumulative,
-                                     ql_adjoint, ql_dynamics,
-                                     ql_lambda_factors, ql_objective,
+                                     RiskSensitiveModel, _ql_factors,
+                                     _sojourn_cumulative, ql_adjoint,
+                                     ql_dynamics, ql_objective,
                                      ql_optimal_control, ql_phi_psi,
                                      ql_phi_psi_markov, ql_policy,
                                      ql_u_coefficient, rs_adjoint, rs_dynamics,
@@ -124,6 +125,21 @@ class TestRsControl:
         with pytest.raises((DegenerateVol, ValueError)):
             RiskSensitiveModel(r=np.array([0.05]), mu=np.array([0.13]),
                                sigma=np.array([0.0]), gamma=0.5, horizon=1.0)
+
+    def test_objective_of_a_negative_wealth_is_nan_without_a_warning(
+            self, rs_single, single_regime):
+        # x ** gamma of the final wealth 1 - 2 < 0: NaN for the caller to
+        # refuse, and no floating-point warning on the way
+        dyn = ControlledDynamics(
+            dim=1, drift=lambda t, x, u, i: np.full_like(x, -2.0),
+            vol=lambda t, x, u, i: np.zeros_like(x))
+        policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
+        ens = simulate_ensemble(dyn, policy, _paths(single_regime, 3, 1.0, 1),
+                                x0=1.0, dt=0.1, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J = jump_diffusion.objective_paths(ens, rs_objective(rs_single))
+        assert ens.x[:, -1].max() < 0.0 and np.isnan(J).all()
 
 
 def _rs_start_node(model, regime_model, n_paths, seed, variant):
@@ -288,7 +304,7 @@ class TestRsAdjoint:
 
 class TestQlLambdaFactors:
     def test_no_jumps(self, ql_nojump_single):
-        lam_t, lam = ql_lambda_factors(ql_nojump_single, 0.0, 0, 0.0, -2.0)
+        lam_t, lam = _ql_factors(ql_nojump_single, 0, -2.0)
         assert lam_t == pytest.approx(-0.08)
         assert lam == pytest.approx(0.04)
         assert lam_t / lam == pytest.approx(-2.0)  # -mbar/sigma
@@ -301,7 +317,7 @@ class TestQlLambdaFactors:
                                    marks=marks,
                                    jump_coeff=lambda i, g: g,
                                    lambda_variant="literal")
-        lam_t, lam = ql_lambda_factors(model, 0.0, 0, 0.0, -1.5)
+        lam_t, lam = _ql_factors(model, 0, -1.5)
         assert lam_t == pytest.approx(0.02, abs=1e-14)
         assert lam == pytest.approx(0.025, abs=1e-14)
 
@@ -312,12 +328,12 @@ class TestQlLambdaFactors:
                                    sigma=np.array([0.2]), d=1.0, horizon=1.0,
                                    marks=marks, jump_coeff=lambda i, g: g,
                                    lambda_variant="literal")
-        _, lam = ql_lambda_factors(model, 0.0, 0, 0.0, 0.0)
+        _, lam = _ql_factors(model, 0, 0.0)
         assert lam == pytest.approx(0.04)
 
     def test_consistent_factors_carry_jump_rate(self):
         model = _ql_jump_model("consistent")
-        lam_t, lam = ql_lambda_factors(model, 0.0, 0, 0.0, -2.0)
+        lam_t, lam = _ql_factors(model, 0, -2.0)
         # -(mbar*sigma + rate*m1) and sigma^2 + rate*m2 with
         # m1 = 0.028, m2 = 0.00484 in regime 0
         assert lam_t == pytest.approx(-(0.08 + 2.0 * 0.028), abs=1e-14)
@@ -327,7 +343,7 @@ class TestQlLambdaFactors:
         model = QuadraticLossModel(r=np.array([0.0]), mbar=np.array([0.0]),
                                    sigma=np.array([1e-7]), d=1.0, horizon=1.0)
         with pytest.raises(SingularDenominator):
-            ql_lambda_factors(model, 0.0, 0, 0.0, -2.0)
+            _ql_factors(model, 0, -2.0)
 
     @pytest.mark.parametrize("variant", ["literal", "consistent"])
     @pytest.mark.parametrize("jumps", [True, False], ids=["jumps", "no-jumps"])
@@ -357,14 +373,11 @@ class TestQlLambdaFactors:
             else:
                 lam_t = -(sigma[i] * mbar[i] + rate * m1[i])
                 lam = sigma[i] ** 2 + rate * m2[i]
-            got = ql_lambda_factors(model, 0.3, i, 0.7, phi)
+            got = _ql_factors(model, i, phi)
             shape = np.broadcast_shapes(np.shape(i), np.shape(phi))
-            if not shape:
-                assert all(type(g) is float for g in got)
             for g, want in zip(got, (lam_t, lam)):
                 g, want = (np.asarray(np.broadcast_to(a, shape), dtype=float)
                            for a in (g, want))
-                assert g.shape == shape
                 assert np.array_equal(g.view(np.int64), want.view(np.int64))
 
 
@@ -626,8 +639,7 @@ def _ql_rule_reference(model, phi, psi, t, x, i, y):
     interpolation and the slope from the per-point factors."""
     phi_ref = _bilinear_reference(phi, t, i, y)
     psi_ref = _bilinear_reference(psi, t, i, y)
-    lam_t, lam = ql_lambda_factors(model, 0.0, np.broadcast_to(i, phi_ref.shape),
-                                   0.0, phi_ref)
+    lam_t, lam = _ql_factors(model, np.broadcast_to(i, phi_ref.shape), phi_ref)
     return (lam_t / lam) * (x + psi_ref / phi_ref)
 
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from smjd import semi_markov
-from smjd.errors import AgeBeyondSupport, BoundViolation, InfiniteHazard
+from smjd.errors import (AgeBeyondSupport, BoundViolation, InfiniteHazard,
+                         InvalidParameter)
 from smjd.jump_diffusion import MarkMeasure
 from smjd.rng import stream
 from smjd.semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
@@ -18,7 +19,7 @@ from smjd.semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                               WeibullHolding,
                               apply_generator_L, dynkin_statistics,
                               hazard_rate, intensity_matrix,
-                              regime_switch_sum, sample_holding_time, sample_regime_paths,
+                              regime_switch_sum, sample_regime_paths,
                               simulate_ctmc, simulate_regime_direct,
                               simulate_regime_thinning)
 
@@ -184,6 +185,25 @@ class TestModelValidation:
                         holding=tuple(ExponentialHolding(1.0)
                                       for _ in range(3)))
 
+    @pytest.mark.parametrize("entry", [(0, 2), (2, 1)])
+    def test_kernel_entries_must_be_finite(self, entry):
+        # a NaN entry passed the row-sum test, which compares NaN
+        kernel = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        kernel[entry] = np.nan
+        with pytest.raises(InvalidParameter, match="finite") as info:
+            RegimeModel(kernel=kernel, holding=tuple(ExponentialHolding(1.0)
+                                                     for _ in range(3)))
+        assert info.value.field == "kernel"
+
+    @pytest.mark.parametrize("law, name", [
+        (lambda: ExponentialHolding(math.inf), "rate"),
+        (lambda: WeibullHolding(2.0, math.inf), "scale"),
+        (lambda: WeibullHolding(math.inf, 1.0), "shape")],
+        ids=["exponential-rate", "weibull-scale", "weibull-shape"])
+    def test_holding_parameters_must_be_finite(self, law, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            law()
+
     def test_single_state_degenerate_model_allowed(self, single_regime):
         path = simulate_regime_direct(single_regime, RegimeState(0, 0.0), 5.0,
                                       stream(0, "t"))
@@ -191,33 +211,32 @@ class TestModelValidation:
 
 
 # ---------------------------------------------------------------------------
-# sample_holding_time
+# _holding_times: the inverse-cdf draw every sampler makes
 # ---------------------------------------------------------------------------
 
-class _FixedUniform:
-    """Duck-typed generator returning a fixed uniform draw."""
+def _hold(model, u, i=0, age=0.0):
+    """The holding time of state i for the uniform u, conditioned on
+    survival to ``age``."""
+    F_age = semi_markov._age_cdf(model, i, age)
+    return float(semi_markov._holding_times(
+        model, np.array([i]), np.array([u]), np.array([age]),
+        np.array([F_age]))[0])
 
-    def __init__(self, u):
-        self.u = u
 
-    def random(self):
-        return self.u
-
-
-class TestSampleHoldingTime:
+class TestHoldingTimes:
     def test_exponential_inverse_cdf(self, exp2_model):
-        tau = sample_holding_time(exp2_model, 0, _FixedUniform(0.5))
+        tau = _hold(exp2_model, 0.5)
         assert tau == pytest.approx(np.log(2.0) / 2.0, rel=1e-12)
 
     def test_small_draw_gives_small_holding(self, exp2_model):
-        tau = sample_holding_time(exp2_model, 0, _FixedUniform(1e-12))
+        tau = _hold(exp2_model, 1e-12)
         assert 0.0 <= tau < 1e-11
 
     def test_weibull_inverse_cdf(self):
         model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
                             holding=(WeibullHolding(2.0, 1.0),
                                      WeibullHolding(2.0, 1.0)))
-        tau = sample_holding_time(model, 0, _FixedUniform(1.0 - np.exp(-1.0)))
+        tau = _hold(model, 1.0 - np.exp(-1.0))
         assert tau == pytest.approx(1.0, rel=1e-10)
 
     def test_custom_distribution_bisection_against_scipy(self):
@@ -227,22 +246,20 @@ class TestSampleHoldingTime:
         model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
                             holding=(hold, hold))
         for u in (0.1, 0.5, 0.9):
-            tau = sample_holding_time(model, 0, _FixedUniform(u))
-            assert tau == pytest.approx(gam.ppf(u), abs=1e-8)
+            assert _hold(model, u) == pytest.approx(gam.ppf(u), abs=1e-8)
 
     def test_residual_life_conditioning(self, exp2_model):
         # memoryless: residual law at any age equals the unconditional law
-        tau0 = sample_holding_time(exp2_model, 0, _FixedUniform(0.5), age=0.0)
-        tau1 = sample_holding_time(exp2_model, 0, _FixedUniform(0.5), age=2.0)
+        tau0 = _hold(exp2_model, 0.5, age=0.0)
+        tau1 = _hold(exp2_model, 0.5, age=2.0)
         assert tau1 == pytest.approx(tau0, rel=1e-9)
 
     def test_samples_match_distribution(self):
         model = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
                             holding=(WeibullHolding(1.7, 0.9),
                                      ExponentialHolding(1.0)))
-        rng = stream(123, "holding")
-        draws = np.array([sample_holding_time(model, 0, rng)
-                          for _ in range(4000)])
+        u = stream(123, "holding").random(4000)
+        draws = semi_markov._holding_times(model, np.zeros(4000, int), u)
         d, p = st.kstest(draws, st.weibull_min(1.7, scale=0.9).cdf)
         assert p > 0.01
 

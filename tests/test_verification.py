@@ -1,4 +1,6 @@
 """Experiment harnesses: sufficiency, chain reduction, value-function link."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -662,6 +664,19 @@ class TestSweepFailures:
                 dyn, single_regime), x0=2.0, seed=3)
         assert str(info.value) == ("perturbation shift[1] (delta=-0.05) has "
                                    "a non-finite objective")
+
+    def test_non_finite_member_objective_is_refused_without_a_warning(
+            self, single_regime):
+        # delta -0.05 ends below 1.8, where the square root is NaN: the
+        # member is refused by name, and evaluating it warns of nothing
+        dyn, obj, base = self._cubic(lambda x, i, y: (x - 1.8) ** 0.5)
+        fams = [PerturbationFamily(base, "shift", (0.0, -0.05))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityFailure, match=r"shift\[1\] "
+                               r"\(delta=-0\.05\) has a non-finite objective"):
+                sufficiency_experiment(dyn, obj, fams, _cubic_plan(
+                    dyn, single_regime), x0=2.0, seed=3)
 
 
 class TestMarkovReduction:
