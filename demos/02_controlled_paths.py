@@ -32,7 +32,6 @@ r = np.array([0.06, 0.01])       # drift per regime
 vol = np.array([0.15, 0.35])     # volatility per regime
 
 dyn = ControlledDynamics(
-    dim=1,
     drift=lambda t, x, u, i: r[i] * x,
     vol=lambda t, x, u, i: vol[i] * x,
     jump=lambda t, x, u, i, gam: x * gam * (np.asarray(i) == 1),
@@ -60,8 +59,7 @@ print(f"Fraction of time in the stressed regime: {occ1:.3f} "
 # ---------------------------------------------------------------------------
 # Switch off noise and jumps; then X_T = exp(int r_theta dt) is exact given
 # the regime path, and the scheme error is pure time discretization.
-drift_only = ControlledDynamics(dim=1,
-                                drift=lambda t, x, u, i: r[i] * x,
+drift_only = ControlledDynamics(drift=lambda t, x, u, i: r[i] * x,
                                 vol=lambda t, x, u, i: np.zeros_like(x))
 
 

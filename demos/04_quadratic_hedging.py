@@ -82,8 +82,7 @@ print(f"\nMax |Hamiltonian u-coefficient| along candidate paths: "
 # p = dV/dx satisfy the same backward equation (residual first order in
 # dt), and the HJB residual separates the true V from a detuned one.
 r, d, T = 0.05, 1.0, 1.0
-det_dyn = ControlledDynamics(dim=1,
-                             drift=lambda t, x, u, i: r * x,
+det_dyn = ControlledDynamics(drift=lambda t, x, u, i: r * x,
                              vol=lambda t, x, u, i: np.zeros_like(x))
 det_obj = ObjectiveSpec(running=None,
                         terminal=lambda x, i, y: -(x - d) ** 2,
@@ -113,11 +112,11 @@ for dt_, res in zip(rep.dts, rep.residuals):
 print(f"  halving ratios {['%.2f' % q for q in rep.ratios]} "
       f"-> order consistent: {rep.order_consistent}")
 
-res_good = max(abs(hjb_residual(value_stub(r), det_obj, det_dyn, single,
-                                t, x, 0, 0.0, None, forced_u=0.0))
-               for t in (0.0, 0.5) for x in (0.7, 1.1))
-res_bad = max(abs(hjb_residual(value_stub(r + 0.1), det_obj, det_dyn, single,
-                               t, x, 0, 0.0, None, forced_u=0.0))
-              for t in (0.0, 0.5) for x in (0.7, 1.1))
+# one call per candidate on the grid t in {0, 0.5} x x in {0.7, 1.1}, u = 0
+res_good, res_bad = (
+    float(np.abs(hjb_residual(value_stub(rr), det_obj, det_dyn, single,
+                              np.array([[0.0], [0.5]]), np.array([0.7, 1.1]),
+                              0, 0.0, 0.0)).max())
+    for rr in (r, r + 0.1))
 print(f"\nHJB residual: true value function {res_good:.1e}, "
       f"detuned growth rate {res_bad:.1e} (flagged)")

@@ -8,7 +8,8 @@ Layers:
 * :mod:`smjd.jump_diffusion` — controlled Euler-Maruyama paths with
   regime switching and marked jumps, objective estimation;
 * :mod:`smjd.maximum_principle` — Hamiltonian, adjoint residuals, the
-  joint generator, HJB residuals, value-function-induced adjoints;
+  joint generator, HJB residuals at a given control, value-function-induced
+  adjoints;
 * :mod:`smjd.portfolio_examples` — closed-form rules and adjoints for the
   risk-sensitive growth and quadratic hedging problems;
 * :mod:`smjd.verification` — sufficiency, Markov-reduction, and
@@ -19,8 +20,7 @@ Layers:
 from .errors import (AdmissibilityFailure, AgeBeyondSupport, BoundViolation,
                      ConfigError, DegenerateVol, FixedPointDiverged,
                      InfiniteHazard, InvalidParameter, NonFinitePath,
-                     SingularDenominator, SingularPhi, SmjdError,
-                     UnboundedHamiltonian)
+                     SingularDenominator, SingularPhi, SmjdError)
 from .rng import stream
 from .semi_markov import (CustomHolding, ExponentialHolding, RegimeModel,
                           RegimePath, RegimePaths, RegimeState, WeibullHolding,

@@ -529,8 +529,7 @@ def _run_hjb(cfg, seed):
     r, d, T = m["r"], m["d"], m["horizon"]
     regime_model = RegimeModel(kernel=np.array([[0.0]]),
                                holding=(ExponentialHolding(rate=1.0),))
-    dyn = ControlledDynamics(dim=1,
-                             drift=lambda t, x, u, i: r * x,
+    dyn = ControlledDynamics(drift=lambda t, x, u, i: r * x,
                              vol=lambda t, x, u, i: np.zeros_like(x))
     objective = ObjectiveSpec(running=None,
                               terminal=lambda x, i, y: -(x - d) ** 2)
@@ -549,16 +548,12 @@ def _run_hjb(cfg, seed):
     V, V_bad = stub(r), stub(r + m["negative_control_shift"])
     ts = np.linspace(0.0, T, m["n_t"], endpoint=False)
     xs = np.linspace(m["x_min"], m["x_max"], m["n_x"])
-    rows, r_max, rb_max = [], 0.0, 0.0
-    for t in ts:
-        for x in xs:
-            res = hjb_residual(V, objective, dyn, regime_model, t, x, 0, 0.0,
-                               None, forced_u=0.0)
-            res_bad = hjb_residual(V_bad, objective, dyn, regime_model, t, x,
-                                   0, 0.0, None, forced_u=0.0)
-            r_max = max(r_max, abs(res))
-            rb_max = max(rb_max, abs(res_bad))
-            rows.append((t, x, res, res_bad))
+    # one call per candidate on the (n_t, n_x) grid, at the control u = 0
+    res, res_bad = (hjb_residual(v, objective, dyn, regime_model, ts[:, None],
+                                 xs, 0, 0.0, 0.0) for v in (V, V_bad))
+    r_max, rb_max = float(np.abs(res).max()), float(np.abs(res_bad).max())
+    rows = [(t, x, res[a, b], res_bad[a, b])
+            for a, t in enumerate(ts) for b, x in enumerate(xs)]
     term = hjb_terminal_mismatch(V, objective, T, xs, np.zeros(len(xs), int),
                                  np.zeros(len(xs)))
     passed = r_max < 1e-8 and rb_max > 1e-3 and term < 1e-12

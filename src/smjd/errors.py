@@ -44,10 +44,6 @@ class NonFinitePath(SmjdError):
         super().__init__(message)
 
 
-class UnboundedHamiltonian(SmjdError):
-    """A supremum over the control was asked for on an unbounded set."""
-
-
 class InvalidParameter(SmjdError, ValueError):
     """A constructor refused the value of one parameter, named by ``field``."""
 

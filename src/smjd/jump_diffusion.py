@@ -7,12 +7,12 @@ the time grid exactly, so coefficients switch at the true event times.
 The jump integral is uncompensated: at a jump the state moves by
 g(t, X(t-), u(t-), theta(t-), mark).
 
-Coefficient call convention: scalar-state callables work element by
-element on arguments of one shape (times, states, controls, regime indices,
-marks) and return that shape.  The stepping kernel passes (n,) columns
-(states (n, r) when dim > 1); the Hamiltonian, the generator G and the
-adjoints pass whole ensemble grids, one call per mark node for a jump
-integral.  The kernel steps through the policy's column law
+The state is a scalar.  Coefficient call convention: callables work
+element by element on arguments of one shape (times, states, controls,
+regime indices, marks) and return that shape.  The stepping kernel passes
+(n,) columns; the Hamiltonian, the generator G and the adjoints pass whole
+ensemble grids, one call per mark node for a jump integral.  The kernel
+steps through the policy's column law
 (:meth:`ControlPolicy.law`) on the state; it keeps a returned float64
 (n,) array as it is, never writing into it, and copies anything else that
 broadcasts to (n,) (a Python scalar, a 0-d or integer array) to float;
@@ -30,15 +30,14 @@ sees the same draws, so shared-noise coupling holds by construction.
 
 Stacked call convention: the kernel also steps P policies at once on one
 plan (the sufficiency sweeps' perturbation families and bases).  States
-are then (P, n) ((P, n, r) when dim > 1) and controls (P, n), while the t,
-regime, age and mark columns stay (n,): the stack's law is called once per
-column, making one law call per distinct base policy on its rows' stacked
-states, and the drift, vol and jump coefficients are called once per
-column for all P.  So rules and coefficients used in a stacked pass must
-broadcast a leading policy axis against the (n,) columns (for dim > 1,
-index state coordinates as ``x[..., j]``); every library rule and
-coefficient does.  Elementwise expressions then give each row the bits its
-own single-policy run gives.
+and controls are then (P, n), while the t, regime, age and mark columns
+stay (n,): the stack's law is called once per column, making one law call
+per distinct base policy on its rows' stacked states, and the drift, vol
+and jump coefficients are called once per column for all P.  So rules and
+coefficients used in a stacked pass must broadcast a leading policy axis
+against the (n,) columns; every library rule and coefficient does.
+Elementwise expressions then give each row the bits its own single-policy
+run gives.
 """
 
 from __future__ import annotations
@@ -99,10 +98,13 @@ class MarkMeasure:
             object.__setattr__(self, "atoms", atoms)
             object.__setattr__(self, "weights", weights)
         elif self.density is not None:
-            if self.support is None:
-                raise ValueError("continuous marks need a bounded support")
-            if abs(self.integrate(lambda g: 1.0) - 1.0) > 1e-8:
-                raise ValueError("mark density must integrate to 1 on its support")
+            lo, hi = self.support or (np.nan, np.nan)
+            if not -np.inf < lo < hi < np.inf:
+                raise InvalidParameter("support", "mark support must be finite "
+                                       f"with lo < hi, got {self.support}")
+            if not abs(self.integrate(lambda g: 1.0) - 1.0) <= 1e-8:  # NaN too
+                raise InvalidParameter("density", "mark density must "
+                                       "integrate to 1 on its support")
         else:
             raise ValueError("provide discrete atoms/weights or a density")
 
@@ -116,6 +118,14 @@ class MarkMeasure:
         0.5 (hi - lo) w density, built once per measure."""
         return self._quadrature
 
+    def _density_at(self, g: np.ndarray) -> np.ndarray:
+        """The density at nodes ``g``, refused unless finite and >= 0."""
+        pdf = np.asarray(self.density(g), dtype=float)
+        if not np.all((pdf >= 0) & (pdf < np.inf)):
+            raise InvalidParameter("density", "mark density must be finite "
+                                   "and >= 0 on its support")
+        return pdf
+
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         if self.discrete:
@@ -123,7 +133,7 @@ class MarkMeasure:
         lo, hi = self.support
         x, w = np.polynomial.legendre.leggauss(64)
         g = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        return g, 0.5 * (hi - lo) * w * np.asarray(self.density(g), dtype=float)
+        return g, 0.5 * (hi - lo) * w * self._density_at(g)
 
     def integrate(self, f: Callable[[float], float | np.ndarray]):
         """Integral of f against pi: sum_k w_k f(gamma_k) over :meth:`nodes`,
@@ -143,7 +153,7 @@ class MarkMeasure:
             return _cdf_table(self.weights), self.atoms
         lo, hi = self.support
         grid = np.linspace(lo, hi, 4097)
-        pdf = np.asarray(self.density(grid), dtype=float)
+        pdf = self._density_at(grid)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
         cdf /= cdf[-1]
         return cdf, grid
@@ -165,9 +175,8 @@ class ControlledDynamics:
 
     ``drift``/``vol``/``jump`` have signatures (t, x, u, i) -> like x,
     with ``jump`` additionally taking the mark array as the last argument.
-    For scalar models (dim == 1) states are shaped like the other arguments
-    and ``vol`` returns the single diffusion coefficient; for dim > 1, x is
-    (n, r), drift returns (n, r), vol returns (n, r, r) and jump (n, r).
+    The state is a scalar: x is shaped like the other arguments and ``vol``
+    returns the single diffusion coefficient.
 
     Optional ``bind(t, i, nodes)`` computes the state-free factors once on
     (n, B) column blocks of a plan's t, theta and jump nodes (times, left
@@ -177,7 +186,6 @@ class ControlledDynamics:
     copy with other coefficients must set ``bind=None``.
     """
 
-    dim: int
     drift: Callable
     vol: Callable
     jump: Callable | None = None
@@ -185,8 +193,6 @@ class ControlledDynamics:
     bind: Callable | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("state dimension must be >= 1")
         if (self.jump is None) != (self.marks is None):
             raise ValueError("jump coefficient and mark measure go together")
 
@@ -246,23 +252,18 @@ class NoisePlan:
     of them depends on the control, so any number of policies can be
     stepped on one plan with :func:`step_plan`; the arrays are read-only
     and shared by every :class:`Ensemble` stepped on it.  ``marks`` is the
-    mark measure the jumps were drawn from and :attr:`dim` the state
-    dimension of ``dW``; :func:`step_plan` refuses dynamics with any other.
+    mark measure the jumps were drawn from; :func:`step_plan` refuses
+    dynamics with any other.
     """
 
     t: np.ndarray           # (n, K)
-    dW: np.ndarray          # (n, K-1) or (n, K-1, r) Brownian increments
+    dW: np.ndarray          # (n, K-1) Brownian increments
     jump_mask: np.ndarray   # (n, K) bool: asset jump applied at this node
     jump_marks: np.ndarray  # (n, K) mark value where jump_mask (else 0)
     theta: np.ndarray       # (n, K) int
     y: np.ndarray           # (n, K)
     regime_paths: RegimePaths
     marks: MarkMeasure | None
-
-    @property
-    def dim(self) -> int:
-        """State dimension the Brownian increments were drawn for."""
-        return 1 if self.dW.ndim == 2 else self.dW.shape[2]
 
     @cached_property
     def jump_nodes(self) -> tuple:
@@ -280,8 +281,8 @@ class Ensemble(NoisePlan):
     """A :class:`NoisePlan` plus the paths ``x`` and ``u`` of one policy
     stepped on it; every plan field is the plan's own object."""
 
-    x: np.ndarray           # (n, K) or (n, K, r)
-    u: np.ndarray           # (n, K) or (n, K, m)
+    x: np.ndarray           # (n, K)
+    u: np.ndarray           # (n, K)
 
     @property
     def n_paths(self) -> int:
@@ -311,9 +312,9 @@ def build_plan(dyn: ControlledDynamics, regime_paths: Sequence[RegimePath],
     """Draw the noise of one path per regime path.
 
     Path p draws from stream (seed, stream_tag, p): Poisson jump count, jump
-    times, jump marks, then one standard-normal vector per step of its grid
-    in grid order.  No regime path, mixed horizons or a ``dt`` of twice the
-    horizon or more raise ValueError.
+    times, jump marks, then one standard normal per step of its grid in grid
+    order.  No regime path, mixed horizons or a ``dt`` that is not finite,
+    > 0 and under twice the horizon raise ValueError.
     """
     return _draw_plan(dyn, regime_paths, dt,
                       (stream(seed, stream_tag, p)
@@ -331,7 +332,7 @@ def _draw_plan(dyn, regime_paths, dt, rngs) -> NoisePlan:
     paths = RegimePaths.of(regime_paths)
     rngs = list(rngs)
     n, horizon = len(rngs), paths.horizon
-    steps = int(round(horizon / dt))
+    steps = int(round(horizon / dt)) if 0 < dt < np.inf else 0
     if steps < 1:
         raise ValueError(f"dt {dt} gives no step on [0, {horizon}]")
     jump_t, jump_m = zip(*(_draw_jumps(dyn, horizon, rng) for rng in rngs))
@@ -368,12 +369,12 @@ def _draw_plan(dyn, regime_paths, dt, rngs) -> NoisePlan:
     jump_marks[r[jump], col[jump]] = np.concatenate(jump_m)[order[jump] - E]
     theta, y = paths._cadlag(t, col[~jump])  # events in table order
 
-    dW = np.zeros((n, t.shape[1] - 1) + ((dyn.dim,) if dyn.dim > 1 else ()))
+    dW = np.zeros((n, t.shape[1] - 1))
     for p, rng in enumerate(rngs):
         rng.standard_normal(out=dW[p, : L[p] - 1])
     steps = np.diff(t, axis=1)
     np.sqrt(steps, out=steps)
-    dW *= steps if dyn.dim == 1 else steps[..., None]
+    dW *= steps
     for a in (t, dW, jump_mask, jump_marks, theta, y):
         a.flags.writeable = False
     return NoisePlan(t=t, dW=dW, jump_mask=jump_mask, jump_marks=jump_marks,
@@ -386,30 +387,22 @@ def _step(dyn: ControlledDynamics, bind: Callable, plan: NoisePlan, x0,
     blocks of ``_BLOCK_FLOATS // n`` columns (:meth:`ControlPolicy.law`:
     a policy with only a rule is called column by column) and the dynamics'
     laws on them (:meth:`ControlledDynamics.laws`); returns (x, u,
-    failures).  One policy (``stack`` None): states are (n,) ((n, r) when
-    dim > 1), x and u the (n, K) paths, and the first non-finite state
-    raises NonFinitePath.  ``stack`` = P steps P policies, bound together,
-    on states (P, n) ((P, n, r)): x and u are (P, n, K) paths, or, without
-    ``keep``, x the final states and u None.  Row p's failure is
-    its first NonFinitePath, or None; a failed row goes on from x0 so the
-    others are stepped on finite values.
+    failures).  One policy (``stack`` None): states are (n,), x and u the
+    (n, K) paths, and the first non-finite state raises NonFinitePath.
+    ``stack`` = P steps P policies, bound together, on states (P, n): x and
+    u are (P, n, K) paths, or, without ``keep``, x the final states and u
+    None.  Row p's failure is its first NonFinitePath, or None; a failed row
+    goes on from x0 so the others are stepped on finite values.
     """
     t, dW, theta, y = plan.t, plan.dW, plan.theta, plan.y
     n, K = t.shape
-    scalar = dyn.dim == 1
     dts = np.diff(t, axis=1)
-    lead = () if stack is None else (stack,)
-    shape = lead + (n,)
-    # index of column(s) c of the state, whatever the leading axes
-    at = (lambda c: (Ellipsis, c)) if scalar else (
-        lambda c: (Ellipsis, c, slice(None)))
+    shape = (n,) if stack is None else (stack, n)
 
-    x = (np.full(shape, float(x0)) if scalar
-         else np.tile(np.asarray(x0, dtype=float), shape + (1,)))
+    x = np.full(shape, float(x0))
     x_start = x.copy()
     if keep:
-        xs = np.empty(shape + (K,) + ((dyn.dim,) if not scalar else ()))
-        us = np.empty(shape + (K,))
+        xs, us = np.empty(shape + (K,)), np.empty(shape + (K,))
     failures = [None] * (stack or 0)
     u_prev = np.zeros(shape)
     B = max(1, _BLOCK_FLOATS // n)
@@ -426,28 +419,23 @@ def _step(dyn: ControlledDynamics, bind: Callable, plan: NoisePlan, x0,
                                                  for v in nodes])
         if cut[k] < cut[k + 1]:
             idx = rows[cut[k]:cut[k + 1]]
-            x_idx = x[at(idx)]
+            x_idx = x[..., idx]
             gval = jump(slice(cut[k] - a0, cut[k + 1] - a0), x_idx,
                         u_prev[..., idx])
             x = x.copy()
-            x[at(idx)] = x_idx + gval
+            x[..., idx] = x_idx + gval
         uk = law(j, x)
         if type(uk) is not np.ndarray or uk.dtype != float or uk.shape != shape:
             uk = np.broadcast_to(np.asarray(uk, dtype=float), shape).astype(float)
         if keep:
-            xs[at(k)], us[..., k] = x, uk
+            xs[..., k], us[..., k] = x, uk
         if k == K - 1:
             break
         delta = dts[:, k]
-        b, s = drift(j, x, uk), vol(j, x, uk)
-        if scalar:
-            x = x + b * delta + s * dW[:, k]
-        else:
-            x = x + b * delta[:, None] + np.einsum("...ij,...j->...i", s,
-                                                   dW[:, k])
+        x = x + drift(j, x, uk) * delta + vol(j, x, uk) * dW[:, k]
         if not np.isfinite(x).all():
             # (policies, paths): one row for a single policy
-            finite = np.isfinite(x).reshape(-1, n, dyn.dim).all(axis=2)
+            finite = np.isfinite(x).reshape(-1, n)
             for row in np.nonzero(~finite.all(axis=1))[0]:
                 bad = int(np.nonzero(~finite[row])[0][0])
                 exc = NonFinitePath(f"non-finite state at column {k + 1} "
@@ -474,14 +462,12 @@ def step_plan(dyn: ControlledDynamics, policy: ControlPolicy,
 
     Every policy stepped on one plan sees its regime, Brownian and jump
     draws (shared-noise coupling), and the ensemble shares the plan's
-    arrays.  A plan drawn for another state dimension or mark measure than
-    ``dyn``'s raises ValueError naming it.
+    arrays.  A plan drawn for another mark measure than ``dyn``'s raises
+    ValueError naming it.
     """
-    for field, want, same in (("dim", dyn.dim, plan.dim == dyn.dim),
-                              ("marks", dyn.marks, plan.marks is dyn.marks)):
-        if not same:
-            raise ValueError(f"plan was built for another {field}: "
-                             f"{getattr(plan, field)!r}, not {want!r}")
+    if plan.marks is not dyn.marks:
+        raise ValueError("plan was built for another marks: "
+                         f"{plan.marks!r}, not {dyn.marks!r}")
     return _ensemble(plan, *_step(dyn, policy.law, plan, x0)[:2])
 
 
@@ -505,12 +491,11 @@ def running_cost_paths(ens: Ensemble, objective: ObjectiveSpec) -> np.ndarray:
     """Per-path trapezoidal integral of the running cost on the path grid."""
     if objective.running is None:
         return np.zeros(ens.n_paths)
-    # one call on the n*K points: x (n*K,), or (n*K, r) when dim > 1
+    # one call on the n*K points, flattened
     n, K = ens.t.shape
     vals = np.empty((n, K))
     vals.reshape(-1)[:] = objective.running(*(
-        a.reshape((n * K,) + a.shape[2:])
-        for a in (ens.t, ens.x, ens.u, ens.theta, ens.y)))
+        a.reshape(-1) for a in (ens.t, ens.x, ens.u, ens.theta, ens.y)))
     dts = np.diff(ens.t, axis=1)
     return np.sum(0.5 * (vals[:, 1:] + vals[:, :-1]) * dts, axis=1)
 

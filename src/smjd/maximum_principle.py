@@ -1,4 +1,5 @@
-"""Hamiltonian evaluation, adjoint-equation residuals, and the joint generator.
+"""Hamiltonian evaluation, adjoint-equation residuals, and the joint generator,
+all of a scalar state.
 
 The Hamiltonian pairs running cost, drift, diffusion, and jump coefficients
 with adjoint variables (p, q, eta):
@@ -23,7 +24,7 @@ Hamiltonian.  The adjoint backward equation reads
 ``adjoint_residual`` measures how well a candidate adjoint satisfies the
 discrete version of this equation along simulated paths; closed-form
 adjoints from the worked examples and value-function-induced adjoints are
-both fed through it.
+both fed through it.  :func:`hjb_residual` is f1 + G V at a given control.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import UnboundedHamiltonian
 from .jump_diffusion import (ControlledDynamics, Ensemble, ObjectiveSpec,
                              simulate_ensemble)
 from .semi_markov import (RegimeModel, RegimeState, regime_switch_sum,
@@ -116,8 +115,6 @@ def hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
     argument is a scalar.  With zero jump coefficient this reduces to
     f1 + b p + sigma q.
     """
-    if dyn.dim != 1:
-        raise NotImplementedError("Hamiltonian implemented for scalar state")
     scalar, (t, x, u, i, y, p, q) = _points(t, x, u, i, y, adj.p, adj.q)
     val = np.zeros(x.shape)
     if objective is not None and objective.running is not None:
@@ -141,17 +138,6 @@ def grad_x_hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics
     h = 1e-5 * (1.0 + np.abs(x))
     return (hamiltonian(t, x + h, u, i, y, adj, dyn, objective)
             - hamiltonian(t, x - h, u, i, y, adj, dyn, objective)) / (2 * h)
-
-
-def _box_argmax(fun, lo: float, hi: float) -> tuple[float, float]:
-    """(argmax, max) of ``fun`` on [lo, hi]: the best of 33 grid points (one
-    vectorized call), polished by bounded Brent on its neighbouring cells."""
-    grid = np.linspace(lo, hi, 33)
-    k = int(np.argmax(fun(grid)))
-    res = minimize_scalar(lambda uu: -fun(uu), method="bounded",
-                          bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 32)]),
-                          options={"xatol": 1e-12})
-    return float(res.x), float(-res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -388,27 +374,15 @@ def dynkin_check(V: ValueFunctionStub, dyn: ControlledDynamics, policy,
 
 
 def hjb_residual(V: ValueFunctionStub, objective: ObjectiveSpec,
-                 dyn: ControlledDynamics, model: RegimeModel, t, x, i, y,
-                 control_set, forced_u: float | None = None) -> float:
-    """Residual of dV/dt + sup_u { f1 + A^u V } at a point.
-
-    ``forced_u`` pins the control (useful for deterministic test cases);
-    otherwise the supremum is taken over the control box by scalar search.
-    """
-    def total(u):  # vectorized over u
-        val = generator_G(V, t, x, i, y, u, dyn, model)
-        if objective.running is None:
-            return val
-        scalar, points = _points(t, x, u, i, y)
-        f1 = np.asarray(objective.running(*points), dtype=float)
-        return (float(f1[0]) if scalar else f1) + val
-
-    if forced_u is not None:
-        return total(forced_u)
-    if control_set is None:
-        raise UnboundedHamiltonian("supremum over an unbounded control set; "
-                                   "provide a box or forced_u")
-    return _box_argmax(total, *control_set)[1]
+                 dyn: ControlledDynamics, model: RegimeModel, t, x, i, y, u):
+    """Residual f1 + G V of the HJB equation at the control ``u``, on
+    points that broadcast as in :func:`generator_G`, with its return."""
+    val = generator_G(V, t, x, i, y, u, dyn, model)
+    if objective.running is None:
+        return val
+    scalar, points = _points(t, x, u, i, y)
+    f1 = np.asarray(objective.running(*points), dtype=float)
+    return (float(f1[0]) if scalar else f1) + val
 
 
 def hjb_terminal_mismatch(V: ValueFunctionStub, objective: ObjectiveSpec,

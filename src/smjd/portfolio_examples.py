@@ -217,7 +217,6 @@ def _wealth_dynamics(model, jumps: bool = False) -> ControlledDynamics:
                 lambda q, x, u: np.asarray(u, dtype=float) * g[q])
 
     return ControlledDynamics(
-        dim=1,
         drift=lambda t, x, u, i: r[i] * x + u * s[i] * m[i],
         vol=lambda t, x, u, i: u * s[i],
         jump=(lambda t, x, u, i, gam: np.asarray(u, dtype=float)

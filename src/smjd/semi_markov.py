@@ -592,6 +592,12 @@ _BLOCK_SOJOURNS = 1 << 18  # cap on the sojourns of one block
 _BLOCK_MARGIN = 1.25  # a block asks for this many times the sojourns expected
 
 
+def _check_horizon(horizon: float) -> None:
+    """Refuse, before any draw, a horizon that is not finite and > 0."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+
+
 def _check_origin(origin: RegimeState, M: int) -> None:
     if not 0 <= origin.theta < M:
         raise ValueError(f"origin state {origin.theta} is outside 0..{M - 1} "
@@ -632,8 +638,7 @@ def _direct_paths(model: RegimeModel, theta0: np.ndarray, y0: np.ndarray,
     path uses.  The callers check the origin states; the first origin age
     past its law's support raises AgeBeyondSupport, before any draw.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     M, n = model.n_states, len(theta0)
     rows = np.arange(n if M > 1 else 0)
     old = np.flatnonzero(y0 > 0.0) if rows.size else rows  # aged origins
@@ -786,8 +791,7 @@ def simulate_regime_thinning(model: RegimeModel, origin: RegimeState,
     sampler; raises BoundViolation if a realized hazard exceeds the bound in
     force.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     _check_origin(origin, model.n_states)
     events: list[tuple[float, int]] = []
     t, i = 0.0, origin.theta
@@ -836,6 +840,7 @@ def simulate_ctmc(rates: Sequence[float], kernel: np.ndarray, origin: RegimeStat
     the exponential-holding special case.  ``rates`` other than M finite
     positive numbers raise ValueError naming them, before any draw.
     """
+    _check_horizon(horizon)
     events: list[tuple[float, int]] = []
     kernel = np.asarray(kernel, dtype=float)
     M = kernel.shape[0]

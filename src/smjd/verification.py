@@ -370,7 +370,7 @@ def _member_objectives(dyn, objective, members, plan, x0):
     """
     n, K = plan.t.shape
     keep = objective.running is not None
-    rows = (max(1, _STACK_BYTES // (8 * n * K * (plan.dim + 1))) if keep
+    rows = (max(1, _STACK_BYTES // (16 * n * K)) if keep
             else max(1, len(members)))
     out = []
     for a in range(0, len(members), rows):

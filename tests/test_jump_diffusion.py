@@ -1,6 +1,6 @@
 """Controlled paths: Euler stepping, event-grid exactness, objectives."""
 import hashlib
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,14 +30,18 @@ def _paths(model, n, horizon, seed, i0=0, y0=0.0):
 
 @pytest.fixture
 def frozen_dyn():
-    return ControlledDynamics(dim=1,
-                              drift=lambda t, x, u, i: np.zeros_like(x),
+    return ControlledDynamics(drift=lambda t, x, u, i: np.zeros_like(x),
                               vol=lambda t, x, u, i: np.zeros_like(x))
 
 
 # ---------------------------------------------------------------------------
 # MarkMeasure
 # ---------------------------------------------------------------------------
+
+def _density(density, support):
+    """MarkMeasure arguments of a continuous law, overriding the atoms."""
+    return dict(atoms=None, weights=None, density=density, support=support)
+
 
 class TestMarkMeasure:
     def test_discrete_moments_are_exact_sums(self):
@@ -61,8 +65,18 @@ class TestMarkMeasure:
     @pytest.mark.parametrize("kw, name", [
         (dict(rate=np.inf), "rate"), (dict(atoms=[0.1, np.nan]), "atoms"),
         (dict(atoms=[np.inf, 0.1]), "atoms"),
-        (dict(weights=[np.nan, 1.0]), "weights")],
-        ids=["rate", "nan-atom", "inf-atom", "nan-weight"])
+        (dict(weights=[np.nan, 1.0]), "weights"),
+        # a NaN mass passed the mass check and the draws were NaN
+        (_density(lambda g: np.full_like(g, np.nan), (0.0, 1.0)), "density"),
+        # negative below 0.25, of mass 1 on [0, 1]
+        (_density(lambda g: 4.0 * g - 1.0, (0.0, 1.0)), "density"),
+        (_density(lambda g: np.full_like(g, -5.0), (0.2, 0.0)), "support"),
+        # the draws were inf
+        (_density(lambda g: np.exp(-g), (0.0, np.inf)), "support"),
+        (_density(lambda g: np.ones_like(g), (np.nan, 1.0)), "support")],
+        ids=["rate", "nan-atom", "inf-atom", "nan-weight", "nan-density",
+             "negative-density", "reversed-support", "infinite-support",
+             "nan-support"])
     def test_non_finite_parameters_are_refused(self, kw, name):
         args = dict(rate=1.0, atoms=[0.1, 0.2], weights=[0.5, 0.5])
         with pytest.raises(ValueError, match=name):
@@ -166,8 +180,7 @@ class TestSimulatePath:
         assert np.allclose(ens.x, 3.5)
 
     def test_deterministic_exponential_growth(self, single_regime):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.05 * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.05 * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         plan = build_plan(dyn, _paths(single_regime, 1, 1.0, 0), 1e-3, 0, "p")
         ens = step_plan(dyn, _zero_policy(), plan, x0=1.0)
@@ -176,8 +189,7 @@ class TestSimulatePath:
     def test_compound_poisson_mean(self, single_regime):
         mm = MarkMeasure(rate=2.0, atoms=np.array([0.1]),
                          weights=np.array([1.0]))
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.zeros_like(x),
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: np.zeros_like(x),
                                  vol=lambda t, x, u, i: np.zeros_like(x),
                                  jump=lambda t, x, u, i, gam: gam,
                                  marks=mm)
@@ -192,8 +204,7 @@ class TestSimulatePath:
         # for state-free jump sizes: E X(T) = x0 + E int (b + rate*mean g) dt
         mm = MarkMeasure(rate=2.0, atoms=np.array([-0.05, 0.08]),
                          weights=np.array([0.4, 0.6]))
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.full_like(x, 0.1),
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: np.full_like(x, 0.1),
                                  vol=lambda t, x, u, i: np.full_like(x, 0.3),
                                  jump=lambda t, x, u, i, gam: gam,
                                  marks=mm)
@@ -208,8 +219,7 @@ class TestSimulatePath:
     def test_regime_event_times_on_grid_exactly(self, exp2_model):
         regimes = _paths(exp2_model, 1, 1.0, 31)
         assert len(regimes[0].events) > 0
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.zeros_like(x),
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: np.zeros_like(x),
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         ens = step_plan(dyn, _zero_policy(),
                         build_plan(dyn, regimes, 0.01, 31, "p"), x0=0.0)
@@ -222,7 +232,6 @@ class TestSimulatePath:
         mm = MarkMeasure(rate=3.0, atoms=np.array([-0.1, 0.05, 0.2]),
                          weights=np.array([0.3, 0.4, 0.3]))
         dyn = ControlledDynamics(
-            dim=1,
             drift=lambda t, x, u, i: 0.05 * x + 0.1 * u * (i + 1),
             vol=lambda t, x, u, i: (0.2 + 0.1 * i) * np.sqrt(1.0 + x ** 2),
             jump=lambda t, x, u, i, gam: (x + u) * gam, marks=mm)
@@ -246,8 +255,7 @@ class TestSimulatePath:
         # exactly doubles at every jump iff u is evaluated at the left limit
         mm = MarkMeasure(rate=3.0, atoms=np.array([1.0]),
                          weights=np.array([1.0]))
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.zeros_like(x),
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: np.zeros_like(x),
                                  vol=lambda t, x, u, i: np.zeros_like(x),
                                  jump=lambda t, x, u, i, gam: u * gam,
                                  marks=mm)
@@ -263,8 +271,7 @@ class TestSimulatePath:
         # same Brownian increments; in the drift-dominated regime the mean
         # absolute endpoint error halves with the step size
         r, sig = 0.5, 0.02
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: r * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: r * x,
                                  vol=lambda t, x, u, i: sig * x)
         errs = []
         for dt in (4e-3, 2e-3):
@@ -278,8 +285,7 @@ class TestSimulatePath:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_path_raises(self, single_regime):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: x ** 3,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: x ** 3,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         with pytest.raises(NonFinitePath):
             simulate_ensemble(dyn, _zero_policy(),
@@ -295,7 +301,6 @@ def _jump_dyn(marks=None):
     marks = marks or MarkMeasure(rate=3.0, atoms=np.array([-0.1, 0.05, 0.2]),
                                  weights=np.array([0.3, 0.4, 0.3]))
     return ControlledDynamics(
-        dim=1,
         drift=lambda t, x, u, i: 0.05 * x + 0.1 * u * (i + 1),
         vol=lambda t, x, u, i: (0.2 + 0.1 * i) * np.sqrt(1.0 + x ** 2),
         jump=lambda t, x, u, i, gam: (x + u) * gam, marks=marks)
@@ -326,23 +331,20 @@ class TestNoisePlan:
         plan_fields = [f.name for f in fields(NoisePlan)]
         assert [f.name for f in fields(Ensemble)] == plan_fields + ["x", "u"]
 
-    @pytest.mark.parametrize("field", ["dim", "marks"])
-    def test_mismatched_plan_raises(self, exp2_model, field):
-        dyn = _jump_dyn()
-        plan = build_plan(dyn, _paths(exp2_model, 5, 1.0, 17), 0.05, 17)
-        if field == "dim":
-            dyn = replace(dyn, dim=2)
-        else:
-            dyn = _jump_dyn(MarkMeasure(rate=3.0, atoms=np.array([0.1]),
-                                        weights=np.array([1.0])))
+    def test_mismatched_plan_raises(self, exp2_model):
+        plan = build_plan(_jump_dyn(), _paths(exp2_model, 5, 1.0, 17), 0.05,
+                          17)
+        dyn = _jump_dyn(MarkMeasure(rate=3.0, atoms=np.array([0.1]),
+                                    weights=np.array([1.0])))
         with pytest.raises(ValueError,
-                           match=f"plan was built for another {field}: "):
+                           match="plan was built for another marks: "):
             step_plan(dyn, _zero_policy(), plan, 1.0)
 
-    @pytest.mark.parametrize("dt", [2.0, 3.0])
+    @pytest.mark.parametrize("dt", [2.0, 3.0, 0.0, np.nan])
     def test_dt_without_a_step_is_refused(self, single_regime, exp2_model,
                                           frozen_dyn, dt):
-        # horizon 1: a dt of 2 or more rounds to no step on [0, 1]
+        # horizon 1: a dt of 2 or more rounds to no step on [0, 1]; a dt
+        # of 0 raised ZeroDivisionError and NaN failed to convert to int
         for dyn, model in ((frozen_dyn, single_regime),
                            (_jump_dyn(), exp2_model)):
             with pytest.raises(ValueError, match=f"dt {dt} gives no step"):
@@ -469,17 +471,15 @@ def _per_path_plan(dyn, regime_paths, dt, rngs):
         jm = dyn.marks.sample(rng, jt.size)
         events = np.array([s for s, _ in rp.events], dtype=float)
         grid = np.unique(np.concatenate((base, events, jt)))
-        tail = (dyn.dim,) if dyn.dim > 1 else ()
-        rows.append((grid, rng.standard_normal((grid.size - 1,) + tail),
-                     jt, jm, rp))
+        rows.append((grid, rng.standard_normal(grid.size - 1), jt, jm, rp))
     n, K = len(rows), max(row[0].size for row in rows)
-    t, dW = np.full((n, K), horizon), np.zeros((n, K - 1) + tail)
+    t, dW = np.full((n, K), horizon), np.zeros((n, K - 1))
     mask, marks = np.zeros((n, K), dtype=bool), np.zeros((n, K))
     theta, y = np.empty((n, K), dtype=int), np.empty((n, K))
     for p, (grid, Z, jt, jm, rp) in enumerate(rows):
         t[p, :grid.size] = grid
         steps = np.sqrt(np.diff(grid))
-        dW[p, :grid.size - 1] = Z * (steps if dyn.dim == 1 else steps[:, None])
+        dW[p, :grid.size - 1] = Z * steps
         mask[p, np.searchsorted(grid, jt)] = True
         marks[p, np.searchsorted(grid, jt)] = jm
         theta[p], y[p] = rp.state_at(t[p], side="right")
@@ -505,9 +505,8 @@ class TestPlanLayout:
          [0.014, 0.999, 0.0141]),
     ]
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_equals_per_path_layout(self, dim):
-        dyn = replace(_jump_dyn(), dim=dim)
+    def test_equals_per_path_layout(self):
+        dyn = _jump_dyn()
         paths = [RegimePath(ev, origin, 1.0) for ev, origin, _ in self.CASES]
         stubs = lambda: [_StubRng(jt, 1.0 + 100.0 * p)
                          for p, (_, _, jt) in enumerate(self.CASES)]
@@ -542,11 +541,12 @@ class TestPlanBytes:
 
     # SHA-256 of t, dW, jump_mask, jump_marks, theta and y, generated with
     # the per-path layout that the ensemble-wide one replaced
+    # ("scalar-density" with the ensemble-wide one, which gave these bytes)
     DIGESTS = {
         "scalar-atoms":
             "1628baa95b1d85b9ade88ddf554fbd8215782fb3b580990f3a675ee0d24ec5f8",
-        "dim2-density":
-            "b23c9145a52c1debf5cb88b37e96b34c788dcc4279068202338e85e991499700",
+        "scalar-density":
+            "d596497cd08fdf47b64031c1f5a037cc27c8968021b87cfb52e134ca47d8277d",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -558,7 +558,7 @@ class TestPlanBytes:
         else:
             marks = MarkMeasure(rate=4.0, density=lambda g: np.full_like(g, 2.0),
                                 support=(0.0, 0.5))
-            plan = build_plan(replace(_jump_dyn(marks), dim=2),
+            plan = build_plan(_jump_dyn(marks),
                               _paths(weibull3_model, 15, 1.0, 37, i0=1,
                                      y0=0.4), 0.05, 37, "other")
         h = hashlib.sha256()
@@ -638,8 +638,7 @@ class TestObjective:
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_terminal_loss(self, single_regime):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.05 * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.05 * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - 1.0) ** 2)
@@ -648,8 +647,7 @@ class TestObjective:
         assert est == pytest.approx(-(np.exp(0.05) - 1.0) ** 2, abs=2e-5)
 
     def test_martingale_terminal_mean(self, single_regime):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.zeros_like(x),
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: np.zeros_like(x),
                                  vol=lambda t, x, u, i: 0.2 * x)
         obj = ObjectiveSpec(running=None, terminal=lambda x, i, y: x)
         est, se = _objective_mean(dyn, obj, single_regime, x0=1.0,
@@ -666,24 +664,12 @@ class TestObjective:
         assert j.shape == (7,)
         assert np.allclose(j, 1.0 + 2.0)  # int_0^1 1 dt + 2*1
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_running_cost_is_one_call_on_all_points(self, exp2_model, dim):
-        if dim == 1:
-            dyn, x0 = _jump_dyn(), 1.0
-            rule = lambda t, x, i, y: 0.5 - 0.3 * x + 0.1 * y
-            cost = lambda t, x, u, i, y: (-0.2 * u ** 2 + 0.05 * (1 + i) * x
-                                          + 0.01 * t * y)
-        else:
-            dyn = replace(_jump_dyn(), dim=2,
-                          drift=lambda t, x, u, i: 0.05 * x,
-                          vol=lambda t, x, u, i: (0.2 * x[..., :, None]
-                                                  * np.eye(2)),
-                          jump=lambda t, x, u, i, gam: 0.1 * gam[..., None] * x)
-            x0 = np.array([1.0, 0.5])
-            rule = lambda t, x, i, y: 0.3 * x[..., 0]
-            cost = lambda t, x, u, i, y: -0.1 * u ** 2 + 0.01 * x[..., 1]
-        ens = simulate_ensemble(dyn, ControlPolicy(rule=rule),
-                                _paths(exp2_model, 9, 1.0, 31), x0, 0.05, 31)
+    def test_running_cost_is_one_call_on_all_points(self, exp2_model):
+        rule = lambda t, x, i, y: 0.5 - 0.3 * x + 0.1 * y
+        cost = lambda t, x, u, i, y: (-0.2 * u ** 2 + 0.05 * (1 + i) * x
+                                      + 0.01 * t * y)
+        ens = simulate_ensemble(_jump_dyn(), ControlPolicy(rule=rule),
+                                _paths(exp2_model, 9, 1.0, 31), 1.0, 0.05, 31)
         shapes = []
 
         def running(t, x, u, i, y):
@@ -693,7 +679,7 @@ class TestObjective:
         J = running_cost_paths(ens, ObjectiveSpec(running=running,
                                                   terminal=None))
         n, K = ens.t.shape
-        assert shapes == [(n * K,) + ((dim,) if dim > 1 else ())]
+        assert shapes == [(n * K,)]
         # the per-column loop the one call replaced
         vals = np.empty((n, K))
         for k in range(K):
@@ -710,8 +696,7 @@ class TestObjective:
 
 class TestDeterminism:
     def test_ensemble_bitwise_reproducible(self, exp2_model):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.1 * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.1 * x,
                                  vol=lambda t, x, u, i: 0.2 * x)
         a = simulate_ensemble(dyn, _zero_policy(),
                               _paths(exp2_model, 20, 1.0, 77), x0=1.0,

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from smjd.errors import UnboundedHamiltonian
 from smjd.jump_diffusion import (ControlledDynamics, ControlPolicy, MarkMeasure,
                                  ObjectiveSpec, simulate_ensemble)
 from smjd.maximum_principle import (AdjointPath, AdjointState,
@@ -24,8 +23,7 @@ def _paths(model, n, horizon, seed):
 
 
 def _const_dyn(b=0.0, s=0.0):
-    return ControlledDynamics(dim=1,
-                              drift=lambda t, x, u, i: np.full_like(x, b),
+    return ControlledDynamics(drift=lambda t, x, u, i: np.full_like(x, b),
                               vol=lambda t, x, u, i: np.full_like(x, s))
 
 
@@ -51,7 +49,6 @@ class TestHamiltonian:
         # dX = (rX + u*mbar*sigma)dt + u*sigma dW with u=0: H = r x p
         r = 0.05
         dyn = ControlledDynamics(
-            dim=1,
             drift=lambda t, x, u, i: r * x + u * 0.4 * 0.2,
             vol=lambda t, x, u, i: u * 0.2)
         adj = AdjointState(p=2.0, q=0.0)
@@ -61,8 +58,7 @@ class TestHamiltonian:
     def test_jump_pairing_with_eta(self):
         mm = MarkMeasure(rate=2.0, atoms=np.array([0.1]),
                          weights=np.array([1.0]))
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.zeros_like(x),
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: np.zeros_like(x),
                                  vol=lambda t, x, u, i: np.zeros_like(x),
                                  jump=lambda t, x, u, i, gam: gam,
                                  marks=mm)
@@ -74,8 +70,7 @@ class TestHamiltonian:
     def test_array_points_match_scalar_calls(self):
         mm = MarkMeasure(rate=2.0, atoms=np.array([-0.05, 0.08]),
                          weights=np.array([0.4, 0.6]))
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.05 * x + 0.1 * u,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.05 * x + 0.1 * u,
                                  vol=lambda t, x, u, i: 0.2 * u + 0.1 * i,
                                  jump=lambda t, x, u, i, gam: x * gam + u * gam,
                                  marks=mm)
@@ -106,8 +101,7 @@ class TestGradX:
         assert g == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_drift_gradient(self):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.07 * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.07 * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         adj = AdjointState(p=3.0, q=0.0)
         g = grad_x_hamiltonian(0.0, 2.0, 0.0, 0, 0.0, adj, dyn)
@@ -130,7 +124,6 @@ class TestGradX:
             eta = lambda gam: 5.0 * gam
             want += 2.0 * np.sum(weights * atoms * (5.0 * atoms - 1.3))
         dyn = ControlledDynamics(
-            dim=1,
             drift=lambda t, x_, u, i: np.sin(x_),
             vol=lambda t, x_, u, i: np.cos(x_) + 2.0, **jump_kw)
         obj = ObjectiveSpec(running=lambda t, x_, u, i, y: x_ ** 2,
@@ -142,8 +135,7 @@ class TestGradX:
     def test_step_is_relative_to_each_x(self):
         # the bits of the central difference with step 1e-5 * (1 + |x|),
         # taken per point of an array
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.sin(x) * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: np.sin(x) * x,
                                  vol=lambda t, x, u, i: np.exp(0.3 * x))
         obj = ObjectiveSpec(running=lambda t, x, u, i, y: x ** 3 - u * x,
                             terminal=None)
@@ -166,8 +158,7 @@ class TestAdjointResidual:
         """Deterministic growth dX = rX dt, terminal gradient x^{gamma-1};
         the adjoint solves dp = -r p dt backward from p(T)."""
         r, gamma = 0.05, 0.5
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: r * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: r * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(
             running=None,
@@ -193,8 +184,7 @@ class TestAdjointResidual:
         assert s.terminal_mismatch == pytest.approx(0.0, abs=1e-14)
 
     def test_missing_gradient_is_refused_by_name(self, single_regime):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.05 * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.05 * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         ens = simulate_ensemble(dyn, policy, _paths(single_regime, 3, 1.0, 2),
@@ -211,8 +201,7 @@ class TestAdjointResidual:
 class TestIntegrability:
     def test_identical_controls_make_difference_moments_vanish(self,
                                                                single_regime):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.1 * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.1 * x,
                                  vol=lambda t, x, u, i: 0.2 * x)
         policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         ens = simulate_ensemble(dyn, policy, _paths(single_regime, 50, 1.0, 7),
@@ -260,7 +249,7 @@ class TestGeneratorG:
         marks = MarkMeasure(rate=1.5, atoms=np.array([-0.1, 0.2]),
                             weights=np.array([0.3, 0.7]))
         dyn = ControlledDynamics(
-            dim=1, drift=lambda t, x, u, i: (0.1 + 0.2 * i) * x + u,
+            drift=lambda t, x, u, i: (0.1 + 0.2 * i) * x + u,
             vol=lambda t, x, u, i: 0.3 * x + 0.1 * u * (1 + i),
             jump=lambda t, x, u, i, g: (1.0 + i) * g * x, marks=marks)
         V = ValueFunctionStub(v=lambda t, x, i, y: (np.sin(x) * (1 + i)
@@ -288,8 +277,7 @@ class TestGeneratorG:
         # jump-only dynamics and a V of x alone: G V is the jump term
         # lam sum_k w_k (V(x + g_k) - V(x)); the regime-switch term is 0
         jump = lambda t, x, u, i, g: (1.0 + i) * g * x + 0.05 * u
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: np.zeros_like(x),
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: np.zeros_like(x),
                                  vol=lambda t, x, u, i: np.zeros_like(x),
                                  jump=jump, marks=marks)
         zero = lambda t, x, i, y: np.zeros_like(np.asarray(x, dtype=float))
@@ -304,8 +292,7 @@ class TestGeneratorG:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_dynkin_gap_for_martingale(self, single_regime):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.3 * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.3 * x,
                                  vol=lambda t, x, u, i: 0.2 * x)
         policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         V = ValueFunctionStub(v=lambda t, x, i, y: np.asarray(x, dtype=float),
@@ -343,20 +330,19 @@ class TestHjb:
     r, d, horizon = 0.05, 1.0, 1.0
 
     def _dyn(self):
-        return ControlledDynamics(dim=1,
-                                  drift=lambda t, x, u, i: self.r * x,
+        return ControlledDynamics(drift=lambda t, x, u, i: self.r * x,
                                   vol=lambda t, x, u, i: np.zeros_like(x))
 
     def test_exact_value_function_residual(self, single_regime):
         V = _transport_value(self.r, self.d, self.horizon)
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - self.d) ** 2)
-        for t in (0.0, 0.5, 0.9):
-            for x in (0.5, 1.0, 1.5):
-                res = hjb_residual(V, obj, self._dyn(), single_regime, t, x,
-                                   0, 0.0, control_set=(-1.0, 1.0),
-                                   forced_u=0.0)
-                assert abs(res) < 1e-8
+        # one call on the (t, x) grid, points broadcast as in generator_G
+        res = hjb_residual(V, obj, self._dyn(), single_regime,
+                           np.array([[0.0], [0.5], [0.9]]),
+                           np.array([0.5, 1.0, 1.5]), 0, 0.0, 0.0)
+        assert res.shape == (3, 3)
+        assert np.all(np.abs(res) < 1e-8)
 
     def test_terminal_identity(self, single_regime):
         V = _transport_value(self.r, self.d, self.horizon)
@@ -374,7 +360,7 @@ class TestHjb:
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - self.d) ** 2)
         res = hjb_residual(V_bad, obj, self._dyn(), single_regime, 0.3, 0.8,
-                           0, 0.0, control_set=(-1.0, 1.0), forced_u=0.0)
+                           0, 0.0, 0.0)
         assert abs(res) < 1e-12
         assert hjb_terminal_mismatch(V_bad, obj, self.horizon, 0.8, 0,
                                      0.0) > 1e-3
@@ -384,23 +370,20 @@ class TestHjb:
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - self.d) ** 2)
         res = hjb_residual(V_bad, obj, self._dyn(), single_regime, 0.3, 0.8,
-                           0, 0.0, control_set=(-1.0, 1.0), forced_u=0.0)
+                           0, 0.0, 0.0)
         assert abs(res) > 1e-3
 
-    def test_supremum_over_the_control_box(self, single_regime):
-        # V = 0 leaves sup_u f1 = sup_u -(u - 1)^2: 0 at the vertex inside
-        # [-10, 10], -1 at the corner u = 2 of [2, 3] (bounded Brent stops
-        # within ~1e-7 of a bound); no box, no supremum
+    def test_running_cost_enters_at_the_given_control(self, single_regime):
+        # V = 0 leaves f1 = -(u - 1)^2 at the given u, not its supremum 0:
+        # a float at one point, an array on an array of controls
         V = ValueFunctionStub(v=lambda t, x, i, y: np.zeros_like(x))
         obj = ObjectiveSpec(running=lambda t, x, u, i, y: -(u - 1.0) ** 2,
                             terminal=None)
         args = (V, obj, _const_dyn(), single_regime, 0.2, 0.5, 0, 0.0)
-        assert hjb_residual(*args, (-10.0, 10.0)) == pytest.approx(
-            0.0, abs=1e-12)
-        assert hjb_residual(*args, (2.0, 3.0)) == pytest.approx(-1.0,
-                                                                abs=1e-6)
-        with pytest.raises(UnboundedHamiltonian):
-            hjb_residual(*args, None)
+        res = hjb_residual(*args, 2.5)
+        assert type(res) is float and res == -2.25
+        u = np.array([-1.0, 1.0, 2.5])
+        assert np.array_equal(hjb_residual(*args, u), -(u - 1.0) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +424,7 @@ class TestAdjointFromValue:
     def test_deterministic_quadratic_consistency(self, single_regime):
         # value-induced adjoint satisfies the backward equation at O(dt)
         r, d, horizon = 0.05, 1.0, 1.0
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: r * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: r * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - d) ** 2,
@@ -472,7 +454,7 @@ class TestAdjointFromValue:
                                      ExponentialHolding(1.5)))
         paths = sample_regime_paths(model, RegimeState(0, 0.0), 1.0, 50, 3)
         dyn = ControlledDynamics(
-            dim=1, drift=lambda t, x, u, i: r * x,
+            drift=lambda t, x, u, i: r * x,
             vol=lambda t, x, u, i: 0.2 * x, jump=jump,
             marks=MarkMeasure(rate=rate, atoms=atoms, weights=weights))
         grow = lambda t: np.exp(r * (1.0 - t))

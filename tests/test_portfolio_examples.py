@@ -131,7 +131,7 @@ class TestRsControl:
         # x ** gamma of the final wealth 1 - 2 < 0: NaN for the caller to
         # refuse, and no floating-point warning on the way
         dyn = ControlledDynamics(
-            dim=1, drift=lambda t, x, u, i: np.full_like(x, -2.0),
+            drift=lambda t, x, u, i: np.full_like(x, -2.0),
             vol=lambda t, x, u, i: np.zeros_like(x))
         policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         ens = simulate_ensemble(dyn, policy, _paths(single_regime, 3, 1.0, 1),
@@ -790,7 +790,7 @@ class TestQlControl:
         dyn, x0 = ql_dynamics(ql_nojump_single), 0.9
         if blows_up:
             dyn, x0 = ControlledDynamics(
-                dim=1, drift=lambda t, x, u, i: x ** 3,
+                drift=lambda t, x, u, i: x ** 3,
                 vol=lambda t, x, u, i: np.zeros_like(x)), 50.0
         for pol in (policy, ControlPolicy(rule=policy.rule)):
             with pytest.raises(NonFinitePath if blows_up else SingularPhi):

@@ -395,6 +395,28 @@ class TestSamplers:
                           rng)
         assert repr(rng.bit_generator.state) == before
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("sampler", ["table", "thinning", "ctmc"])
+    def test_horizon_that_is_not_finite_and_positive_is_refused(
+            self, exp2_model, sampler, horizon):
+        # an infinite horizon never ended the samplers' loops, nor did NaN
+        # thinning's or the chain's; the chain returned an empty path at -1
+        rng = stream(3, "horizon")
+        before = repr(rng.bit_generator.state)
+        origin = RegimeState(0, 0.0)
+        call = {
+            "table": lambda: sample_regime_paths(exp2_model, origin, horizon,
+                                                 2, 0),
+            "thinning": lambda: simulate_regime_thinning(exp2_model, origin,
+                                                         horizon, rng),
+            "ctmc": lambda: simulate_ctmc([2.0, 3.0], exp2_model.kernel,
+                                          origin, horizon, rng),
+        }[sampler]
+        with pytest.raises(ValueError, match=r"horizon must be finite and "
+                           rf"> 0, got {horizon}"):
+            call()
+        assert repr(rng.bit_generator.state) == before
+
     def test_negative_path_count_is_refused(self, weibull3_model):
         with pytest.raises(ValueError, match="n must be >= 0, got -2"):
             sample_regime_paths(weibull3_model, RegimeState(0), 5.0, -2, 73)

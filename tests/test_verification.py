@@ -111,7 +111,7 @@ class TestPerturbationFamily:
         base = ControlPolicy(rule=lambda t, x, i, y: 0.1 * x)
         [(_, _, pol)] = list(PerturbationFamily(base, "random",
                                                 (0.25,)).policies(9, 8))
-        dyn = ControlledDynamics(dim=1, drift=lambda t, x, u, i: 0.05 * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.05 * x,
                                  vol=lambda t, x, u, i: 0.2 * x)
         regimes = sample_regime_paths(single_regime, RegimeState(0, 0.0), 1.0,
                                       8, 9)
@@ -203,8 +203,7 @@ class TestSufficiency:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_perturbation_raises(self, single_regime):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: u * x ** 3,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: u * x ** 3,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(running=None, terminal=lambda x, i, y: x)
         base = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
@@ -307,33 +306,6 @@ def _rs_problem():
     return rs_dynamics(model), rs_objective(model), rs_policy(model)
 
 
-def _dim2_problem():
-    """A dim-2 jump model whose rule, coefficients and objective index
-    state coordinates as x[..., j], so they broadcast a policy axis."""
-    a = np.array([0.05, -0.1])
-
-    def vol(t, x, u, i):
-        top = np.stack([0.2 * x[..., 0], 0.1 * u], axis=-1)
-        bottom = np.stack([0.05 + 0.0 * u, (0.3 + 0.1 * i) * x[..., 1]],
-                          axis=-1)
-        return np.stack([top, bottom], axis=-2)
-
-    dyn = ControlledDynamics(
-        dim=2,
-        drift=lambda t, x, u, i: a[i][..., None] * x + np.stack(
-            [0.1 * u, -0.05 * u * x[..., 0]], axis=-1),
-        vol=vol,
-        jump=lambda t, x, u, i, gam: 0.1 * gam[..., None] * x,
-        marks=MarkMeasure(rate=3.0, atoms=np.array([-0.2, 0.3]),
-                          weights=np.array([0.5, 0.5])))
-    obj = ObjectiveSpec(
-        running=lambda t, x, u, i, y: -0.1 * u ** 2 + 0.01 * x[..., 1],
-        terminal=lambda x, i, y: -(x[..., 0] - 1.0) ** 2 + 0.5 * x[..., 1])
-    base = ControlPolicy(
-        rule=lambda t, x, i, y: 0.3 * x[..., 0] - 0.1 * x[..., 1] + 0.05 * i)
-    return dyn, obj, base
-
-
 def _all_kinds(base, relative):
     return [PerturbationFamily(base, "shift", (0.0, 0.1, -0.2),
                                relative=relative),
@@ -385,15 +357,6 @@ class TestStackedSweep:
                             rows_per_chunk * 16 * n_paths * K)
         self._compare(exp2_model, dyn, obj, _all_kinds(base, False), 0.5,
                       n_paths=n_paths, dt=dt)
-
-    def test_dim2_with_broadcasting_callables(self, exp2_model, monkeypatch):
-        dyn, obj, base = _dim2_problem()
-        self._compare(exp2_model, dyn, obj, _all_kinds(base, False),
-                      np.array([1.0, 0.5]))
-        # chunked: the running cost keeps (n, K, 2) states per row
-        monkeypatch.setattr(verification, "_STACK_BYTES", 1)
-        self._compare(exp2_model, dyn, obj, _all_kinds(base, False),
-                      np.array([1.0, 0.5]))
 
     def test_one_base_rule_call_per_column_on_stacked_states(self,
                                                             exp2_model):
@@ -460,11 +423,6 @@ class TestFusedSweeps:
         self._compare(exp2_model, dyn, obj, base,
                       lambda b: default_perturbation_family(b, True, 1.0),
                       1.0, dt=0.01)
-
-    def test_dim2(self, exp2_model):
-        dyn, obj, base = _dim2_problem()
-        self._compare(exp2_model, dyn, obj, base,
-                      lambda b: _all_kinds(b, False), np.array([1.0, 0.5]))
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 4, 7])
     def test_running_cost_chunk_splits_the_sweeps(self, exp2_model,
@@ -615,8 +573,7 @@ class TestSweepFailures:
 
     @staticmethod
     def _cubic(terminal):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: u * x ** 3,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: u * x ** 3,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         base = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         return dyn, ObjectiveSpec(running=None, terminal=terminal), base
@@ -681,8 +638,7 @@ class TestSweepFailures:
 
 class TestMarkovReduction:
     def _problem(self):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: 0.05 * (1 + i) * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.05 * (1 + i) * x,
                                  vol=lambda t, x, u, i: 0.1 * x)
         obj = ObjectiveSpec(running=None, terminal=lambda x, i, y: x)
         pol = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
@@ -744,8 +700,7 @@ class TestDpConnection:
             dy=lambda t, x, i, y: np.zeros_like(np.asarray(x, dtype=float)))
 
     def _problem(self, r, d):
-        dyn = ControlledDynamics(dim=1,
-                                 drift=lambda t, x, u, i: r * x,
+        dyn = ControlledDynamics(drift=lambda t, x, u, i: r * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(running=None,
                             terminal=lambda x, i, y: -(x - d) ** 2,
