@@ -25,7 +25,7 @@ from smjd.portfolio_examples import (RiskSensitiveModel, rs_adjoint,
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                               sample_regime_paths)
 from smjd.verification import (default_perturbation_family,
-                               sufficiency_experiment, sufficiency_plan)
+                               sufficiency_plan, sufficiency_sweeps)
 
 regimes = RegimeModel(kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
                       holding=(ExponentialHolding(1.0),
@@ -96,7 +96,7 @@ fams = default_perturbation_family(rs_policy(model), relative=True,
 # every policy of the sweep is stepped on this one noise plan
 plan = sufficiency_plan(dyn, regimes, i0=0, y0=0.0, horizon=1.0,
                         n_paths=2000, dt=5e-3, seed=33)
-rep = sufficiency_experiment(dyn, obj, fams, plan, x0=1.0, seed=33)
+rep = sufficiency_sweeps(dyn, obj, [(fams, None)], plan, x0=1.0, seed=33)[0]
 worst = min(r.dJ for r in rep.results if r.delta != 0.0)
 print(f"\nSufficiency sweep over {len(rep.results)} perturbations: "
       f"{'PASS' if rep.passed else 'FAIL'} "

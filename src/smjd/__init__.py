@@ -47,8 +47,7 @@ from .portfolio_examples import (QuadraticLossModel, RegimeFunctional,
 from .verification import (MarkovReductionReport, PerturbationFamily,
                            SufficiencyReport, default_perturbation_family,
                            dp_connection_experiment,
-                           markov_reduction_experiment,
-                           sufficiency_experiment, sufficiency_plan,
+                           markov_reduction_experiment, sufficiency_plan,
                            sufficiency_sweeps)
 
 __version__ = "0.1.0"

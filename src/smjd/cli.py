@@ -236,21 +236,33 @@ def _check_cross_fields(cfg: dict) -> None:
     indices must match the kernel's state count, jump atoms and weights
     must pair up, an age grid of several nodes needs a positive y_max, a
     noise plan's dt a step on [0, horizon] and at most an array's nodes,
-    and policy queries t in [0, horizon], y >= 0."""
+    policy queries t in [0, horizon], y >= 0, and a finite hjb value stub."""
     def bad(path, msg):
         raise ConfigError(f"config invalid at {path}: {msg}")
 
     num = cfg["numerics"]
     if num["y_nodes"] > 1 and num["y_max"] == 0:
         bad("$.numerics.y_max", f"{num['y_nodes']} age nodes on [0, 0]")
-    if "regime" not in cfg or cfg["model"]["kind"] == "hjb-deterministic":
+    m = cfg["model"]
+    if m["kind"] == "hjb-deterministic":
+        # every term of the value stub's residual is at most
+        # 2 max(1, |r|, |rate|) (|x| + |d| + 1)^2 e^(2 max(rate T, 0))
+        scale = 2.0 * np.log1p(max(abs(m["x_min"]), abs(m["x_max"]))
+                               + abs(m["d"]))
+        for path, rate in (("$.model.r", m["r"]),
+                           ("$.model.negative_control_shift",
+                            m["r"] + m["negative_control_shift"])):
+            if (scale + np.log(2.0 * max(1.0, abs(m["r"]), abs(rate)))
+                    + 2.0 * max(rate * m["horizon"], 0.0)
+                    >= np.log(np.finfo(float).max)):
+                bad(path, f"the value stub at rate {rate} overflows a float "
+                    f"on horizon {m['horizon']}")
         return
     M = len(cfg["regime"]["kernel"])
     for k, row in enumerate(cfg["regime"]["kernel"]):
         if len(row) != M:
             bad(f"$.regime.kernel[{k}]", f"{len(row)} entries in a row of "
                 f"a {M}-state kernel")
-    m = cfg["model"]
     steps = m["horizon"] / num["dt"]  # inf for a subnormal dt
     if (cfg["experiment"] in _PLAN_COMMANDS + ("dynkin",)
             and (steps > _MAX_NODES or round(steps) + 1 > _MAX_NODES)):

@@ -39,7 +39,7 @@ class NonFinitePath(SmjdError):
     path can be reproduced from its noise stream.
     """
 
-    def __init__(self, message: str, path_index: int | None = None):
+    def __init__(self, message: str, path_index: int):
         self.path_index = path_index
         super().__init__(message)
 

@@ -11,20 +11,21 @@ quadrature node, as are the jump terms of G and of the value adjoint
 (``lam`` is the jump rate).  :func:`hamiltonian` is the one place this
 formula is written.  It takes scalar-state points ``(t, x, u, i, y)`` that
 broadcast against each other and against the adjoint's ``p`` and ``q``,
-and returns an array of their broadcast shape, or a float when every
-argument is a scalar; ``adj.eta(gamma)`` gives eta at mark gamma for every
-point.  :func:`grad_x_hamiltonian` takes the same arguments and returns
-the x-gradient with the adjoints frozen, a central difference of the
-Hamiltonian.  The adjoint backward equation reads
+and returns an array of their broadcast shape, as :func:`generator_G` and
+:func:`hjb_residual` (f1 + G V at a given control) do; ``adj.eta(gamma)``
+gives eta at mark gamma for every point.  :func:`grad_x_hamiltonian` takes
+the same arguments and returns the x-gradient with the adjoints frozen, a
+central difference of the Hamiltonian.  The adjoint backward equation reads
 
     dp = -grad_x H dt + q' dW + compensated asset-jump terms (eta)
                             + compensated regime-jump terms (eta-tilde),
-    p(T) = grad_x f2.
+    p(T) = grad_x f2  (0 without a terminal cost).
 
 ``adjoint_residual`` measures how well a candidate adjoint satisfies the
 discrete version of this equation along simulated paths; closed-form
 adjoints from the worked examples and value-function-induced adjoints are
-both fed through it.  :func:`hjb_residual` is f1 + G V at a given control.
+both fed through it, and every one of them builds its regime-jump slot
+(eta-tilde) in :func:`_regime_jump_slots`.
 """
 
 from __future__ import annotations
@@ -77,20 +78,50 @@ class AdjointPath:
     realized at the right node of each step (0 where no event);
     eta_comp / etatilde_comp hold the corresponding compensator rates
     (lam * int eta dpi and sum_j lam_ij(y) eta_tilde_j).  ``grad_H`` is the
-    x-gradient of the Hamiltonian at the left nodes; the residual evaluator
-    needs it and raises ValueError naming it when it is None.  The
-    *_sq_comp arrays are second moments used by the integrability report.
+    x-gradient of the Hamiltonian at the left nodes.  The *_sq_comp arrays
+    are second moments used by the integrability report.
     """
 
     p: np.ndarray
     q: np.ndarray
+    grad_H: np.ndarray
     eta_jump: np.ndarray | None = None
     eta_comp: np.ndarray | None = None
     etatilde_jump: np.ndarray | None = None
     etatilde_comp: np.ndarray | None = None
-    grad_H: np.ndarray | None = None
     eta_sq_comp: np.ndarray | None = None
     etatilde_sq_comp: np.ndarray | None = None
+
+
+def _regime_jump_slots(model: RegimeModel, ens: Ensemble, p_of, p):
+    """The regime-jump slot of an adjoint along ``ens``: the realized jump
+    integrand, its compensator rate and its squared rate, each (n, K-1).
+
+    ``p_of(t, x, i, y)`` evaluates the adjoint p at broadcast points, ``p``
+    holds it on the grid.  x does not jump at a regime event, so the
+    realized integrand is exact at the event node: p in the new state at
+    age 0 less p in the old state at the left-limit age.  The compensators
+    sum_j hazard(i, y) kernel[i, j] (p(t, x, j, 0) - p)^k, k = 1, 2, are
+    taken at the left node.  All three are 0 on a one-state model."""
+    t, x, th, y = ens.t, ens.x, ens.theta, ens.y
+    n, K = t.shape
+    etj = np.zeros((n, K - 1))
+    if model.n_states == 1:
+        return etj, np.zeros((n, K - 1)), np.zeros((n, K - 1))
+    tl, xl, thl, yl = t[:, :-1], x[:, :-1], th[:, :-1], y[:, :-1]
+    p_here = p[:, :-1]
+
+    def jump_to(j, mask):  # change of p on a switch to j, and its square
+        diff = p_of(tl[mask], xl[mask], j, 0.0) - p_here[mask]
+        return np.stack((diff, diff ** 2))
+
+    etc, ets = regime_switch_sum(model, thl, yl, jump_to)
+    rows, cols = np.nonzero(th[:, 1:] != thl)
+    te, xe = t[rows, cols + 1], x[rows, cols + 1]
+    left_age = yl[rows, cols] + (te - tl[rows, cols])
+    etj[rows, cols] = (p_of(te, xe, th[rows, cols + 1], 0.0)
+                       - p_of(te, xe, thl[rows, cols], left_age))
+    return etj, etc, ets
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +129,25 @@ class AdjointPath:
 # ---------------------------------------------------------------------------
 
 def _points(*args):
-    """Whether every argument (t, x, u, i, y, ...) is a scalar, and the
-    arguments as at least 1-D arrays of their broadcast shape: floats, with
-    the regime ``i`` (the fourth) as integers."""
-    return all(np.ndim(a) == 0 for a in args), np.broadcast_arrays(*(
+    """The arguments (t, x, u, i, y, ...) as at least 1-D arrays of their
+    broadcast shape: floats, with the regime ``i`` (the fourth) as
+    integers."""
+    return np.broadcast_arrays(*(
         np.atleast_1d(np.asarray(a, dtype=int if k == 3 else float))
         for k, a in enumerate(args)))
 
 
 def hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
-                objective: ObjectiveSpec | None = None):
+                objective: ObjectiveSpec):
     """H = f1 + b p + sigma q + lam sum_k w_k g_k (eta_k - p) over the mark
     nodes (gamma_k, w_k), at broadcast points of a scalar state.
 
-    Returns an array of the points' broadcast shape, or a float when every
-    argument is a scalar.  With zero jump coefficient this reduces to
-    f1 + b p + sigma q.
+    Returns an array of the points' broadcast shape, at least 1-D.  With
+    zero jump coefficient this reduces to f1 + b p + sigma q.
     """
-    scalar, (t, x, u, i, y, p, q) = _points(t, x, u, i, y, adj.p, adj.q)
+    t, x, u, i, y, p, q = _points(t, x, u, i, y, adj.p, adj.q)
     val = np.zeros(x.shape)
-    if objective is not None and objective.running is not None:
+    if objective.running is not None:
         val += np.asarray(objective.running(t, x, u, i, y), dtype=float)
     val += np.asarray(dyn.drift(t, x, u, i), dtype=float) * p
     val += np.asarray(dyn.vol(t, x, u, i), dtype=float) * q
@@ -127,11 +157,11 @@ def hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
             eta = 0.0 if adj.eta is None else np.asarray(adj.eta(gam), dtype=float)
             return g * (eta - p)
         val += dyn.marks.rate * dyn.marks.integrate(jump_term)
-    return float(val[0]) if scalar else val
+    return val
 
 
 def grad_x_hamiltonian(t, x, u, i, y, adj: AdjointState, dyn: ControlledDynamics,
-                       objective: ObjectiveSpec | None = None):
+                       objective: ObjectiveSpec):
     """x-gradient of the Hamiltonian with (p, q, eta) frozen, by central
     differences with step 1e-5 * (1 + |x|); same call convention as
     :func:`hamiltonian`."""
@@ -149,23 +179,16 @@ class ResidualStats:
     """Discrete BSDE residual summary.
 
     ``mean_path_total`` is the mean over paths of |sum_k R_k| (the statistic
-    used for discretization-order checks); ``mean_step`` / ``max_step`` are
-    per-step magnitudes; ``terminal_mismatch`` is the mean |p(T) - grad f2|.
+    used for discretization-order checks); ``terminal_mismatch`` is the
+    mean |p(T) - grad f2|.
     """
 
     mean_path_total: float
-    mean_step: float
-    max_step: float
     terminal_mismatch: float
-
-    def to_dict(self):
-        return {"mean_path_total": self.mean_path_total,
-                "mean_step": self.mean_step, "max_step": self.max_step,
-                "terminal_mismatch": self.terminal_mismatch}
 
 
 def adjoint_residual(ens: Ensemble, adj: AdjointPath, dyn: ControlledDynamics,
-                     objective: ObjectiveSpec | None = None) -> ResidualStats:
+                     objective: ObjectiveSpec) -> ResidualStats:
     """Per-step residuals of the discrete adjoint equation along an ensemble.
 
     R_k = p_{k+1} - p_k - [ -grad_H_k dt_k + q_k dW_k
@@ -173,36 +196,29 @@ def adjoint_residual(ens: Ensemble, adj: AdjointPath, dyn: ControlledDynamics,
                             + eta-tilde terms against compensated regime jumps ].
 
     The terminal check takes grad_x f2 from ``objective.terminal_dx``, or
-    by central difference from ``objective.terminal``.
+    by central difference from ``objective.terminal``; it is 0 without a
+    terminal cost.
     """
     dts = np.diff(ens.t, axis=1)
-    grad_H = adj.grad_H
-    if grad_H is None:
-        raise ValueError("AdjointPath.grad_H is required (closed-form builders "
-                         "and adjoint_from_value supply it)")
-    incr = -grad_H * dts + adj.q[:, :-1] * ens.dW
+    incr = -adj.grad_H * dts + adj.q[:, :-1] * ens.dW
     zeros = np.zeros_like(dts)
     for jump, comp in ((adj.eta_jump, adj.eta_comp),
                        (adj.etatilde_jump, adj.etatilde_comp)):
         incr = incr + (jump if jump is not None else zeros)
         incr = incr - (comp if comp is not None else zeros) * dts
     R = np.diff(adj.p, axis=1) - incr
-    real = dts > 0
-    mean_step = float(np.mean(np.abs(R[real]))) if real.any() else 0.0
-    max_step = float(np.max(np.abs(R[real]))) if real.any() else 0.0
-    total = np.sum(np.where(real | (np.abs(R) > 0), R, 0.0), axis=1)
-    if objective is not None and objective.terminal_dx is not None:
-        pT_target = np.asarray(objective.terminal_dx(ens.x[:, -1], ens.theta[:, -1],
-                                                     ens.y[:, -1]), dtype=float)
-    elif objective is not None and objective.terminal is not None:
-        h = 1e-6 * (1.0 + np.abs(ens.x[:, -1]))
-        pT_target = (np.asarray(objective.terminal(ens.x[:, -1] + h, ens.theta[:, -1], ens.y[:, -1]), dtype=float)
-                     - np.asarray(objective.terminal(ens.x[:, -1] - h, ens.theta[:, -1], ens.y[:, -1]), dtype=float)) / (2 * h)
-    else:
-        pT_target = adj.p[:, -1]
+    total = np.sum(np.where((dts > 0) | (np.abs(R) > 0), R, 0.0), axis=1)
+    xT, iT, yT = ens.x[:, -1], ens.theta[:, -1], ens.y[:, -1]
+    pT_target = 0.0  # grad f2 without a terminal cost
+    if objective.terminal_dx is not None:
+        pT_target = np.asarray(objective.terminal_dx(xT, iT, yT), dtype=float)
+    elif objective.terminal is not None:
+        h = 1e-6 * (1.0 + np.abs(xT))
+        pT_target = (np.asarray(objective.terminal(xT + h, iT, yT), dtype=float)
+                     - np.asarray(objective.terminal(xT - h, iT, yT),
+                                  dtype=float)) / (2 * h)
     term = float(np.mean(np.abs(adj.p[:, -1] - pT_target)))
     return ResidualStats(mean_path_total=float(np.mean(np.abs(total))),
-                         mean_step=mean_step, max_step=max_step,
                          terminal_mismatch=term)
 
 
@@ -322,11 +338,10 @@ def generator_G(V: ValueFunctionStub, t, x, i, y, u, dyn: ControlledDynamics,
           + lam int [V(t, x+g, i, y) - V(t, x, i, y)] dpi.
 
     Points broadcast against each other as in :func:`hamiltonian`; returns
-    an array of their broadcast shape, or a float when every argument is a
-    scalar.  With exponential holding times and y-free V this reduces to
-    the Markov-chain generator.
+    an array of their broadcast shape, at least 1-D.  With exponential
+    holding times and y-free V this reduces to the Markov-chain generator.
     """
-    scalar_in, (ta, xa, ua, ia, ya) = _points(t, x, u, i, y)
+    ta, xa, ua, ia, ya = _points(t, x, u, i, y)
     b = np.asarray(dyn.drift(ta, xa, ua, ia), dtype=float)
     s = np.asarray(dyn.vol(ta, xa, ua, ia), dtype=float)
     val = (np.asarray(V.v_t(ta, xa, ia, ya), dtype=float)
@@ -345,7 +360,7 @@ def generator_G(V: ValueFunctionStub, t, x, i, y, u, dyn: ControlledDynamics,
                                               np.full_like(xa, gam)), dtype=float)
             return np.asarray(V.v(ta, x_jump, ia, ya), dtype=float) - here
         val = val + dyn.marks.rate * dyn.marks.integrate(shifted)
-    return float(val[0]) if scalar_in else val
+    return val
 
 
 def dynkin_check(V: ValueFunctionStub, dyn: ControlledDynamics, policy,
@@ -380,17 +395,18 @@ def hjb_residual(V: ValueFunctionStub, objective: ObjectiveSpec,
     val = generator_G(V, t, x, i, y, u, dyn, model)
     if objective.running is None:
         return val
-    scalar, points = _points(t, x, u, i, y)
-    f1 = np.asarray(objective.running(*points), dtype=float)
-    return (float(f1[0]) if scalar else f1) + val
+    return np.asarray(objective.running(*_points(t, x, u, i, y)),
+                      dtype=float) + val
 
 
 def hjb_terminal_mismatch(V: ValueFunctionStub, objective: ObjectiveSpec,
                           horizon: float, x, i, y) -> float:
-    """|V(T, x, i, y) - f2(x, i, y)| at the terminal time."""
-    _, (ta, xa, _, ia, ya) = _points(horizon, x, 0.0, i, y)
+    """max |V(T, x, i, y) - f2(x, i, y)| at the terminal time, with f2 = 0
+    without a terminal cost."""
+    ta, xa, _, ia, ya = _points(horizon, x, 0.0, i, y)
     vT = np.asarray(V.v(ta, xa, ia, ya), dtype=float)
-    f2 = np.asarray(objective.terminal(xa, ia, ya), dtype=float)
+    f2 = (0.0 if objective.terminal is None
+          else np.asarray(objective.terminal(xa, ia, ya), dtype=float))
     return float(np.max(np.abs(vT - f2)))
 
 
@@ -400,14 +416,15 @@ def hjb_terminal_mismatch(V: ValueFunctionStub, objective: ObjectiveSpec,
 
 def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
                        dyn: ControlledDynamics, model: RegimeModel,
-                       objective: ObjectiveSpec | None = None) -> AdjointPath:
+                       objective: ObjectiveSpec) -> AdjointPath:
     """Build the adjoint induced by a value function along an ensemble.
 
-    p = V_x, q = sigma V_xx; the regime-jump slot is the V_x difference
-    across the (state, age) event map; the asset-jump slot is the V_x
-    difference across the state shift x -> x + g, the form consistent with
-    the generalized Ito formula.  ``grad_H`` is the central-difference
-    x-gradient of the Hamiltonian with (p, q, eta) frozen at the left nodes.
+    p = V_x, q = sigma V_xx; the regime-jump slot is the closed forms' own
+    (:func:`_regime_jump_slots` with p = V_x); the asset-jump slot is the
+    V_x difference across the state shift x -> x + g at the left node, the
+    form consistent with the generalized Ito formula.  ``grad_H`` is the
+    central-difference x-gradient of the Hamiltonian with (p, q, eta)
+    frozen at the left nodes.
     """
     t, x, th, y, u = ens.t, ens.x, ens.theta, ens.y, ens.u
     n, K = t.shape
@@ -417,20 +434,7 @@ def adjoint_from_value(V: ValueFunctionStub, ens: Ensemble,
 
     tl, xl, thl, yl, ul = (a[:, :-1] for a in (t, x, th, y, u))
     vx_here = p[:, :-1]
-    # regime-jump slot
-    vx_to = np.stack([np.asarray(V.v_x(tl, xl, np.full_like(thl, j),
-                                       np.zeros_like(yl)), dtype=float)
-                      for j in range(model.n_states)])
-
-    def jump_to(j, mask):  # change of V_x on a switch to j, and its square
-        diff = vx_to[j][mask] - vx_here[mask]
-        return np.stack((diff, diff ** 2))
-
-    etat_comp, etat_sq = regime_switch_sum(model, thl, yl, jump_to)
-    etat_jump = np.zeros((n, K - 1))
-    rows, cols = np.nonzero(th[:, 1:] != thl)
-    etat_jump[rows, cols] = (vx_to[th[rows, cols + 1], rows, cols]
-                             - vx_here[rows, cols])
+    etat_jump, etat_comp, etat_sq = _regime_jump_slots(model, ens, V.v_x, p)
 
     # asset-jump slot, eta(gamma) = V_x(x + g(x, gamma)) - V_x(x) frozen at
     # the left nodes; computed once per mark node, for the compensators and

@@ -31,7 +31,9 @@ Monte Carlo against.
 
 Both adjoints are emitted in the step-indexed layout consumed by
 ``adjoint_residual``, including jump integrands evaluated at realized
-events and their compensator rates.
+events and their compensator rates; the regime-jump slot is
+``maximum_principle._regime_jump_slots``, which the value-function adjoint
+shares.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ from .errors import (DegenerateVol, FixedPointDiverged, InvalidParameter,
                      SingularDenominator, SingularPhi)
 from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
                              MarkMeasure, ObjectiveSpec)
-from .maximum_principle import AdjointPath
+from .maximum_principle import AdjointPath, _regime_jump_slots
 from .rng import stream
 from .semi_markov import (ExponentialHolding, RegimeModel, RegimePath,
                           RegimePaths, _direct_paths, _per_state,
-                          _stream_draw, intensity_matrix, regime_switch_sum)
+                          _stream_draw, intensity_matrix)
 
 __all__ = [
     "RiskSensitiveModel", "QuadraticLossModel", "RegimeFunctional",
@@ -496,7 +498,7 @@ def rs_source_rate(model: RiskSensitiveModel,
 
 def rs_phi_functional(model: RiskSensitiveModel, regime_model: RegimeModel,
                       t_nodes: np.ndarray, y_nodes: np.ndarray, n_paths: int,
-                      seed: int, variant: str = "integral",
+                      seed: int, variant: str,
                       rate_variant: str = "literal") -> RegimeFunctional:
     """Monte Carlo regime functional on a full (t, regime, age) grid.
 
@@ -515,7 +517,7 @@ def rs_phi_functional(model: RiskSensitiveModel, regime_model: RegimeModel,
 
 
 def rs_phi_markov(model: RiskSensitiveModel, regime_model: RegimeModel,
-                  t_nodes: np.ndarray, variant: str = "integral",
+                  t_nodes: np.ndarray, variant: str,
                   y_nodes: np.ndarray | None = None,
                   rate_variant: str = "literal") -> RegimeFunctional:
     """Exact risk-sensitive functional for exponential holding times.
@@ -538,16 +540,16 @@ def _check_variant(variant: str):
 
 
 def rs_adjoint(model: RiskSensitiveModel, ens: Ensemble,
-               phi: RegimeFunctional, regime_model: RegimeModel | None = None,
-               variant: str = "integral") -> AdjointPath:
+               phi: RegimeFunctional, regime_model: RegimeModel,
+               variant: str) -> AdjointPath:
     """Candidate adjoint along an ensemble for the risk-sensitive problem.
 
     p = X^{gamma-1} e^{phi} (integral variant) or X^{gamma-1} * Phi
-    (literal variant, the exact multiplicative form);
-    q = (gamma - 1) (u / X) sigma p.  Regime-jump integrands are the p
-    difference across the (state, age) reset, evaluated at the event time;
-    their compensators use hazard(i, y) * kernel[i, j].  There are no asset
-    jumps in this problem.
+    (literal variant, the exact multiplicative form); ``variant`` must be
+    the one ``phi`` was built with.  q = (gamma - 1) (u / X) sigma p.
+    Regime-jump integrands are the p difference across the (state, age)
+    reset, evaluated at the event time; their compensators use
+    hazard(i, y) * kernel[i, j].  There are no asset jumps in this problem.
     """
     _check_variant(variant)
     g = model.gamma
@@ -564,38 +566,6 @@ def rs_adjoint(model: RiskSensitiveModel, ens: Ensemble,
     etj, etc, ets = _regime_jump_slots(regime_model, ens, p_of, p)
     return AdjointPath(p=p, q=q, etatilde_jump=etj, etatilde_comp=etc,
                        etatilde_sq_comp=ets, grad_H=grad_H)
-
-
-def _regime_jump_slots(regime_model: RegimeModel | None, ens: Ensemble, p_of, p):
-    """Regime-event jump integrand, compensator rate, and squared rate.
-
-    The realized jump integrand is evaluated at the event time with the
-    left-limit age; the compensator at the left node.  ``p_of(t, x, i, y)``
-    evaluates the adjoint ansatz at broadcast points, ``p`` on the grid.
-    """
-    t, x, th, y = ens.t, ens.x, ens.theta, ens.y
-    n, K = t.shape
-    etj = np.zeros((n, K - 1))
-    if regime_model is None or regime_model.n_states == 1:
-        return etj, np.zeros((n, K - 1)), np.zeros((n, K - 1))
-    tl, xl, thl, yl = t[:, :-1], x[:, :-1], th[:, :-1], y[:, :-1]
-    dts = np.diff(t, axis=1)
-    p_here = p[:, :-1]
-
-    def jump_to(j, mask):  # change of p on a switch to j, and its square
-        diff = p_of(tl[mask], xl[mask], j, 0.0) - p_here[mask]
-        return np.stack((diff, diff ** 2))
-
-    etc, ets = regime_switch_sum(regime_model, thl, yl, jump_to)
-    switched = th[:, 1:] != thl
-    rows, cols = np.nonzero(switched)
-    if rows.size:
-        te, xe = t[rows, cols + 1], x[rows, cols + 1]
-        left_age = yl[rows, cols] + dts[rows, cols]
-        p_new = p_of(te, xe, th[rows, cols + 1], 0.0)
-        p_old = p_of(te, xe, thl[rows, cols], left_age)
-        etj[rows, cols] = p_new - p_old
-    return etj, etc, ets
 
 
 def rs_u_coefficient(model: RiskSensitiveModel, ens: Ensemble,
@@ -822,7 +792,7 @@ def ql_policy(model: QuadraticLossModel, functionals) -> ControlPolicy:
 
 
 def ql_adjoint(model: QuadraticLossModel, ens: Ensemble, functionals,
-               regime_model: RegimeModel | None = None) -> AdjointPath:
+               regime_model: RegimeModel) -> AdjointPath:
     """Candidate adjoint along an ensemble for the quadratic-loss problem.
 
     p = phi X + psi, q = u phi sigma, asset-jump integrand eta = u phi g

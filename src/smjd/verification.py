@@ -2,14 +2,13 @@
 
 Three experiments:
 
-* ``sufficiency_experiment`` checks the candidate-optimality inequality
+* ``sufficiency_sweeps`` checks the candidate-optimality inequality
   J(u_hat) >= J(u) against a family of perturbed policies with shared-noise
   coupling: every policy is stepped on one noise plan (identical regime,
   Brownian, and jump draws), so the zero perturbation gives a bit-identical
   zero gap and small true gaps are resolvable.  The plan, built once by
-  ``sufficiency_plan``, can serve several sweeps, and ``sufficiency_sweeps``
-  steps several sweeps at once (the CLI's candidate and negative control).
-  Only a base whose u-coefficient is wanted is stepped by ``step_plan``;
+  ``sufficiency_plan``, can serve several sweeps, stepped at once (the
+  CLI's candidate and negative control are two sweeps).  Only a base whose u-coefficient is wanted is stepped by ``step_plan``;
   the other bases and every perturbed policy of every sweep are the rows
   of one stacked pass of the kernel (states (P, n), one law call per grid
   column per distinct base), each member's perturbation being data bound
@@ -33,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AdmissibilityFailure, InvalidParameter, NonFinitePath
-from .jump_diffusion import (ControlledDynamics, ControlPolicy, Ensemble,
-                             NoisePlan, ObjectiveSpec, _ensemble, _step,
+from .jump_diffusion import (ControlledDynamics, ControlPolicy, NoisePlan,
+                             ObjectiveSpec, _ensemble, _step,
                              _with_terminal, build_plan, objective_paths,
                              running_cost_paths, simulate_ensemble, step_plan)
 from .maximum_principle import ValueFunctionStub, adjoint_from_value, \
@@ -51,7 +50,7 @@ from .semi_markov import (ExponentialHolding, RegimeModel, RegimePaths,
 
 __all__ = [
     "PerturbationFamily", "PerturbationResult", "SufficiencyReport",
-    "sufficiency_plan", "sufficiency_experiment", "sufficiency_sweeps",
+    "sufficiency_plan", "sufficiency_sweeps",
     "MarkovReductionReport",
     "markov_reduction_experiment", "DpConnectionReport",
     "dp_connection_experiment", "default_perturbation_family",
@@ -246,23 +245,12 @@ class SufficiencyReport:
 def sufficiency_plan(dyn: ControlledDynamics, regime_model: RegimeModel,
                      i0: int, y0: float, horizon: float, n_paths: int,
                      dt: float, seed: int) -> NoisePlan:
-    """The noise plan of :func:`sufficiency_experiment`: regime paths from
+    """The noise plan of :func:`sufficiency_sweeps`: regime paths from
     streams (seed, "regime", p), path noise from (seed, "paths", p).  Build
-    it once to step several experiments on the same noise."""
+    it once to step several sweeps on the same noise."""
     regime_paths = sample_regime_paths(regime_model, RegimeState(i0, y0),
                                        horizon, n_paths, seed)
     return build_plan(dyn, regime_paths, dt, seed)
-
-
-def sufficiency_experiment(dyn: ControlledDynamics, objective: ObjectiveSpec,
-                           families: Sequence[PerturbationFamily],
-                           plan: NoisePlan, x0, seed: int,
-                           u_coefficient_fn: Callable[[Ensemble], float] | None = None,
-                           foc_tol: float = 1e-8) -> SufficiencyReport:
-    """Estimate dJ = J(base) - J(perturbed) for every family member: the
-    one-sweep call of :func:`sufficiency_sweeps`."""
-    return sufficiency_sweeps(dyn, objective, [(families, u_coefficient_fn)],
-                              plan, x0, seed, foc_tol)[0]
 
 
 def sufficiency_sweeps(dyn: ControlledDynamics, objective: ObjectiveSpec,
@@ -271,8 +259,10 @@ def sufficiency_sweeps(dyn: ControlledDynamics, objective: ObjectiveSpec,
                        ) -> list[SufficiencyReport]:
     """One :class:`SufficiencyReport` per sweep (families, u_coefficient_fn
     or None), every sweep stepped on ``plan``, whose paths set ``n_paths``:
-    a common-random-number estimate by construction, with dJ exactly 0 for
-    the zero perturbation.  ``seed`` keys the "random" perturbations.
+    dJ = J(base) - J(member) for every family member, a common-random-number
+    estimate by construction, with dJ exactly 0 for the zero perturbation;
+    the max |dH/du| that ``u_coefficient_fn`` reads off the base's ensemble
+    is checked against ``foc_tol``.  ``seed`` keys the "random" members.
 
     A base whose u-coefficient is wanted is stepped by ``step_plan``; every
     other base (as an identity row, a zero scale) and every member of every
@@ -563,7 +553,6 @@ class DpConnectionReport:
     residuals: list[float]
     ratios: list[float]
     terminal_mismatch: float
-    v_approximate: bool
 
     @property
     def order_consistent(self) -> bool:
@@ -574,7 +563,6 @@ class DpConnectionReport:
         return {"dts": self.dts, "residuals": self.residuals,
                 "ratios": self.ratios,
                 "terminal_mismatch": self.terminal_mismatch,
-                "v_approximate": self.v_approximate,
                 "order_consistent": self.order_consistent}
 
 
@@ -582,8 +570,7 @@ def dp_connection_experiment(V: ValueFunctionStub, dyn: ControlledDynamics,
                              policy: ControlPolicy, objective: ObjectiveSpec,
                              regime_model: RegimeModel, x0, i0: int, y0: float,
                              horizon: float, n_paths: int,
-                             dts: Sequence[float], seed: int,
-                             v_approximate: bool = False) -> DpConnectionReport:
+                             dts: Sequence[float], seed: int) -> DpConnectionReport:
     """Adjoints from V along simulated paths: residual vs step size.
 
     Every step size reuses the same regime paths and the same per-path
@@ -605,5 +592,4 @@ def dp_connection_experiment(V: ValueFunctionStub, dyn: ControlledDynamics,
     ratios = [residuals[k + 1] / residuals[k] if residuals[k] > 0 else float("nan")
               for k in range(len(residuals) - 1)]
     return DpConnectionReport(dts=list(map(float, dts)), residuals=residuals,
-                              ratios=ratios, terminal_mismatch=terminal,
-                              v_approximate=v_approximate)
+                              ratios=ratios, terminal_mismatch=terminal)

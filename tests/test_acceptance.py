@@ -29,8 +29,8 @@ from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
                               simulate_regime_direct,
                               simulate_regime_thinning)
 from smjd.verification import (default_perturbation_family,
-                               markov_reduction_experiment,
-                               sufficiency_experiment, sufficiency_plan)
+                               markov_reduction_experiment, sufficiency_plan,
+                               sufficiency_sweeps)
 
 
 def _verdict(capsys, n, ok, detail):
@@ -241,12 +241,11 @@ def test_criterion_6_sufficiency(capsys, example):
     fams = default_perturbation_family(base, relative, 1.0)
     # the candidate and the negative control step on one noise plan
     plan = sufficiency_plan(dyn, rm, 0, 0.0, 1.0, 10_000, 5e-3, seed)
-    rep = sufficiency_experiment(dyn, obj, fams, plan, x0, seed)
+    rep = sufficiency_sweeps(dyn, obj, [(fams, None)], plan, x0, seed)[0]
     bad = ControlPolicy(rule=lambda t, x, i, y: 1.5 * base.rule(t, x, i, y))
-    neg = sufficiency_experiment(dyn, obj,
-                                 default_perturbation_family(bad, relative,
-                                                             1.0),
-                                 plan, x0, seed)
+    neg = sufficiency_sweeps(
+        dyn, obj, [(default_perturbation_family(bad, relative, 1.0), None)],
+        plan, x0, seed)[0]
     detected = any(not r.passed for r in neg.results)
     elapsed = time.perf_counter() - t0
     ok = (rep.passed and len(rep.results) >= 20 and detected

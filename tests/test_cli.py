@@ -287,6 +287,26 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error" in err and "$.numerics" in err and field in err
 
+    @pytest.mark.parametrize("field, rates", [
+        ("$.model.r", {"r": 400.0}),
+        ("$.model.negative_control_shift",
+         {"r": 1.0, "negative_control_shift": 400.0})])
+    def test_hjb_value_stub_overflow_exits_2(self, tmp_path, field, rates):
+        # e^(2 rate horizon) of the value stub overflows a float: refused
+        # by name before the stub is evaluated, so numpy warns of nothing
+        cfg = {"experiment": "hjb", "seed": 1,
+               "model": {"kind": "hjb-deterministic", "d": 1.0,
+                         "horizon": 2.0, "x_min": -1.0, "x_max": 1.0,
+                         "n_t": 3, "n_x": 3, **rates}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "smjd", "hjb", "--config",
+             str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and field in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
 
 class TestOutputs:
     def test_simulate_writes_all_four_files(self, tmp_path):

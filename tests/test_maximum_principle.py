@@ -11,9 +11,15 @@ from smjd.maximum_principle import (AdjointPath, AdjointState,
                                     hamiltonian, hjb_residual,
                                     hjb_terminal_mismatch,
                                     integrability_report)
+from smjd.portfolio_examples import (QuadraticLossModel, RegimeFunctional,
+                                     ql_adjoint, ql_dynamics, ql_phi_psi,
+                                     ql_policy)
 from smjd.rng import stream
 from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
-                              sample_regime_paths, simulate_regime_direct)
+                              WeibullHolding, sample_regime_paths,
+                              simulate_regime_direct)
+
+NO_COST = ObjectiveSpec(None, None)
 
 
 def _paths(model, n, horizon, seed):
@@ -42,8 +48,9 @@ class TestHamiltonian:
 
     def test_drift_and_vol_pairing(self):
         adj = AdjointState(p=2.0, q=1.0)
-        val = hamiltonian(0.0, 0.0, 0.0, 0, 0.0, adj, _const_dyn(0.1, 0.3))
-        assert val == pytest.approx(0.5)
+        val = hamiltonian(0.0, 0.0, 0.0, 0, 0.0, adj, _const_dyn(0.1, 0.3),
+                          NO_COST)
+        assert val.shape == (1,) and val[0] == pytest.approx(0.5)
 
     def test_linear_growth_form_at_zero_control(self):
         # dX = (rX + u*mbar*sigma)dt + u*sigma dW with u=0: H = r x p
@@ -52,7 +59,7 @@ class TestHamiltonian:
             drift=lambda t, x, u, i: r * x + u * 0.4 * 0.2,
             vol=lambda t, x, u, i: u * 0.2)
         adj = AdjointState(p=2.0, q=0.0)
-        val = hamiltonian(0.0, 1.0, 0.0, 0, 0.0, adj, dyn)
+        val = hamiltonian(0.0, 1.0, 0.0, 0, 0.0, adj, dyn, NO_COST)
         assert val == pytest.approx(0.1)
 
     def test_jump_pairing_with_eta(self):
@@ -64,10 +71,10 @@ class TestHamiltonian:
                                  marks=mm)
         adj = AdjointState(p=3.0, q=0.0, eta=lambda gam: 5.0 * gam)
         # -rate*mean_g*p + rate*int g*eta dpi = -2*0.1*3 + 2*0.1*0.5
-        val = hamiltonian(0.0, 0.0, 0.0, 0, 0.0, adj, dyn)
+        val = hamiltonian(0.0, 0.0, 0.0, 0, 0.0, adj, dyn, NO_COST)
         assert val == pytest.approx(-0.6 + 0.1)
 
-    def test_array_points_match_scalar_calls(self):
+    def test_array_points_match_one_point_calls(self):
         mm = MarkMeasure(rate=2.0, atoms=np.array([-0.05, 0.08]),
                          weights=np.array([0.4, 0.6]))
         dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.05 * x + 0.1 * u,
@@ -85,8 +92,9 @@ class TestHamiltonian:
         for k in range(3):
             point = [float(a[k]) for a in pts[:3]] + [int(pts[3][k]),
                                                       float(pts[4][k])]
-            assert vals[k] == pytest.approx(
-                hamiltonian(*point, adj, dyn, obj), rel=1e-14, abs=1e-15)
+            one = hamiltonian(*point, adj, dyn, obj)
+            assert one.shape == (1,)
+            assert vals[k] == pytest.approx(one[0], rel=1e-14, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +105,14 @@ class TestGradX:
     def test_x_free_coefficients_give_zero(self):
         adj = AdjointState(p=2.0, q=1.5)
         g = grad_x_hamiltonian(0.0, 1.0, 0.0, 0, 0.0, adj,
-                               _const_dyn(0.3, 0.2))
+                               _const_dyn(0.3, 0.2), NO_COST)
         assert g == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_drift_gradient(self):
         dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.07 * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         adj = AdjointState(p=3.0, q=0.0)
-        g = grad_x_hamiltonian(0.0, 2.0, 0.0, 0, 0.0, adj, dyn)
+        g = grad_x_hamiltonian(0.0, 2.0, 0.0, 0, 0.0, adj, dyn, NO_COST)
         assert g == pytest.approx(0.21, rel=1e-7)
 
     @pytest.mark.parametrize("x, jumps", [
@@ -154,44 +162,55 @@ class TestGradX:
 # ---------------------------------------------------------------------------
 
 class TestAdjointResidual:
-    def _exponential_decay_case(self, single_regime, dt, n_paths=200):
+    def _exponential_decay_case(self, single_regime, dt, n_paths=200,
+                                terminal_dx=True, p_T=None):
         """Deterministic growth dX = rX dt, terminal gradient x^{gamma-1};
-        the adjoint solves dp = -r p dt backward from p(T)."""
+        the adjoint solves dp = -r p dt backward from p(T), by default the
+        exact terminal gradient.  Without ``terminal_dx`` the objective
+        gives f2 only."""
         r, gamma = 0.05, 0.5
         dyn = ControlledDynamics(drift=lambda t, x, u, i: r * x,
                                  vol=lambda t, x, u, i: np.zeros_like(x))
         obj = ObjectiveSpec(
             running=None,
             terminal=lambda x, i, y: x ** gamma / gamma,
-            terminal_dx=lambda x, i, y: x ** (gamma - 1.0))
+            terminal_dx=(lambda x, i, y: x ** (gamma - 1.0)) if terminal_dx
+            else None)
         policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         ens = simulate_ensemble(dyn, policy, _paths(single_regime, n_paths,
                                                     1.0, 13),
                                 x0=1.0, dt=dt, seed=13)
-        pT = ens.x[:, -1:] ** (gamma - 1.0)
+        pT = ens.x[:, -1:] ** (gamma - 1.0) if p_T is None else p_T
         p = pT * np.exp(r * (1.0 - ens.t))
         adj = AdjointPath(p=p, q=np.zeros_like(p),
                           grad_H=r * p[:, :-1])
-        return adjoint_residual(ens, adj, dyn, obj)
+        return ens, adj, dyn, obj
+
+    def _residual(self, *args, **kwargs):
+        return adjoint_residual(*self._exponential_decay_case(*args, **kwargs))
 
     def test_residual_halves_with_dt(self, single_regime):
-        s1 = self._exponential_decay_case(single_regime, 4e-3)
-        s2 = self._exponential_decay_case(single_regime, 2e-3)
+        s1 = self._residual(single_regime, 4e-3)
+        s2 = self._residual(single_regime, 2e-3)
         assert 0.35 < s2.mean_path_total / s1.mean_path_total < 0.65
 
     def test_terminal_mismatch_zero_by_construction(self, single_regime):
-        s = self._exponential_decay_case(single_regime, 4e-3)
+        s = self._residual(single_regime, 4e-3)
         assert s.terminal_mismatch == pytest.approx(0.0, abs=1e-14)
 
-    def test_missing_gradient_is_refused_by_name(self, single_regime):
-        dyn = ControlledDynamics(drift=lambda t, x, u, i: 0.05 * x,
-                                 vol=lambda t, x, u, i: np.zeros_like(x))
-        policy = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
-        ens = simulate_ensemble(dyn, policy, _paths(single_regime, 3, 1.0, 2),
-                                x0=1.0, dt=0.1, seed=2)
-        p = np.ones_like(ens.x)
-        with pytest.raises(ValueError, match="grad_H"):
-            adjoint_residual(ens, AdjointPath(p=p, q=np.zeros_like(p)), dyn)
+    def test_terminal_target_by_central_difference(self, single_regime):
+        # f2 without its gradient: the central difference of f2 is the
+        # target, within 1e-8 of the analytic one
+        s = self._residual(single_regime, 4e-3, terminal_dx=False)
+        assert s.terminal_mismatch < 1e-8
+
+    def test_terminal_target_is_zero_without_a_terminal_cost(self,
+                                                             single_regime):
+        # p(T) = 123 against grad f2 = 0, not against itself
+        ens, adj, dyn, _ = self._exponential_decay_case(
+            single_regime, 4e-3, n_paths=5, p_T=123.0)
+        s = adjoint_residual(ens, adj, dyn, NO_COST)
+        assert s.terminal_mismatch == 123.0
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +394,23 @@ class TestHjb:
 
     def test_running_cost_enters_at_the_given_control(self, single_regime):
         # V = 0 leaves f1 = -(u - 1)^2 at the given u, not its supremum 0:
-        # a float at one point, an array on an array of controls
+        # an array of shape (1,) at one point, and on an array of controls
         V = ValueFunctionStub(v=lambda t, x, i, y: np.zeros_like(x))
         obj = ObjectiveSpec(running=lambda t, x, u, i, y: -(u - 1.0) ** 2,
                             terminal=None)
         args = (V, obj, _const_dyn(), single_regime, 0.2, 0.5, 0, 0.0)
         res = hjb_residual(*args, 2.5)
-        assert type(res) is float and res == -2.25
+        assert res.shape == (1,) and res[0] == -2.25
         u = np.array([-1.0, 1.0, 2.5])
         assert np.array_equal(hjb_residual(*args, u), -(u - 1.0) ** 2)
+
+    def test_terminal_target_is_zero_without_a_terminal_cost(self):
+        # a running-cost-only objective: |V(T) - 0|
+        V = ValueFunctionStub(v=lambda t, x, i, y: 0.3 * x + t)
+        obj = ObjectiveSpec(running=lambda t, x, u, i, y: -(u - 1.0) ** 2,
+                            terminal=None)
+        x = np.array([0.5, 2.0])
+        assert hjb_terminal_mismatch(V, obj, 1.0, x, 0, 0.0) == 1.6
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +428,7 @@ class TestAdjointFromValue:
             + np.zeros_like(np.asarray(x, dtype=float)),
             dx=lambda t, x, i, y: np.zeros_like(np.asarray(x, dtype=float)),
             dxx=lambda t, x, i, y: np.zeros_like(np.asarray(x, dtype=float)))
-        adj = adjoint_from_value(V, ens, dyn, single_regime)
+        adj = adjoint_from_value(V, ens, dyn, single_regime, NO_COST)
         assert np.allclose(adj.p, 0.0, atol=1e-10)
         assert np.allclose(adj.q, 0.0, atol=1e-10)
 
@@ -413,7 +440,7 @@ class TestAdjointFromValue:
         ens = simulate_ensemble(dyn, policy, _paths(single_regime, 3, 1.0, 2),
                                 x0=1.0, dt=0.05, seed=2)
         V = ValueFunctionStub(v=lambda t, x, i, y: -(x - 1.2) ** 2 * (1 + t))
-        adj = adjoint_from_value(V, ens, dyn, single_regime)
+        adj = adjoint_from_value(V, ens, dyn, single_regime, NO_COST)
         n, K = ens.t.shape
         assert not np.allclose(adj.p, 0.0)
         for a in (adj.etatilde_jump, adj.etatilde_comp,
@@ -469,7 +496,7 @@ class TestAdjointFromValue:
         # its left-node value
         V, ens, dyn, model = self._wealth_jump_setup()
         rate, (atoms, weights) = dyn.marks.rate, dyn.marks.nodes()
-        adj = adjoint_from_value(V, ens, dyn, model)
+        adj = adjoint_from_value(V, ens, dyn, model, NO_COST)
 
         tl, xl, ul, thl, yl = (a[:, :-1] for a in (ens.t, ens.x, ens.u,
                                                    ens.theta, ens.y))
@@ -477,15 +504,16 @@ class TestAdjointFromValue:
         eta = lambda gam: vx(xl + xl * gam) - vx(xl)
         frozen = grad_x_hamiltonian(
             tl, xl, ul, thl, yl,
-            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn)
+            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn, NO_COST)
         np.testing.assert_allclose(adj.grad_H, frozen, rtol=1e-12, atol=1e-14)
         # one node by a pointwise call
         k = 3
         pt = (tl[0, k], xl[0, k], ul[0, k], thl[0, k], yl[0, k])
         eta_pt = lambda gam: float(vx(xl + xl * gam)[0, k] - vx(xl)[0, k])
         g_pt = grad_x_hamiltonian(
-            *pt, AdjointState(adj.p[0, k], adj.q[0, k], eta_pt), dyn)
-        assert adj.grad_H[0, k] == pytest.approx(g_pt, rel=1e-9)
+            *pt, AdjointState(adj.p[0, k], adj.q[0, k], eta_pt), dyn,
+            NO_COST)
+        assert adj.grad_H[0, k] == pytest.approx(g_pt[0], rel=1e-9)
         comp = rate * sum(w * eta(gam) for gam, w in zip(atoms, weights))
         np.testing.assert_allclose(adj.eta_comp, comp, rtol=1e-12,
                                    atol=1e-14)
@@ -494,7 +522,7 @@ class TestAdjointFromValue:
         # step k ends in a jump at node k + 1: V_x(x- + g) - V_x(x-) from
         # the left node's (t, x, u, theta, y) and the jump's mark; 0 elsewhere
         V, ens, dyn, model = self._wealth_jump_setup()
-        adj = adjoint_from_value(V, ens, dyn, model)
+        adj = adjoint_from_value(V, ens, dyn, model, NO_COST)
         want = np.zeros_like(adj.eta_jump)
         hits = np.argwhere(ens.jump_mask)
         assert len(hits) > 10 and (hits[:, 1] > 0).all()
@@ -518,7 +546,7 @@ class TestAdjointFromValue:
             return x * gam
 
         V, ens, dyn, model = self._wealth_jump_setup(jump)
-        adj = adjoint_from_value(V, ens, dyn, model)
+        adj = adjoint_from_value(V, ens, dyn, model, NO_COST)
         grid = (ens.n_paths, ens.t.shape[1] - 1)
         assert shapes.count(grid) == 6
         # the values are those of an eta recomputed at every request
@@ -532,7 +560,7 @@ class TestAdjointFromValue:
 
         fresh = grad_x_hamiltonian(
             tl, xl, ul, thl, yl,
-            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn)
+            AdjointState(adj.p[:, :-1], adj.q[:, :-1], eta), dyn, NO_COST)
         assert np.array_equal(adj.grad_H, fresh)
         comp, sq = np.zeros(grid), np.zeros(grid)
         for gam, w in zip(*dyn.marks.nodes()):
@@ -540,3 +568,46 @@ class TestAdjointFromValue:
             sq += w * eta(gam) ** 2
         assert np.array_equal(adj.eta_comp, dyn.marks.rate * comp)
         assert np.array_equal(adj.eta_sq_comp, dyn.marks.rate * sq)
+
+    def test_regime_jump_slot_is_the_closed_forms(self):
+        # V from the closed-form QL value, V_x = phi x + psi, on a 3-state
+        # Weibull/exponential model with asset jumps: p and the whole
+        # regime-jump slot are the closed-form adjoint's, bit for bit
+        regimes = RegimeModel(
+            kernel=np.array([[0.0, 0.6, 0.4], [0.5, 0.0, 0.5],
+                             [0.3, 0.7, 0.0]]),
+            holding=(WeibullHolding(shape=1.5, scale=0.4),
+                     ExponentialHolding(3.0),
+                     WeibullHolding(shape=2.0, scale=0.5)))
+        model = QuadraticLossModel(
+            r=np.array([0.05, 0.03, 0.04]), mbar=np.array([0.4, 0.3, 0.2]),
+            sigma=np.array([0.2, 0.25, 0.3]), d=1.0, horizon=1.0,
+            marks=MarkMeasure(rate=2.0, atoms=np.array([-0.05, 0.08]),
+                              weights=np.array([0.4, 0.6])),
+            jump_coeff=lambda i, gam: (1.0 + 0.5 * i) * gam,
+            lambda_variant="consistent")
+        phi, psi, _ = ql_phi_psi(model, regimes, np.linspace(0.0, 1.0, 11),
+                                 np.linspace(0.0, 1.0, 3), 20, 5)
+        table = RegimeFunctional(phi.t_nodes, phi.y_nodes,
+                                 np.stack([phi.values, psi.values]),
+                                 np.stack([phi.se, psi.se]), phi.n_paths)
+
+        def v_x(t, x, i, y):
+            F, S = table(t, i, y)
+            return F * x + S
+
+        V = ValueFunctionStub(
+            v=lambda t, x, i, y: table(t, i, y)[0] * x ** 2 / 2, dx=v_x,
+            dxx=lambda t, x, i, y: table(t, i, y)[0] + 0.0 * x)
+        paths = sample_regime_paths(regimes, RegimeState(0, 0.0), 1.0, 60, 9)
+        dyn = ql_dynamics(model)
+        ens = simulate_ensemble(dyn, ql_policy(model, table), paths, x0=0.5,
+                                dt=0.02, seed=9)
+        assert (ens.theta[:, 1:] != ens.theta[:, :-1]).sum() >= 100
+        assert ens.jump_mask.any()
+        got = adjoint_from_value(V, ens, dyn, regimes, NO_COST)
+        want = ql_adjoint(model, ens, table, regimes)
+        for name in ("p", "etatilde_jump", "etatilde_comp",
+                     "etatilde_sq_comp"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name

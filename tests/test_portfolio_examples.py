@@ -579,7 +579,7 @@ class TestStartNodeTable:
         with pytest.raises(ValueError, match="y grid needs at least one "
                                              "node, and ages >= 0"):
             if kind == "rs":
-                rs_phi_functional(rs_two, *args)
+                rs_phi_functional(rs_two, *args, variant="integral")
             else:
                 ql_phi_psi(_ql_jump_model("literal"), *args)
 
@@ -994,8 +994,9 @@ _Y1 = np.array([0.0])
 
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("kind, build", [
-    ("rs", lambda m, rm: rs_phi_functional(m, rm, _T3, _Y1, 4, 0)),
-    ("rs", lambda m, rm: rs_phi_markov(m, rm, _T3)),
+    ("rs", lambda m, rm: rs_phi_functional(m, rm, _T3, _Y1, 4, 0,
+                                           "integral")),
+    ("rs", lambda m, rm: rs_phi_markov(m, rm, _T3, "integral")),
     ("ql", lambda m, rm: ql_phi_psi(m, rm, _T3, _Y1, 4, 0)),
     ("ql", lambda m, rm: ql_phi_psi_markov(m, rm, _T3)),
 ], ids=["rs_phi_functional", "rs_phi_markov", "ql_phi_psi",
@@ -1013,7 +1014,7 @@ def test_regime_count_mismatch_is_refused(exp_two, kind, build, n):
 
 _GRID_BUILDERS = {
     "rs_phi_functional": ("rs", lambda m, rm, t, y: rs_phi_functional(
-        m, rm, t, y, 4, 0)),
+        m, rm, t, y, 4, 0, "integral")),
     "rs_phi_markov": ("rs", lambda m, rm, t, y: rs_phi_markov(
         m, rm, t, "literal", y)),
     "ql_phi_psi": ("ql", lambda m, rm, t, y: ql_phi_psi(m, rm, t, y, 4, 0)),
@@ -1107,7 +1108,7 @@ class TestStepPowers:
         calls = (lambda: ql_phi_psi_markov(ql, rm, T, y),
                  lambda: rs_phi_markov(rs, rm, T, variant="literal"),
                  lambda: ql_phi_psi(ql, rm, T, y, 8, 1),
-                 lambda: rs_phi_functional(rs, rm, T, y, 8, 1))
+                 lambda: rs_phi_functional(rs, rm, T, y, 8, 1, "integral"))
         for call in calls:
             with pytest.raises(ValueError, match=r"t grid needs at least two "
                                                  r"nodes, got 1"):

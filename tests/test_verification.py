@@ -23,8 +23,8 @@ from smjd.semi_markov import (ExponentialHolding, RegimeModel, RegimeState,
 from smjd.verification import (PerturbationFamily, PerturbationResult,
                                SufficiencyReport, default_perturbation_family,
                                dp_connection_experiment,
-                               markov_reduction_experiment,
-                               sufficiency_experiment, sufficiency_plan)
+                               markov_reduction_experiment, sufficiency_plan,
+                               sufficiency_sweeps)
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ class TestPerturbationFamily:
         model, dyn, pol, obj = ql_setup
         plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 4, 0.05, 3)
         with pytest.raises(InvalidParameter, match="families") as info:
-            sufficiency_experiment(dyn, obj, [], plan, 0.5, 3)
+            sufficiency_sweeps(dyn, obj, [([], None)], plan, 0.5, 3)
         assert info.value.field == "families"
 
     def test_default_family_has_at_least_twenty_members(self):
@@ -146,8 +146,9 @@ class TestSufficiency:
         model, dyn, pol, obj = setup
         plan = sufficiency_plan(dyn, kw.pop("rm"), 0, 0.0, 1.0, n_paths, dt,
                                 seed)
-        return sufficiency_experiment(dyn, obj, families, plan, x0=0.5,
-                                      seed=seed, **kw)
+        u_fn = kw.pop("u_coefficient_fn", None)
+        return sufficiency_sweeps(dyn, obj, [(families, u_fn)], plan, x0=0.5,
+                                  seed=seed, **kw)[0]
 
     def test_zero_perturbation_couples_exactly(self, ql_setup, single_regime):
         model, dyn, pol, obj = ql_setup
@@ -188,7 +189,8 @@ class TestSufficiency:
         fams = [PerturbationFamily(bad, "scale", (-1.0 / 3.0,))]
         plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 2000, 0.01,
                                 13)
-        rep = sufficiency_experiment(dyn, obj, fams, plan, x0=0.5, seed=13)
+        rep = sufficiency_sweeps(dyn, obj, [(fams, None)], plan, x0=0.5,
+                                 seed=13)[0]
         assert not rep.passed
         assert rep.results[0].dJ < -2.0 * rep.results[0].se
 
@@ -209,7 +211,7 @@ class TestSufficiency:
         base = ControlPolicy(rule=lambda t, x, i, y: np.zeros_like(x))
         fams = [PerturbationFamily(base, "shift", (50.0,))]
         with pytest.raises(AdmissibilityFailure, match="shift"):
-            sufficiency_experiment(dyn, obj, fams, _cubic_plan(
+            sufficiency_sweeps(dyn, obj, [(fams, None)], _cubic_plan(
                 dyn, single_regime), x0=2.0, seed=3)
 
     def test_shared_plan_gives_the_same_report(self, ql_setup, single_regime):
@@ -218,8 +220,9 @@ class TestSufficiency:
         model, dyn, pol, obj = ql_setup
         fams = default_perturbation_family(pol, relative=False, horizon=1.0)
         plan = sufficiency_plan(dyn, single_regime, 0, 0.0, 1.0, 40, 0.05, 11)
-        first = sufficiency_experiment(dyn, obj, fams, plan, 0.5, 11)
-        again = sufficiency_experiment(dyn, obj, fams, plan, 0.5, 11)
+        first, again = (
+            sufficiency_sweeps(dyn, obj, [(fams, None)], plan, 0.5, 11)[0]
+            for _ in range(2))
         own = self._run(ql_setup, fams, n_paths=40, dt=0.05, rm=single_regime)
         assert first.to_dict() == again.to_dict() == own.to_dict()
 
@@ -317,13 +320,14 @@ def _all_kinds(base, relative):
 
 
 class TestStackedSweep:
-    """``sufficiency_experiment`` steps the members stacked; its report
+    """``sufficiency_sweeps`` steps the members stacked; a sweep's report
     equals, bit for bit, the one built member by member."""
 
     def _compare(self, rm, dyn, obj, families, x0, n_paths=30, dt=0.05,
                  seed=17):
         plan = sufficiency_plan(dyn, rm, 0, 0.0, 1.0, n_paths, dt, seed)
-        stacked = sufficiency_experiment(dyn, obj, families, plan, x0, seed)
+        stacked = sufficiency_sweeps(dyn, obj, [(families, None)], plan, x0,
+                                     seed)[0]
         reference = _reference_report(dyn, obj, families, plan, x0, seed)
         assert stacked.to_dict() == reference.to_dict()
         assert stacked.results[0].dJ == 0.0  # the zero shift
@@ -370,22 +374,22 @@ class TestStackedSweep:
         counted = ControlPolicy(rule=rule)
         fams = _all_kinds(counted, False)
         plan = sufficiency_plan(dyn, exp2_model, 0, 0.0, 1.0, 30, 0.05, 17)
-        sufficiency_experiment(dyn, obj, fams, plan, 0.5, 17)
+        sufficiency_sweeps(dyn, obj, [(fams, None)], plan, 0.5, 17)
         n, K = plan.t.shape
         P = sum(len(f.magnitudes) for f in fams)
         # the base is the stack's identity row: one stacked call per column
         assert shapes == [((n,), (P + 1, n), (n,), (n,))] * K
         # a u-coefficient function reads the base ensemble, stepped first
         shapes.clear()
-        sufficiency_experiment(dyn, obj, fams, plan, 0.5, 17,
-                               u_coefficient_fn=lambda ens: 0.0)
+        sufficiency_sweeps(dyn, obj, [(fams, lambda ens: 0.0)], plan, 0.5,
+                           17)
         assert shapes == [((n,),) * 4] * K + [((n,), (P, n), (n,), (n,))] * K
 
 
 class TestFusedSweeps:
     """``sufficiency_sweeps`` steps several sweeps in one stacked pass; each
-    sweep's report equals, bit for bit, its own ``sufficiency_experiment``
-    run and the member-by-member report."""
+    sweep's report equals, bit for bit, its own one-sweep run and the
+    member-by-member report."""
 
     def _compare(self, rm, dyn, obj, base, families_of, x0, n_paths=30,
                  dt=0.05, seed=17):
@@ -396,12 +400,12 @@ class TestFusedSweeps:
             seed, n_paths))[2]
         u_fn = lambda ens: float(np.max(np.abs(ens.u)))  # noqa: E731
         sweeps = [(families_of(base), u_fn), (families_of(scaled), None)]
-        fused = verification.sufficiency_sweeps(dyn, obj, sweeps, plan, x0,
+        fused = sufficiency_sweeps(dyn, obj, sweeps, plan, x0,
                                                 seed, foc_tol=1e9)
         assert len(fused) == 2
         for (fams, fn), rep in zip(sweeps, fused):
-            own = sufficiency_experiment(dyn, obj, fams, plan, x0, seed,
-                                         u_coefficient_fn=fn, foc_tol=1e9)
+            own = sufficiency_sweeps(dyn, obj, [(fams, fn)], plan, x0, seed,
+                                     foc_tol=1e9)[0]
             assert rep.to_dict() == own.to_dict()
             reference = _reference_report(dyn, obj, fams, plan, x0, seed)
             if fn is not None:
@@ -457,12 +461,12 @@ class TestFusedSweeps:
         sweeps = [(_all_kinds(counted, False), None),
                   (_all_kinds(other, False), None),
                   ([PerturbationFamily(counted, "shift", (0.1, 0.2))], None)]
-        fused = verification.sufficiency_sweeps(dyn, obj, sweeps, plan, 0.5,
+        fused = sufficiency_sweeps(dyn, obj, sweeps, plan, 0.5,
                                                 17)
         assert calls == [(1 + 9 + 1 + 2, 30)] * plan.t.shape[1]
         for (fams, _), rep in zip(sweeps, fused):
-            assert rep.to_dict() == sufficiency_experiment(
-                dyn, obj, fams, plan, 0.5, 17).to_dict()
+            assert rep.to_dict() == sufficiency_sweeps(
+                dyn, obj, [(fams, None)], plan, 0.5, 17)[0].to_dict()
 
 
 def _bits(a):
@@ -600,7 +604,7 @@ class TestSweepFailures:
         column = lambda exc: int(str(exc).split()[4])
         assert column(late) < column(early)
         with pytest.raises(AdmissibilityFailure) as info:
-            sufficiency_experiment(dyn, obj, fams, _cubic_plan(
+            sufficiency_sweeps(dyn, obj, [(fams, None)], _cubic_plan(
                 dyn, single_regime), x0=2.0, seed=3)
         assert str(info.value) == (
             f"perturbation shift[1] (delta=5.0) produced a non-finite path: "
@@ -617,7 +621,7 @@ class TestSweepFailures:
         dyn, obj, base = self._cubic(lambda x, i, y: np.log(x - 1.8))
         fams = [PerturbationFamily(base, "shift", (0.0, -0.05, 50.0))]
         with pytest.raises(AdmissibilityFailure) as info:
-            sufficiency_experiment(dyn, obj, fams, _cubic_plan(
+            sufficiency_sweeps(dyn, obj, [(fams, None)], _cubic_plan(
                 dyn, single_regime), x0=2.0, seed=3)
         assert str(info.value) == ("perturbation shift[1] (delta=-0.05) has "
                                    "a non-finite objective")
@@ -632,7 +636,7 @@ class TestSweepFailures:
             warnings.simplefilter("error")
             with pytest.raises(AdmissibilityFailure, match=r"shift\[1\] "
                                r"\(delta=-0\.05\) has a non-finite objective"):
-                sufficiency_experiment(dyn, obj, fams, _cubic_plan(
+                sufficiency_sweeps(dyn, obj, [(fams, None)], _cubic_plan(
                     dyn, single_regime), x0=2.0, seed=3)
 
 
@@ -719,7 +723,6 @@ class TestDpConnection:
         assert len(rep.ratios) == 2
         assert all(0.35 <= q <= 0.65 for q in rep.ratios)
         assert rep.terminal_mismatch < 1e-10
-        assert rep.v_approximate is False
 
     def test_wrong_value_function_breaks_order(self, single_regime):
         # a mis-specified growth rate leaves an O(1) residual: ratios near 1
@@ -728,11 +731,9 @@ class TestDpConnection:
         rep = dp_connection_experiment(self._transport(r + 0.1, d, 1.0), dyn,
                                        pol, obj, single_regime, x0=0.9, i0=0,
                                        y0=0.0, horizon=1.0, n_paths=100,
-                                       dts=(8e-3, 4e-3), seed=5,
-                                       v_approximate=True)
+                                       dts=(8e-3, 4e-3), seed=5)
         assert not rep.order_consistent
         assert rep.ratios[0] > 0.9
-        assert rep.v_approximate is True
 
     def test_serialization(self, single_regime):
         r, d = 0.05, 1.0
